@@ -41,17 +41,18 @@
 //! assert_eq!(ev.request_id.as_deref(), Some("req-1"));
 //! ```
 
-use std::collections::VecDeque;
-use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+pub mod jsonl;
+
+use std::collections::{HashMap, VecDeque};
+use std::io;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, SystemTime};
 
 use mathcloud_json::value::Object;
 use mathcloud_json::Value;
-use mathcloud_telemetry::metrics;
+use mathcloud_telemetry::metrics::{self, Counter};
 use mathcloud_telemetry::sync::{Condvar, Mutex};
 
 /// Ring capacity of the process-wide bus returned by [`global`].
@@ -221,118 +222,6 @@ impl Drop for Subscription {
     }
 }
 
-/// The shared JSON-lines journal conventions: one JSON document per line,
-/// `fsync` after every append, and a reader that skips torn or corrupt lines
-/// instead of failing. The events journal below and the durable job store in
-/// `mathcloud-everest` both persist through these helpers, so every journal
-/// in the system tears and recovers the same way.
-pub mod jsonl {
-    use super::*;
-    use std::io::Read;
-
-    /// Appends `value` as one line and syncs it to disk.
-    ///
-    /// The record only counts as durable once `sync_data` returns: a crash
-    /// mid-append leaves at most one torn final line, which
-    /// [`read_values`] skips on recovery.
-    ///
-    /// # Errors
-    ///
-    /// Propagates write and sync failures.
-    pub fn append_value(file: &mut File, value: &Value) -> io::Result<()> {
-        let mut line = value.to_string();
-        line.push('\n');
-        file.write_all(line.as_bytes())?;
-        file.sync_data()
-    }
-
-    /// Opens (or creates) `path` for appending, repairing a torn tail
-    /// first.
-    ///
-    /// A crash mid-append can leave the file ending in a partial line with
-    /// no trailing `\n`. Appending straight onto that fragment would
-    /// concatenate the next record into one unparseable line — silently
-    /// losing an acknowledged, fsync'd record on the *next* recovery, and
-    /// (when only the newline was lost) destroying a complete final record
-    /// that [`read_values`] had already replayed. Terminating the tail with
-    /// a single synced `\n` keeps a complete-but-unterminated record
-    /// readable and turns a true fragment into a corrupt line that
-    /// [`read_values`] skips.
-    ///
-    /// Every journal reopened for appending must come through here, not a
-    /// bare `OpenOptions::append`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates open, metadata, read, write and sync failures.
-    pub fn open_append(path: &Path) -> io::Result<File> {
-        use std::io::{Seek, SeekFrom};
-        let mut file = OpenOptions::new()
-            .create(true)
-            .read(true)
-            .append(true)
-            .open(path)?;
-        if file.metadata()?.len() > 0 {
-            file.seek(SeekFrom::End(-1))?;
-            let mut last = [0u8; 1];
-            file.read_exact(&mut last)?;
-            if last[0] != b'\n' {
-                file.write_all(b"\n")?;
-                file.sync_data()?;
-            }
-        }
-        Ok(file)
-    }
-
-    /// Reads every well-formed JSON line from `path`, oldest first.
-    ///
-    /// A missing file is an empty journal. Lines that are not valid UTF-8
-    /// or not valid JSON — a torn tail from a crash mid-append, or bytes
-    /// corrupted at rest — are skipped, never fatal: recovery always
-    /// replays the longest well-formed prefix (plus any well-formed lines
-    /// after a corrupt one).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors opening or reading the file.
-    pub fn read_values(path: &Path) -> io::Result<Vec<Value>> {
-        let mut file = match File::open(path) {
-            Ok(f) => f,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(e),
-        };
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        let mut out = Vec::new();
-        for raw in bytes.split(|&b| b == b'\n') {
-            let Ok(line) = std::str::from_utf8(raw) else {
-                continue;
-            };
-            if line.trim().is_empty() {
-                continue;
-            }
-            if let Ok(v) = mathcloud_json::parse(line) {
-                out.push(v);
-            }
-        }
-        Ok(out)
-    }
-}
-
-/// The append-only journal behind a bus.
-struct Journal {
-    file: File,
-    path: PathBuf,
-}
-
-impl Journal {
-    fn append(&mut self, ev: &Envelope) -> io::Result<()> {
-        // Durability is the whole point of the journal: an event is only
-        // "published" once it would survive a crash.
-        jsonl::append_value(&mut self.file, &ev.to_json())
-    }
-}
-
 /// Reads every well-formed envelope from a journal file, oldest first.
 ///
 /// Torn or corrupt lines (a crash mid-append) are skipped, not fatal.
@@ -353,23 +242,33 @@ struct Inner {
     ring: VecDeque<Arc<Envelope>>,
     ring_cap: usize,
     subs: Vec<Arc<SubShared>>,
-    journal: Option<Journal>,
+    journal: Option<Arc<jsonl::Appender>>,
+    /// Events that have an id (and a journal record) but are not on the ring
+    /// or with any subscriber yet: they wait, in id order, for the sync that
+    /// covers them.
+    pending: VecDeque<Arc<Envelope>>,
+    /// `mc_events_published_total{kind}` handles, so a publish does not pay
+    /// a registry lookup.
+    published: HashMap<String, Counter>,
 }
 
 impl Inner {
     /// Events with `id > after_id` passing `filter`, ring-then-journal.
     fn replay(&self, after_id: u64, filter: &KindFilter) -> Vec<Arc<Envelope>> {
         let ring_first = self.ring.front().map_or(u64::MAX, |e| e.id);
+        // The journal also holds what is still pending; those events reach
+        // the subscriber live, once delivered.
+        let journal_end = ring_first.min(self.pending.front().map_or(u64::MAX, |e| e.id));
         let mut out: Vec<Arc<Envelope>> = Vec::new();
-        if after_id + 1 < ring_first {
+        if after_id + 1 < journal_end {
             // The ring has already evicted part of the requested range; the
             // journal (when attached) still has it.
             if let Some(j) = &self.journal {
-                if let Ok(evs) = read_journal(&j.path) {
+                if let Ok(evs) = read_journal(j.path()) {
                     out.extend(
                         evs.into_iter()
                             .filter(|e| {
-                                e.id > after_id && e.id < ring_first && filter.matches(&e.kind)
+                                e.id > after_id && e.id < journal_end && filter.matches(&e.kind)
                             })
                             .map(Arc::new),
                     );
@@ -384,6 +283,52 @@ impl Inner {
         );
         out
     }
+
+    fn count_published(&mut self, kind: &str) {
+        if let Some(counter) = self.published.get(kind) {
+            counter.inc();
+            return;
+        }
+        let counter = metrics::global().counter("mc_events_published_total", &[("kind", kind)]);
+        counter.inc();
+        self.published.insert(kind.to_string(), counter);
+    }
+
+    /// Moves every pending event with an id up to `id` onto the ring and
+    /// into the matching subscriber queues, in id order.
+    fn deliver_through(&mut self, id: u64, lag: &Counter) {
+        let mut pruned = false;
+        while self.pending.front().is_some_and(|ev| ev.id <= id) {
+            let ev = self.pending.pop_front().expect("front just seen");
+            if self.ring.len() == self.ring_cap {
+                self.ring.pop_front();
+            }
+            self.ring.push_back(Arc::clone(&ev));
+            for sub in &self.subs {
+                if sub.closed.load(Ordering::Relaxed) {
+                    pruned = true;
+                    continue;
+                }
+                if !sub.filter.matches(&ev.kind) {
+                    continue;
+                }
+                let mut q = sub.queue.lock();
+                if q.len() == sub.capacity {
+                    // Lagging subscriber: shed its oldest event so delivery
+                    // stays bounded and recent events win.
+                    q.pop_front();
+                    sub.lagged.fetch_add(1, Ordering::Relaxed);
+                    lag.inc();
+                }
+                q.push_back(Arc::clone(&ev));
+                drop(q);
+                sub.ready.notify_all();
+            }
+        }
+        if pruned {
+            self.subs.retain(|s| !s.closed.load(Ordering::Relaxed));
+        }
+    }
 }
 
 /// A broadcast bus with a replay ring and an optional journal.
@@ -392,6 +337,8 @@ impl Inner {
 /// with [`Bus::with_ring`] to simulate restarts and tune ring sizes.
 pub struct Bus {
     inner: Mutex<Inner>,
+    lag: Counter,
+    journal_errors: Counter,
 }
 
 impl Bus {
@@ -405,7 +352,11 @@ impl Bus {
                 ring_cap: ring_cap.max(1),
                 subs: Vec::new(),
                 journal: None,
+                pending: VecDeque::new(),
+                published: HashMap::new(),
             }),
+            lag: metrics::global().counter("mc_events_lag_total", &[]),
+            journal_errors: metrics::global().counter("mc_events_journal_errors_total", &[]),
         }
     }
 
@@ -420,10 +371,18 @@ impl Bus {
     /// Propagates I/O errors opening or reading the file.
     pub fn attach_journal(&self, path: &Path) -> io::Result<()> {
         let recovered = read_journal(path)?;
-        // `open_append` repairs a torn (newline-less) tail so the first
+        // `Appender::open` repairs a torn (newline-less) tail so the first
         // post-recovery publish cannot concatenate onto the fragment.
-        let file = jsonl::open_append(path)?;
+        let journal = Arc::new(jsonl::Appender::open(path, "events")?);
         let mut inner = self.inner.lock();
+        if let Some(old) = inner.journal.replace(journal) {
+            // Whatever a publisher is still syncing belongs to the journal
+            // being replaced; settle it so no later sync is taken to cover it.
+            if let Err(e) = old.sync_to(old.stats().records) {
+                self.journal_error(None, &e);
+            }
+            inner.deliver_through(u64::MAX, &self.lag);
+        }
         if let Some(last) = recovered.last() {
             inner.next_id = inner.next_id.max(last.id);
         }
@@ -435,10 +394,6 @@ impl Bus {
             }
             inner.ring.push_back(Arc::new(ev));
         }
-        inner.journal = Some(Journal {
-            file,
-            path: path.to_path_buf(),
-        });
         Ok(())
     }
 
@@ -447,69 +402,79 @@ impl Bus {
         self.inner.lock().journal.is_some()
     }
 
+    /// What the attached journal has written and synced so far.
+    pub fn journal_stats(&self) -> Option<jsonl::JournalStats> {
+        self.inner.lock().journal.as_ref().map(|j| j.stats())
+    }
+
     /// Publishes an event, returning its assigned id.
     ///
     /// The event is journaled (when a journal is attached), pushed onto the
-    /// replay ring, and fanned out to every matching subscriber. A journal
-    /// write failure is reported as a metric and a trace event, never a
-    /// panic: losing durability must not take down the container.
+    /// replay ring, and fanned out to every matching subscriber; the call
+    /// returns once all of that has happened. A journal write failure is
+    /// reported as a metric and a trace event, never a panic: losing
+    /// durability must not take down the container.
     pub fn publish(&self, kind: &str, request_id: Option<&str>, payload: Value) -> u64 {
-        let mut inner = self.inner.lock();
-        inner.next_id += 1;
-        let ev = Arc::new(Envelope {
-            id: inner.next_id,
-            kind: kind.to_string(),
-            time_ms: SystemTime::now()
-                .duration_since(SystemTime::UNIX_EPOCH)
-                .map_or(0, |d| d.as_millis() as u64),
-            request_id: request_id.map(str::to_string),
-            payload,
-        });
-        if let Some(j) = &mut inner.journal {
-            if let Err(e) = j.append(&ev) {
-                metrics::global()
-                    .counter("mc_events_journal_errors_total", &[])
-                    .inc();
-                mathcloud_telemetry::trace::warn(
-                    "events.journal_error",
-                    ev.request_id.as_deref(),
-                    &[("error", &e.to_string())],
-                );
-            }
-        }
-        if inner.ring.len() == inner.ring_cap {
-            inner.ring.pop_front();
-        }
-        inner.ring.push_back(Arc::clone(&ev));
+        self.publish_batch([(kind, request_id, payload)])
+    }
 
-        let mut pruned = false;
-        for sub in &inner.subs {
-            if sub.closed.load(Ordering::Relaxed) {
-                pruned = true;
-                continue;
+    /// Publishes `(kind, request_id, payload)` events as one batch with
+    /// consecutive ids and a single journal sync, returning the last id
+    /// (or [`Bus::last_id`] for an empty batch).
+    ///
+    /// Ids are assigned and journal records written under the bus lock
+    /// (journal order = id order); the sync happens with the lock released,
+    /// so concurrent publishers share one `fsync`. Nothing reaches the ring
+    /// or a subscriber before the sync that covers it, and whoever comes
+    /// back from a sync first delivers everything up to its own last event,
+    /// so delivery is in id order.
+    pub fn publish_batch<'a>(
+        &self,
+        events: impl IntoIterator<Item = (&'a str, Option<&'a str>, Value)>,
+    ) -> u64 {
+        let time_ms = SystemTime::now()
+            .duration_since(SystemTime::UNIX_EPOCH)
+            .map_or(0, |d| d.as_millis() as u64);
+        let mut inner = self.inner.lock();
+        let journal = inner.journal.clone();
+        let mut written = 0;
+        for (kind, request_id, payload) in events {
+            inner.next_id += 1;
+            let ev = Arc::new(Envelope {
+                id: inner.next_id,
+                kind: kind.to_string(),
+                time_ms,
+                request_id: request_id.map(str::to_string),
+                payload,
+            });
+            if let Some(j) = &journal {
+                match j.write(ev.to_json().to_string()) {
+                    Ok(pos) => written = pos,
+                    Err(e) => self.journal_error(ev.request_id.as_deref(), &e),
+                }
             }
-            if !sub.filter.matches(&ev.kind) {
-                continue;
-            }
-            let mut q = sub.queue.lock();
-            if q.len() == sub.capacity {
-                // Lagging subscriber: shed its oldest event so delivery
-                // stays bounded and recent events win.
-                q.pop_front();
-                sub.lagged.fetch_add(1, Ordering::Relaxed);
-                metrics::global().counter("mc_events_lag_total", &[]).inc();
-            }
-            q.push_back(Arc::clone(&ev));
-            drop(q);
-            sub.ready.notify_all();
+            inner.count_published(kind);
+            inner.pending.push_back(ev);
         }
-        if pruned {
-            inner.subs.retain(|s| !s.closed.load(Ordering::Relaxed));
+        let last = inner.next_id;
+        if let Some(j) = journal.filter(|_| written > 0) {
+            drop(inner);
+            if let Err(e) = j.sync_to(written) {
+                self.journal_error(None, &e);
+            }
+            inner = self.inner.lock();
         }
-        metrics::global()
-            .counter("mc_events_published_total", &[("kind", kind)])
-            .inc();
-        ev.id
+        inner.deliver_through(last, &self.lag);
+        last
+    }
+
+    fn journal_error(&self, request_id: Option<&str>, e: &io::Error) {
+        self.journal_errors.inc();
+        mathcloud_telemetry::trace::warn(
+            "events.journal_error",
+            request_id,
+            &[("error", &e.to_string())],
+        );
     }
 
     /// Subscribes for live events matching `filter`, with a queue bound of
@@ -562,7 +527,7 @@ impl std::fmt::Debug for Bus {
             .field("next_id", &inner.next_id)
             .field("ring_len", &inner.ring.len())
             .field("subscribers", &inner.subs.len())
-            .field("journal", &inner.journal.as_ref().map(|j| &j.path))
+            .field("journal", &inner.journal.as_ref().map(|j| j.path()))
             .finish()
     }
 }
@@ -581,6 +546,8 @@ pub fn global() -> &'static Bus {
 mod tests {
     use super::*;
     use mathcloud_json::json;
+    use std::fs::OpenOptions;
+    use std::io::Write;
 
     fn collect(sub: &Subscription) -> Vec<String> {
         let mut kinds = Vec::new();

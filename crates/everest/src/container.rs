@@ -5,7 +5,7 @@ use std::fmt;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use mathcloud_core::{uri, JobId, JobRepresentation, JobState, ServiceDescription};
@@ -37,21 +37,20 @@ fn publish_job_event(
     request_id: Option<&str>,
     error: Option<&str>,
 ) {
-    publish_job_event_full(kind, container, service, job_id, request_id, error, false);
+    let payload = job_event_payload(container, service, job_id, error, false);
+    mathcloud_events::global().publish(kind, request_id, payload);
 }
 
-/// [`publish_job_event`] with the `replayed` payload flag recovery uses to
-/// mark transitions that are being republished from the job journal rather
-/// than happening for the first time.
-fn publish_job_event_full(
-    kind: &str,
+/// The payload of a `job.*` event. Recovery sets the `replayed` flag to mark
+/// transitions that are being republished from the job journal rather than
+/// happening for the first time.
+fn job_event_payload(
     container: &str,
     service: &str,
     job_id: &str,
-    request_id: Option<&str>,
     error: Option<&str>,
     replayed: bool,
-) {
+) -> Value {
     let mut payload = Object::new();
     payload.insert("container".into(), Value::from(container));
     payload.insert("service".into(), Value::from(service));
@@ -62,7 +61,7 @@ fn publish_job_event_full(
     if replayed {
         payload.insert("replayed".into(), Value::from(true));
     }
-    mathcloud_events::global().publish(kind, request_id, Value::Object(payload));
+    Value::Object(payload)
 }
 
 /// The authenticated originator of a request, as established by the security
@@ -159,6 +158,13 @@ struct JobRecord {
     /// `None` while live. Terminal-retention eviction removes the lowest
     /// ranks (oldest-settled) first.
     terminal_seq: Option<u64>,
+    /// Journal position of the job's last record (0 without a journal, or
+    /// when recovered from one): written inside the `jobs` critical section,
+    /// synced outside it. Whatever hands this job's state to anyone passes
+    /// [`Shared::sync_to`] for it first. The RUNNING record never moves it:
+    /// recovery treats WAITING and RUNNING alike, and its bytes ride on the
+    /// terminal record's sync.
+    journal_pos: u64,
 }
 
 /// Aggregate container statistics.
@@ -348,15 +354,15 @@ struct Shared {
     metrics: ContainerMetrics,
     started: Instant,
     /// The durable job journal, when [`Everest::attach_job_journal`] armed
-    /// one. `None` keeps the container fully in-memory (the default).
-    store: Mutex<Option<Arc<JobStore>>>,
+    /// one. Unset keeps the container fully in-memory (the default).
+    store: OnceLock<Arc<JobStore>>,
     /// `(service, Idempotency-Key) → job id`: retried keyed submissions are
     /// answered from here instead of creating a second job. Rebuilt from
     /// the journal on recovery. `None` is a reservation — a racing
     /// submission won the key and is creating (and fsync-journaling) its
     /// job *outside* this lock; losers wait on [`Shared::idem_filled`] for
     /// the id. Lock order: `idem` before `jobs` before the store, always;
-    /// the lock is never held across a journal append.
+    /// the lock is never held across a journal sync.
     idem: Mutex<HashMap<(String, String), Option<String>>>,
     /// Signalled when a reservation in [`Shared::idem`] is filled with its
     /// job id.
@@ -371,7 +377,7 @@ struct Shared {
     /// winning submission is creating its job outside the lock, and racing
     /// identical submissions wait on [`Shared::memo_filled`] so N storms
     /// coalesce onto one execution. Lock order: `idem` before `memo`
-    /// before `jobs` before the store; never held across a journal append.
+    /// before `jobs` before the store; never held across a journal sync.
     memo: Mutex<HashMap<String, Option<String>>>,
     /// Signalled when a reservation in [`Shared::memo`] is filled.
     memo_filled: Condvar,
@@ -383,19 +389,28 @@ struct Shared {
 }
 
 impl Shared {
-    /// Appends one transition to the job journal, if armed. Called inside
-    /// the `jobs` critical section that applied the in-memory transition,
-    /// so per-job record order on disk matches in-memory history exactly.
+    /// Writes one transition to the job journal, if armed, and returns its
+    /// position for [`Shared::sync_to`]. Called inside the `jobs` critical
+    /// section that applied the in-memory transition, so per-job record
+    /// order on disk matches in-memory history exactly.
     fn journal(
         &self,
         service: &str,
         job_id: &str,
         state: TransitionState,
         detail: TransitionDetail<'_>,
-    ) {
-        let store = self.store.lock().clone();
-        if let Some(store) = store {
-            store.append(service, job_id, state, detail);
+    ) -> u64 {
+        self.store
+            .get()
+            .map_or(0, |store| store.write(service, job_id, state, detail))
+    }
+
+    /// The durability barrier: returns once the journal record at `pos` is
+    /// on disk. Called with no lock held, so concurrent callers share one
+    /// `fsync`; an atomic compare when already durable.
+    fn sync_to(&self, pos: u64) {
+        if let Some(store) = self.store.get() {
+            store.sync_to(pos);
         }
     }
 }
@@ -512,7 +527,7 @@ impl Everest {
             stats: Mutex::new(ContainerStats::default()),
             metrics: container_metrics,
             started: Instant::now(),
-            store: Mutex::new(None),
+            store: OnceLock::new(),
             idem: Mutex::new(HashMap::new()),
             idem_filled: Condvar::new(),
             memo_enabled: AtomicBool::new(false),
@@ -759,7 +774,7 @@ impl Everest {
             });
         };
         // Exactly one of N racing submissions with the same key creates the
-        // job, but the fsync'd journal append must NOT happen under the
+        // job, but the journal sync must NOT happen under the
         // idem lock — that would serialize every keyed submission on the
         // container (all services, all distinct keys) behind one disk
         // sync. The winner inserts a reservation and releases the lock;
@@ -771,8 +786,9 @@ impl Everest {
             match idem.get(&map_key) {
                 Some(Some(existing)) => {
                     let existing = existing.clone();
-                    if let Some(rep) = self.representation(service, &existing) {
+                    if let Some((rep, pos)) = self.snapshot(service, &existing) {
                         drop(idem);
+                        self.shared.sync_to(pos);
                         metrics::global()
                             .counter(
                                 "mc_jobs_deduplicated_total",
@@ -834,8 +850,8 @@ impl Everest {
     /// to a failed, cancelled, or since-evicted job is stale: it is
     /// dropped and the submission re-executes (errors are never memoized,
     /// and a hit can never resurrect an evicted record). The `None`
-    /// reservation protocol mirrors the idempotency map: the fsync'd
-    /// journal append never happens under the memo lock.
+    /// reservation protocol mirrors the idempotency map: no journal sync
+    /// ever happens under the memo lock.
     ///
     /// Returns the representation and whether it was a memo hit.
     fn create_or_memoize(
@@ -860,9 +876,12 @@ impl Everest {
             match memo.get(&key) {
                 Some(Some(job_id)) => {
                     let job_id = job_id.clone();
-                    match self.representation(service, &job_id) {
-                        Some(rep) if rep.state == JobState::Done || !rep.state.is_terminal() => {
+                    match self.snapshot(service, &job_id) {
+                        Some((rep, pos))
+                            if rep.state == JobState::Done || !rep.state.is_terminal() =>
+                        {
                             drop(memo);
+                            self.shared.sync_to(pos);
                             let coalesced = rep.state != JobState::Done;
                             metrics::global()
                                 .counter(
@@ -918,9 +937,10 @@ impl Everest {
     }
 
     /// Creates and enqueues a job whose inputs already validated. The
-    /// WAITING record hits the journal inside the same critical section
-    /// that makes the job visible, so no acknowledged job can be missing
-    /// from the journal.
+    /// WAITING record is written inside the same critical section that
+    /// makes the job visible and synced right after it, before the job is
+    /// announced, queued or returned — so no acknowledged job can be
+    /// missing from the journal.
     fn create_job(
         &self,
         service: &str,
@@ -930,23 +950,9 @@ impl Everest {
         memo_key: Option<&str>,
     ) -> JobRepresentation {
         let job_id = format!("j-{}", self.shared.next_job.fetch_add(1, Ordering::Relaxed));
-        {
+        let journal_pos = {
             let mut jobs = self.shared.jobs.lock();
-            jobs.insert(
-                (service.to_string(), job_id.clone()),
-                JobRecord {
-                    state: JobState::Waiting,
-                    outputs: None,
-                    error: None,
-                    cancel: Arc::new(AtomicBool::new(false)),
-                    inputs: inputs.clone(),
-                    runtime_ms: None,
-                    request_id: request_id.map(str::to_string),
-                    submitted_at: Instant::now(),
-                    terminal_seq: None,
-                },
-            );
-            self.shared.journal(
+            let journal_pos = self.shared.journal(
                 service,
                 &job_id,
                 TransitionState::Job(JobState::Waiting),
@@ -958,7 +964,24 @@ impl Everest {
                     ..Default::default()
                 },
             );
-        }
+            jobs.insert(
+                (service.to_string(), job_id.clone()),
+                JobRecord {
+                    state: JobState::Waiting,
+                    outputs: None,
+                    error: None,
+                    cancel: Arc::new(AtomicBool::new(false)),
+                    inputs,
+                    runtime_ms: None,
+                    request_id: request_id.map(str::to_string),
+                    submitted_at: Instant::now(),
+                    terminal_seq: None,
+                    journal_pos,
+                },
+            );
+            journal_pos
+        };
+        self.shared.sync_to(journal_pos);
         self.shared.stats.lock().submitted += 1;
         let m = &self.shared.metrics;
         metrics::global()
@@ -981,15 +1004,16 @@ impl Everest {
             request_id,
             None,
         );
-        // Snapshot the WAITING representation *before* the queue push: once
-        // the job is queued it can run, finish, and even be evicted under a
-        // tight terminal-retention cap before this thread reads it back.
-        let rep = self
-            .representation(service, &job_id)
-            .expect("job just inserted");
+        // Built here, not read back: once queued the job can run, finish and
+        // even be evicted under a tight retention cap before we look again.
+        let rep = JobRepresentation::new(
+            JobId::new(&job_id),
+            &uri::job(service, &job_id),
+            JobState::Waiting,
+        );
         self.queue
             .0
-            .push((service.to_string(), job_id.clone()), &m.queue_depth);
+            .push((service.to_string(), job_id), &m.queue_depth);
         rep
     }
 
@@ -1012,8 +1036,19 @@ impl Everest {
             .unwrap_or(rep))
     }
 
-    /// The current representation of a job.
+    /// The current representation of a job. Never shows a state whose
+    /// journal record could still be lost in a crash: it waits for the sync
+    /// covering the job's last record first.
     pub fn representation(&self, service: &str, job_id: &str) -> Option<JobRepresentation> {
+        let (rep, pos) = self.snapshot(service, job_id)?;
+        self.shared.sync_to(pos);
+        Some(rep)
+    }
+
+    /// [`Everest::representation`] without the barrier, plus the position to
+    /// pass it: for callers that hold the `idem` or `memo` lock and must
+    /// release it before waiting for the disk.
+    fn snapshot(&self, service: &str, job_id: &str) -> Option<(JobRepresentation, u64)> {
         let jobs = self.shared.jobs.lock();
         let record = jobs.get(&(service.to_string(), job_id.to_string()))?;
         let mut rep =
@@ -1021,7 +1056,7 @@ impl Everest {
         rep.outputs = record.outputs.clone();
         rep.error = record.error.clone();
         rep.runtime_ms = record.runtime_ms;
-        Some(rep)
+        Some((rep, record.journal_pos))
     }
 
     /// Blocks until the job is terminal or `timeout` elapses; returns the
@@ -1062,13 +1097,14 @@ impl Everest {
             None => false,
             Some(record) if record.state.is_terminal() => {
                 jobs.remove(&key);
-                self.shared.journal(
+                let tombstone = self.shared.journal(
                     service,
                     job_id,
                     TransitionState::Deleted,
                     TransitionDetail::default(),
                 );
                 drop(jobs);
+                self.shared.sync_to(tombstone);
                 // The deleted job's Idempotency-Key (if any) is free again;
                 // taken after the jobs lock is released to respect the
                 // idem-before-jobs lock order. Reservations (None) belong
@@ -1099,7 +1135,7 @@ impl Everest {
                 record.state = JobState::Cancelled;
                 record.terminal_seq =
                     Some(self.shared.next_terminal.fetch_add(1, Ordering::Relaxed));
-                self.shared.journal(
+                record.journal_pos = self.shared.journal(
                     service,
                     job_id,
                     TransitionState::Job(JobState::Cancelled),
@@ -1108,6 +1144,7 @@ impl Everest {
                         ..Default::default()
                     },
                 );
+                let cancelled = record.journal_pos;
                 self.shared.stats.lock().cancelled += 1;
                 self.shared.metrics.transition(from, "CANCELLED");
                 trace::info(
@@ -1116,6 +1153,7 @@ impl Everest {
                     &[("service", service), ("job", job_id)],
                 );
                 drop(jobs);
+                self.shared.sync_to(cancelled);
                 publish_job_event(
                     "job.cancelled",
                     &self.shared.metrics.label,
@@ -1272,8 +1310,8 @@ impl Everest {
     }
 
     /// Arms the durable job journal at `path`: every subsequent job
-    /// transition is appended (fsync'd) before it is acknowledged, and the
-    /// journal's existing contents are recovered first —
+    /// transition is appended, and fsync'd before it is acknowledged, and
+    /// the journal's existing contents are recovered first —
     ///
     /// * the `j-<n>` id counter re-seeds past every id the journal has ever
     ///   referenced, so restarts never reuse an id;
@@ -1284,7 +1322,8 @@ impl Everest {
     /// * interrupted (WAITING/RUNNING) jobs are re-queued through the
     ///   handler pool and run again from their journaled inputs;
     /// * every recovered transition republishes its `job.*` event with a
-    ///   `"replayed": true` payload flag, so push-mode waiters resume.
+    ///   `"replayed": true` payload flag, so push-mode waiters resume (one
+    ///   batch, one events-journal sync, however many jobs).
     ///
     /// Call this after deploying services but before serving traffic
     /// (re-queued jobs whose service is not yet deployed fail with
@@ -1292,13 +1331,18 @@ impl Everest {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors opening or reading the journal. Recovery
-    /// itself never fails: torn or corrupt journal lines are skipped.
+    /// Propagates I/O errors opening or reading the journal, and refuses a
+    /// second journal on the same container. Recovery itself never fails:
+    /// torn or corrupt journal lines are skipped.
     pub fn attach_job_journal_with(
         &self,
         path: &Path,
         compact_every: usize,
     ) -> io::Result<RecoveryReport> {
+        let already_armed = || io::Error::new(io::ErrorKind::AlreadyExists, "job journal armed");
+        if self.shared.store.get().is_some() {
+            return Err(already_armed());
+        }
         let store = Arc::new(JobStore::open(path, compact_every)?);
         self.shared
             .next_job
@@ -1306,8 +1350,8 @@ impl Everest {
         let recovered = store.recovered();
         let mut report = RecoveryReport::default();
         let mut to_requeue: Vec<(String, String)> = Vec::new();
-        let mut replayed: Vec<(&'static str, String, String, Option<String>, Option<String>)> =
-            Vec::new();
+        let mut replayed: Vec<(&'static str, Option<&str>, Value)> = Vec::new();
+        let label = self.shared.metrics.label.as_str();
         {
             let mut idem = self.shared.idem.lock();
             // Lock order: idem before memo before jobs (see `Shared::memo`).
@@ -1354,6 +1398,7 @@ impl Everest {
                         submitted_at: Instant::now(),
                         terminal_seq: terminal
                             .then(|| self.shared.next_terminal.fetch_add(1, Ordering::Relaxed)),
+                        journal_pos: 0,
                     },
                 );
                 let kind = match state {
@@ -1364,10 +1409,8 @@ impl Everest {
                 };
                 replayed.push((
                     kind,
-                    r.service.clone(),
-                    r.job.clone(),
-                    r.request_id.clone(),
-                    r.error.clone(),
+                    r.request_id.as_deref(),
+                    job_event_payload(label, &r.service, &r.job, r.error.as_deref(), true),
                 ));
                 if terminal {
                     report.replayed += 1;
@@ -1378,20 +1421,13 @@ impl Everest {
             }
             // Arm the journal while the jobs lock is still held, so no
             // transition can slip between replay and journaling.
-            *self.shared.store.lock() = Some(Arc::clone(&store));
+            self.shared
+                .store
+                .set(Arc::clone(&store))
+                .map_err(|_| already_armed())?;
         }
         let m = &self.shared.metrics;
-        for (kind, service, job, request_id, error) in &replayed {
-            publish_job_event_full(
-                kind,
-                &m.label,
-                service,
-                job,
-                request_id.as_deref(),
-                error.as_deref(),
-                true,
-            );
-        }
+        mathcloud_events::global().publish_batch(replayed);
         for (service, job) in to_requeue {
             self.queue.0.push((service, job), &m.queue_depth);
         }
@@ -1419,7 +1455,7 @@ impl Everest {
 
     /// The durable job store, when one is armed.
     pub fn job_store(&self) -> Option<Arc<JobStore>> {
-        self.shared.store.lock().clone()
+        self.shared.store.get().cloned()
     }
 
     /// Bounds how many terminal (DONE/FAILED/CANCELLED) job records the
@@ -1508,6 +1544,7 @@ fn enforce_retention(shared: &Shared) {
         return;
     }
     let mut evicted: Vec<(String, String)> = Vec::new();
+    let mut tombstones = 0;
     {
         let mut jobs = shared.jobs.lock();
         let mut terminal: Vec<(u64, (String, String))> = jobs
@@ -1521,7 +1558,7 @@ fn enforce_retention(shared: &Shared) {
         let excess = terminal.len() - cap;
         for (_, key) in terminal.into_iter().take(excess) {
             jobs.remove(&key);
-            shared.journal(
+            tombstones = shared.journal(
                 &key.0,
                 &key.1,
                 TransitionState::Deleted,
@@ -1530,6 +1567,8 @@ fn enforce_retention(shared: &Shared) {
             evicted.push(key);
         }
     }
+    // One sync for the whole batch of tombstones, with the lock released.
+    shared.sync_to(tombstones);
     // Outside the jobs lock (same discipline as delete_job): free the
     // evicted jobs' keys — reservations (None) belong to in-flight
     // submissions and are kept — and their files.
@@ -1574,6 +1613,7 @@ fn run_job(shared: &Arc<Shared>, service: &str, job_id: &str) {
             Some(r) if r.state != JobState::Waiting => return, // cancelled while queued
             Some(r) => {
                 r.state = JobState::Running;
+                // Written, never waited on: see `JobRecord::journal_pos`.
                 shared.journal(
                     service,
                     job_id,
@@ -1650,6 +1690,7 @@ fn run_job(shared: &Arc<Shared>, service: &str, job_id: &str) {
 
     let mut jobs = shared.jobs.lock();
     let mut terminal: Option<(&'static str, Option<String>)> = None;
+    let mut journal_pos = 0;
     if let Some(record) = jobs.get_mut(&key) {
         record.runtime_ms = Some(runtime_ms);
         if record.state == JobState::Running {
@@ -1658,7 +1699,7 @@ fn run_job(shared: &Arc<Shared>, service: &str, job_id: &str) {
                 Ok(outputs) => {
                     record.state = JobState::Done;
                     record.outputs = Some(outputs);
-                    shared.journal(
+                    record.journal_pos = shared.journal(
                         service,
                         job_id,
                         TransitionState::Job(JobState::Done),
@@ -1680,7 +1721,7 @@ fn run_job(shared: &Arc<Shared>, service: &str, job_id: &str) {
                         &[("service", service), ("job", job_id), ("error", &error)],
                     );
                     record.error = Some(error.clone());
-                    shared.journal(
+                    record.journal_pos = shared.journal(
                         service,
                         job_id,
                         TransitionState::Job(JobState::Failed),
@@ -1697,10 +1738,13 @@ fn run_job(shared: &Arc<Shared>, service: &str, job_id: &str) {
             }
         }
         // Cancelled while running: keep the CANCELLED state, drop results.
+        journal_pos = record.journal_pos;
     }
     drop(jobs);
-    // Publish before the condvar wake-up so a subscriber that reacts to the
-    // event always finds the terminal record in place.
+    // Nobody is told before the terminal record (and the RUNNING record
+    // riding with it) is on disk. Publish before the condvar wake-up so a
+    // subscriber that reacts to the event always finds the record in place.
+    shared.sync_to(journal_pos);
     let settled = terminal.is_some();
     if let Some((kind, error)) = terminal {
         publish_job_event(
@@ -1770,6 +1814,27 @@ mod tests {
             )
             .unwrap();
         assert_eq!(rep.state, JobState::Done);
+    }
+
+    #[test]
+    fn a_second_job_journal_is_refused() {
+        let dir = std::env::temp_dir().join(format!(
+            "mc-container-journal-{}-{}",
+            std::process::id(),
+            mathcloud_telemetry::next_request_id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let e = sum_container();
+        e.attach_job_journal(&dir.join("jobs.jsonl")).unwrap();
+        let err = e.attach_job_journal(&dir.join("other.jsonl")).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::AlreadyExists);
+        assert!(!dir.join("other.jsonl").exists(), "refused before opening");
+        // The first journal is still the one in use.
+        let rep = e.submit("sum", &json!({"a": 1, "b": 2}), None).unwrap();
+        e.wait("sum", rep.id.as_str(), Duration::from_secs(5))
+            .unwrap();
+        assert_eq!(e.job_store().unwrap().journal_stats().records, 3);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -7,7 +7,11 @@
 //! per-container journal, following the `mathcloud-events` JSON-lines
 //! conventions ([`mathcloud_events::jsonl`]): one document per line,
 //! `sync_data` before the transition is acknowledged, and recovery that
-//! skips torn or corrupt lines instead of failing.
+//! skips torn or corrupt lines instead of failing. Writing and syncing are
+//! separate steps ([`JobStore::write`], [`JobStore::sync_to`]): the container
+//! writes inside the critical section that applies a transition and syncs
+//! after leaving it, so concurrent transitions share one `fsync`
+//! ([`jsonl::Appender`]'s group commit). [`JobStore::append`] does both.
 //!
 //! The store folds records as they are appended, so it always holds the
 //! journal's net state: one [`RecoveredJob`] per live or terminal job, with
@@ -25,9 +29,9 @@
 //! restart.
 
 use std::collections::HashMap;
-use std::fs::{File, OpenOptions};
+use std::fmt::Write as _;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::SystemTime;
 
 use mathcloud_core::JobState;
@@ -35,7 +39,7 @@ use mathcloud_events::jsonl;
 use mathcloud_json::value::Object;
 use mathcloud_json::Value;
 use mathcloud_telemetry::sync::Mutex;
-use mathcloud_telemetry::{metrics, trace};
+use mathcloud_telemetry::{metrics, trace, Counter, Gauge};
 
 /// Default number of appended records between compactions.
 pub const DEFAULT_COMPACT_EVERY: usize = 1024;
@@ -103,39 +107,19 @@ pub struct JobTransition {
 }
 
 impl JobTransition {
-    /// Serializes the transition as its single-line JSON journal form.
-    pub fn to_json(&self) -> Value {
-        let mut o = Object::new();
-        o.insert("seq".into(), Value::from(self.seq as i64));
-        o.insert("service".into(), Value::from(self.service.as_str()));
-        o.insert("job".into(), Value::from(self.job.as_str()));
-        o.insert("state".into(), Value::from(self.state.as_str()));
-        if let Some(k) = &self.idem_key {
-            o.insert("idem_key".into(), Value::from(k.as_str()));
+    fn detail(&self) -> TransitionDetail<'_> {
+        TransitionDetail {
+            idem_key: self.idem_key.as_deref(),
+            memo_key: self.memo_key.as_deref(),
+            request_id: self.request_id.as_deref(),
+            inputs: self.inputs.as_ref(),
+            outputs: self.outputs.as_ref(),
+            error: self.error.as_deref(),
+            runtime_ms: self.runtime_ms,
         }
-        if let Some(k) = &self.memo_key {
-            o.insert("memo_key".into(), Value::from(k.as_str()));
-        }
-        if let Some(r) = &self.request_id {
-            o.insert("request_id".into(), Value::from(r.as_str()));
-        }
-        if let Some(i) = &self.inputs {
-            o.insert("inputs".into(), Value::Object(i.clone()));
-        }
-        if let Some(out) = &self.outputs {
-            o.insert("outputs".into(), Value::Object(out.clone()));
-        }
-        if let Some(e) = &self.error {
-            o.insert("error".into(), Value::from(e.as_str()));
-        }
-        if let Some(ms) = self.runtime_ms {
-            o.insert("runtime_ms".into(), Value::from(ms as i64));
-        }
-        o.insert("time_ms".into(), Value::from(self.time_ms as i64));
-        Value::Object(o)
     }
 
-    /// Parses a transition from its [`JobTransition::to_json`] form.
+    /// Parses a transition from its (parsed) single-line JSON journal form.
     ///
     /// Returns `None` when required fields are missing or mistyped — the
     /// journal reader uses this to skip a torn final record after a crash,
@@ -200,7 +184,6 @@ pub struct RecoveredJob {
 }
 
 struct StoreInner {
-    file: Option<File>,
     /// Last assigned sequence number.
     seq: u64,
     /// Records appended since the last compaction (or open).
@@ -213,20 +196,27 @@ struct StoreInner {
 }
 
 impl StoreInner {
-    fn fold(&mut self, t: &JobTransition) {
-        self.seq = self.seq.max(t.seq);
-        if let Some(n) = job_number(&t.job) {
+    fn fold(
+        &mut self,
+        seq: u64,
+        service: &str,
+        job: &str,
+        state: TransitionState,
+        d: &TransitionDetail<'_>,
+    ) {
+        self.seq = self.seq.max(seq);
+        if let Some(n) = job_number(job) {
             self.max_job = self.max_job.max(n);
         }
-        let key = (t.service.clone(), t.job.clone());
-        match t.state {
+        let key = (service.to_string(), job.to_string());
+        match state {
             TransitionState::Deleted => {
                 self.folded.remove(&key);
             }
             TransitionState::Job(state) => {
                 let entry = self.folded.entry(key).or_insert_with(|| RecoveredJob {
-                    service: t.service.clone(),
-                    job: t.job.clone(),
+                    service: service.to_string(),
+                    job: job.to_string(),
                     state,
                     idem_key: None,
                     memo_key: None,
@@ -235,56 +225,33 @@ impl StoreInner {
                     outputs: None,
                     error: None,
                     runtime_ms: None,
-                    seq: t.seq,
+                    seq,
                 });
                 entry.state = state;
-                entry.seq = t.seq;
-                if let Some(k) = &t.idem_key {
-                    entry.idem_key = Some(k.clone());
+                entry.seq = seq;
+                if let Some(k) = d.idem_key {
+                    entry.idem_key = Some(k.to_string());
                 }
-                if let Some(k) = &t.memo_key {
-                    entry.memo_key = Some(k.clone());
+                if let Some(k) = d.memo_key {
+                    entry.memo_key = Some(k.to_string());
                 }
-                if let Some(r) = &t.request_id {
-                    entry.request_id = Some(r.clone());
+                if let Some(r) = d.request_id {
+                    entry.request_id = Some(r.to_string());
                 }
-                if let Some(i) = &t.inputs {
+                if let Some(i) = d.inputs {
                     entry.inputs = i.clone();
                 }
-                if let Some(o) = &t.outputs {
+                if let Some(o) = d.outputs {
                     entry.outputs = Some(o.clone());
                 }
-                if let Some(e) = &t.error {
-                    entry.error = Some(e.clone());
+                if let Some(e) = d.error {
+                    entry.error = Some(e.to_string());
                 }
-                if let Some(ms) = t.runtime_ms {
+                if let Some(ms) = d.runtime_ms {
                     entry.runtime_ms = Some(ms);
                 }
             }
         }
-    }
-
-    /// The consolidated journal body: one record per surviving job, ordered
-    /// by last sequence so a recovery fold of the rewrite equals this fold.
-    fn snapshot(&self) -> Vec<JobTransition> {
-        let mut jobs: Vec<&RecoveredJob> = self.folded.values().collect();
-        jobs.sort_by_key(|j| j.seq);
-        jobs.iter()
-            .map(|j| JobTransition {
-                seq: j.seq,
-                service: j.service.clone(),
-                job: j.job.clone(),
-                state: TransitionState::Job(j.state),
-                idem_key: j.idem_key.clone(),
-                memo_key: j.memo_key.clone(),
-                request_id: j.request_id.clone(),
-                inputs: Some(j.inputs.clone()),
-                outputs: j.outputs.clone(),
-                error: j.error.clone(),
-                runtime_ms: j.runtime_ms,
-                time_ms: now_ms(),
-            })
-            .collect()
     }
 }
 
@@ -307,21 +274,69 @@ fn meta_line(seq: u64, max_job: u64) -> Value {
     Value::Object(o)
 }
 
+/// One journal record as its single-line JSON form, serialized by reference:
+/// inputs and outputs can be tens of kilobytes and are never cloned here.
+fn record_line(
+    seq: u64,
+    service: &str,
+    job: &str,
+    state: TransitionState,
+    d: &TransitionDetail<'_>,
+    time_ms: u64,
+) -> String {
+    let text = |s: &str| Value::from(s);
+    let mut out = String::new();
+    // Writing to a `String` cannot fail.
+    let _ = write!(
+        out,
+        "{{\"seq\":{seq},\"service\":{},\"job\":{},\"state\":\"{}\"",
+        text(service),
+        text(job),
+        state.as_str()
+    );
+    for (key, value) in [
+        ("idem_key", d.idem_key),
+        ("memo_key", d.memo_key),
+        ("request_id", d.request_id),
+    ] {
+        if let Some(v) = value {
+            let _ = write!(out, ",\"{key}\":{}", text(v));
+        }
+    }
+    if let Some(i) = d.inputs {
+        let _ = write!(out, ",\"inputs\":{i}");
+    }
+    if let Some(o) = d.outputs {
+        let _ = write!(out, ",\"outputs\":{o}");
+    }
+    if let Some(e) = d.error {
+        let _ = write!(out, ",\"error\":{}", text(e));
+    }
+    if let Some(ms) = d.runtime_ms {
+        let _ = write!(out, ",\"runtime_ms\":{ms}");
+    }
+    let _ = write!(out, ",\"time_ms\":{time_ms}}}");
+    out
+}
+
 /// The write-ahead job journal for one container.
 ///
-/// All methods are thread-safe; appends are serialized on an internal lock
+/// All methods are thread-safe; writes are serialized on an internal lock
 /// so record order on disk matches the order calls were made in.
 pub struct JobStore {
-    path: PathBuf,
+    journal: jsonl::Appender,
     compact_every: usize,
     inner: Mutex<StoreInner>,
+    appends: Counter,
+    compactions: Counter,
+    bytes: Gauge,
 }
 
 impl std::fmt::Debug for JobStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = self.inner.lock();
         f.debug_struct("JobStore")
-            .field("path", &self.path)
+            .field("path", &self.journal.path())
             .field("seq", &inner.seq)
             .field("jobs", &inner.folded.len())
             .field("appended", &inner.appended)
@@ -346,7 +361,6 @@ impl JobStore {
     pub fn open(path: &Path, compact_every: usize) -> io::Result<JobStore> {
         describe_metrics();
         let mut inner = StoreInner {
-            file: None,
             seq: 0,
             appended: 0,
             folded: HashMap::new(),
@@ -363,23 +377,27 @@ impl JobStore {
                 continue;
             }
             if let Some(t) = JobTransition::from_json(&v) {
-                inner.fold(&t);
+                inner.fold(t.seq, &t.service, &t.job, t.state, &t.detail());
             }
         }
-        // `open_append` repairs a torn (newline-less) tail left by a crash
-        // mid-append, so the first post-recovery append cannot concatenate
-        // onto the fragment and corrupt an acknowledged record.
-        inner.file = Some(jsonl::open_append(path)?);
+        let reg = metrics::global();
         Ok(JobStore {
-            path: path.to_path_buf(),
+            // Opening repairs a torn (newline-less) tail left by a crash
+            // mid-append, so the first post-recovery append cannot
+            // concatenate onto the fragment and corrupt an acknowledged
+            // record.
+            journal: jsonl::Appender::open(path, "jobs")?,
             compact_every: compact_every.max(1),
             inner: Mutex::new(inner),
+            appends: reg.counter("mc_job_journal_appends_total", &[]),
+            compactions: reg.counter("mc_job_journal_compactions_total", &[]),
+            bytes: reg.gauge("mc_job_journal_bytes", &[]),
         })
     }
 
     /// The journal path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.journal.path()
     }
 
     /// The journal's net state, one entry per surviving job, ordered by job
@@ -403,14 +421,16 @@ impl JobStore {
         self.inner.lock().seq
     }
 
-    /// Appends one transition, assigning its sequence number; folds it into
-    /// the net state and compacts when the threshold is reached.
+    /// What the journal file has written and synced so far.
+    pub fn journal_stats(&self) -> jsonl::JournalStats {
+        self.journal.stats()
+    }
+
+    /// Appends one transition and returns once it is durable: [`write`]
+    /// followed by [`sync_to`]. Returns the assigned sequence number.
     ///
-    /// A journal I/O failure is reported as a metric and a trace event,
-    /// never a panic or an error: losing durability must not take down the
-    /// container (the same contract as the events journal).
-    ///
-    /// Returns the assigned sequence number.
+    /// [`write`]: JobStore::write
+    /// [`sync_to`]: JobStore::sync_to
     pub fn append(
         &self,
         service: &str,
@@ -418,45 +438,66 @@ impl JobStore {
         state: TransitionState,
         detail: TransitionDetail<'_>,
     ) -> u64 {
+        let (seq, pos) = self.write_record(service, job, state, detail);
+        self.sync_to(pos);
+        seq
+    }
+
+    /// Writes one transition **without** waiting for the disk: assigns its
+    /// sequence number, folds it into the net state, compacts when the
+    /// threshold is reached, and returns the record's log position. The
+    /// transition must not be acknowledged, published or otherwise shown to
+    /// anyone before [`JobStore::sync_to`] has returned for that position.
+    ///
+    /// A journal I/O failure is reported as a metric and a trace event,
+    /// never a panic or an error: losing durability must not take down the
+    /// container (the same contract as the events journal).
+    pub fn write(
+        &self,
+        service: &str,
+        job: &str,
+        state: TransitionState,
+        detail: TransitionDetail<'_>,
+    ) -> u64 {
+        self.write_record(service, job, state, detail).1
+    }
+
+    /// Returns once every record up to log position `pos` is on disk. One
+    /// `fsync` serves all callers waiting at the same time; a position that
+    /// is already durable costs an atomic load.
+    pub fn sync_to(&self, pos: u64) {
+        if let Err(e) = self.journal.sync_to(pos) {
+            journal_error("sync", &e);
+        }
+    }
+
+    /// Returns `(sequence number, log position)` of the written record.
+    fn write_record(
+        &self,
+        service: &str,
+        job: &str,
+        state: TransitionState,
+        detail: TransitionDetail<'_>,
+    ) -> (u64, u64) {
         let mut inner = self.inner.lock();
-        inner.seq += 1;
-        let t = JobTransition {
-            seq: inner.seq,
-            service: service.to_string(),
-            job: job.to_string(),
-            state,
-            idem_key: detail.idem_key.map(str::to_string),
-            memo_key: detail.memo_key.map(str::to_string),
-            request_id: detail.request_id.map(str::to_string),
-            inputs: detail.inputs.cloned(),
-            outputs: detail.outputs.cloned(),
-            error: detail.error.map(str::to_string),
-            runtime_ms: detail.runtime_ms,
-            time_ms: now_ms(),
-        };
-        if inner.file.is_none() {
-            // The handle was dropped after a failed post-compaction reopen;
-            // retry so a transient failure costs records, not the journal.
-            match jsonl::open_append(&self.path) {
-                Ok(f) => inner.file = Some(f),
-                Err(e) => journal_error("reopen", &e),
+        let seq = inner.seq + 1;
+        let line = record_line(seq, service, job, state, &detail, now_ms());
+        let pos = match self.journal.write(line) {
+            Ok(pos) => {
+                self.appends.inc();
+                pos
             }
-        }
-        if let Some(file) = &mut inner.file {
-            if let Err(e) = jsonl::append_value(file, &t.to_json()) {
+            Err(e) => {
                 journal_error("append", &e);
-            } else {
-                metrics::global()
-                    .counter("mc_job_journal_appends_total", &[])
-                    .inc();
+                0
             }
-        }
-        inner.fold(&t);
+        };
+        inner.fold(seq, service, job, state, &detail);
         inner.appended += 1;
         if inner.appended >= self.compact_every {
             self.compact_locked(&mut inner);
         }
-        t.seq
+        (seq, pos)
     }
 
     /// Forces a compaction now (tests and shutdown paths).
@@ -466,47 +507,41 @@ impl JobStore {
     }
 
     /// Rewrites the journal to the `meta` line plus one consolidated record
-    /// per surviving job. The rewrite goes to a sibling temp file, is
-    /// synced, and atomically renamed over the journal, so a crash during
-    /// compaction leaves either the old journal or the new one — never a
-    /// mix.
+    /// per surviving job, ordered by last sequence so a recovery fold of the
+    /// rewrite equals this fold. [`jsonl::Appender::rewrite`] makes the swap
+    /// atomic and durable with two syncs — the file and its directory —
+    /// however many records survive; they are serialized straight from the
+    /// fold, by reference.
     fn compact_locked(&self, inner: &mut StoreInner) {
-        let tmp = self.path.with_extension("compact-tmp");
-        let written = (|| -> io::Result<()> {
-            let mut file = File::create(&tmp)?;
-            jsonl::append_value(&mut file, &meta_line(inner.seq, inner.max_job))?;
-            for t in inner.snapshot() {
-                jsonl::append_value(&mut file, &t.to_json())?;
+        let mut jobs: Vec<&RecoveredJob> = inner.folded.values().collect();
+        jobs.sort_by_key(|j| j.seq);
+        let time_ms = now_ms();
+        let rewritten = self.journal.rewrite(|out| {
+            writeln!(out, "{}", meta_line(inner.seq, inner.max_job))?;
+            for j in &jobs {
+                let detail = TransitionDetail {
+                    idem_key: j.idem_key.as_deref(),
+                    memo_key: j.memo_key.as_deref(),
+                    request_id: j.request_id.as_deref(),
+                    inputs: Some(&j.inputs),
+                    outputs: j.outputs.as_ref(),
+                    error: j.error.as_deref(),
+                    runtime_ms: j.runtime_ms,
+                };
+                let state = TransitionState::Job(j.state);
+                let line = record_line(j.seq, &j.service, &j.job, state, &detail, time_ms);
+                writeln!(out, "{line}")?;
             }
-            file.sync_all()?;
-            drop(file);
-            std::fs::rename(&tmp, &self.path)
-        })();
-        if let Err(e) = written {
-            let _ = std::fs::remove_file(&tmp);
+            Ok(())
+        });
+        if let Err(e) = rewritten {
             journal_error("compact", &e);
             return;
         }
-        // The rename is committed: the handle in `inner.file` now points at
-        // the old, unlinked inode. If the reopen fails the handle must be
-        // dropped, not kept — appends to it would fsync into the deleted
-        // file and silently vanish on the next restart while still being
-        // acknowledged.
-        match OpenOptions::new().append(true).open(&self.path) {
-            Ok(f) => inner.file = Some(f),
-            Err(e) => {
-                inner.file = None;
-                journal_error("compact-reopen", &e);
-            }
-        }
         inner.appended = 0;
-        metrics::global()
-            .counter("mc_job_journal_compactions_total", &[])
-            .inc();
-        if let Ok(meta) = std::fs::metadata(&self.path) {
-            metrics::global()
-                .gauge("mc_job_journal_bytes", &[])
-                .set(meta.len() as i64);
+        self.compactions.inc();
+        if let Ok(meta) = std::fs::metadata(self.journal.path()) {
+            self.bytes.set(meta.len() as i64);
         }
     }
 }
@@ -578,6 +613,8 @@ fn describe_metrics() {
 mod tests {
     use super::*;
     use mathcloud_json::json;
+    use std::fs::OpenOptions;
+    use std::path::PathBuf;
 
     fn tmp_path(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -609,7 +646,11 @@ mod tests {
             runtime_ms: Some(12),
             time_ms: 1_700_000_000_000,
         };
-        assert_eq!(JobTransition::from_json(&t.to_json()).unwrap(), t);
+        let parsed = |t: &JobTransition| {
+            let line = record_line(t.seq, &t.service, &t.job, t.state, &t.detail(), t.time_ms);
+            mathcloud_json::parse(&line).unwrap()
+        };
+        assert_eq!(JobTransition::from_json(&parsed(&t)).unwrap(), t);
         let tomb = JobTransition {
             state: TransitionState::Deleted,
             idem_key: None,
@@ -618,7 +659,7 @@ mod tests {
             outputs: None,
             ..t
         };
-        assert_eq!(JobTransition::from_json(&tomb.to_json()).unwrap(), tomb);
+        assert_eq!(JobTransition::from_json(&parsed(&tomb)).unwrap(), tomb);
         assert!(JobTransition::from_json(&json!({"seq": 1})).is_none());
         assert!(JobTransition::from_json(
             &json!({"seq": 1, "service": "s", "job": "j-1", "state": "NOPE"})
@@ -770,6 +811,100 @@ mod tests {
         assert_eq!(store.recovered(), fold_before);
         assert_eq!(store.last_seq(), 150);
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn compaction_syncs_the_file_and_the_directory_whatever_survives() {
+        let path = tmp_path("dirsync");
+        let store = JobStore::open(&path, usize::MAX).unwrap();
+        let ins = inputs();
+        for i in 1..=300u64 {
+            // Unsynced on purpose: the compaction's own syncs cover them.
+            store.write(
+                "sum",
+                &format!("j-{i}"),
+                TransitionState::Job(JobState::Waiting),
+                TransitionDetail {
+                    inputs: Some(&ins),
+                    ..Default::default()
+                },
+            );
+        }
+        let before = store.journal_stats();
+        assert_eq!((before.records, before.durable, before.syncs), (300, 0, 0));
+        store.compact();
+        let after = store.journal_stats();
+        assert_eq!(
+            after.syncs, 2,
+            "one sync for the rewritten file, one for its directory — without \
+             the second the rename itself can be lost in a crash, and with it \
+             every append acknowledged after the compaction"
+        );
+        assert_eq!(after.durable, 300, "the rewrite made the backlog durable");
+        // Post-compaction appends go to the file the directory now names.
+        store.append(
+            "sum",
+            "j-301",
+            TransitionState::Job(JobState::Waiting),
+            TransitionDetail {
+                inputs: Some(&ins),
+                ..Default::default()
+            },
+        );
+        assert_eq!(store.journal_stats().syncs, 3, "a lone append: one sync");
+        drop(store);
+        let store = JobStore::open(&path, usize::MAX).unwrap();
+        assert_eq!(store.recovered().len(), 301);
+        assert_eq!(store.last_seq(), 301);
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn records_serialized_by_reference_match_the_value_form_byte_for_byte() {
+        // The journal format is what `Value::to_string` made of an object
+        // with these keys in this order; journals written that way must
+        // keep opening, and new records must look the same.
+        let ins = json!({"a": 1, "s": "q\"\n"}).as_object().unwrap().clone();
+        let outs = json!({"total": [1, 2.5, null]})
+            .as_object()
+            .unwrap()
+            .clone();
+        let full = record_line(
+            9,
+            "sum",
+            "j-4",
+            TransitionState::Job(JobState::Done),
+            &TransitionDetail {
+                idem_key: Some("k\\1"),
+                memo_key: Some("ab12"),
+                request_id: Some("rid"),
+                inputs: Some(&ins),
+                outputs: Some(&outs),
+                error: Some("bo\"om"),
+                runtime_ms: Some(12),
+            },
+            1_700_000_000_000,
+        );
+        let expected = json!({
+            "seq": 9, "service": "sum", "job": "j-4", "state": "DONE",
+            "idem_key": "k\\1", "memo_key": "ab12", "request_id": "rid",
+            "inputs": (Value::Object(ins)), "outputs": (Value::Object(outs)),
+            "error": "bo\"om", "runtime_ms": 12, "time_ms": 1_700_000_000_000i64
+        });
+        assert_eq!(full, expected.to_string());
+        let bare = record_line(
+            10,
+            "sum",
+            "j-4",
+            TransitionState::Deleted,
+            &TransitionDetail::default(),
+            5,
+        );
+        assert_eq!(
+            bare,
+            json!({"seq": 10, "service": "sum", "job": "j-4", "state": "DELETED", "time_ms": 5})
+                .to_string()
+        );
     }
 
     #[test]

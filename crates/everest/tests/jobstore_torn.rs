@@ -431,3 +431,105 @@ fn torn_memo_done_records_degrade_to_a_miss_never_a_wrong_answer() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// With group commit, a crash between a batch's writes and its one sync can
+/// cut the journal anywhere inside the batch, not only inside one record.
+/// Writes WAITING → RUNNING → DONE of one job as a single unsynced batch
+/// (what a handler and a submitter leave when they share a sync) and
+/// truncates at every byte offset of it: every record that ends before the
+/// cut replays, none after it does, and reopen-and-append stays clean.
+#[test]
+fn a_multi_record_batch_cut_anywhere_replays_exactly_the_records_before_the_cut() {
+    let dir = tmp_dir("batch");
+    let reference = dir.join("reference.jsonl");
+    build_reference(&reference);
+    let batch_start = std::fs::metadata(&reference).unwrap().len() as usize;
+    let prefix_fold = fold_of(&JobStore::open(&reference, usize::MAX).unwrap());
+    assert_eq!(prefix_fold.len(), 5);
+    {
+        let store = JobStore::open(&reference, usize::MAX).unwrap();
+        let ins = json!({"a": 1, "b": 2}).as_object().unwrap().clone();
+        let outs = json!({"sum": 3}).as_object().unwrap().clone();
+        let waiting = TransitionDetail {
+            inputs: Some(&ins),
+            memo_key: Some("batch-memo-key"),
+            ..Default::default()
+        };
+        let done = TransitionDetail {
+            outputs: Some(&outs),
+            runtime_ms: Some(5),
+            ..Default::default()
+        };
+        let mut last = 0;
+        for (state, detail) in [
+            (JobState::Waiting, waiting),
+            (JobState::Running, TransitionDetail::default()),
+            (JobState::Done, done),
+        ] {
+            last = store.write("sum", "j-90", TransitionState::Job(state), detail);
+        }
+        let before = store.journal_stats();
+        assert_eq!((before.records, before.durable), (3, 0), "written only");
+        store.sync_to(last);
+        let after = store.journal_stats();
+        assert_eq!(after.durable, 3);
+        assert_eq!(after.syncs, before.syncs + 1, "one sync for the batch");
+    }
+    let bytes = std::fs::read(&reference).unwrap();
+    // Where each record of the batch ends, newline excluded: a record is
+    // complete (and replays) once its closing brace is on disk.
+    let ends: Vec<usize> = bytes
+        .iter()
+        .enumerate()
+        .skip(batch_start)
+        .filter(|(_, &b)| b == b'\n')
+        .map(|(at, _)| at)
+        .collect();
+    assert_eq!(ends.len(), 3);
+    let states = [JobState::Waiting, JobState::Running, JobState::Done];
+
+    let victim = dir.join("victim.jsonl");
+    for cut in batch_start..=bytes.len() {
+        std::fs::write(&victim, &bytes[..cut]).unwrap();
+        let complete = ends.iter().filter(|&&end| cut >= end).count();
+        let expected: Vec<_> = prefix_fold
+            .iter()
+            .cloned()
+            .chain(
+                complete
+                    .checked_sub(1)
+                    .map(|last| ("sum".to_string(), "j-90".to_string(), states[last])),
+            )
+            .collect();
+        let store = JobStore::open(&victim, usize::MAX)
+            .unwrap_or_else(|e| panic!("open failed at cut {cut}: {e}"));
+        assert_eq!(fold_of(&store), expected, "cut {cut}");
+        let job = store.recovered().into_iter().find(|r| r.job == "j-90");
+        assert_eq!(
+            job.as_ref().and_then(|r| r.outputs.as_ref()).is_some(),
+            complete == 3,
+            "cut {cut}: outputs exist exactly when the DONE record does"
+        );
+        if let Some(job) = &job {
+            assert_eq!(job.memo_key.as_deref(), Some("batch-memo-key"), "cut {cut}");
+        }
+        // Reopen-and-append: the new record neither glues onto a torn
+        // fragment nor destroys what replayed.
+        let seq = store.append(
+            "sum",
+            "j-100",
+            TransitionState::Job(JobState::Waiting),
+            TransitionDetail::default(),
+        );
+        drop(store);
+        let reopened = JobStore::open(&victim, usize::MAX)
+            .unwrap_or_else(|e| panic!("reopen failed at cut {cut}: {e}"));
+        let with_append: Vec<_> = expected
+            .into_iter()
+            .chain([("sum".to_string(), "j-100".to_string(), JobState::Waiting)])
+            .collect();
+        assert_eq!(fold_of(&reopened), with_append, "cut {cut}: after append");
+        assert_eq!(reopened.last_seq(), seq, "cut {cut}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

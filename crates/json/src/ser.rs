@@ -1,6 +1,6 @@
 //! JSON serialization: compact and pretty printers.
 
-use crate::value::Value;
+use crate::value::{Object, Value};
 
 /// Serializes a value to compact JSON (no insignificant whitespace).
 ///
@@ -59,18 +59,31 @@ fn write_value(out: &mut String, value: &Value) {
             }
             out.push(']');
         }
-        Value::Object(obj) => {
-            out.push('{');
-            for (i, (k, v)) in obj.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_escaped(out, k);
-                out.push(':');
-                write_value(out, v);
-            }
-            out.push('}');
+        Value::Object(obj) => write_object(out, obj),
+    }
+}
+
+fn write_object(out: &mut String, obj: &Object) {
+    out.push('{');
+    for (i, (k, v)) in obj.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
+        write_escaped(out, k);
+        out.push(':');
+        write_value(out, v);
+    }
+    out.push('}');
+}
+
+impl std::fmt::Display for Object {
+    /// Writes the compact JSON encoding, as `Value::Object` would — for
+    /// callers that hold an object by reference and must not clone it into
+    /// a [`Value`] just to serialize it.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut out = String::new();
+        write_object(&mut out, self);
+        f.write_str(&out)
     }
 }
 
@@ -143,6 +156,13 @@ mod tests {
     fn compact_has_no_whitespace() {
         let v = json!({"a": [1, true, "x"], "b": null});
         assert_eq!(to_string(&v), r#"{"a":[1,true,"x"],"b":null}"#);
+    }
+
+    #[test]
+    fn objects_display_as_their_value_form() {
+        let v = json!({"a": [1, true, "x\"y"], "b": {"c": null}});
+        assert_eq!(v.as_object().unwrap().to_string(), to_string(&v));
+        assert_eq!(Object::new().to_string(), "{}");
     }
 
     #[test]

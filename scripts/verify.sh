@@ -49,6 +49,18 @@ echo "==> job journal torn-write battery (release, 120s budget)"
 timeout 120 cargo test -q --offline --release \
   -p mathcloud-everest --test jobstore_torn
 
+# The group-commit battery: eight threads through one appender (nothing lost
+# or reordered, syncs shared), the bus delivering in id order only after the
+# covering sync, and — in a test binary of its own, so the process-wide
+# `mc_journal_*` histograms count nothing else — recovery republishing with
+# one events-journal sync and compaction with two. A follower that is never
+# woken, or a leader flag left set, hangs a handler for good: hard timeout.
+echo "==> journal group-commit battery (release, 120s budget)"
+timeout 120 cargo test -q --offline --release \
+  -p mathcloud-events --test group_commit
+timeout 120 cargo test -q --offline --release \
+  -p mathcloud-integration-tests --test group_commit
+
 # The memo-key canonicalization battery drives 1200 xorshift-generated
 # inputs through every equivalent rewrite (key order, number spellings,
 # whitespace, file-id aliasing) and every single semantic mutation; the
@@ -232,5 +244,24 @@ print(f"BENCH_8.json OK: warm pass {report['speedup']:.1f}x faster, "
       f"hit rate {report['warm_hit_rate']:.2f} over "
       f"{report['jobs_per_pass']} jobs")
 EOF
+
+# The repo's benchmark (BENCHMARK.json) must keep building against the
+# surface it calls and keep getting right answers: its own unit tests, then
+# all five workloads at smoke size. Every workload prints one JSON result
+# line; a wrong answer shows there as `"correct": false` (and in the exit
+# status), a hang trips the timeout.
+echo "==> jobpath benchmark: unit tests + five-workload smoke (release, 300s budget)"
+timeout 300 cargo test -q --offline --manifest-path bench/jobpath/Cargo.toml
+jobpath_smoke=$(timeout 300 cargo run --release --offline --quiet \
+  --manifest-path bench/jobpath/Cargo.toml -- --smoke)
+grep '^{' <<<"$jobpath_smoke" | cut -c1-100
+if grep -q '"correct": false' <<<"$jobpath_smoke"; then
+  echo "jobpath --smoke: a workload answered wrongly" >&2
+  exit 1
+fi
+if [ "$(grep -c '^{"correct": true' <<<"$jobpath_smoke")" -ne 5 ]; then
+  echo "jobpath --smoke: expected five correct result lines" >&2
+  exit 1
+fi
 
 echo "verify: OK"

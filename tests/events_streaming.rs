@@ -290,3 +290,109 @@ fn breaker_trips_and_availability_flips_publish_events_and_health_all_lists_stat
         "one failed probe must not trip the default breaker: {body}"
     );
 }
+
+/// Group commit on the bus: publishers write their journal records under the
+/// bus lock and sync with it released, so eight of them share syncs instead
+/// of queueing — and a subscriber must not be able to tell. Ids arrive
+/// gapless and strictly increasing, never ahead of the sync that covers
+/// them, and the journal holds them in id order.
+#[test]
+fn concurrent_journaled_publishers_deliver_in_id_order_after_the_covering_sync() {
+    use mathcloud_events::Bus;
+
+    const PUBLISHERS: usize = 8;
+    const EACH: usize = 250;
+    const TOTAL: u64 = (PUBLISHERS * EACH) as u64;
+    let dir = std::env::temp_dir().join(format!(
+        "mc-bus-group-commit-{}-{}",
+        std::process::id(),
+        mathcloud_telemetry::next_request_id()
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal = dir.join("events.log");
+    // A bus of its own: ids start at 1 and equal journal positions.
+    let bus = Bus::with_ring(64);
+    bus.attach_journal(&journal).unwrap();
+    let sub = bus.subscribe(KindFilter::parse("itgc."), PUBLISHERS * EACH);
+
+    let seen = std::thread::scope(|scope| {
+        let consumer = scope.spawn(|| {
+            let mut seen: Vec<(u64, i64, i64)> = Vec::new();
+            while (seen.len() as u64) < TOTAL {
+                let ev = sub
+                    .recv_timeout(STREAM_TIMEOUT)
+                    .expect("every published event is delivered");
+                let durable = bus.journal_stats().expect("journal attached").durable;
+                assert!(
+                    durable >= ev.id,
+                    "event {} was delivered with only {durable} records on disk",
+                    ev.id
+                );
+                let field = |name: &str| ev.payload.get(name).and_then(Value::as_i64).unwrap();
+                seen.push((ev.id, field("t"), field("i")));
+            }
+            seen
+        });
+        for t in 0..PUBLISHERS {
+            let bus = &bus;
+            scope.spawn(move || {
+                let mut last = 0;
+                for i in 0..EACH {
+                    let payload = json!({"t": (t as i64), "i": (i as i64)});
+                    let id = bus.publish("itgc.tick", Some("rid"), payload);
+                    assert!(id > last, "a publisher's own ids increase");
+                    last = id;
+                    let durable = bus.journal_stats().expect("journal attached").durable;
+                    assert!(durable >= id, "publish returned before its sync");
+                }
+            });
+        }
+        consumer.join().expect("consumer panicked")
+    });
+
+    let ids: Vec<u64> = seen.iter().map(|(id, _, _)| *id).collect();
+    assert_eq!(
+        ids,
+        (1..=TOTAL).collect::<Vec<u64>>(),
+        "gapless, strictly increasing"
+    );
+    for t in 0..PUBLISHERS as i64 {
+        let mine: Vec<i64> = seen
+            .iter()
+            .filter(|(_, thread, _)| *thread == t)
+            .map(|(_, _, i)| *i)
+            .collect();
+        assert_eq!(
+            mine,
+            (0..EACH as i64).collect::<Vec<i64>>(),
+            "publisher {t}"
+        );
+    }
+    assert_eq!(sub.lagged(), 0);
+    let on_disk: Vec<u64> = mathcloud_events::read_journal(&journal)
+        .unwrap()
+        .iter()
+        .map(|e| e.id)
+        .collect();
+    assert_eq!(on_disk, ids, "journal order equals id order");
+    let stats = bus.journal_stats().unwrap();
+    assert_eq!((stats.records, stats.durable), (TOTAL, TOTAL));
+    assert!(stats.syncs <= TOTAL, "never more than one sync per event");
+
+    // A batch is one sync however long it is, and resume still works.
+    let batch: Vec<(&str, Option<&str>, Value)> = (0..100)
+        .map(|n| ("itgc.batch", None, json!({ "n": (n as i64) })))
+        .collect();
+    let last = bus.publish_batch(batch);
+    assert_eq!(last, TOTAL + 100);
+    let after = bus.journal_stats().unwrap();
+    assert_eq!(after.syncs, stats.syncs + 1, "one sync for the whole batch");
+    assert_eq!(after.durable, TOTAL + 100);
+    let (backlog, _late) = bus.subscribe_from(Some(TOTAL - 2), KindFilter::parse("itgc."), 8);
+    assert_eq!(
+        backlog.iter().map(|e| e.id).collect::<Vec<u64>>(),
+        (TOTAL - 1..=TOTAL + 100).collect::<Vec<u64>>(),
+        "journal then ring, no gap and no duplicate"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

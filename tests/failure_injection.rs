@@ -561,3 +561,140 @@ fn memoized_results_survive_a_kill_and_restart() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Group commit writes a transition inside the jobs lock and syncs it
+/// outside, so there is a window in which a DONE record is in the file but
+/// not on disk. Two things must hold across it. Live: whoever is *shown* a
+/// state — the `POST` reply, a polling reader, a `job.*` subscriber — is
+/// shown it only after the covering sync. Crash: a journal cut back to what
+/// was durable before the handler's batch (the RUNNING record rides on the
+/// DONE sync, so the cut falls right after WAITING) re-runs the job, exactly
+/// as a cut after RUNNING does.
+#[test]
+fn nothing_is_shown_before_its_sync_and_a_lost_done_record_reruns_the_job() {
+    use mathcloud_core::JobState;
+    use mathcloud_events::KindFilter;
+
+    const JOBS: u64 = 150;
+    let dir = journal_dir("write-sync-gap");
+    let journal = dir.join("jobs.jsonl");
+    let execs = Arc::new(AtomicU64::new(0));
+    let gate = Arc::new(AtomicBool::new(true));
+    let e = durable_container("gap-victim", &execs, &gate);
+    e.attach_job_journal_with(&journal, usize::MAX).unwrap();
+    let store = e.job_store().unwrap();
+    // A fresh journal and one job at a time: j-k writes WAITING at position
+    // 3k - 2, RUNNING at 3k - 1 and DONE at 3k.
+    let number = |id: &str| id.strip_prefix("j-").unwrap().parse::<u64>().unwrap();
+    let durable = || store.journal_stats().durable;
+    let label = e.metrics_label().to_string();
+    let events = mathcloud_events::global().subscribe(KindFilter::parse("job."), 1 << 16);
+
+    std::thread::scope(|scope| {
+        // A reader that polls each job from before it exists until DONE.
+        scope.spawn(|| {
+            for k in 1..=JOBS {
+                let id = format!("j-{k}");
+                let deadline = Instant::now() + Duration::from_secs(30);
+                loop {
+                    assert!(Instant::now() < deadline, "{id} never finished");
+                    let Some(rep) = e.representation("add", &id) else {
+                        std::hint::spin_loop();
+                        continue;
+                    };
+                    let on_disk = durable();
+                    assert!(on_disk >= 3 * k - 2, "{id} visible before WAITING");
+                    if rep.state == JobState::Done {
+                        assert!(on_disk >= 3 * k, "{id} read as DONE at {on_disk}");
+                        break;
+                    }
+                }
+            }
+        });
+        // A push-mode watcher of this container's lifecycle events.
+        scope.spawn(|| {
+            let mut done = 0;
+            while done < JOBS {
+                let ev = events
+                    .recv_timeout(Duration::from_secs(30))
+                    .expect("lifecycle events keep coming");
+                if ev.payload.get("container").and_then(Value::as_str) != Some(&label) {
+                    continue;
+                }
+                let k = number(ev.payload.get("job").and_then(Value::as_str).unwrap());
+                let on_disk = durable();
+                match ev.kind.as_str() {
+                    "job.done" => {
+                        assert!(on_disk >= 3 * k, "job.done for j-{k} at {on_disk}");
+                        done += 1;
+                    }
+                    _ => assert!(on_disk >= 3 * k - 2, "{} for j-{k}", ev.kind),
+                }
+            }
+        });
+        for k in 1..=JOBS {
+            let rep = e
+                .submit_sync(
+                    "add",
+                    &json!({"a": (k as i64), "b": 1}),
+                    None,
+                    Duration::from_secs(10),
+                )
+                .unwrap();
+            assert_eq!(number(rep.id.as_str()), k);
+            assert_eq!(rep.state, JobState::Done);
+            assert!(durable() >= 3 * k, "j-{k} acknowledged before its sync");
+        }
+    });
+    assert_eq!(execs.load(Ordering::SeqCst), JOBS);
+    let stats = store.journal_stats();
+    assert_eq!(stats.records, 3 * JOBS);
+    assert!(
+        stats.syncs <= 2 * JOBS,
+        "RUNNING is never waited on: at most two syncs per job, not {}",
+        stats.syncs
+    );
+    drop(store);
+    drop(e);
+
+    // ---- The crash: the handler's batch for the last job never synced. ----
+    let bytes = std::fs::read(&journal).unwrap();
+    let line_starts: Vec<usize> = std::iter::once(0)
+        .chain(
+            bytes
+                .iter()
+                .enumerate()
+                .filter(|(_, &b)| b == b'\n')
+                .map(|(at, _)| at + 1),
+        )
+        .collect();
+    // `line_starts` ends with the file length; the last three lines are the
+    // last job's WAITING, RUNNING and DONE.
+    let n = line_starts.len();
+    for (what, cut) in [
+        ("after WAITING", line_starts[n - 3]),
+        ("after RUNNING", line_starts[n - 2]),
+    ] {
+        let crashed = dir.join("crashed.jsonl");
+        std::fs::write(&crashed, &bytes[..cut]).unwrap();
+        let reruns = Arc::new(AtomicU64::new(0));
+        let e2 = durable_container("gap-victim-2", &reruns, &gate);
+        let report = e2.attach_job_journal(&crashed).unwrap();
+        assert_eq!(report.requeued, 1, "cut {what}: the last job re-queues");
+        assert_eq!(report.replayed as u64, JOBS - 1, "cut {what}");
+        let rep = e2
+            .wait("add", &format!("j-{JOBS}"), Duration::from_secs(10))
+            .expect("the re-queued job finishes");
+        assert_eq!(rep.state, JobState::Done);
+        assert_eq!(
+            rep.outputs.unwrap().get("sum").unwrap().as_i64(),
+            Some(JOBS as i64 + 1)
+        );
+        assert_eq!(
+            reruns.load(Ordering::SeqCst),
+            1,
+            "cut {what}: exactly the job whose DONE was lost ran again"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
