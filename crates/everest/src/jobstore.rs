@@ -70,89 +70,27 @@ impl TransitionState {
     }
 }
 
-/// One journaled state-machine transition.
-///
-/// `WAITING` records carry the submission (validated inputs, the
-/// `Idempotency-Key`, the originating request id); terminal records carry
-/// the outcome (outputs or error, runtime). Fields are optional on the wire
-/// so each transition stays a small single line.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JobTransition {
-    /// Journal sequence number, monotonic for the life of the journal
-    /// (compaction preserves each surviving record's last sequence).
-    pub seq: u64,
-    /// The service the job belongs to.
-    pub service: String,
-    /// The job id (`j-<n>`).
-    pub job: String,
-    /// What happened.
-    pub state: TransitionState,
-    /// The `Idempotency-Key` the submission carried, if any.
-    pub idem_key: Option<String>,
-    /// The canonical result-memoization key of the submission, if the
-    /// container computed one (see [`crate::memo`]).
-    pub memo_key: Option<String>,
-    /// The `X-MC-Request-Id` of the submission, if any.
-    pub request_id: Option<String>,
-    /// Validated inputs (on `WAITING` and consolidated records).
-    pub inputs: Option<Object>,
-    /// Outputs (on `DONE`).
-    pub outputs: Option<Object>,
-    /// Error text (on `FAILED`).
-    pub error: Option<String>,
-    /// Adapter runtime (on terminal records).
-    pub runtime_ms: Option<u64>,
-    /// Append time, unix milliseconds.
-    pub time_ms: u64,
-}
-
-impl JobTransition {
-    fn detail(&self) -> TransitionDetail<'_> {
+/// One journal record, borrowed from its parsed line: sequence number,
+/// service, job, what happened, and the optional fields. `None` when a
+/// required field is missing or mistyped — how recovery skips a torn final
+/// record, mirroring the events-journal torn-tail rule.
+fn parse_record(v: &Value) -> Option<(u64, &str, &str, TransitionState, TransitionDetail<'_>)> {
+    let text = |key: &str| v.get(key).and_then(Value::as_str);
+    Some((
+        v.get("seq").and_then(Value::as_u64)?,
+        text("service")?,
+        text("job")?,
+        TransitionState::parse(text("state")?)?,
         TransitionDetail {
-            idem_key: self.idem_key.as_deref(),
-            memo_key: self.memo_key.as_deref(),
-            request_id: self.request_id.as_deref(),
-            inputs: self.inputs.as_ref(),
-            outputs: self.outputs.as_ref(),
-            error: self.error.as_deref(),
-            runtime_ms: self.runtime_ms,
-        }
-    }
-
-    /// Parses a transition from its (parsed) single-line JSON journal form.
-    ///
-    /// Returns `None` when required fields are missing or mistyped — the
-    /// journal reader uses this to skip a torn final record after a crash,
-    /// mirroring the events-journal torn-tail rule.
-    pub fn from_json(v: &Value) -> Option<JobTransition> {
-        let seq = v.get("seq").and_then(Value::as_u64)?;
-        let service = v.get("service").and_then(Value::as_str)?.to_string();
-        let job = v.get("job").and_then(Value::as_str)?.to_string();
-        let state = TransitionState::parse(v.get("state").and_then(Value::as_str)?)?;
-        Some(JobTransition {
-            seq,
-            service,
-            job,
-            state,
-            idem_key: v
-                .get("idem_key")
-                .and_then(Value::as_str)
-                .map(str::to_string),
-            memo_key: v
-                .get("memo_key")
-                .and_then(Value::as_str)
-                .map(str::to_string),
-            request_id: v
-                .get("request_id")
-                .and_then(Value::as_str)
-                .map(str::to_string),
-            inputs: v.get("inputs").and_then(Value::as_object).cloned(),
-            outputs: v.get("outputs").and_then(Value::as_object).cloned(),
-            error: v.get("error").and_then(Value::as_str).map(str::to_string),
+            idem_key: text("idem_key"),
+            memo_key: text("memo_key"),
+            request_id: text("request_id"),
+            inputs: v.get("inputs").and_then(Value::as_object),
+            outputs: v.get("outputs").and_then(Value::as_object),
+            error: text("error"),
             runtime_ms: v.get("runtime_ms").and_then(Value::as_u64),
-            time_ms: v.get("time_ms").and_then(Value::as_u64).unwrap_or(0),
-        })
-    }
+        },
+    ))
 }
 
 /// The journal's net knowledge of one job: every record folded, last state
@@ -376,8 +314,8 @@ impl JobStore {
                 }
                 continue;
             }
-            if let Some(t) = JobTransition::from_json(&v) {
-                inner.fold(t.seq, &t.service, &t.job, t.state, &t.detail());
+            if let Some((seq, service, job, state, detail)) = parse_record(&v) {
+                inner.fold(seq, service, job, state, &detail);
             }
         }
         let reg = metrics::global();
@@ -548,7 +486,7 @@ impl JobStore {
 
 /// Optional fields of one appended transition (borrowed, so hot paths do
 /// not clone inputs and outputs just to journal them).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TransitionDetail<'a> {
     /// The submission's `Idempotency-Key`.
     pub idem_key: Option<&'a str>,
@@ -631,40 +569,39 @@ mod tests {
     }
 
     #[test]
-    fn transitions_round_trip_through_json() {
-        let t = JobTransition {
-            seq: 9,
-            service: "sum".into(),
-            job: "j-4".into(),
-            state: TransitionState::Job(JobState::Done),
-            idem_key: Some("k1".into()),
-            memo_key: Some("ab12".into()),
-            request_id: Some("rid".into()),
-            inputs: Some(inputs()),
-            outputs: Some(json!({"total": 3}).as_object().unwrap().clone()),
+    fn records_round_trip_through_json() {
+        let (ins, outs) = (inputs(), json!({"total": 3}).as_object().unwrap().clone());
+        let done = TransitionDetail {
+            idem_key: Some("k1"),
+            memo_key: Some("ab12"),
+            request_id: Some("rid"),
+            inputs: Some(&ins),
+            outputs: Some(&outs),
             error: None,
             runtime_ms: Some(12),
-            time_ms: 1_700_000_000_000,
         };
-        let parsed = |t: &JobTransition| {
-            let line = record_line(t.seq, &t.service, &t.job, t.state, &t.detail(), t.time_ms);
-            mathcloud_json::parse(&line).unwrap()
+        let tomb = TransitionDetail {
+            request_id: Some("rid"),
+            runtime_ms: Some(12),
+            ..Default::default()
         };
-        assert_eq!(JobTransition::from_json(&parsed(&t)).unwrap(), t);
-        let tomb = JobTransition {
-            state: TransitionState::Deleted,
-            idem_key: None,
-            memo_key: None,
-            inputs: None,
-            outputs: None,
-            ..t
-        };
-        assert_eq!(JobTransition::from_json(&parsed(&tomb)).unwrap(), tomb);
-        assert!(JobTransition::from_json(&json!({"seq": 1})).is_none());
-        assert!(JobTransition::from_json(
-            &json!({"seq": 1, "service": "s", "job": "j-1", "state": "NOPE"})
-        )
-        .is_none());
+        for (state, detail) in [
+            (TransitionState::Job(JobState::Done), done),
+            (TransitionState::Deleted, tomb),
+        ] {
+            let line = record_line(9, "sum", "j-4", state, &detail, 1_700_000_000_000);
+            let parsed = mathcloud_json::parse(&line).unwrap();
+            assert_eq!(
+                parse_record(&parsed),
+                Some((9, "sum", "j-4", state, detail)),
+                "{line}"
+            );
+        }
+        assert!(parse_record(&json!({"seq": 1})).is_none());
+        assert!(
+            parse_record(&json!({"seq": 1, "service": "s", "job": "j-1", "state": "NOPE"}))
+                .is_none()
+        );
     }
 
     #[test]

@@ -46,10 +46,16 @@ pub mod adapter;
 pub mod config;
 pub mod container;
 pub mod filestore;
+mod jobs;
 pub mod jobstore;
 pub mod memo;
 pub mod paas;
+mod recover;
 pub mod rest;
+mod retention;
+mod run;
+mod singleflight;
+mod submit;
 pub mod webui;
 
 pub use adapter::{Adapter, AdapterContext};

@@ -1,0 +1,444 @@
+//! The Job Manager's handler pool: the queue jobs wait in, the threads that
+//! take them `WAITING → RUNNING → DONE | FAILED`, and resizing.
+
+use std::collections::VecDeque;
+use std::sync::Arc;
+use std::time::Instant;
+
+use mathcloud_core::JobState;
+use mathcloud_json::json;
+use mathcloud_telemetry::sync::{Condvar, Mutex};
+use mathcloud_telemetry::{
+    metrics, trace, AutoscaleConfig, Gauge, PoolController, PoolStatus, ScalableTarget,
+};
+
+use crate::adapter::AdapterContext;
+use crate::container::{run_seconds, Everest, Shared};
+use crate::jobs::JobKey;
+use crate::jobstore::{TransitionDetail, TransitionState};
+
+/// The handler-pool job queue: a std-only MPMC queue whose depth doubles as
+/// the `mc_pool_queue_depth` gauge. Workers block on [`JobQueue::pop`] until
+/// a job arrives, a resize retires them (see [`Everest::resize_pool`]) or the
+/// [`JobSender`] (i.e. every `Everest` clone) is gone.
+pub(crate) struct JobQueue {
+    state: Mutex<JobQueueState>,
+    ready: Condvar,
+    pub(crate) depth: Gauge,
+    pub(crate) busy_workers: Gauge,
+    pub(crate) pool_workers: Gauge,
+}
+
+struct JobQueueState {
+    items: VecDeque<JobKey>,
+    /// No `Everest` handle is left: no more jobs can arrive.
+    closed: bool,
+    /// Desired pool size. Live worker threads = `workers + retiring`: each
+    /// pending retirement is a thread that has not consumed its pill yet.
+    workers: usize,
+    /// Outstanding poison pills.
+    retiring: usize,
+}
+
+impl JobQueue {
+    /// Hands a `WAITING` job to the pool.
+    pub(crate) fn push(&self, item: JobKey) {
+        let mut st = self.state.lock();
+        st.items.push_back(item);
+        self.depth.set(st.items.len() as i64);
+        drop(st);
+        self.ready.notify_one();
+    }
+
+    /// The next job; `None` tells the calling worker to exit, because it
+    /// drew a poison pill or because the queue closed.
+    fn pop(&self) -> Option<JobKey> {
+        let mut st = self.state.lock();
+        loop {
+            // Pills take priority over jobs: a resize decision already
+            // accounted for the queued work staying with the surviving
+            // workers, and consuming pills eagerly keeps the live thread
+            // count converging on the desired size.
+            if st.retiring > 0 {
+                st.retiring -= 1;
+                return None;
+            }
+            if let Some(item) = st.items.pop_front() {
+                self.depth.set(st.items.len() as i64);
+                return Some(item);
+            }
+            if st.closed {
+                return None;
+            }
+            self.ready.wait(&mut st);
+        }
+    }
+}
+
+/// The handle every `Everest` clone shares. Dropping the last one closes the
+/// queue, so the handler threads (who hold the queue itself) wake up and exit.
+pub(crate) struct JobSender(pub(crate) Arc<JobQueue>);
+
+impl Drop for JobSender {
+    fn drop(&mut self) {
+        self.0.state.lock().closed = true;
+        self.0.ready.notify_all();
+    }
+}
+
+impl JobSender {
+    /// Starts a pool of `handlers` threads behind a fresh queue.
+    pub(crate) fn start(shared: &Arc<Shared>, handlers: usize) -> Arc<JobSender> {
+        let reg = metrics::global();
+        reg.describe(
+            "mc_pool_queue_depth",
+            "jobs waiting in the handler-pool queue",
+        );
+        reg.describe(
+            "mc_pool_busy_workers",
+            "handler threads currently running a job",
+        );
+        reg.describe("mc_pool_workers", "size of the handler thread pool");
+        let container = [("container", shared.label.as_str())];
+        let queue = Arc::new(JobQueue {
+            state: Mutex::new(JobQueueState {
+                items: VecDeque::new(),
+                closed: false,
+                workers: handlers,
+                retiring: 0,
+            }),
+            ready: Condvar::new(),
+            depth: reg.gauge("mc_pool_queue_depth", &container),
+            busy_workers: reg.gauge("mc_pool_busy_workers", &container),
+            pool_workers: reg.gauge("mc_pool_workers", &container),
+        });
+        queue.pool_workers.set(handlers as i64);
+        for _ in 0..handlers {
+            spawn_worker(Arc::clone(shared), Arc::clone(&queue));
+        }
+        Arc::new(JobSender(queue))
+    }
+}
+
+impl Everest {
+    /// The desired handler-pool size. Live threads converge on this: after a
+    /// shrink, retiring workers may briefly linger until they finish their
+    /// current job and consume their poison pill.
+    pub fn pool_workers(&self) -> usize {
+        self.queue.0.state.lock().workers
+    }
+
+    /// Resizes the handler pool toward `workers` (clamped to at least one),
+    /// returning the size applied. Growth spawns worker threads immediately
+    /// (cancelling pending retirements first); shrinkage enqueues poison
+    /// pills, so retiring workers finish their current job before exiting —
+    /// in-flight jobs are never aborted by a resize.
+    pub fn resize_pool(&self, workers: usize) -> usize {
+        let workers = workers.max(1);
+        let queue = &self.queue.0;
+        let mut st = queue.state.lock();
+        let current = std::mem::replace(&mut st.workers, workers);
+        queue.pool_workers.set(workers as i64);
+        if workers > current {
+            // Un-retire before spawning: a cancelled pill revives a thread
+            // that already exists, which is cheaper than racing a fresh
+            // spawn against it.
+            let cancelled = (workers - current).min(st.retiring);
+            st.retiring -= cancelled;
+            drop(st);
+            for _ in 0..workers - current - cancelled {
+                spawn_worker(Arc::clone(&self.shared), Arc::clone(queue));
+            }
+        } else if workers < current {
+            st.retiring += current - workers;
+            drop(st);
+            // Wake every idle worker: each pill must find a consumer.
+            queue.ready.notify_all();
+        }
+        workers
+    }
+
+    /// Builds an autoscaling controller over this container's handler pool,
+    /// labelled with [`Everest::metrics_label`]. Drive it manually with
+    /// [`PoolController::tick`] or hand it to [`PoolController::spawn`]; note
+    /// the controller holds a clone of the container, keeping its job queue
+    /// open for as long as the controller lives.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `config` is invalid ([`AutoscaleConfig::validate`]).
+    pub fn autoscaler(&self, config: AutoscaleConfig) -> PoolController {
+        let label = self.metrics_label().to_string();
+        PoolController::new(self.metrics_label(), Arc::new(self.clone()), config).on_scale(
+            move |ev| {
+                let payload = json!({
+                    "pool": (label.as_str()),
+                    "direction": (ev.direction.as_str()),
+                    "from": (ev.from as i64),
+                    "to": (ev.to as i64),
+                    "queue_depth": (ev.status.queue_depth as i64),
+                });
+                mathcloud_events::global().publish("pool.scale", None, payload);
+            },
+        )
+    }
+}
+
+impl ScalableTarget for Everest {
+    fn pool_status(&self) -> PoolStatus {
+        let st = self.queue.0.state.lock();
+        PoolStatus {
+            workers: st.workers,
+            busy: self.queue.0.busy_workers.get().max(0) as usize,
+            queue_depth: st.items.len(),
+        }
+    }
+
+    fn scale_to(&self, workers: usize) -> usize {
+        self.resize_pool(workers)
+    }
+}
+
+/// Spawns one handler thread; it serves jobs until [`JobQueue::pop`] says stop.
+fn spawn_worker(shared: Arc<Shared>, queue: Arc<JobQueue>) {
+    std::thread::spawn(move || {
+        while let Some((service, job)) = queue.pop() {
+            queue.busy_workers.add(1);
+            run_job(&shared, &service, &job);
+            queue.busy_workers.sub(1);
+        }
+    });
+}
+
+fn run_job(shared: &Arc<Shared>, service: &str, job_id: &str) {
+    let (jobs, to) = (&shared.jobs, TransitionState::Job(JobState::Running));
+    let Some(mut running) = jobs.transition(service, job_id, to, Default::default(), None) else {
+        return; // deleted before starting, or cancelled while queued
+    };
+    let (inputs, cancel) = running.run.take().expect("the RUNNING edge carries it");
+    let request_id = running.request_id.clone();
+    running.settle(shared);
+    let request_id = request_id.as_deref();
+    let entry = shared.find(service);
+    let adapter_kind = entry.as_ref().map_or("none", |e| e.adapter.kind());
+    let mut span = trace::span("job.run", request_id);
+    span.field("service", service);
+    span.field("job", job_id);
+    span.field("adapter", adapter_kind);
+    let started = Instant::now();
+    let result = match &entry {
+        Some(entry) => {
+            let ctx = AdapterContext::new(service, job_id, Arc::clone(&shared.files), cancel)
+                .with_request_id(request_id);
+            // A buggy adapter must fail its own job, not kill the handler
+            // thread serving every other job.
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                entry.adapter.execute(&inputs, &ctx)
+            }))
+            .unwrap_or_else(|panic| {
+                let msg = panic
+                    .downcast_ref::<&str>()
+                    .map(|s| (*s).to_string())
+                    .or_else(|| panic.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "adapter panicked".to_string());
+                trace::error(
+                    "adapter.panic",
+                    request_id,
+                    &[("service", service), ("job", job_id), ("panic", &msg)],
+                );
+                Err(format!("adapter panicked: {msg}"))
+            })
+        }
+        None => Err(format!("service {service} was undeployed")),
+    };
+    let elapsed = started.elapsed();
+    let runtime_ms = elapsed.as_millis() as u64;
+    entry
+        .map_or_else(
+            || run_seconds(&shared.label, "none"),
+            |e| e.run_seconds.clone(),
+        )
+        .observe_duration(elapsed);
+    span.field("outcome", if result.is_ok() { "done" } else { "failed" });
+    drop(span);
+
+    let (state, outputs, error) = match result {
+        Ok(outputs) => (JobState::Done, Some(outputs), None),
+        Err(error) => (JobState::Failed, None, Some(error)),
+    };
+    let detail = TransitionDetail {
+        error: error.as_deref(),
+        runtime_ms: Some(runtime_ms),
+        ..Default::default()
+    };
+    let to = TransitionState::Job(state);
+    // `None`: cancelled while running. The CANCELLED state stays, the
+    // result is dropped.
+    if let Some(finished) = shared.jobs.transition(service, job_id, to, detail, outputs) {
+        finished.settle(shared);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::adapter::NativeAdapter;
+    use mathcloud_core::{Parameter, ServiceDescription};
+    use mathcloud_json::value::Object;
+    use mathcloud_json::{Schema, Value};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
+
+    /// A service whose jobs park until the test releases them, for pinning
+    /// workers at a known busy count.
+    fn gated_container(workers: usize) -> (Everest, Arc<AtomicBool>) {
+        let gate = Arc::new(AtomicBool::new(false));
+        let e = Everest::with_handlers("t-gated", workers);
+        let g = Arc::clone(&gate);
+        e.deploy(
+            ServiceDescription::new("hold", "waits for the gate"),
+            NativeAdapter::from_fn(move |_, ctx| {
+                while !g.load(Ordering::Relaxed) && !ctx.is_cancelled() {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+                Ok(Object::new())
+            }),
+        );
+        (e, gate)
+    }
+
+    #[test]
+    fn resize_pool_grows_and_shrinks_desired_size() {
+        let e = Everest::with_handlers("t-resize", 2);
+        assert_eq!(e.pool_workers(), 2);
+        assert_eq!(e.resize_pool(5), 5);
+        assert_eq!(e.pool_workers(), 5);
+        assert_eq!(e.health().pool_workers, 5, "gauge tracks the resize");
+        assert_eq!(e.resize_pool(1), 1);
+        assert_eq!(e.pool_workers(), 1);
+        // Clamped: a pool never drops to zero workers.
+        assert_eq!(e.resize_pool(0), 1);
+        assert_eq!(e.pool_workers(), 1);
+    }
+
+    #[test]
+    fn grown_pool_actually_runs_jobs_concurrently() {
+        let e = Everest::with_handlers("t-grow", 1);
+        e.deploy(
+            ServiceDescription::new("sleep", "naps").input(Parameter::new("ms", Schema::integer())),
+            NativeAdapter::from_fn(|inputs, _| {
+                let ms = inputs.get("ms").and_then(Value::as_i64).unwrap_or(0) as u64;
+                std::thread::sleep(Duration::from_millis(ms));
+                Ok(Object::new())
+            }),
+        );
+        e.resize_pool(4);
+        let t0 = Instant::now();
+        let reps: Vec<_> = (0..4)
+            .map(|_| e.submit("sleep", &json!({"ms": 100}), None).unwrap())
+            .collect();
+        for rep in &reps {
+            assert_eq!(
+                e.wait("sleep", rep.id.as_str(), Duration::from_secs(5))
+                    .unwrap()
+                    .state,
+                JobState::Done
+            );
+        }
+        // 4 × 100 ms on the grown 4-worker pool: ~100 ms, not ~400 as the
+        // original single worker would take.
+        assert!(
+            t0.elapsed() < Duration::from_millis(350),
+            "{:?}",
+            t0.elapsed()
+        );
+    }
+
+    #[test]
+    fn shrink_lets_running_jobs_finish() {
+        let (e, gate) = gated_container(3);
+        let reps: Vec<_> = (0..3)
+            .map(|_| e.submit("hold", &json!({}), None).unwrap())
+            .collect();
+        // Wait until all three workers picked up their job.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while e.health().busy_workers < 3 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert_eq!(e.health().busy_workers, 3);
+        // Shrink under the running jobs: pills queue behind the in-flight
+        // work, nothing is aborted.
+        assert_eq!(e.resize_pool(1), 1);
+        gate.store(true, Ordering::Relaxed);
+        for rep in &reps {
+            let done = e
+                .wait("hold", rep.id.as_str(), Duration::from_secs(5))
+                .expect("job survived the shrink");
+            assert_eq!(done.state, JobState::Done);
+        }
+        assert_eq!(e.pool_workers(), 1);
+        // The surviving worker still serves new jobs.
+        let rep = e.submit("hold", &json!({}), None).unwrap();
+        assert_eq!(
+            e.wait("hold", rep.id.as_str(), Duration::from_secs(5))
+                .unwrap()
+                .state,
+            JobState::Done
+        );
+    }
+
+    #[test]
+    fn pool_status_reports_live_load() {
+        let (e, gate) = gated_container(2);
+        let idle = e.pool_status();
+        assert_eq!(idle.workers, 2);
+        assert_eq!(idle.busy, 0);
+        assert_eq!(idle.queue_depth, 0);
+        assert_eq!(idle.saturation(), 0.0);
+
+        for _ in 0..3 {
+            e.submit("hold", &json!({}), None).unwrap();
+        }
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while e.pool_status().busy < 2 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let loaded = e.pool_status();
+        assert_eq!(loaded.busy, 2, "both workers pinned");
+        assert_eq!(loaded.queue_depth, 1, "third job queued");
+        assert_eq!(loaded.saturation(), 1.0);
+        gate.store(true, Ordering::Relaxed);
+    }
+
+    #[test]
+    fn concurrent_jobs_respect_handler_pool() {
+        let e = Everest::with_handlers("t", 4);
+        e.deploy(
+            ServiceDescription::new("sleep", "naps").input(Parameter::new("ms", Schema::integer())),
+            NativeAdapter::from_fn(|inputs, _| {
+                let ms = inputs.get("ms").and_then(Value::as_i64).unwrap_or(0) as u64;
+                std::thread::sleep(Duration::from_millis(ms));
+                Ok(Object::new())
+            }),
+        );
+        let t0 = Instant::now();
+        let reps: Vec<_> = (0..4)
+            .map(|_| e.submit("sleep", &json!({"ms": 100}), None).unwrap())
+            .collect();
+        for rep in &reps {
+            assert_eq!(
+                e.wait("sleep", rep.id.as_str(), Duration::from_secs(5))
+                    .unwrap()
+                    .state,
+                JobState::Done
+            );
+        }
+        // 4 jobs × 100 ms on 4 handlers should take ~100 ms, not ~400.
+        assert!(
+            t0.elapsed() < Duration::from_millis(350),
+            "{:?}",
+            t0.elapsed()
+        );
+        assert_eq!(e.stats().completed, 4);
+    }
+}

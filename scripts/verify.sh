@@ -11,6 +11,10 @@ cargo fmt --all --check
 echo "==> cargo build --release"
 cargo build --release --offline
 
+# Size claims in CHANGES.md are read off this table, not counted by hand.
+echo "==> non-test lines of crates/everest/src"
+scripts/loc.sh crates/everest/src
+
 echo "==> cargo test -q"
 cargo test -q --offline
 
@@ -65,11 +69,17 @@ timeout 120 cargo test -q --offline --release \
 # inputs through every equivalent rewrite (key order, number spellings,
 # whitespace, file-id aliasing) and every single semantic mutation; the
 # race battery parks 16 threads on one memo key and races hits against
-# terminal-job eviction. A canonicalizer that conflates distinct inputs or
-# a cache that deadlocks on the idem→memo→jobs lock chain must fail fast.
+# terminal-job eviction. The unit tests of the two types they lean on run
+# here too, in release mode because races hide in debug: `singleflight`
+# (16 claimants of one key, abandoned reservations) and `jobs` (every
+# from × to pair through `transition`). A canonicalizer that conflates
+# distinct inputs, a claim that never wakes or a cache that deadlocks in a
+# probe must fail fast.
 echo "==> memo canonicalization + race battery (release, 120s budget)"
 timeout 120 cargo test -q --offline --release \
   -p mathcloud-everest --test memo_canon --test memo_races
+timeout 120 cargo test -q --offline --release \
+  -p mathcloud-everest --lib -- singleflight:: jobs::
 
 # The differential multiplication battery cross-checks every tiered-mul
 # kernel, mul_threads, and Bareiss determinants against serial oracles on
