@@ -1,8 +1,9 @@
 //! Microbenchmarks of the substrates: exact arithmetic, JSON, routing,
-//! mcscript and SHA-256. These track the constant factors everything else
-//! is built on.
+//! mcscript, SHA-256 and the memo key. These track the constant factors
+//! everything else is built on.
 
 use mathcloud_bench::harness::Harness;
+use mathcloud_everest::memo;
 use mathcloud_exact::{hilbert, BigInt, Rational};
 use mathcloud_http::{Method, Request, Response, Router};
 use mathcloud_json::parse;
@@ -80,6 +81,25 @@ fn main() {
     let block = vec![0xabu8; 64 * 1024];
     group.bench_function("sha256_64kb", |bch| {
         bch.iter(|| sha256::digest(&block));
+    });
+    // The same block on the portable rounds: on a CPU with SHA extensions
+    // the ratio of the two is the kernel's gain, elsewhere they are equal.
+    group.bench_function("sha256_64kb_portable", |bch| {
+        bch.iter(|| sha256::digest_portable(&block));
+    });
+
+    // One 64 KiB string input, the shape of jobpath's `payload_64k`: the
+    // memo key hashes it while canonicalizing, the journal serializes it.
+    let payload: String = (0..64 * 1024u32)
+        .map(|i| char::from(b'a' + (i * 7 % 26) as u8))
+        .collect();
+    let payload_inputs = mathcloud_json::json!({"data": payload, "n": 3});
+    let payload_object = payload_inputs.as_object().expect("an object");
+    group.bench_function("memo_key_64kb", |bch| {
+        bch.iter(|| memo::memo_key("reverse", payload_object, &|_| None));
+    });
+    group.bench_function("to_string_64kb_string", |bch| {
+        bch.iter(|| payload_inputs.to_string());
     });
 
     group.finish();

@@ -844,6 +844,117 @@ mod tests {
         );
     }
 
+    /// The three records of one 64 KiB job, with fixed sequence numbers and
+    /// times: what `tests/fixtures/record_lines_64k.jsonl` holds.
+    fn payload_record_lines() -> String {
+        const ALPHABET: &[u8; 64] =
+            b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_";
+        let mut rng = mathcloud_telemetry::XorShift64::new(0x6a6f_7572_6e61_6c21);
+        // Clean runs of ~1 KiB with something to escape between them.
+        let data: String = (0..64 * 1024)
+            .map(|i| match (i % 1021, i % 4) {
+                (0, 0) => '"',
+                (0, 1) => '\\',
+                (0, 2) => '\n',
+                (0, _) => '\u{1b}',
+                (510, _) => 'é',
+                _ => ALPHABET[rng.index(64)] as char,
+            })
+            .collect();
+        let ins: Object = [
+            ("data".to_string(), Value::from(data)),
+            ("n".to_string(), Value::from(3)),
+            ("scale".to_string(), Value::from(2.0)),
+        ]
+        .into_iter()
+        .collect();
+        let outs = json!({"file": "mc-file:f-17", "bytes": 65536, "note": "é\t\"ok\""})
+            .as_object()
+            .unwrap()
+            .clone();
+        let waiting = TransitionDetail {
+            idem_key: Some("idem \"k\"\\1"),
+            memo_key: Some("83643635b7a6f72774f7c5d0611d96efa408f1a13d39f88aab0c667fe09c56a1"),
+            request_id: Some("rid-64k"),
+            inputs: Some(&ins),
+            ..Default::default()
+        };
+        let done = TransitionDetail {
+            outputs: Some(&outs),
+            runtime_ms: Some(3),
+            ..Default::default()
+        };
+        let failed = TransitionDetail {
+            error: Some("adapter said: \"no\"\n\u{7}"),
+            runtime_ms: Some(0),
+            ..Default::default()
+        };
+        let t = 1_790_345_604_030;
+        [
+            record_line(
+                41,
+                "reverse",
+                "j-7",
+                TransitionState::Job(JobState::Waiting),
+                &waiting,
+                t,
+            ),
+            record_line(
+                42,
+                "reverse",
+                "j-7",
+                TransitionState::Job(JobState::Running),
+                &TransitionDetail::default(),
+                t + 1,
+            ),
+            record_line(
+                43,
+                "reverse",
+                "j-7",
+                TransitionState::Job(JobState::Done),
+                &done,
+                t + 4,
+            ),
+            record_line(
+                44,
+                "reverse",
+                "j-8",
+                TransitionState::Job(JobState::Failed),
+                &failed,
+                t + 5,
+            ),
+        ]
+        .map(|line| line + "\n")
+        .concat()
+    }
+
+    #[test]
+    fn payload_records_match_the_lines_pr13_wrote_byte_for_byte() {
+        // The fixture was written by this very function on the parent of the
+        // PR that made the JSON writer generic and its escaper copy runs;
+        // journals outlive upgrades, so the bytes may not move.
+        let fixture = include_str!("../tests/fixtures/record_lines_64k.jsonl");
+        let lines = payload_record_lines();
+        assert_eq!(lines.len(), fixture.len());
+        for (n, (got, expected)) in lines.lines().zip(fixture.lines()).enumerate() {
+            assert!(got == expected, "record {n} differs from the fixture");
+        }
+        // And the old lines read back as the records they were written from.
+        let waiting = mathcloud_json::parse(fixture.lines().next().unwrap()).unwrap();
+        let (seq, service, job, state, detail) = parse_record(&waiting).unwrap();
+        assert_eq!((seq, service, job), (41, "reverse", "j-7"));
+        assert_eq!(state, TransitionState::Job(JobState::Waiting));
+        assert_eq!(detail.idem_key, Some("idem \"k\"\\1"));
+        let data = detail
+            .inputs
+            .unwrap()
+            .get("data")
+            .unwrap()
+            .as_str()
+            .unwrap();
+        assert_eq!(data.chars().count(), 64 * 1024);
+    }
+
     #[test]
     fn torn_tail_is_skipped_on_recovery() {
         use std::io::Write;

@@ -24,56 +24,75 @@
 //! field, a different service name — must change the key; the
 //! `memo_canon` differential battery locks both directions down.
 
+use std::fmt::{self, Write};
+
 use mathcloud_core::FileRef;
 use mathcloud_json::value::Object;
-use mathcloud_json::{Number, Value};
-use mathcloud_security::sha256;
+use mathcloud_json::{ser, Value};
+use mathcloud_security::sha256::{self, Sha256};
 
 /// Scheme prefix a resolved file input canonicalizes to.
 const BLOB_SCHEME: &str = "mc-blob:";
 
-/// Rewrites a value into canonical form.
-///
-/// `resolve_file` maps a container-local file id to the hex digest of its
-/// content; unresolvable references are kept literal (two submissions naming
-/// the same dangling id still collide, which is the conservative choice:
-/// they would also fail identically at execution time).
-fn canonicalize(value: &Value, resolve_file: &dyn Fn(&str) -> Option<String>) -> Value {
-    match value {
-        Value::Object(map) => {
-            let mut entries: Vec<(&String, &Value)> = map.iter().collect();
-            entries.sort_by(|a, b| a.0.cmp(b.0));
-            Value::Object(
-                entries
-                    .into_iter()
-                    .map(|(k, v)| (k.clone(), canonicalize(v, resolve_file)))
-                    .collect::<Object>(),
-            )
-        }
-        Value::Array(items) => Value::Array(
-            items
-                .iter()
-                .map(|v| canonicalize(v, resolve_file))
-                .collect(),
-        ),
-        Value::Number(n) => Value::Number(canonical_number(n)),
-        Value::String(_) => match FileRef::detect(value) {
-            Some(FileRef::Local(id)) => match resolve_file(&id) {
-                Some(hash) => Value::from(format!("{BLOB_SCHEME}{hash}")),
-                None => value.clone(),
-            },
-            _ => value.clone(),
-        },
-        Value::Bool(_) | Value::Null => value.clone(),
-    }
+/// Maps a container-local file id to the hex digest of its content.
+/// Unresolvable references are kept literal (two submissions naming the same
+/// dangling id still collide, which is the conservative choice: they would
+/// also fail identically at execution time).
+pub type ResolveFile<'a> = &'a dyn Fn(&str) -> Option<String>;
+
+/// Writes the canonical form of `(service, inputs)` into `out`. This is its
+/// one definition, and it works by reference: the sink decides whether the
+/// text is kept ([`canonical_string`]) or only hashed ([`memo_key`]).
+fn write_canonical<W: Write>(
+    out: &mut W,
+    service: &str,
+    inputs: &Object,
+    resolve_file: ResolveFile<'_>,
+) -> fmt::Result {
+    out.write_str(service)?;
+    out.write_char('\n')?;
+    write_object(out, inputs, resolve_file)
 }
 
-/// Folds numeric spellings of the same quantity onto one representative:
-/// an integral float in `i64` range becomes the integer.
-fn canonical_number(n: &Number) -> Number {
-    match n.as_i64() {
-        Some(i) => Number::Int(i),
-        None => *n,
+fn write_object<W: Write>(out: &mut W, map: &Object, resolve_file: ResolveFile<'_>) -> fmt::Result {
+    let mut entries: Vec<(&String, &Value)> = map.iter().collect();
+    entries.sort_by(|a, b| a.0.cmp(b.0));
+    out.write_char('{')?;
+    for (i, (k, v)) in entries.into_iter().enumerate() {
+        if i > 0 {
+            out.write_char(',')?;
+        }
+        ser::write_escaped(out, k)?;
+        out.write_char(':')?;
+        write_value(out, v, resolve_file)?;
+    }
+    out.write_char('}')
+}
+
+fn write_value<W: Write>(out: &mut W, value: &Value, resolve_file: ResolveFile<'_>) -> fmt::Result {
+    match value {
+        Value::Object(map) => write_object(out, map, resolve_file),
+        Value::Array(items) => {
+            out.write_char('[')?;
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.write_char(',')?;
+                }
+                write_value(out, item, resolve_file)?;
+            }
+            out.write_char(']')
+        }
+        // Numeric spellings of one quantity fold onto one representative:
+        // an integral float in `i64` range is written as the integer.
+        Value::Number(n) => match n.as_i64() {
+            Some(i) => write!(out, "{i}"),
+            None => write!(out, "{n}"),
+        },
+        Value::String(s) => match s.strip_prefix(FileRef::SCHEME).and_then(resolve_file) {
+            Some(hash) => ser::write_escaped(out, &format!("{BLOB_SCHEME}{hash}")),
+            None => ser::write_escaped(out, s),
+        },
+        Value::Bool(_) | Value::Null => ser::write_value(out, value),
     }
 }
 
@@ -81,24 +100,20 @@ fn canonical_number(n: &Number) -> Number {
 ///
 /// Exposed for the differential battery, which asserts textual equality of
 /// canonical forms as a stronger check than hash equality.
-pub fn canonical_string(
-    service: &str,
-    inputs: &Object,
-    resolve_file: &dyn Fn(&str) -> Option<String>,
-) -> String {
-    let canonical = canonicalize(&Value::Object(inputs.clone()), resolve_file);
-    format!("{service}\n{canonical}")
+pub fn canonical_string(service: &str, inputs: &Object, resolve_file: ResolveFile<'_>) -> String {
+    let mut out = String::new();
+    write_canonical(&mut out, service, inputs, resolve_file)
+        .expect("writing to a String cannot fail");
+    out
 }
 
 /// The SHA-256 memo key of a `(service, inputs)` submission, as lowercase
-/// hex.
-pub fn memo_key(
-    service: &str,
-    inputs: &Object,
-    resolve_file: &dyn Fn(&str) -> Option<String>,
-) -> String {
-    let canonical = canonical_string(service, inputs, resolve_file);
-    sha256::to_hex(&sha256::digest(canonical.as_bytes()))
+/// hex: the digest of [`canonical_string`], hashed while it is written.
+pub fn memo_key(service: &str, inputs: &Object, resolve_file: ResolveFile<'_>) -> String {
+    let mut hasher = Sha256::new();
+    write_canonical(&mut hasher, service, inputs, resolve_file)
+        .expect("writing to a hasher cannot fail");
+    sha256::to_hex(&hasher.finalize())
 }
 
 #[cfg(test)]

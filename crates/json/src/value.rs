@@ -319,7 +319,7 @@ impl Index<usize> for Value {
 impl fmt::Display for Value {
     /// Writes the compact JSON encoding.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&crate::ser::to_string(self))
+        crate::ser::write_value(f, self)
     }
 }
 

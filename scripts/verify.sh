@@ -81,6 +81,22 @@ timeout 120 cargo test -q --offline --release \
 timeout 120 cargo test -q --offline --release \
   -p mathcloud-everest --lib -- singleflight:: jobs::
 
+# The payload-path batteries, in release because that is what ships and
+# what selects the hardware kernel: SHA-256 portable rounds == the kernel
+# this CPU selects == every split of the input (FIPS 180-4 and RFC 4231
+# vectors on both block functions; the log names the selected kernel, so a
+# run on a box without SHA extensions shows the hardware path went
+# unexercised), the run-copy JSON escaper against the per-char reference,
+# and `record_line` byte for byte against lines the previous writer wrote.
+# `memo_canon` above holds the golden memo keys.
+echo "==> payload path: sha256 kernels, JSON escaper, journal bytes (release, 120s budget)"
+timeout 120 cargo test -q --offline --release \
+  -p mathcloud-security --lib -- sha256:: --nocapture
+timeout 120 cargo test -q --offline --release \
+  -p mathcloud-json --lib -- ser::
+timeout 120 cargo test -q --offline --release \
+  -p mathcloud-everest --lib -- jobstore::tests::payload_records memo::
+
 # The differential multiplication battery cross-checks every tiered-mul
 # kernel, mul_threads, and Bareiss determinants against serial oracles on
 # ≥1000 xorshift-seeded cases. Release mode keeps the 500-limb schoolbook
@@ -94,14 +110,20 @@ timeout 300 cargo test -q --offline --release \
 # inside the binary) and that the Toom-3 tier beats schoolbook at ≥256
 # limbs. Release mode because exact arithmetic is ~20x slower unoptimized;
 # the smoke sizes finish in well under a second.
+#
+# The four `--smoke` emitters below write `BENCH_<n>.json` into their working
+# directory. They run from a scratch directory and the gates read the scratch
+# copies, so the committed full-run `BENCH_5`–`8.json` are never overwritten.
+repo=$PWD
+smoke_dir=$(mktemp -d)
+trap 'rm -rf "$smoke_dir"' EXIT
 echo "==> table2 kernel smoke (release, 120s budget)"
 cargo build -q --release --offline -p mathcloud-bench --bin repro
-rm -f BENCH_5.json
-timeout 120 ./target/release/repro --table2 --json --smoke
-python3 - <<'EOF'
+(cd "$smoke_dir" && timeout 120 "$repo/target/release/repro" --table2 --json --smoke)
+python3 - "$smoke_dir/BENCH_5.json" <<'EOF'
 import json, sys
 
-with open("BENCH_5.json") as f:
+with open(sys.argv[1]) as f:
     report = json.load(f)
 rows = report["rows"]
 assert rows, "BENCH_5.json has no rows"
@@ -136,12 +158,11 @@ EOF
 # the server-side request counter, so the comparison is exact.
 echo "==> push-vs-poll events smoke (release, 120s budget)"
 cargo build -q --release --offline -p mathcloud-bench --bin pushpoll
-rm -f BENCH_6.json
-timeout 120 ./target/release/pushpoll --smoke
-python3 - <<'EOF'
+(cd "$smoke_dir" && timeout 120 "$repo/target/release/pushpoll" --smoke)
+python3 - "$smoke_dir/BENCH_6.json" <<'EOF'
 import json, sys
 
-with open("BENCH_6.json") as f:
+with open(sys.argv[1]) as f:
     report = json.load(f)
 for mode in ("poll", "push"):
     for key in ("status_requests", "per_job"):
@@ -171,12 +192,11 @@ EOF
 # masquerade as a regression).
 echo "==> server edge RPS/latency smoke (release, 180s budget)"
 cargo build -q --release --offline -p mathcloud-bench --bin edge
-rm -f BENCH_7.json
-timeout 180 ./target/release/edge --smoke
-python3 - <<'EOF'
+(cd "$smoke_dir" && timeout 180 "$repo/target/release/edge" --smoke)
+python3 - "$smoke_dir/BENCH_7.json" <<'EOF'
 import json, sys
 
-with open("BENCH_7.json") as f:
+with open(sys.argv[1]) as f:
     report = json.load(f)
 scenarios = report["scenarios"]
 assert scenarios, "BENCH_7.json has no scenarios"
@@ -226,12 +246,11 @@ EOF
 # the cold pass, or the cache is not actually displacing compute.
 echo "==> memoized sweep smoke (release, 120s budget)"
 cargo build -q --release --offline -p mathcloud-bench --bin sweep
-rm -f BENCH_8.json
-timeout 120 ./target/release/sweep --smoke
-python3 - <<'EOF'
+(cd "$smoke_dir" && timeout 120 "$repo/target/release/sweep" --smoke)
+python3 - "$smoke_dir/BENCH_8.json" <<'EOF'
 import json, sys
 
-with open("BENCH_8.json") as f:
+with open(sys.argv[1]) as f:
     report = json.load(f)
 for section in ("cold", "warm"):
     for key in ("wall_ms", "hits", "misses"):

@@ -270,6 +270,18 @@ fn journals_from_before_group_commit_open_replay_and_accept_appends() {
         .unwrap();
     assert!(hit.memo_hit);
     assert_eq!(hit.rep.id.as_str(), "j-1");
+    // Both journaled keys are still what `memo_key` computes: the second
+    // memoized job answers too, and the key of the first is the fixture's.
+    let hit = e
+        .submit_full("add", &json!({"a": 5, "b": 5}), None, None, None)
+        .unwrap();
+    assert!(hit.memo_hit);
+    assert_eq!(hit.rep.id.as_str(), "j-4");
+    let inputs = json!({"b": 22.0, "a": 2e1});
+    assert_eq!(
+        mathcloud_everest::memo::memo_key("add", inputs.as_object().unwrap(), &|_| None),
+        "3df0fd8efb35158191babbc3027ae4806a00e89527bb5193b24c45150af77299"
+    );
     let fresh = e
         .submit_sync(
             "add",
