@@ -14,14 +14,23 @@
 //! that cannot keep up loses its *oldest* queued events (counted by the
 //! `mc_events_lag_total` metric and per-subscription [`Subscription::lagged`])
 //! rather than stalling publishers or growing without bound. A bounded
-//! in-memory **replay ring** serves recent history to late subscribers, and
-//! an optional append-only fsync'd **journal** extends replay across process
-//! restarts: on [`Bus::attach_journal`] the bus recovers the last journaled
-//! id (so ids keep increasing over a restart) and refills the ring from the
-//! journal tail. [`Bus::subscribe_from`] atomically replays
-//! backlog-after-`id` (ring first, journal when the ring has already evicted
-//! the requested range) and registers for live delivery, which is exactly the
-//! contract `Last-Event-ID` resume over Server-Sent Events needs.
+//! in-memory **replay ring** serves recent history to late subscribers.
+//!
+//! Publishing is two steps, **stage** and **release**. [`Bus::stage`] gives
+//! an event its id and queues it, in id order, on behalf of a [`Source`] —
+//! whoever makes it durable; [`Bus::release`] is that source saying
+//! "everything I staged up to id N is on disk", and the bus then delivers
+//! the longest confirmed prefix of the queue to ring and subscribers. So
+//! nothing is shown before it is durable, delivery is in id order, and a
+//! publisher that stalls between the two steps is covered by the next
+//! release of the same source. The bus's own optional append-only fsync'd
+//! **journal** ([`Bus::attach_journal`], behind [`Bus::publish`]) is one such
+//! source; the container's job journal, whose records carry the ids of the
+//! `job.*` events they cause, is another. Ids resume past both over a
+//! restart, and [`Bus::subscribe_from`] replays backlog-after-`id` (the ring,
+//! and behind it the journal and every attached [`History`]) and registers
+//! for live delivery, which is exactly the contract `Last-Event-ID` resume
+//! over Server-Sent Events needs.
 //!
 //! Everything is std-only, like the rest of the workspace.
 //!
@@ -44,14 +53,14 @@
 pub mod jsonl;
 
 use std::collections::{HashMap, VecDeque};
+use std::fmt;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::{Duration, SystemTime};
 
-use mathcloud_json::value::Object;
-use mathcloud_json::Value;
+use mathcloud_json::{ser, Value};
 use mathcloud_telemetry::metrics::{self, Counter};
 use mathcloud_telemetry::sync::{Condvar, Mutex};
 
@@ -94,23 +103,23 @@ pub struct Envelope {
     pub payload: Value,
 }
 
-impl Envelope {
-    /// Serializes the envelope as a single-line JSON object — the journal
-    /// record format and the SSE `data:` field.
-    pub fn to_json(&self) -> Value {
-        let mut o = Object::new();
-        o.insert("id".into(), Value::from(self.id as i64));
-        o.insert("kind".into(), Value::from(self.kind.as_str()));
-        o.insert("time_ms".into(), Value::from(self.time_ms as i64));
+/// The envelope as a single-line JSON object — the journal record format and
+/// the SSE `data:` field — written by reference: the payload is never cloned.
+impl fmt::Display for Envelope {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{{\"id\":{},\"kind\":", self.id)?;
+        ser::write_escaped(f, &self.kind)?;
+        write!(f, ",\"time_ms\":{},\"request_id\":", self.time_ms)?;
         match &self.request_id {
-            Some(r) => o.insert("request_id".into(), Value::from(r.as_str())),
-            None => o.insert("request_id".into(), Value::Null),
-        };
-        o.insert("payload".into(), self.payload.clone());
-        Value::Object(o)
+            Some(r) => ser::write_escaped(f, r)?,
+            None => f.write_str("null")?,
+        }
+        write!(f, ",\"payload\":{}}}", self.payload)
     }
+}
 
-    /// Parses an envelope from its [`Envelope::to_json`] form.
+impl Envelope {
+    /// Parses an envelope from its [`fmt::Display`] form.
     ///
     /// Returns `None` when required fields are missing or mistyped — the
     /// journal reader uses this to skip a torn final record after a crash.
@@ -237,51 +246,57 @@ pub fn read_journal(path: &Path) -> io::Result<Vec<Envelope>> {
         .collect())
 }
 
+/// Who makes staged events durable: a journal, as seen from the bus. Each
+/// source has a watermark — the highest id it has confirmed — that only
+/// [`Bus::release`] moves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Source(usize);
+
+impl Source {
+    /// What [`Bus::publish`] stages for on a bus without a journal: nothing
+    /// will make these events durable, so they wait only for their turn.
+    const SETTLED: Source = Source(0);
+}
+
+/// Someone who can still answer for events the ring has let go of — the
+/// container answers for `job.*` from its job journal, which is why the
+/// events journal need not hold them.
+pub trait History: Send + Sync {
+    /// The events it knows with `after < id < before`, in any order.
+    fn events_between(&self, after: u64, before: u64) -> Vec<Envelope>;
+}
+
+/// Unix time in milliseconds, as envelopes and journal records are stamped.
+pub fn now_ms() -> u64 {
+    SystemTime::now()
+        .duration_since(SystemTime::UNIX_EPOCH)
+        .map_or(0, |d| d.as_millis() as u64)
+}
+
 struct Inner {
     next_id: u64,
     ring: VecDeque<Arc<Envelope>>,
     ring_cap: usize,
     subs: Vec<Arc<SubShared>>,
     journal: Option<Arc<jsonl::Appender>>,
-    /// Events that have an id (and a journal record) but are not on the ring
-    /// or with any subscriber yet: they wait, in id order, for the sync that
-    /// covers them.
-    pending: VecDeque<Arc<Envelope>>,
+    /// The source [`Bus::publish`] stages for: the attached journal, or
+    /// [`Source::SETTLED`] without one.
+    own: Source,
+    /// Per [`Source`], the highest id it has confirmed.
+    confirmed: Vec<u64>,
+    /// Staged events, in id order: each waits for its source to confirm its
+    /// id, and for every event ahead of it.
+    pending: VecDeque<(Arc<Envelope>, Source)>,
+    histories: Vec<Weak<dyn History>>,
     /// `mc_events_published_total{kind}` handles, so a publish does not pay
     /// a registry lookup.
     published: HashMap<String, Counter>,
 }
 
 impl Inner {
-    /// Events with `id > after_id` passing `filter`, ring-then-journal.
-    fn replay(&self, after_id: u64, filter: &KindFilter) -> Vec<Arc<Envelope>> {
-        let ring_first = self.ring.front().map_or(u64::MAX, |e| e.id);
-        // The journal also holds what is still pending; those events reach
-        // the subscriber live, once delivered.
-        let journal_end = ring_first.min(self.pending.front().map_or(u64::MAX, |e| e.id));
-        let mut out: Vec<Arc<Envelope>> = Vec::new();
-        if after_id + 1 < journal_end {
-            // The ring has already evicted part of the requested range; the
-            // journal (when attached) still has it.
-            if let Some(j) = &self.journal {
-                if let Ok(evs) = read_journal(j.path()) {
-                    out.extend(
-                        evs.into_iter()
-                            .filter(|e| {
-                                e.id > after_id && e.id < journal_end && filter.matches(&e.kind)
-                            })
-                            .map(Arc::new),
-                    );
-                }
-            }
-        }
-        out.extend(
-            self.ring
-                .iter()
-                .filter(|e| e.id > after_id && filter.matches(&e.kind))
-                .cloned(),
-        );
-        out
+    fn new_source(&mut self) -> Source {
+        self.confirmed.push(0);
+        Source(self.confirmed.len() - 1)
     }
 
     fn count_published(&mut self, kind: &str) {
@@ -294,12 +309,44 @@ impl Inner {
         self.published.insert(kind.to_string(), counter);
     }
 
-    /// Moves every pending event with an id up to `id` onto the ring and
-    /// into the matching subscriber queues, in id order.
-    fn deliver_through(&mut self, id: u64, lag: &Counter) {
+    /// Gives each event the next id and queues it for `source`; `staged`
+    /// sees every envelope in id order. Returns the last id assigned.
+    fn stage<'a>(
+        &mut self,
+        source: Source,
+        time_ms: u64,
+        events: impl IntoIterator<Item = (&'a str, Option<&'a str>, Value)>,
+        mut staged: impl FnMut(&Envelope),
+    ) -> u64 {
+        for (kind, request_id, payload) in events {
+            self.next_id += 1;
+            let ev = Arc::new(Envelope {
+                id: self.next_id,
+                kind: kind.to_string(),
+                time_ms,
+                request_id: request_id.map(str::to_string),
+                payload,
+            });
+            staged(&ev);
+            self.count_published(kind);
+            self.pending.push_back((ev, source));
+        }
+        self.next_id
+    }
+
+    /// Raises `source`'s watermark to `through`, then moves the longest
+    /// confirmed prefix of the queue onto the ring and into the matching
+    /// subscriber queues, in id order.
+    fn release(&mut self, source: Source, through: u64, lag: &Counter) {
+        let confirmed = &mut self.confirmed[source.0];
+        *confirmed = (*confirmed).max(through);
         let mut pruned = false;
-        while self.pending.front().is_some_and(|ev| ev.id <= id) {
-            let ev = self.pending.pop_front().expect("front just seen");
+        while self
+            .pending
+            .front()
+            .is_some_and(|(ev, source)| ev.id <= self.confirmed[source.0])
+        {
+            let (ev, _) = self.pending.pop_front().expect("front just seen");
             if self.ring.len() == self.ring_cap {
                 self.ring.pop_front();
             }
@@ -352,7 +399,10 @@ impl Bus {
                 ring_cap: ring_cap.max(1),
                 subs: Vec::new(),
                 journal: None,
+                own: Source::SETTLED,
+                confirmed: vec![u64::MAX],
                 pending: VecDeque::new(),
+                histories: Vec::new(),
                 published: HashMap::new(),
             }),
             lag: metrics::global().counter("mc_events_lag_total", &[]),
@@ -360,51 +410,76 @@ impl Bus {
         }
     }
 
-    /// Attaches an append-only journal.
+    /// Attaches an append-only journal for what [`Bus::publish`] publishes.
     ///
-    /// Existing records are read back first: id numbering resumes after the
-    /// highest journaled id and the ring is refilled from the journal tail,
-    /// so `Last-Event-ID` resume keeps working across a restart.
+    /// Id numbering resumes after the highest id the journal holds, and
+    /// `Last-Event-ID` resume reads it for what the ring no longer has, so
+    /// both keep working across a restart.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors opening or reading the file.
     pub fn attach_journal(&self, path: &Path) -> io::Result<()> {
-        let recovered = read_journal(path)?;
+        let last = read_journal(path)?.last().map_or(0, |ev| ev.id);
         // `Appender::open` repairs a torn (newline-less) tail so the first
         // post-recovery publish cannot concatenate onto the fragment.
         let journal = Arc::new(jsonl::Appender::open(path, "events")?);
         let mut inner = self.inner.lock();
+        let source = inner.new_source();
+        let replaced = std::mem::replace(&mut inner.own, source);
         if let Some(old) = inner.journal.replace(journal) {
             // Whatever a publisher is still syncing belongs to the journal
             // being replaced; settle it so no later sync is taken to cover it.
             if let Err(e) = old.sync_to(old.stats().records) {
                 self.journal_error(None, &e);
             }
-            inner.deliver_through(u64::MAX, &self.lag);
+            inner.release(replaced, u64::MAX, &self.lag);
         }
-        if let Some(last) = recovered.last() {
-            inner.next_id = inner.next_id.max(last.id);
-        }
-        let cap = inner.ring_cap;
-        let skip = recovered.len().saturating_sub(cap);
-        for ev in recovered.into_iter().skip(skip) {
-            if inner.ring.len() == cap {
-                inner.ring.pop_front();
-            }
-            inner.ring.push_back(Arc::new(ev));
-        }
+        inner.next_id = inner.next_id.max(last);
         Ok(())
-    }
-
-    /// Whether a journal is attached.
-    pub fn has_journal(&self) -> bool {
-        self.inner.lock().journal.is_some()
     }
 
     /// What the attached journal has written and synced so far.
     pub fn journal_stats(&self) -> Option<jsonl::JournalStats> {
         self.inner.lock().journal.as_ref().map(|j| j.stats())
+    }
+
+    /// A new durability source, with nothing confirmed yet.
+    pub fn source(&self) -> Source {
+        self.inner.lock().new_source()
+    }
+
+    /// Stages `(kind, request_id, payload)` events for `source`: they get
+    /// consecutive ids — the last is returned, [`Bus::last_id`] for none —
+    /// and join the queue, but reach no ring and no subscriber until
+    /// `source` has confirmed them ([`Bus::release`]) and everything staged
+    /// before them has been delivered. O(1) per event, no I/O: callers stage
+    /// inside the critical section that decides the event, so id order is
+    /// the order things happened in.
+    pub fn stage<'a>(
+        &self,
+        source: Source,
+        events: impl IntoIterator<Item = (&'a str, Option<&'a str>, Value)>,
+    ) -> u64 {
+        let time_ms = now_ms();
+        self.inner.lock().stage(source, time_ms, events, |_| {})
+    }
+
+    /// `source` confirms every event it staged with an id up to `through` —
+    /// the record that makes the last of them true is on disk, hence those
+    /// before it — and the longest confirmed prefix of the queue is
+    /// delivered. A watermark, not a flag per event: a publisher that never
+    /// comes back for its own event is covered by the next one that does.
+    pub fn release(&self, source: Source, through: u64) {
+        self.inner.lock().release(source, through, &self.lag);
+    }
+
+    /// Never lets an id at or below `id` be assigned: some other log already
+    /// names it. The container calls this with the highest event id its job
+    /// journal holds.
+    pub fn resume_after(&self, id: u64) {
+        let mut inner = self.inner.lock();
+        inner.next_id = inner.next_id.max(id);
     }
 
     /// Publishes an event, returning its assigned id.
@@ -422,41 +497,30 @@ impl Bus {
     /// consecutive ids and a single journal sync, returning the last id
     /// (or [`Bus::last_id`] for an empty batch).
     ///
-    /// Ids are assigned and journal records written under the bus lock
-    /// (journal order = id order); the sync happens with the lock released,
-    /// so concurrent publishers share one `fsync`. Nothing reaches the ring
-    /// or a subscriber before the sync that covers it, and whoever comes
-    /// back from a sync first delivers everything up to its own last event,
-    /// so delivery is in id order.
+    /// Stage and release with the bus's own journal as the source: records
+    /// are written under the bus lock as the events are staged (journal
+    /// order = id order), the sync happens with the lock released, so
+    /// concurrent publishers share one `fsync`, and whoever comes back from
+    /// a sync first releases everything up to its own last event.
     pub fn publish_batch<'a>(
         &self,
         events: impl IntoIterator<Item = (&'a str, Option<&'a str>, Value)>,
     ) -> u64 {
-        let time_ms = SystemTime::now()
-            .duration_since(SystemTime::UNIX_EPOCH)
-            .map_or(0, |d| d.as_millis() as u64);
+        let time_ms = now_ms();
         let mut inner = self.inner.lock();
-        let journal = inner.journal.clone();
+        let (own, journal, before) = (inner.own, inner.journal.clone(), inner.next_id);
         let mut written = 0;
-        for (kind, request_id, payload) in events {
-            inner.next_id += 1;
-            let ev = Arc::new(Envelope {
-                id: inner.next_id,
-                kind: kind.to_string(),
-                time_ms,
-                request_id: request_id.map(str::to_string),
-                payload,
-            });
+        let last = inner.stage(own, time_ms, events, |ev| {
             if let Some(j) = &journal {
-                match j.write(ev.to_json().to_string()) {
+                match j.write(ev.to_string()) {
                     Ok(pos) => written = pos,
                     Err(e) => self.journal_error(ev.request_id.as_deref(), &e),
                 }
             }
-            inner.count_published(kind);
-            inner.pending.push_back(ev);
+        });
+        if last == before {
+            return last;
         }
-        let last = inner.next_id;
         if let Some(j) = journal.filter(|_| written > 0) {
             drop(inner);
             if let Err(e) = j.sync_to(written) {
@@ -464,7 +528,7 @@ impl Bus {
             }
             inner = self.inner.lock();
         }
-        inner.deliver_through(last, &self.lag);
+        inner.release(own, last, &self.lag);
         last
     }
 
@@ -477,6 +541,14 @@ impl Bus {
         );
     }
 
+    /// Registers someone to ask for events older than the ring, for as long
+    /// as the `Weak` is alive.
+    pub fn attach_history(&self, history: Weak<dyn History>) {
+        let mut inner = self.inner.lock();
+        inner.histories.retain(|h| h.strong_count() > 0);
+        inner.histories.push(history);
+    }
+
     /// Subscribes for live events matching `filter`, with a queue bound of
     /// `capacity` events.
     pub fn subscribe(&self, filter: KindFilter, capacity: usize) -> Subscription {
@@ -486,21 +558,20 @@ impl Bus {
     /// Replays backlog and subscribes in one atomic step.
     ///
     /// With `after_id = Some(n)` the returned backlog holds every retained
-    /// event with id > n that passes the filter — ring first, journal when
-    /// the ring no longer covers the range. No event published between the
-    /// replay and the live attachment can be missed or duplicated: both
-    /// happen under the bus lock.
+    /// event with id > n that passes the filter, in id order: the ring, and
+    /// before it — when the ring no longer reaches back to n — what the
+    /// journal and the attached [`History`]s hold (for `job.*` that is each
+    /// surviving job's latest event, not every one it ever had). No event
+    /// published between the replay and the live attachment can be missed
+    /// or duplicated: ring replay and attachment happen under the bus lock,
+    /// and the older part is read afterwards, bounded by what was already
+    /// delivered then.
     pub fn subscribe_from(
         &self,
         after_id: Option<u64>,
         filter: KindFilter,
         capacity: usize,
     ) -> (Vec<Arc<Envelope>>, Subscription) {
-        let mut inner = self.inner.lock();
-        let backlog = match after_id {
-            Some(n) => inner.replay(n, &filter),
-            None => Vec::new(),
-        };
         let shared = Arc::new(SubShared {
             queue: Mutex::new(VecDeque::new()),
             ready: Condvar::new(),
@@ -509,8 +580,41 @@ impl Bus {
             closed: AtomicBool::new(false),
             lagged: AtomicU64::new(0),
         });
+        let filter = &shared.filter;
+        let mut inner = self.inner.lock();
+        let mut backlog = Vec::new();
+        let mut older = None;
+        if let Some(after) = after_id {
+            // Everything delivered from `end` on is on the ring; what is
+            // still queued reaches the subscriber live.
+            let ring_first = inner.ring.front().map_or(u64::MAX, |ev| ev.id);
+            let queue_first = inner.pending.front().map_or(u64::MAX, |(ev, _)| ev.id);
+            let end = ring_first.min(queue_first).min(inner.next_id + 1);
+            if after + 1 < end {
+                older = Some((after, end, inner.journal.clone(), inner.histories.clone()));
+            }
+            backlog.extend(
+                inner
+                    .ring
+                    .iter()
+                    .filter(|ev| ev.id > after && filter.matches(&ev.kind))
+                    .cloned(),
+            );
+        }
         inner.subs.push(Arc::clone(&shared));
+        drop(inner);
         metrics::global().gauge("mc_events_subscribers", &[]).add(1);
+        if let Some((after, end, journal, histories)) = older {
+            let mut old = journal
+                .and_then(|j| read_journal(j.path()).ok())
+                .unwrap_or_default();
+            for history in histories.iter().filter_map(Weak::upgrade) {
+                old.extend(history.events_between(after, end));
+            }
+            old.retain(|ev| ev.id > after && ev.id < end && filter.matches(&ev.kind));
+            old.sort_by_key(|ev| ev.id);
+            backlog.splice(0..0, old.into_iter().map(Arc::new));
+        }
         (backlog, Subscription { shared })
     }
 
@@ -704,14 +808,116 @@ mod tests {
             request_id: Some("abc".into()),
             payload: json!({"service": "add", "job": "7"}),
         };
-        let back = Envelope::from_json(&ev.to_json()).unwrap();
-        assert_eq!(back, ev);
+        let line = ev.to_string();
+        assert_eq!(
+            line,
+            r#"{"id":42,"kind":"job.done","time_ms":1700000000000,"request_id":"abc","payload":{"service":"add","job":"7"}}"#
+        );
+        let parsed = |line: &str| Envelope::from_json(&mathcloud_json::parse(line).unwrap());
+        assert_eq!(parsed(&line).unwrap(), ev);
         let anon = Envelope {
             request_id: None,
+            kind: "t.\"quoted\"\n".into(),
             ..ev
         };
-        assert_eq!(Envelope::from_json(&anon.to_json()).unwrap(), anon);
+        assert_eq!(parsed(&anon.to_string()).unwrap(), anon);
         assert!(Envelope::from_json(&json!({"kind": "x"})).is_none());
+    }
+
+    #[test]
+    fn staged_events_wait_for_their_source_and_for_their_turn() {
+        let bus = Bus::with_ring(8);
+        let sub = bus.subscribe(KindFilter::all(), 8);
+        let (a, b) = (bus.source(), bus.source());
+        let ids = |sub: &Subscription| -> Vec<u64> {
+            std::iter::from_fn(|| sub.try_recv())
+                .map(|e| e.id)
+                .collect()
+        };
+        assert_eq!(bus.stage(a, [("t.a", None, Value::Null)]), 1);
+        assert_eq!(bus.stage(b, [("t.b", None, Value::Null)]), 2);
+        assert_eq!(bus.stage(a, [("t.a", None, Value::Null)]), 3);
+        assert_eq!(bus.stage(Source::SETTLED, [("t.s", None, Value::Null)]), 4);
+        assert_eq!(bus.last_id(), 4);
+        // Confirmed, but behind an event that is not: order is id order.
+        bus.release(b, 2);
+        assert_eq!(ids(&sub), [] as [u64; 0]);
+        let (backlog, _late) = bus.subscribe_from(Some(0), KindFilter::all(), 8);
+        assert!(backlog.is_empty(), "nor is a staged event replayed");
+        // One release of a source covers everything it staged before: the
+        // publisher of event 1 never came back, the publisher of 3 did.
+        bus.release(a, 3);
+        assert_eq!(ids(&sub), [1, 2, 3, 4]);
+        // A source confirms only its own events, whatever id it names.
+        bus.stage(a, [("t.a", None, Value::Null)]);
+        bus.release(b, u64::MAX);
+        assert_eq!(ids(&sub), [] as [u64; 0]);
+        bus.release(a, 5);
+        assert_eq!(ids(&sub), [5]);
+    }
+
+    #[test]
+    fn publishing_shares_the_queue_with_staged_events() {
+        let bus = Bus::with_ring(8);
+        let sub = bus.subscribe(KindFilter::all(), 8);
+        let journal = bus.source();
+        bus.stage(journal, [("t.staged", None, Value::Null)]);
+        // Published behind a staged event: it has its id, and waits.
+        assert_eq!(bus.publish("t.pub", None, Value::Null), 2);
+        assert_eq!(bus.publish_batch([]), 2, "an empty batch releases nothing");
+        assert!(sub.try_recv().is_none());
+        bus.release(journal, 1);
+        assert_eq!(collect(&sub), vec!["t.staged", "t.pub"]);
+    }
+
+    #[test]
+    fn resume_older_than_the_ring_merges_journal_and_histories_in_id_order() {
+        struct Evens;
+        impl History for Evens {
+            fn events_between(&self, after: u64, before: u64) -> Vec<Envelope> {
+                (1..=20u64)
+                    .rev()
+                    .filter(|id| id % 2 == 0 && *id > after && *id < before)
+                    .map(|id| Envelope {
+                        id,
+                        kind: "h.even".into(),
+                        time_ms: 0,
+                        request_id: None,
+                        payload: Value::Null,
+                    })
+                    .collect()
+            }
+        }
+        let dir = std::env::temp_dir().join(format!(
+            "mc-events-history-{}-{}",
+            std::process::id(),
+            mathcloud_telemetry::next_request_id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let bus = Bus::with_ring(2);
+        bus.attach_journal(&dir.join("journal.jsonl")).unwrap();
+        let evens: Arc<dyn History> = Arc::new(Evens);
+        bus.attach_history(Arc::downgrade(&evens));
+        // Odd ids through the journal, even ones staged for a source that
+        // keeps them in a log of its own.
+        let other = bus.source();
+        for _ in 0..4 {
+            bus.publish("j.odd", None, Value::Null);
+            let id = bus.stage(other, [("h.even", None, Value::Null)]);
+            bus.release(other, id);
+        }
+        let resumed = |after, kinds| -> Vec<u64> {
+            let (backlog, _sub) = bus.subscribe_from(Some(after), KindFilter::parse(kinds), 8);
+            backlog.iter().map(|e| e.id).collect()
+        };
+        assert_eq!(resumed(1, ""), [2, 3, 4, 5, 6, 7, 8], "ring holds 7 and 8");
+        assert_eq!(resumed(3, "h."), [4, 6, 8]);
+        assert_eq!(resumed(6, ""), [7, 8], "the ring alone: nobody is asked");
+        drop(evens);
+        assert_eq!(resumed(1, ""), [3, 5, 7, 8], "a dead history is not asked");
+        bus.attach_history(Weak::<Evens>::new());
+        assert_eq!(bus.inner.lock().histories.len(), 1, "and goes at the next");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -360,6 +360,16 @@ impl Everest {
     ///
     /// [`SubmitRejection::AccessDenied`] or `NoSuchService`.
     pub fn authorize(&self, service: &str, caller: &Caller) -> Result<(), SubmitRejection> {
+        self.admit(service, caller).map(drop)
+    }
+
+    /// The deployed service, if `caller` passes its access policy: the one
+    /// lookup a submission makes.
+    pub(crate) fn admit(
+        &self,
+        service: &str,
+        caller: &Caller,
+    ) -> Result<Arc<ServiceEntry>, SubmitRejection> {
         let entry = self
             .shared
             .find(service)
@@ -369,7 +379,7 @@ impl Everest {
             None => entry.policy.decide(&caller.identity),
         };
         if decision.is_allowed() {
-            Ok(())
+            Ok(entry)
         } else {
             Err(SubmitRejection::AccessDenied(format!(
                 "{} may not access service {service}",

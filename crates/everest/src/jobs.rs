@@ -4,10 +4,24 @@
 //! A job walks `WAITING → RUNNING → DONE | FAILED` (Table 1 of the paper),
 //! may be `CANCELLED` while live, and a terminal record may be `DELETED`.
 //! [`JobTable::transition`] is the only way along those edges: under the one
-//! table lock it checks the edge against [`legal`], writes the journal
-//! record, applies it, ranks terminal records and counts. The [`Pending`] it
-//! returns keeps the transition from everyone until [`Pending::settle`] has
-//! waited for the disk; reads honour the same barrier through [`Snapshot`].
+//! table lock it checks the edge against [`legal`], stages the `job.*` event
+//! on the bus, writes the journal record that carries the event's id, applies
+//! it, ranks terminal records and counts. The [`Pending`] it returns keeps
+//! the transition from everyone until the one sync of the job journal that
+//! covers the record — then the staged event is released; reads honour the
+//! same barrier through [`Snapshot`].
+//!
+//! One rule for every `job.*` event: it is released only once the record that
+//! names its id is on disk. The `RUNNING` record is the one no holder waits
+//! for. When the adapter is quick, the job's terminal record — or another
+//! job's — is synced microseconds later and covers it; when it is not, the
+//! container's confirmer thread ([`JobTable::confirm_unwaited`]) syncs it after
+//! [`CONFIRM_GRACE`], so a long job holds back its `job.running`, and what
+//! other sources staged behind it, for no longer than that.
+//!
+//! Staging is the one place a lock is taken while another is held: table →
+//! bus, for O(1) work and no I/O, so event ids, journal order and in-memory
+//! history agree. Nothing ever takes them the other way round.
 
 use std::collections::{BTreeMap, HashMap};
 use std::io;
@@ -16,6 +30,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use mathcloud_core::{uri, JobId, JobRepresentation, JobState};
+use mathcloud_events::Source;
 use mathcloud_json::value::Object;
 use mathcloud_json::Value;
 use mathcloud_telemetry::sync::{Condvar, Mutex};
@@ -27,6 +42,13 @@ use crate::retention;
 
 /// `(service, job id)`.
 pub(crate) type JobKey = (String, String);
+
+/// How long a record nobody waits for — `RUNNING`, recovery's `meta` line —
+/// may wait for somebody else's sync before the confirmer thread syncs it.
+/// Long next to an instant job, whose terminal record follows within
+/// microseconds even when its handler loses the CPU in between; short next to
+/// a job worth watching.
+const CONFIRM_GRACE: Duration = Duration::from_millis(25);
 
 /// Every legal edge of the job state machine, `None` being "no record".
 const EDGES: [(Option<JobState>, TransitionState); 9] = {
@@ -138,6 +160,11 @@ struct Inner {
     terminal: BTreeMap<u64, JobKey>,
     next_rank: u64,
     stats: ContainerStats,
+    /// `(journal position, last event id it names)` of the latest record
+    /// nobody waits for: what [`JobTable::confirm_unwaited`] sees to disk.
+    unwaited: (u64, u64),
+    /// No `Everest` handle is left: the confirmer thread may go.
+    closed: bool,
 }
 
 impl Inner {
@@ -148,51 +175,64 @@ impl Inner {
     }
 }
 
-/// A transition applied and written, but not yet durable or announced.
+/// A transition applied, written and staged, but not yet durable or
+/// announced. Dropping it is what waits for the disk and releases the event:
+/// however its holder leaves, the bus is never left with an event nobody will
+/// confirm.
 #[must_use = "a transition is neither durable nor announced until settled"]
-pub(crate) struct Pending {
+pub(crate) struct Pending<'t> {
+    table: &'t JobTable,
     key: JobKey,
     to: TransitionState,
     /// Journal position to wait for.
     pos: u64,
+    /// The id of the staged event that wait confirms; 0 when it confirms
+    /// none: a tombstone, or a `RUNNING` record, which is not waited for.
+    ev: u64,
     pub(crate) request_id: Option<String>,
     error: Option<String>,
     /// On the `RUNNING` edge: the job's inputs and cancellation flag.
     pub(crate) run: Option<(Arc<Object>, Arc<AtomicBool>)>,
 }
 
-impl Pending {
-    /// Waits for the record to be on disk, then — in this order — publishes
-    /// the `job.*` event, wakes [`JobTable::wait`]ers (so a subscriber that
-    /// reacts to the event always finds the record in place) and applies the
+impl Drop for Pending<'_> {
+    /// The one sync a transition waits for. It covers every record of this
+    /// journal written before it, so releasing through `ev` also releases
+    /// whatever an earlier, slower holder has not come back for.
+    fn drop(&mut self) {
+        self.table.sync_to(self.pos);
+        if self.ev > 0 {
+            mathcloud_events::global().release(self.table.source, self.ev);
+        }
+    }
+}
+
+impl Pending<'_> {
+    /// Makes the transition durable and announces it ([`Drop`]), then — in
+    /// this order — wakes [`JobTable::wait`]ers (so a subscriber that reacts
+    /// to the event always finds the record in place) and applies the
     /// retention cap. A deletion frees the job's keys and files instead.
-    pub(crate) fn settle(self, shared: &Shared) {
-        let jobs = &shared.jobs;
-        jobs.sync_to(self.pos);
-        let TransitionState::Job(state) = self.to else {
-            return shared.forget(&self.key);
+    pub(crate) fn settle(mut self, shared: &Shared) {
+        let (key, to) = (std::mem::take(&mut self.key), self.to);
+        let (request_id, error) = (self.request_id.take(), self.error.take());
+        drop(self);
+        let TransitionState::Job(state) = to else {
+            return shared.forget(&key);
         };
-        let (service, job) = (self.key.0.as_str(), self.key.1.as_str());
-        let (request_id, error) = (self.request_id.as_deref(), self.error.as_deref());
         let fields = [
-            ("service", service),
-            ("job", job),
-            ("error", error.unwrap_or_default()),
+            ("service", key.0.as_str()),
+            ("job", key.1.as_str()),
+            ("error", error.as_deref().unwrap_or_default()),
         ];
         match state {
             JobState::Waiting | JobState::Cancelled => {
-                trace::info(event_kind(state), request_id, &fields[..2]);
+                trace::info(event_kind(state), request_id.as_deref(), &fields[..2]);
             }
-            JobState::Failed => trace::error("job.failed", request_id, &fields),
+            JobState::Failed => trace::error("job.failed", request_id.as_deref(), &fields),
             JobState::Running | JobState::Done => {}
         }
-        mathcloud_events::global().publish(
-            event_kind(state),
-            request_id,
-            job_event_payload(&jobs.label, service, job, error, false),
-        );
         if state.is_terminal() {
-            jobs.job_done.notify_all();
+            shared.jobs.job_done.notify_all();
             retention::enforce(shared);
         }
     }
@@ -233,6 +273,24 @@ pub(crate) struct JobTable {
     transitions: [Option<Counter>; EDGES.len()],
     wait_seconds: Histogram,
     evicted: Counter,
+    /// Signalled when a record nobody waits for has been written, and when
+    /// the table closes.
+    unconfirmed: Condvar,
+    /// The job journal as the bus sees it: what this table's staged events
+    /// wait for. Its own, so two containers in one process release only
+    /// their own events.
+    source: Source,
+}
+
+impl Drop for JobTable {
+    /// Nobody is left to confirm what this table staged: one last sync of
+    /// its journal, and the bus is rid of it.
+    fn drop(&mut self) {
+        if let Some(store) = self.store.get() {
+            store.sync_to(store.journal_stats().records);
+        }
+        mathcloud_events::global().release(self.source, u64::MAX);
+    }
 }
 
 impl JobTable {
@@ -267,6 +325,8 @@ impl JobTable {
             }),
             wait_seconds: reg.histogram("mc_job_wait_seconds", &[container]),
             evicted: reg.counter("mc_jobs_evicted_total", &[container]),
+            unconfirmed: Condvar::new(),
+            source: mathcloud_events::global().source(),
         }
     }
 
@@ -283,14 +343,14 @@ impl JobTable {
         to: TransitionState,
         detail: TransitionDetail<'_>,
         object: Option<Object>,
-    ) -> Option<Pending> {
+    ) -> Option<Pending<'_>> {
         let key = (service.to_string(), job.to_string());
         self.transition_locked(&mut self.inner.lock(), key, to, detail, object)
     }
 
     /// The `DELETE` verb: cancels a live job, deletes a terminal one's
     /// record. Which of the two is decided under the lock that applies it.
-    pub(crate) fn delete(&self, service: &str, job: &str) -> Option<Pending> {
+    pub(crate) fn delete(&self, service: &str, job: &str) -> Option<Pending<'_>> {
         let key = (service.to_string(), job.to_string());
         let mut inner = self.inner.lock();
         let to = if inner.records.get(&key)?.state.is_terminal() {
@@ -308,16 +368,27 @@ impl JobTable {
         to: TransitionState,
         detail: TransitionDetail<'_>,
         object: Option<Object>,
-    ) -> Option<Pending> {
+    ) -> Option<Pending<'_>> {
         let source = inner.records.get(&key);
         let edge_ix = legal(source.map(|r| r.state), to)?;
         let request_id = source.map_or(detail.request_id, |r| r.request_id.as_deref());
+        // A refused edge has returned by now: every id taken here is staged,
+        // named by the record written below and released once that is on disk.
+        let ev = match to {
+            TransitionState::Job(state) => {
+                let payload = job_event_payload(&self.label, &key.0, &key.1, detail.error, false);
+                let event = [(event_kind(state), request_id, payload)];
+                Some(mathcloud_events::global().stage(self.source, event))
+            }
+            TransitionState::Deleted => None,
+        };
         let carries = |state| {
             object
                 .as_ref()
                 .filter(|_| to == TransitionState::Job(state))
         };
         let detail = TransitionDetail {
+            ev,
             inputs: carries(JobState::Waiting),
             outputs: carries(JobState::Done),
             ..detail
@@ -329,9 +400,11 @@ impl JobTable {
             .get()
             .map_or(0, |store| store.write(&key.0, &key.1, to, detail));
         let mut pending = Pending {
+            table: self,
             key: key.clone(),
             to,
             pos,
+            ev: ev.unwrap_or(0),
             request_id: request_id.map(str::to_string),
             error: detail.error.map(str::to_string),
             run: None,
@@ -365,8 +438,13 @@ impl JobTable {
                     .observe_duration(record.submitted_at.elapsed());
                 pending.run = Some((Arc::clone(&record.inputs), Arc::clone(&record.cancel)));
                 // Written, never waited on: recovery treats WAITING and RUNNING
-                // alike, and these bytes ride on the terminal record's sync.
-                pending.pos = record.journal_pos;
+                // alike, and these bytes ride on the terminal record's sync —
+                // whoever waits for that, or the confirmer, releases the event.
+                if pos > 0 {
+                    (pending.pos, pending.ev) = (record.journal_pos, 0);
+                    inner.unwaited = (pos, ev.unwrap_or(0));
+                    self.unconfirmed.notify_one();
+                }
             }
             JobState::Done => {
                 record.outputs = object;
@@ -384,7 +462,7 @@ impl JobTable {
 
     /// Evicts the oldest-settled terminal records down to the retention cap,
     /// one `DELETED` edge each, in O(evicted). Live jobs are never touched.
-    pub(crate) fn evict_excess(&self) -> Vec<Pending> {
+    pub(crate) fn evict_excess(&self) -> Vec<Pending<'_>> {
         let cap = self.retention.load(Ordering::Relaxed);
         let mut evicted = Vec::new();
         if cap == usize::MAX {
@@ -437,6 +515,54 @@ impl JobTable {
             true
         });
         Ok(recovered)
+    }
+
+    /// Recovery's announcements, as one batch, behind the `meta` line that
+    /// names their ids — no record does. Recovery does not wait for the line
+    /// (on a journal just copied or restored, its sync flushes the whole
+    /// file): the confirmer does, and then the events go out.
+    pub(crate) fn republish<'a>(
+        &self,
+        events: impl IntoIterator<Item = (&'a str, Option<&'a str>, Value)>,
+    ) {
+        let bus = mathcloud_events::global();
+        let mut inner = self.inner.lock();
+        let last = bus.stage(self.source, events);
+        let written = self.store.get().map_or(0, |s| s.write_watermark(last));
+        if written > 0 {
+            inner.unwaited = (written, last);
+            self.unconfirmed.notify_one();
+        } else {
+            drop(inner);
+            bus.release(self.source, last);
+        }
+    }
+
+    /// One round of the confirmer thread: waits for a record nobody waits for
+    /// past position `seen`, gives whoever syncs this journal next
+    /// [`CONFIRM_GRACE`] to cover it, then sees to it itself and releases the
+    /// events it names. Returns the position dealt with; `None` once the
+    /// table has closed with nothing left to see to.
+    pub(crate) fn confirm_unwaited(&self, seen: u64) -> Option<u64> {
+        let mut inner = self.inner.lock();
+        while inner.unwaited.0 == seen {
+            if inner.closed {
+                return None;
+            }
+            self.unconfirmed.wait(&mut inner);
+        }
+        let (pos, ev) = inner.unwaited;
+        drop(inner);
+        std::thread::sleep(CONFIRM_GRACE);
+        self.sync_to(pos);
+        mathcloud_events::global().release(self.source, ev);
+        Some(pos)
+    }
+
+    /// Lets the confirmer thread go once it has nothing left to see to.
+    pub(crate) fn close(&self) {
+        self.inner.lock().closed = true;
+        self.unconfirmed.notify_all();
     }
 
     /// The armed journal, if any.
@@ -530,8 +656,29 @@ mod tests {
         (table, dir)
     }
 
+    /// The `(id, kind, job)` of the next `want` events labelled `tag`. The
+    /// bus is shared with every test of this binary: events of others are
+    /// skipped, and may hold these back for a while.
+    fn events_of(
+        sub: &mathcloud_events::Subscription,
+        tag: &str,
+        want: usize,
+    ) -> Vec<(u64, String, String)> {
+        let mut got = Vec::new();
+        while got.len() < want {
+            let ev = sub
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|| panic!("{} of {want} events for {tag}", got.len()));
+            let field = |name| ev.payload.get(name).and_then(Value::as_str).unwrap();
+            if field("container") == tag {
+                got.push((ev.id, ev.kind.clone(), field("job").to_string()));
+            }
+        }
+        got
+    }
+
     /// Takes `job` along an edge that ends in `to`, whatever it starts from.
-    fn step(table: &JobTable, job: &str, to: TransitionState) -> Option<Pending> {
+    fn step<'t>(table: &'t JobTable, job: &str, to: TransitionState) -> Option<Pending<'t>> {
         let object = |v: Value| v.as_object().cloned();
         let (detail, object) = match to {
             TransitionState::Job(JobState::Waiting) => (
@@ -580,6 +727,8 @@ mod tests {
         use JobState::{Cancelled, Done, Failed, Running, Waiting};
         let (table, dir) = journaled_table("edges");
         let store = Arc::clone(table.store().unwrap());
+        let bus = mathcloud_events::global();
+        let announced = bus.subscribe(mathcloud_events::KindFilter::parse("job."), 1 << 10);
         let froms = std::iter::once(None).chain(STATES.map(Some));
         let tos = STATES
             .map(TransitionState::Job)
@@ -634,6 +783,83 @@ mod tests {
             }
         }
         assert_eq!(accepted, EDGES.len());
+        // No transition above was settled, and yet: every record that is not
+        // a tombstone names an event, every such event has arrived — in id
+        // order — and a refusal took no id.
+        let named: Vec<u64> = mathcloud_events::jsonl::read_values(store.path())
+            .unwrap()
+            .iter()
+            .filter_map(|v| v.get("ev").and_then(Value::as_u64))
+            .collect();
+        assert_eq!(named.len() as u64, store.journal_stats().records - 3);
+        assert_eq!(store.last_ev(), *named.last().unwrap());
+        let arrived = events_of(&announced, "edges", named.len());
+        let ids: Vec<u64> = arrived.iter().map(|(id, _, _)| *id).collect();
+        assert_eq!(ids, named);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_held_transition_holds_back_what_follows_it_until_its_journal_syncs_past_it() {
+        let (a, dir_a) = journaled_table("held-a");
+        let (b, dir_b) = journaled_table("held-b");
+        let bus = mathcloud_events::global();
+        let sub = bus.subscribe(mathcloud_events::KindFilter::parse("job."), 1 << 10);
+        let waiting = TransitionState::Job(JobState::Waiting);
+        let first = step(&a, "j-1", waiting).unwrap();
+        let second = step(&a, "j-2", waiting).unwrap();
+        let other = step(&b, "j-1", waiting).unwrap();
+        // The other journal confirms its own event and no one else's.
+        drop(other);
+        assert_eq!(a.store().unwrap().journal_stats().durable, 0);
+        assert!(std::iter::from_fn(|| sub.try_recv()).all(|ev| {
+            let container = ev.payload.get("container").and_then(Value::as_str);
+            container != Some("held-a") && container != Some("held-b")
+        }));
+        // The later transition's sync covers the earlier record too: its
+        // holder never came back, and nothing waits for it.
+        drop(second);
+        let arrived = events_of(&sub, "held-a", 2);
+        assert_eq!(arrived[0].2, "j-1");
+        assert_eq!(arrived[1].2, "j-2");
+        let theirs = events_of(&sub, "held-b", 1);
+        assert!(theirs[0].0 > arrived[1].0, "each in its turn");
+        drop(first);
+        std::fs::remove_dir_all(&dir_a).ok();
+        std::fs::remove_dir_all(&dir_b).ok();
+    }
+
+    #[test]
+    fn job_running_goes_out_once_a_sync_or_the_confirmer_has_covered_its_record() {
+        let (table, dir) = journaled_table("confirm");
+        let store = Arc::clone(table.store().unwrap());
+        let bus = mathcloud_events::global();
+        let sub = bus.subscribe(mathcloud_events::KindFilter::parse("job."), 1 << 10);
+        // A job whose adapter takes its time: nobody syncs past RUNNING.
+        drive(&table, "j-1", JobState::Running);
+        assert_eq!(events_of(&sub, "confirm", 1)[0].1, "job.submitted");
+        let durable = store.journal_stats().durable;
+        assert_eq!(durable, 1, "RUNNING is written, not synced");
+        assert!(std::iter::from_fn(|| sub.try_recv()).all(|ev| ev
+            .payload
+            .get("container")
+            .and_then(Value::as_str)
+            != Some("confirm")));
+        // The confirmer's round: the record first, then the event.
+        assert_eq!(table.confirm_unwaited(0), Some(2));
+        assert_eq!(store.journal_stats().durable, 2);
+        assert_eq!(events_of(&sub, "confirm", 1)[0].1, "job.running");
+        // A quick job: the terminal record's sync covers RUNNING, and the
+        // confirmer finds nothing left to do.
+        let syncs = store.journal_stats().syncs;
+        drive(&table, "j-2", JobState::Done);
+        let kinds: Vec<String> = events_of(&sub, "confirm", 3)
+            .into_iter()
+            .map(|(_, kind, _)| kind)
+            .collect();
+        assert_eq!(kinds, ["job.submitted", "job.running", "job.done"]);
+        assert_eq!(table.confirm_unwaited(2), Some(4));
+        assert_eq!(store.journal_stats().syncs, syncs + 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -651,7 +877,7 @@ mod tests {
         let evicted: Vec<String> = table
             .evict_excess()
             .into_iter()
-            .map(|tombstone| tombstone.key.1)
+            .map(|tombstone| tombstone.key.1.clone())
             .collect();
         assert_eq!(evicted, ["j-1", "j-2"], "oldest-settled first");
         for (job, kept) in [("j-1", false), ("j-2", false), ("j-3", false)]
@@ -666,7 +892,7 @@ mod tests {
         let evicted: Vec<String> = table
             .evict_excess()
             .into_iter()
-            .map(|tombstone| tombstone.key.1)
+            .map(|tombstone| tombstone.key.1.clone())
             .collect();
         assert_eq!(evicted, ["j-4"]);
         assert!(table.snapshot("svc", "j-6").is_some());

@@ -13,12 +13,18 @@
 //! after leaving it, so concurrent transitions share one `fsync`
 //! ([`jsonl::Appender`]'s group commit). [`JobStore::append`] does both.
 //!
+//! This is also the only durable log of `job.*` events: a record carries the
+//! bus id of the event it causes (`"ev"`), so the sync that makes the record
+//! durable is the one the event waits for, ids never go backwards over a
+//! restart ([`JobStore::last_ev`]), and a `Last-Event-ID` older than the
+//! bus's ring is answered from the fold.
+//!
 //! The store folds records as they are appended, so it always holds the
 //! journal's net state: one [`RecoveredJob`] per live or terminal job, with
 //! tombstoned jobs removed. **Compaction** rewrites the journal from that
 //! fold once enough records have accumulated — the rewritten file holds a
-//! `meta` line (sequence and job-id watermarks, so ids stay monotonic even
-//! when every record referencing them is gone) plus one consolidated record
+//! `meta` line (sequence, job-id and event-id watermarks, so ids stay
+//! monotonic even when every record naming them is gone) plus one consolidated record
 //! per surviving job, ordered by original sequence number.
 //!
 //! On container start, [`crate::Everest::attach_job_journal`] replays the
@@ -32,12 +38,11 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
-use std::time::SystemTime;
 
 use mathcloud_core::JobState;
-use mathcloud_events::jsonl;
+use mathcloud_events::{jsonl, now_ms};
 use mathcloud_json::value::Object;
-use mathcloud_json::Value;
+use mathcloud_json::{ser, Value};
 use mathcloud_telemetry::sync::Mutex;
 use mathcloud_telemetry::{metrics, trace, Counter, Gauge};
 
@@ -76,19 +81,21 @@ impl TransitionState {
 /// record, mirroring the events-journal torn-tail rule.
 fn parse_record(v: &Value) -> Option<(u64, &str, &str, TransitionState, TransitionDetail<'_>)> {
     let text = |key: &str| v.get(key).and_then(Value::as_str);
+    let number = |key: &str| v.get(key).and_then(Value::as_u64);
     Some((
-        v.get("seq").and_then(Value::as_u64)?,
+        number("seq")?,
         text("service")?,
         text("job")?,
         TransitionState::parse(text("state")?)?,
         TransitionDetail {
+            ev: number("ev"),
             idem_key: text("idem_key"),
             memo_key: text("memo_key"),
             request_id: text("request_id"),
             inputs: v.get("inputs").and_then(Value::as_object),
             outputs: v.get("outputs").and_then(Value::as_object),
             error: text("error"),
-            runtime_ms: v.get("runtime_ms").and_then(Value::as_u64),
+            runtime_ms: number("runtime_ms"),
         },
     ))
 }
@@ -119,11 +126,17 @@ pub struct RecoveredJob {
     pub runtime_ms: Option<u64>,
     /// The last record's sequence number (orders consolidated rewrites).
     seq: u64,
+    /// The bus id of the event the last record caused (0: it names none),
+    /// and when that was.
+    ev: u64,
+    time_ms: u64,
 }
 
 struct StoreInner {
     /// Last assigned sequence number.
     seq: u64,
+    /// Highest event id any record or `meta` line has named.
+    ev: u64,
     /// Records appended since the last compaction (or open).
     appended: usize,
     /// The folded journal: net state per (service, job).
@@ -141,8 +154,10 @@ impl StoreInner {
         job: &str,
         state: TransitionState,
         d: &TransitionDetail<'_>,
+        time_ms: u64,
     ) {
         self.seq = self.seq.max(seq);
+        self.ev = self.ev.max(d.ev.unwrap_or(0));
         if let Some(n) = job_number(job) {
             self.max_job = self.max_job.max(n);
         }
@@ -164,9 +179,12 @@ impl StoreInner {
                     error: None,
                     runtime_ms: None,
                     seq,
+                    ev: 0,
+                    time_ms,
                 });
                 entry.state = state;
                 entry.seq = seq;
+                (entry.ev, entry.time_ms) = (d.ev.unwrap_or(0), time_ms);
                 if let Some(k) = d.idem_key {
                     entry.idem_key = Some(k.to_string());
                 }
@@ -193,23 +211,16 @@ impl StoreInner {
     }
 }
 
-fn now_ms() -> u64 {
-    SystemTime::now()
-        .duration_since(SystemTime::UNIX_EPOCH)
-        .map_or(0, |d| d.as_millis() as u64)
-}
-
 /// The numeric suffix of a `j-<n>` job id.
 fn job_number(job: &str) -> Option<u64> {
     job.strip_prefix("j-").and_then(|n| n.parse().ok())
 }
 
-fn meta_line(seq: u64, max_job: u64) -> Value {
-    let mut o = Object::new();
-    o.insert("meta".into(), Value::from(true));
-    o.insert("seq".into(), Value::from(seq as i64));
-    o.insert("max_job".into(), Value::from(max_job as i64));
-    Value::Object(o)
+fn meta_line(inner: &StoreInner) -> String {
+    format!(
+        "{{\"meta\":true,\"seq\":{},\"max_job\":{},\"ev\":{}}}",
+        inner.seq, inner.max_job, inner.ev
+    )
 }
 
 /// One journal record as its single-line JSON form, serialized by reference:
@@ -222,34 +233,30 @@ fn record_line(
     d: &TransitionDetail<'_>,
     time_ms: u64,
 ) -> String {
-    let text = |s: &str| Value::from(s);
-    let mut out = String::new();
     // Writing to a `String` cannot fail.
-    let _ = write!(
-        out,
-        "{{\"seq\":{seq},\"service\":{},\"job\":{},\"state\":\"{}\"",
-        text(service),
-        text(job),
-        state.as_str()
-    );
-    for (key, value) in [
-        ("idem_key", d.idem_key),
-        ("memo_key", d.memo_key),
-        ("request_id", d.request_id),
-    ] {
+    let text = |out: &mut String, key: &str, value: Option<&str>| {
         if let Some(v) = value {
-            let _ = write!(out, ",\"{key}\":{}", text(v));
+            let _ = write!(out, ",\"{key}\":");
+            let _ = ser::write_escaped(out, v);
         }
+    };
+    let mut out = format!("{{\"seq\":{seq}");
+    text(&mut out, "service", Some(service));
+    text(&mut out, "job", Some(job));
+    let _ = write!(out, ",\"state\":\"{}\"", state.as_str());
+    if let Some(ev) = d.ev {
+        let _ = write!(out, ",\"ev\":{ev}");
     }
+    text(&mut out, "idem_key", d.idem_key);
+    text(&mut out, "memo_key", d.memo_key);
+    text(&mut out, "request_id", d.request_id);
     if let Some(i) = d.inputs {
         let _ = write!(out, ",\"inputs\":{i}");
     }
     if let Some(o) = d.outputs {
         let _ = write!(out, ",\"outputs\":{o}");
     }
-    if let Some(e) = d.error {
-        let _ = write!(out, ",\"error\":{}", text(e));
-    }
+    text(&mut out, "error", d.error);
     if let Some(ms) = d.runtime_ms {
         let _ = write!(out, ",\"runtime_ms\":{ms}");
     }
@@ -286,9 +293,11 @@ impl JobStore {
     /// Opens (or creates) the journal at `path` and replays it.
     ///
     /// Torn or corrupt lines are skipped per the events-journal rule; the
-    /// sequence counter and `j-<n>` watermark resume past everything
-    /// recovered (including the `meta` line a compaction wrote), so a
-    /// restart never reuses a sequence number or a job id.
+    /// sequence counter and the `j-<n>` and event-id watermarks resume past
+    /// everything recovered (including the `meta` lines a compaction or a
+    /// recovery wrote), so a restart never reuses a sequence number, a job
+    /// id or an event id. Records without `ev` — every record written before
+    /// the job journal carried event ids — open like any other.
     ///
     /// Compaction rewrites the journal after every `compact_every` appended
     /// records (clamped to at least 1).
@@ -300,22 +309,22 @@ impl JobStore {
         describe_metrics();
         let mut inner = StoreInner {
             seq: 0,
+            ev: 0,
             appended: 0,
             folded: HashMap::new(),
             max_job: 0,
         };
         for v in jsonl::read_values(path)? {
             if v.get("meta").and_then(Value::as_bool) == Some(true) {
-                if let Some(seq) = v.get("seq").and_then(Value::as_u64) {
-                    inner.seq = inner.seq.max(seq);
-                }
-                if let Some(n) = v.get("max_job").and_then(Value::as_u64) {
-                    inner.max_job = inner.max_job.max(n);
-                }
+                let mark = |key: &str| v.get(key).and_then(Value::as_u64).unwrap_or(0);
+                inner.seq = inner.seq.max(mark("seq"));
+                inner.max_job = inner.max_job.max(mark("max_job"));
+                inner.ev = inner.ev.max(mark("ev"));
                 continue;
             }
             if let Some((seq, service, job, state, detail)) = parse_record(&v) {
-                inner.fold(seq, service, job, state, &detail);
+                let time_ms = v.get("time_ms").and_then(Value::as_u64).unwrap_or(0);
+                inner.fold(seq, service, job, state, &detail, time_ms);
             }
         }
         let reg = metrics::global();
@@ -357,6 +366,40 @@ impl JobStore {
     /// The last assigned sequence number.
     pub fn last_seq(&self) -> u64 {
         self.inner.lock().seq
+    }
+
+    /// The highest event id the journal has ever named: the bus must resume
+    /// above it.
+    pub fn last_ev(&self) -> u64 {
+        self.inner.lock().ev
+    }
+
+    /// Writes a `meta` line saying event ids up to `ev` are taken, though no
+    /// record names them (recovery's replayed events), and returns its log
+    /// position, 0 if it could not be written.
+    pub(crate) fn write_watermark(&self, ev: u64) -> u64 {
+        let mut inner = self.inner.lock();
+        inner.ev = inner.ev.max(ev);
+        self.journal.write(meta_line(&inner)).unwrap_or_else(|e| {
+            journal_error("append", &e);
+            0
+        })
+    }
+
+    /// Calls `each(id, time_ms, job)` for every surviving job whose latest
+    /// transition was announced by an event with `after < id < before`.
+    pub(crate) fn announced_between(
+        &self,
+        after: u64,
+        before: u64,
+        mut each: impl FnMut(u64, u64, &RecoveredJob),
+    ) {
+        let inner = self.inner.lock();
+        for j in inner.folded.values() {
+            if j.ev > after && j.ev < before {
+                each(j.ev, j.time_ms, j);
+            }
+        }
     }
 
     /// What the journal file has written and synced so far.
@@ -418,8 +461,8 @@ impl JobStore {
         detail: TransitionDetail<'_>,
     ) -> (u64, u64) {
         let mut inner = self.inner.lock();
-        let seq = inner.seq + 1;
-        let line = record_line(seq, service, job, state, &detail, now_ms());
+        let (seq, time_ms) = (inner.seq + 1, now_ms());
+        let line = record_line(seq, service, job, state, &detail, time_ms);
         let pos = match self.journal.write(line) {
             Ok(pos) => {
                 self.appends.inc();
@@ -430,7 +473,7 @@ impl JobStore {
                 0
             }
         };
-        inner.fold(seq, service, job, state, &detail);
+        inner.fold(seq, service, job, state, &detail, time_ms);
         inner.appended += 1;
         if inner.appended >= self.compact_every {
             self.compact_locked(&mut inner);
@@ -453,11 +496,11 @@ impl JobStore {
     fn compact_locked(&self, inner: &mut StoreInner) {
         let mut jobs: Vec<&RecoveredJob> = inner.folded.values().collect();
         jobs.sort_by_key(|j| j.seq);
-        let time_ms = now_ms();
         let rewritten = self.journal.rewrite(|out| {
-            writeln!(out, "{}", meta_line(inner.seq, inner.max_job))?;
+            writeln!(out, "{}", meta_line(inner))?;
             for j in &jobs {
                 let detail = TransitionDetail {
+                    ev: (j.ev > 0).then_some(j.ev),
                     idem_key: j.idem_key.as_deref(),
                     memo_key: j.memo_key.as_deref(),
                     request_id: j.request_id.as_deref(),
@@ -467,7 +510,7 @@ impl JobStore {
                     runtime_ms: j.runtime_ms,
                 };
                 let state = TransitionState::Job(j.state);
-                let line = record_line(j.seq, &j.service, &j.job, state, &detail, time_ms);
+                let line = record_line(j.seq, &j.service, &j.job, state, &detail, j.time_ms);
                 writeln!(out, "{line}")?;
             }
             Ok(())
@@ -488,6 +531,8 @@ impl JobStore {
 /// not clone inputs and outputs just to journal them).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TransitionDetail<'a> {
+    /// The bus id of the `job.*` event announcing the transition.
+    pub ev: Option<u64>,
     /// The submission's `Idempotency-Key`.
     pub idem_key: Option<&'a str>,
     /// The submission's canonical memo key (see [`crate::memo`]).
@@ -572,6 +617,7 @@ mod tests {
     fn records_round_trip_through_json() {
         let (ins, outs) = (inputs(), json!({"total": 3}).as_object().unwrap().clone());
         let done = TransitionDetail {
+            ev: Some(77),
             idem_key: Some("k1"),
             memo_key: Some("ab12"),
             request_id: Some("rid"),
@@ -702,6 +748,58 @@ mod tests {
     }
 
     #[test]
+    fn event_ids_are_folded_and_their_high_water_mark_outlives_every_record() {
+        let path = tmp_path("ev");
+        let store = JobStore::open(&path, usize::MAX).unwrap();
+        let announce = |job: &str, state, ev| {
+            let detail = TransitionDetail {
+                ev,
+                ..Default::default()
+            };
+            store.append("sum", job, TransitionState::Job(state), detail);
+        };
+        announce("j-1", JobState::Waiting, Some(5));
+        announce("j-1", JobState::Running, Some(6));
+        announce("j-1", JobState::Done, Some(9));
+        announce("j-2", JobState::Waiting, Some(7));
+        announce("j-3", JobState::Waiting, None);
+        let announced = |store: &JobStore, after, before| {
+            let mut seen = Vec::new();
+            store.announced_between(after, before, |ev, time_ms, j| {
+                assert!(time_ms > 0);
+                seen.push((ev, j.job.clone(), j.state));
+            });
+            seen.sort_by_key(|(ev, _, _)| *ev);
+            seen
+        };
+        let both = vec![
+            (7, "j-2".to_string(), JobState::Waiting),
+            (9, "j-1".to_string(), JobState::Done),
+        ];
+        assert_eq!(
+            announced(&store, 0, u64::MAX),
+            both,
+            "the latest event of each"
+        );
+        assert_eq!(announced(&store, 7, u64::MAX), both[1..]);
+        assert_eq!(announced(&store, 0, 9), both[..1]);
+        assert_eq!(store.last_ev(), 9);
+        // Ids no record names: a `meta` line speaks for them.
+        store.write_watermark(20);
+        assert_eq!(store.last_ev(), 20);
+        store.append("sum", "j-1", TransitionState::Deleted, Default::default());
+        for reopen_after_compaction in [false, true] {
+            if reopen_after_compaction {
+                store.compact();
+            }
+            let reopened = JobStore::open(&path, usize::MAX).unwrap();
+            assert_eq!(reopened.last_ev(), 20);
+            assert_eq!(announced(&reopened, 0, u64::MAX), both[..1]);
+        }
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
     fn compaction_shrinks_the_file_and_preserves_the_fold() {
         let path = tmp_path("compact");
         let store = JobStore::open(&path, usize::MAX).unwrap();
@@ -812,6 +910,7 @@ mod tests {
             "j-4",
             TransitionState::Job(JobState::Done),
             &TransitionDetail {
+                ev: None,
                 idem_key: Some("k\\1"),
                 memo_key: Some("ab12"),
                 request_id: Some("rid"),
@@ -873,18 +972,25 @@ mod tests {
             .unwrap()
             .clone();
         let waiting = TransitionDetail {
+            ev: Some(121),
             idem_key: Some("idem \"k\"\\1"),
             memo_key: Some("83643635b7a6f72774f7c5d0611d96efa408f1a13d39f88aab0c667fe09c56a1"),
             request_id: Some("rid-64k"),
             inputs: Some(&ins),
             ..Default::default()
         };
+        let running = TransitionDetail {
+            ev: Some(122),
+            ..Default::default()
+        };
         let done = TransitionDetail {
+            ev: Some(123),
             outputs: Some(&outs),
             runtime_ms: Some(3),
             ..Default::default()
         };
         let failed = TransitionDetail {
+            ev: Some(9_007_199_254_740_993),
             error: Some("adapter said: \"no\"\n\u{7}"),
             runtime_ms: Some(0),
             ..Default::default()
@@ -904,7 +1010,7 @@ mod tests {
                 "reverse",
                 "j-7",
                 TransitionState::Job(JobState::Running),
-                &TransitionDetail::default(),
+                &running,
                 t + 1,
             ),
             record_line(
@@ -929,10 +1035,12 @@ mod tests {
     }
 
     #[test]
-    fn payload_records_match_the_lines_pr13_wrote_byte_for_byte() {
-        // The fixture was written by this very function on the parent of the
-        // PR that made the JSON writer generic and its escaper copy runs;
-        // journals outlive upgrades, so the bytes may not move.
+    fn payload_records_match_the_fixture_byte_for_byte() {
+        // Journals outlive upgrades, so the bytes may not move. The fixture
+        // was written by this very function on the parent of the PR that made
+        // the JSON writer generic and its escaper copy runs, and regenerated
+        // once, on purpose, when records began to carry `ev`: with the four
+        // `,"ev":N` removed it is the older file, byte for byte.
         let fixture = include_str!("../tests/fixtures/record_lines_64k.jsonl");
         let lines = payload_record_lines();
         assert_eq!(lines.len(), fixture.len());
@@ -945,6 +1053,10 @@ mod tests {
         assert_eq!((seq, service, job), (41, "reverse", "j-7"));
         assert_eq!(state, TransitionState::Job(JobState::Waiting));
         assert_eq!(detail.idem_key, Some("idem \"k\"\\1"));
+        assert_eq!(detail.ev, Some(121));
+        let failed = mathcloud_json::parse(fixture.lines().last().unwrap()).unwrap();
+        let last_ev = parse_record(&failed).unwrap().4.ev;
+        assert_eq!(last_ev, Some(9_007_199_254_740_993), "past 2^53, exactly");
         let data = detail
             .inputs
             .unwrap()

@@ -3,15 +3,17 @@
 use std::io;
 use std::path::Path;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use mathcloud_core::JobState;
+use mathcloud_events::{Envelope, History};
 use mathcloud_telemetry::{metrics, trace};
 
-use crate::container::Everest;
+use crate::container::{Everest, Shared};
 use crate::jobs::{event_kind, job_event_payload};
 use crate::jobstore::{JobStore, DEFAULT_COMPACT_EVERY};
 use crate::retention;
+use crate::run::spawn_confirmer;
 
 /// What [`Everest::attach_job_journal`] recovered from the journal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -51,9 +53,13 @@ impl Everest {
     ///   immediately, without re-execution;
     /// * interrupted (WAITING/RUNNING) jobs are re-queued through the
     ///   handler pool and run again from their journaled inputs;
-    /// * every recovered transition republishes its `job.*` event with a
+    /// * the event bus resumes its ids above every `job.*` event the journal
+    ///   names, and asks this container for those the ring no longer has;
+    /// * every recovered job republishes its latest `job.*` event with a
     ///   `"replayed": true` payload flag, so push-mode waiters resume (one
-    ///   batch, one events-journal sync, however many jobs).
+    ///   batch and one `meta` line in this journal, however many jobs; they
+    ///   go out once that line is on disk, which this call does not wait
+    ///   for).
     ///
     /// Call this after deploying services but before serving traffic:
     /// re-queued jobs whose service is not yet deployed fail with
@@ -83,7 +89,12 @@ impl Everest {
             .next_job
             .fetch_max(store.max_job_number() + 1, Ordering::Relaxed);
         let recovered = store.recovered();
+        let bus = mathcloud_events::global();
+        bus.resume_after(store.last_ev());
         let admitted = shared.jobs.recover(store, recovered)?;
+        spawn_confirmer(Arc::clone(shared));
+        let history: Weak<Shared> = Arc::downgrade(shared);
+        bus.attach_history(history);
         let mut report = RecoveryReport::default();
         for r in &admitted {
             if let Some(k) = &r.idem_key {
@@ -107,13 +118,15 @@ impl Everest {
         }
         report.replayed = admitted.iter().filter(|r| r.state.is_terminal()).count();
         report.requeued = admitted.len() - report.replayed;
-        mathcloud_events::global().publish_batch(admitted.iter().map(|r| {
-            (
-                event_kind(r.state),
-                r.request_id.as_deref(),
-                job_event_payload(&shared.label, &r.service, &r.job, r.error.as_deref(), true),
-            )
-        }));
+        if !admitted.is_empty() {
+            shared.jobs.republish(admitted.iter().map(|r| {
+                (
+                    event_kind(r.state),
+                    r.request_id.as_deref(),
+                    job_event_payload(&shared.label, &r.service, &r.job, r.error.as_deref(), true),
+                )
+            }));
+        }
         for r in admitted.into_iter().filter(|r| !r.state.is_terminal()) {
             self.queue.0.push((r.service, r.job));
         }
@@ -142,6 +155,30 @@ impl Everest {
     /// The durable job store, when one is armed.
     pub fn job_store(&self) -> Option<Arc<JobStore>> {
         self.shared.jobs.store().cloned()
+    }
+}
+
+/// What the job journal still knows of `job.*` events the bus's ring has let
+/// go of: for each surviving job, the event that announced its latest
+/// transition, under its original id. Earlier events of the same job are
+/// gone with the records compaction folded away — the latest state is what a
+/// resuming waiter needs.
+impl History for Shared {
+    fn events_between(&self, after: u64, before: u64) -> Vec<Envelope> {
+        let mut events = Vec::new();
+        if let Some(store) = self.jobs.store() {
+            store.announced_between(after, before, |id, time_ms, r| {
+                let error = r.error.as_deref();
+                events.push(Envelope {
+                    id,
+                    kind: event_kind(r.state).to_string(),
+                    time_ms,
+                    request_id: r.request_id.clone(),
+                    payload: job_event_payload(&self.label, &r.service, &r.job, error, false),
+                });
+            });
+        }
+        events
     }
 }
 

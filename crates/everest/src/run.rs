@@ -76,13 +76,15 @@ impl JobQueue {
 }
 
 /// The handle every `Everest` clone shares. Dropping the last one closes the
-/// queue, so the handler threads (who hold the queue itself) wake up and exit.
-pub(crate) struct JobSender(pub(crate) Arc<JobQueue>);
+/// queue, so the handler threads (who hold the queue itself) wake up and exit,
+/// and the job table, so its confirmer thread does.
+pub(crate) struct JobSender(pub(crate) Arc<JobQueue>, Arc<Shared>);
 
 impl Drop for JobSender {
     fn drop(&mut self) {
         self.0.state.lock().closed = true;
         self.0.ready.notify_all();
+        self.1.jobs.close();
     }
 }
 
@@ -116,7 +118,7 @@ impl JobSender {
         for _ in 0..handlers {
             spawn_worker(Arc::clone(shared), Arc::clone(&queue));
         }
-        Arc::new(JobSender(queue))
+        Arc::new(JobSender(queue, Arc::clone(shared)))
     }
 }
 
@@ -206,6 +208,19 @@ fn spawn_worker(shared: Arc<Shared>, queue: Arc<JobQueue>) {
             queue.busy_workers.add(1);
             run_job(&shared, &service, &job);
             queue.busy_workers.sub(1);
+        }
+    });
+}
+
+/// Spawns the thread that sees to disk the records nobody waits for — a
+/// `RUNNING` record while its job runs, recovery's `meta` line
+/// ([`crate::jobs::JobTable::confirm_unwaited`]); like the handlers, it lives
+/// until every `Everest` clone is gone.
+pub(crate) fn spawn_confirmer(shared: Arc<Shared>) {
+    std::thread::spawn(move || {
+        let mut seen = 0;
+        while let Some(pos) = shared.jobs.confirm_unwaited(seen) {
+            seen = pos;
         }
     });
 }

@@ -73,11 +73,7 @@ impl Everest {
         idem_key: Option<&str>,
     ) -> Result<SubmitOutcome, SubmitRejection> {
         let anonymous = Caller::anonymous();
-        self.authorize(service, caller.unwrap_or(&anonymous))?;
-        let entry = self
-            .shared
-            .find(service)
-            .ok_or_else(|| SubmitRejection::NoSuchService(service.to_string()))?;
+        let entry = self.admit(service, caller.unwrap_or(&anonymous))?;
         let inputs = entry
             .description
             .validate_inputs(body)

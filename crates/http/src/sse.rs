@@ -2,9 +2,10 @@
 //!
 //! The server side turns the process-wide [`mathcloud_events::Bus`] into a
 //! `GET /events` endpoint: a [`Response::streaming`] body that replays
-//! backlog after the client's `Last-Event-ID` (ring first, journal when the
-//! ring has moved on), then relays live events, with comment heartbeats so
-//! dead clients are detected and worker threads reclaimed. The client side
+//! backlog after the client's `Last-Event-ID` (the ring, and behind it what
+//! the journals hold once the ring has moved on), then relays live events,
+//! with comment heartbeats so dead clients are detected and worker threads
+//! reclaimed. The client side
 //! is a minimal incremental `text/event-stream` reader used by
 //! `JobHandle::wait` and the workflow engine's `HttpCaller` to subscribe
 //! instead of polling.
@@ -35,13 +36,7 @@ const CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Writes one envelope in SSE framing and flushes.
 fn write_event(w: &mut dyn Write, ev: &Envelope) -> io::Result<()> {
-    write!(
-        w,
-        "id: {}\nevent: {}\ndata: {}\n\n",
-        ev.id,
-        ev.kind,
-        ev.to_json()
-    )?;
+    write!(w, "id: {}\nevent: {}\ndata: {ev}\n\n", ev.id, ev.kind)?;
     w.flush()
 }
 

@@ -57,13 +57,18 @@ timeout 120 cargo test -q --offline --release \
 # or reordered, syncs shared), the bus delivering in id order only after the
 # covering sync, and — in a test binary of its own, so the process-wide
 # `mc_journal_*` histograms count nothing else — recovery republishing with
-# one events-journal sync and compaction with two. A follower that is never
-# woken, or a leader flag left set, hangs a handler for good: hard timeout.
+# no events-journal sync and compaction with two. Then `one_log`: a job waits
+# for the job journal alone, its three events arrive in id order and never
+# ahead of their record, ids resume past a compaction, a pre-ring resume is
+# answered from the job journal. A follower that is never woken, or a leader
+# flag left set, hangs a handler for good: hard timeout.
 echo "==> journal group-commit battery (release, 120s budget)"
 timeout 120 cargo test -q --offline --release \
   -p mathcloud-events --test group_commit
 timeout 120 cargo test -q --offline --release \
   -p mathcloud-integration-tests --test group_commit
+timeout 120 cargo test -q --offline --release \
+  -p mathcloud-integration-tests --test one_log
 
 # The memo-key canonicalization battery drives 1200 xorshift-generated
 # inputs through every equivalent rewrite (key order, number spellings,
@@ -278,12 +283,13 @@ EOF
 # surface it calls and keep getting right answers: its own unit tests, then
 # all five workloads at smoke size. Every workload prints one JSON result
 # line; a wrong answer shows there as `"correct": false` (and in the exit
-# status), a hang trips the timeout.
+# status), a hang trips the timeout. `jobpath_smoke.py` runs the smoke and
+# watches it from outside: it fails when a node's scratch `events.jsonl` is
+# not empty or `/metrics` shows a sync of the events journal.
 echo "==> jobpath benchmark: unit tests + five-workload smoke (release, 300s budget)"
 timeout 300 cargo test -q --offline --manifest-path bench/jobpath/Cargo.toml
-jobpath_smoke=$(timeout 300 cargo run --release --offline --quiet \
-  --manifest-path bench/jobpath/Cargo.toml -- --smoke)
-grep '^{' <<<"$jobpath_smoke" | cut -c1-100
+jobpath_smoke=$(timeout 300 "$repo/scripts/jobpath_smoke.py")
+grep -E '^(\{|one log)' <<<"$jobpath_smoke" | cut -c1-160
 if grep -q '"correct": false' <<<"$jobpath_smoke"; then
   echo "jobpath --smoke: a workload answered wrongly" >&2
   exit 1

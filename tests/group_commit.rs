@@ -92,7 +92,7 @@ fn write_done_jobs(path: &std::path::Path, jobs: u64) -> JobStore {
 }
 
 #[test]
-fn recovery_republishes_every_job_with_one_events_journal_sync() {
+fn recovery_republishes_every_job_without_touching_the_events_journal() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     const JOBS: u64 = 400;
     let dir = tmp_dir("recovery");
@@ -103,22 +103,30 @@ fn recovery_republishes_every_job_with_one_events_journal_sync() {
     bus.attach_journal(&dir.join("events.jsonl")).unwrap();
     let replayed = bus.subscribe(KindFilter::parse("job."), 2 * JOBS as usize);
     let e = add_container("gc-recovery");
-    let (syncs_before, records_before) = counts("events");
+    let (events_before, jobs_before) = (counts("events"), counts("jobs"));
     let first_id = bus.last_id() + 1;
     let report = e.attach_job_journal(&journal).unwrap();
-    let (syncs, records) = counts("events");
     assert_eq!(report.replayed as u64, JOBS);
-    assert_eq!(records - records_before, JOBS as f64, "one event per job");
     assert_eq!(
-        syncs - syncs_before,
-        1,
-        "the whole replay is one batch with one sync, not one per job"
+        counts("events"),
+        events_before,
+        "no events-journal record and no events-journal sync"
     );
-    // The batch is still {JOBS} ordinary events to a subscriber.
+    assert_eq!(bus.journal_stats().unwrap().records, 0);
+    let store = e.job_store().unwrap();
+    assert_eq!(
+        store.journal_stats().records,
+        1,
+        "one line, so the replayed ids are not handed out again"
+    );
+    assert_eq!(store.last_ev(), first_id + JOBS - 1);
+    // The batch is still {JOBS} ordinary events to a subscriber — once the
+    // line naming their ids is on disk, which recovery did not wait for.
     for k in 0..JOBS {
         let ev = replayed
             .recv_timeout(Duration::from_secs(5))
             .expect("replayed event");
+        assert_eq!(store.journal_stats().durable, 1, "event {k}");
         assert_eq!(ev.id, first_id + k);
         assert_eq!(ev.kind, "job.done");
         assert_eq!(ev.request_id.as_deref(), Some("rid-recovered"));
@@ -131,6 +139,11 @@ fn recovery_republishes_every_job_with_one_events_journal_sync() {
             Some(format!("j-{}", k + 1).as_str())
         );
     }
+    assert_eq!(
+        counts("jobs").0 - jobs_before.0,
+        1,
+        "one sync of the job journal for the whole replay, not one per job"
+    );
     assert_eq!(
         e.representation("add", "j-7")
             .unwrap()
@@ -220,8 +233,10 @@ fn live_jobs_write_three_records_and_wait_for_at_most_two_syncs() {
 
 /// A job journal exactly as the per-record-fsync code wrote it (a
 /// compaction, then one more job) and three lines of the events journal that
-/// went with it: group commit changed when bytes are synced, not what they
-/// are, so the pair must open, replay the same report and take appends.
+/// went with it — records without `ev`, `job.*` lines in the events journal:
+/// neither group commit nor moving `job.*` events onto the job journal changed
+/// what old bytes mean, so the pair must open, replay the same report and
+/// take appends.
 #[test]
 fn journals_from_before_group_commit_open_replay_and_accept_appends() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
@@ -302,16 +317,30 @@ fn journals_from_before_group_commit_open_replay_and_accept_appends() {
     let reopened = JobStore::open(&jobs, usize::MAX).unwrap();
     assert_eq!(reopened.recovered().len(), 4);
     assert_eq!(reopened.last_seq(), 16);
-    let all_events = mathcloud_events::read_journal(&events).unwrap();
     assert_eq!(
-        all_events[..3],
-        old_events[..],
-        "old events read back the same"
+        mathcloud_events::read_journal(&events).unwrap(),
+        old_events,
+        "old events read back the same, and no job.* event joined them"
     );
-    assert!(
-        all_events.len() >= 3 + 3 + 3,
-        "replayed and live events follow"
-    );
-    assert!(all_events.windows(2).all(|w| w[0].id < w[1].id));
+    // What was appended carries the ids of the events it caused, all past
+    // the old events journal's: the watermark of the three replayed events,
+    // then j-5's three records.
+    let appended = text[JOBS.len()..]
+        .lines()
+        .map(|line| mathcloud_json::parse(line).unwrap())
+        .collect::<Vec<Value>>();
+    let evs: Vec<u64> = appended
+        .iter()
+        .map(|v| {
+            v.get("ev")
+                .and_then(Value::as_u64)
+                .expect("every new line has ev")
+        })
+        .collect();
+    assert_eq!(evs.len(), 4);
+    assert_eq!(appended[0].get("meta"), Some(&json!(true)));
+    assert!(evs[0] >= 12 + 3, "{evs:?}");
+    assert!(evs.windows(2).all(|w| w[0] < w[1]), "{evs:?}");
+    assert_eq!(reopened.last_ev(), evs[3]);
     std::fs::remove_dir_all(&dir).ok();
 }

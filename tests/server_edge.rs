@@ -88,6 +88,12 @@ fn sse_subscribers_do_not_starve_the_pool() {
     .unwrap();
 
     let holders = SseHolders::start(&server.base_url(), workers + 4).expect("subscribe all");
+    // A subscription has its headers before its stream has been handed to a
+    // streamer thread: give the last hand-offs time to land.
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while server.live_streamers() < workers + 4 && std::time::Instant::now() < deadline {
+        std::thread::yield_now();
+    }
     assert!(
         server.live_streamers() >= workers + 4,
         "streams should occupy streamer threads, not pool workers"
