@@ -6,13 +6,12 @@
 //! `GET /events` streams are held open. The point of the pairing: before
 //! the streamer set existed, each subscriber pinned a pool worker forever,
 //! so `workers` subscribers starved the pool and plain requests stopped
-//! being answered at all. The `edge` binary runs this matrix and writes
-//! `BENCH_7.json`; the `server_edge` integration tests reuse the same
-//! harness for the starvation regression.
+//! being answered at all. The `server_edge` integration tests drive it for
+//! the starvation regression.
 //!
 //! Latencies are reported as p50/p99 over every successful exchange;
 //! errors (connect failures, broken exchanges) are counted, never hidden —
-//! the CI gate fails on any.
+//! `server_edge` fails on any.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -12,8 +12,8 @@
 //!   [`mathcloud_opt::SubproblemSolver`] that dispatches pricing problems to
 //!   them (the paper's distributed AMPL/Dantzig–Wolfe application),
 //! * [`xrayservices`] — scattering/fit services for the X-ray workflow,
-//! * [`edge`] — the closed-loop RPS/latency harness behind the `edge`
-//!   binary (`BENCH_7.json`) and the server-edge integration tests,
+//! * [`edge`] — the closed-loop RPS/latency load driver the server-edge
+//!   integration tests use,
 //! * [`harness`] — the dependency-free measurement harness the `benches/`
 //!   targets run on (criterion-shaped API, offline-friendly).
 

@@ -180,6 +180,13 @@ impl ServiceClient {
         self
     }
 
+    /// Replaces the HTTP client (builder style) — deadlines, retry policy
+    /// and breakers all at once, e.g. one client shared by many bindings.
+    pub fn with_client(mut self, client: Client) -> Self {
+        self.client = client;
+        self
+    }
+
     /// The bound service URL.
     pub fn url(&self) -> &Url {
         &self.url
@@ -293,8 +300,8 @@ impl ServiceClient {
     /// job's terminal `job.*` event cannot slip past between the submit
     /// response and a later subscription — the full lifecycle is observed by
     /// push, and the only status request is the final fetch of outputs.
-    /// Servers without `GET /events` fall back to [`JobHandle::wait`]'s
-    /// subscribe-then-poll behaviour.
+    /// Against servers without `GET /events` the wait is
+    /// [`JobHandle::wait_polling`].
     ///
     /// # Errors
     ///
@@ -304,24 +311,14 @@ impl ServiceClient {
         inputs: &Value,
         timeout: Duration,
     ) -> Result<JobRepresentation, ServiceError> {
-        let stream = sse::subscribe(
-            &self.url,
-            "job.",
-            None,
-            SSE_CONNECT_TIMEOUT,
-            sse::DEFAULT_HEARTBEAT,
-        )
-        .ok();
-        let job = self.submit(inputs)?;
-        match stream {
-            Some(stream) => job.wait_streamed(stream, timeout),
-            None => job.wait(timeout),
-        }
+        self.call_inner(inputs, &next_request_id(), None, timeout)
     }
 
     /// [`ServiceClient::call`] under an `Idempotency-Key`: submit-and-wait
     /// where the submission is safe to retry (and to repeat wholesale —
     /// calling this twice with the same key waits on the same job twice).
+    /// `request_id` is the caller's own `X-MC-Request-Id`, when it is itself
+    /// serving a request (a workflow block): the job and every poll carry it.
     ///
     /// # Errors
     ///
@@ -330,6 +327,18 @@ impl ServiceClient {
         &self,
         inputs: &Value,
         key: &str,
+        request_id: Option<&str>,
+        timeout: Duration,
+    ) -> Result<JobRepresentation, ServiceError> {
+        let request_id = request_id.map_or_else(next_request_id, str::to_string);
+        self.call_inner(inputs, &request_id, Some(key), timeout)
+    }
+
+    fn call_inner(
+        &self,
+        inputs: &Value,
+        request_id: &str,
+        idem_key: Option<&str>,
         timeout: Duration,
     ) -> Result<JobRepresentation, ServiceError> {
         let stream = sse::subscribe(
@@ -338,12 +347,11 @@ impl ServiceClient {
             None,
             SSE_CONNECT_TIMEOUT,
             sse::DEFAULT_HEARTBEAT,
-        )
-        .ok();
-        let job = self.submit_idempotent(inputs, key)?;
+        );
+        let job = self.submit_inner(inputs, request_id, idem_key)?;
         match stream {
-            Some(stream) => job.wait_streamed(stream, timeout),
-            None => job.wait(timeout),
+            Ok(stream) => job.wait_streamed(stream, timeout),
+            Err(_) => job.wait_polling(timeout),
         }
     }
 
@@ -425,15 +433,21 @@ impl JobHandle {
         self.base.with_target(&self.rep.uri).to_string()
     }
 
-    /// Re-fetches the job representation.
+    /// Re-fetches the job representation, under the request id the job was
+    /// submitted with.
     ///
     /// # Errors
     ///
     /// [`ServiceError`] on transport or payload problems.
     pub fn refresh(&mut self) -> Result<&JobRepresentation, ServiceError> {
+        let url = self.base.with_target(&self.rep.uri);
+        let mut req = Request::new(Method::Get, &url.target());
+        if !self.request_id.is_empty() {
+            req.headers.set(REQUEST_ID_HEADER, &self.request_id);
+        }
         let resp = self
             .client
-            .get(&self.job_url())
+            .send(&url, req)
             .map_err(|e| ServiceError::Transport(e.to_string()))?;
         if !resp.status.is_success() {
             return Err(http_error(&resp));

@@ -421,7 +421,7 @@ impl BatchSystem {
     /// removes *free* cores only, last node first — cores under a running
     /// job are never revoked, so the applied total can stay above the
     /// request until jobs drain. This is the cluster-side analogue of the
-    /// container's poison-pill pool resize, and what lets one
+    /// container's handler-pool resize, and what lets one
     /// [`mathcloud_telemetry::PoolController`] drive a batch system.
     pub fn resize_cores(&self, total: usize) -> usize {
         let total = total.max(1);
@@ -498,21 +498,26 @@ impl BatchSystem {
         walltime: Option<Duration>,
     ) {
         let system = self.clone();
-        // Walltime watchdog: raises the stop flag when the limit passes.
+        // Walltime watchdog: parked on the condvar the job's own completion
+        // signals, so it lives no longer than the job; raises the stop flag
+        // and marks the job walltime-killed when the limit passes first.
         if let Some(limit) = walltime {
             let stop = Arc::clone(&ctx.stop);
             let watchdog_system = self.clone();
             std::thread::spawn(move || {
-                std::thread::sleep(limit);
-                if !stop.swap(true, Ordering::Relaxed) {
-                    // Mark a still-running job as walltime-killed.
-                    let mut state = watchdog_system.inner.state.lock();
-                    if let Some(r) = state.jobs.get_mut(&id) {
-                        if r.state == JobState::Running {
-                            r.state = JobState::Exited;
-                            r.error = Some("walltime exceeded".to_string());
-                        }
+                let deadline = Instant::now() + limit;
+                let inner = &watchdog_system.inner;
+                let mut state = inner.state.lock();
+                while let Some(JobState::Running) = state.jobs.get(&id).map(|r| r.state) {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        stop.store(true, Ordering::Relaxed);
+                        let r = state.jobs.get_mut(&id).expect("checked above");
+                        r.state = JobState::Exited;
+                        r.error = Some("walltime exceeded".to_string());
+                        return;
                     }
+                    inner.changed.wait_for(&mut state, deadline - now);
                 }
             });
         }

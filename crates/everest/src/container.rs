@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use mathcloud_core::{JobRepresentation, JobState, ServiceDescription};
 use mathcloud_security::{AccessPolicy, Identity};
 use mathcloud_telemetry::sync::RwLock;
-use mathcloud_telemetry::{metrics, Counter, Histogram};
+use mathcloud_telemetry::{metrics, Counter, Histogram, ScalableTarget};
 
 use crate::adapter::Adapter;
 use crate::filestore::FileStore;
@@ -254,7 +254,7 @@ impl Everest {
             memo_enabled: AtomicBool::new(false),
             memo: SingleFlight::new(),
         });
-        let queue = JobSender::start(&shared, handlers);
+        let queue = JobSender::new(&shared, handlers);
         Everest { shared, queue }
     }
 
@@ -439,7 +439,7 @@ impl Everest {
     pub fn health(&self) -> HealthReport {
         let (stats, by_state) = self.shared.jobs.census();
         let count = |state| by_state.get(&state).copied().unwrap_or(0);
-        let pool = &self.queue.0;
+        let pool = self.pool_status();
         HealthReport {
             uptime_seconds: self.shared.started.elapsed().as_secs_f64(),
             waiting: count(JobState::Waiting),
@@ -448,9 +448,9 @@ impl Everest {
             failed: count(JobState::Failed),
             cancelled: count(JobState::Cancelled),
             stats,
-            pool_workers: pool.pool_workers.get().max(0) as usize,
-            busy_workers: pool.busy_workers.get().max(0) as usize,
-            queue_depth: pool.depth.get().max(0) as usize,
+            pool_workers: pool.workers,
+            busy_workers: pool.busy,
+            queue_depth: pool.queue_depth,
         }
     }
 }

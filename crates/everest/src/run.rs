@@ -1,15 +1,13 @@
-//! The Job Manager's handler pool: the queue jobs wait in, the threads that
-//! take them `WAITING → RUNNING → DONE | FAILED`, and resizing.
+//! The Job Manager's handler pool: the [`WorkPool`] jobs wait in and run on,
+//! the task that takes one `WAITING → RUNNING → DONE | FAILED`, and resizing.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use mathcloud_core::JobState;
 use mathcloud_json::json;
-use mathcloud_telemetry::sync::{Condvar, Mutex};
 use mathcloud_telemetry::{
-    metrics, trace, AutoscaleConfig, Gauge, PoolController, PoolStatus, ScalableTarget,
+    metrics, trace, AutoscaleConfig, Gauge, PoolController, PoolStatus, ScalableTarget, WorkPool,
 };
 
 use crate::adapter::AdapterContext;
@@ -17,80 +15,31 @@ use crate::container::{run_seconds, Everest, Shared};
 use crate::jobs::JobKey;
 use crate::jobstore::{TransitionDetail, TransitionState};
 
-/// The handler-pool job queue: a std-only MPMC queue whose depth doubles as
-/// the `mc_pool_queue_depth` gauge. Workers block on [`JobQueue::pop`] until
-/// a job arrives, a resize retires them (see [`Everest::resize_pool`]) or the
-/// [`JobSender`] (i.e. every `Everest` clone) is gone.
-pub(crate) struct JobQueue {
-    state: Mutex<JobQueueState>,
-    ready: Condvar,
-    pub(crate) depth: Gauge,
-    pub(crate) busy_workers: Gauge,
-    pub(crate) pool_workers: Gauge,
+/// How long a handler parks before retiring; far past any gap between the
+/// jobs of one campaign, so a job after a pause never waits for a thread to
+/// start.
+const HANDLER_IDLE_TTL: Duration = Duration::from_secs(60);
+
+/// The handle every `Everest` clone shares: the handler pool (`handlers`
+/// lazily started threads named `mc-job-<label>-N`) and the three
+/// `mc_pool_*{container}` gauges that mirror it. Dropping the last one closes
+/// the job table, so its confirmer thread leaves, and then drops the pool.
+pub(crate) struct JobSender {
+    pool: WorkPool,
+    shared: Arc<Shared>,
+    depth: Gauge,
+    busy_workers: Gauge,
+    pool_workers: Gauge,
 }
-
-struct JobQueueState {
-    items: VecDeque<JobKey>,
-    /// No `Everest` handle is left: no more jobs can arrive.
-    closed: bool,
-    /// Desired pool size. Live worker threads = `workers + retiring`: each
-    /// pending retirement is a thread that has not consumed its pill yet.
-    workers: usize,
-    /// Outstanding poison pills.
-    retiring: usize,
-}
-
-impl JobQueue {
-    /// Hands a `WAITING` job to the pool.
-    pub(crate) fn push(&self, item: JobKey) {
-        let mut st = self.state.lock();
-        st.items.push_back(item);
-        self.depth.set(st.items.len() as i64);
-        drop(st);
-        self.ready.notify_one();
-    }
-
-    /// The next job; `None` tells the calling worker to exit, because it
-    /// drew a poison pill or because the queue closed.
-    fn pop(&self) -> Option<JobKey> {
-        let mut st = self.state.lock();
-        loop {
-            // Pills take priority over jobs: a resize decision already
-            // accounted for the queued work staying with the surviving
-            // workers, and consuming pills eagerly keeps the live thread
-            // count converging on the desired size.
-            if st.retiring > 0 {
-                st.retiring -= 1;
-                return None;
-            }
-            if let Some(item) = st.items.pop_front() {
-                self.depth.set(st.items.len() as i64);
-                return Some(item);
-            }
-            if st.closed {
-                return None;
-            }
-            self.ready.wait(&mut st);
-        }
-    }
-}
-
-/// The handle every `Everest` clone shares. Dropping the last one closes the
-/// queue, so the handler threads (who hold the queue itself) wake up and exit,
-/// and the job table, so its confirmer thread does.
-pub(crate) struct JobSender(pub(crate) Arc<JobQueue>, Arc<Shared>);
 
 impl Drop for JobSender {
     fn drop(&mut self) {
-        self.0.state.lock().closed = true;
-        self.0.ready.notify_all();
-        self.1.jobs.close();
+        self.shared.jobs.close();
     }
 }
 
 impl JobSender {
-    /// Starts a pool of `handlers` threads behind a fresh queue.
-    pub(crate) fn start(shared: &Arc<Shared>, handlers: usize) -> Arc<JobSender> {
+    pub(crate) fn new(shared: &Arc<Shared>, handlers: usize) -> Arc<JobSender> {
         let reg = metrics::global();
         reg.describe(
             "mc_pool_queue_depth",
@@ -102,69 +51,58 @@ impl JobSender {
         );
         reg.describe("mc_pool_workers", "size of the handler thread pool");
         let container = [("container", shared.label.as_str())];
-        let queue = Arc::new(JobQueue {
-            state: Mutex::new(JobQueueState {
-                items: VecDeque::new(),
-                closed: false,
-                workers: handlers,
-                retiring: 0,
-            }),
-            ready: Condvar::new(),
+        let sender = JobSender {
+            pool: WorkPool::new(
+                &format!("mc-job-{}", shared.label),
+                handlers,
+                HANDLER_IDLE_TTL,
+            ),
+            shared: Arc::clone(shared),
             depth: reg.gauge("mc_pool_queue_depth", &container),
             busy_workers: reg.gauge("mc_pool_busy_workers", &container),
             pool_workers: reg.gauge("mc_pool_workers", &container),
+        };
+        sender.pool_workers.set(handlers as i64);
+        Arc::new(sender)
+    }
+
+    /// Hands a `WAITING` job to the pool.
+    pub(crate) fn push(&self, (service, job): JobKey) {
+        let shared = Arc::clone(&self.shared);
+        let (depth, busy) = (self.depth.clone(), self.busy_workers.clone());
+        self.depth.add(1);
+        self.pool.spawn(move || {
+            depth.sub(1);
+            busy.add(1);
+            run_job(&shared, &service, &job);
+            busy.sub(1);
         });
-        queue.pool_workers.set(handlers as i64);
-        for _ in 0..handlers {
-            spawn_worker(Arc::clone(shared), Arc::clone(&queue));
-        }
-        Arc::new(JobSender(queue, Arc::clone(shared)))
     }
 }
 
 impl Everest {
-    /// The desired handler-pool size. Live threads converge on this: after a
-    /// shrink, retiring workers may briefly linger until they finish their
-    /// current job and consume their poison pill.
+    /// The handler-pool size. Live threads never exceed it for longer than
+    /// the jobs running at the time of a shrink take to finish.
     pub fn pool_workers(&self) -> usize {
-        self.queue.0.state.lock().workers
+        self.pool_status().workers
     }
 
-    /// Resizes the handler pool toward `workers` (clamped to at least one),
-    /// returning the size applied. Growth spawns worker threads immediately
-    /// (cancelling pending retirements first); shrinkage enqueues poison
-    /// pills, so retiring workers finish their current job before exiting —
-    /// in-flight jobs are never aborted by a resize.
+    /// Resizes the handler pool to `workers` (clamped to at least one),
+    /// returning the size applied. Growth starts threads for queued jobs at
+    /// once; after a shrink surplus handlers leave once their current job is
+    /// done — in-flight jobs are never aborted by a resize.
     pub fn resize_pool(&self, workers: usize) -> usize {
         let workers = workers.max(1);
-        let queue = &self.queue.0;
-        let mut st = queue.state.lock();
-        let current = std::mem::replace(&mut st.workers, workers);
-        queue.pool_workers.set(workers as i64);
-        if workers > current {
-            // Un-retire before spawning: a cancelled pill revives a thread
-            // that already exists, which is cheaper than racing a fresh
-            // spawn against it.
-            let cancelled = (workers - current).min(st.retiring);
-            st.retiring -= cancelled;
-            drop(st);
-            for _ in 0..workers - current - cancelled {
-                spawn_worker(Arc::clone(&self.shared), Arc::clone(queue));
-            }
-        } else if workers < current {
-            st.retiring += current - workers;
-            drop(st);
-            // Wake every idle worker: each pill must find a consumer.
-            queue.ready.notify_all();
-        }
+        self.queue.pool.resize(workers);
+        self.queue.pool_workers.set(workers as i64);
         workers
     }
 
     /// Builds an autoscaling controller over this container's handler pool,
     /// labelled with [`Everest::metrics_label`]. Drive it manually with
     /// [`PoolController::tick`] or hand it to [`PoolController::spawn`]; note
-    /// the controller holds a clone of the container, keeping its job queue
-    /// open for as long as the controller lives.
+    /// the controller holds a clone of the container, keeping its handler
+    /// pool alive for as long as the controller lives.
     ///
     /// # Panics
     ///
@@ -188,12 +126,7 @@ impl Everest {
 
 impl ScalableTarget for Everest {
     fn pool_status(&self) -> PoolStatus {
-        let st = self.queue.0.state.lock();
-        PoolStatus {
-            workers: st.workers,
-            busy: self.queue.0.busy_workers.get().max(0) as usize,
-            queue_depth: st.items.len(),
-        }
+        self.queue.pool.status()
     }
 
     fn scale_to(&self, workers: usize) -> usize {
@@ -201,28 +134,20 @@ impl ScalableTarget for Everest {
     }
 }
 
-/// Spawns one handler thread; it serves jobs until [`JobQueue::pop`] says stop.
-fn spawn_worker(shared: Arc<Shared>, queue: Arc<JobQueue>) {
-    std::thread::spawn(move || {
-        while let Some((service, job)) = queue.pop() {
-            queue.busy_workers.add(1);
-            run_job(&shared, &service, &job);
-            queue.busy_workers.sub(1);
-        }
-    });
-}
-
 /// Spawns the thread that sees to disk the records nobody waits for — a
 /// `RUNNING` record while its job runs, recovery's `meta` line
-/// ([`crate::jobs::JobTable::confirm_unwaited`]); like the handlers, it lives
-/// until every `Everest` clone is gone.
+/// ([`crate::jobs::JobTable::confirm_unwaited`]); it leaves when the last
+/// `Everest` clone closes the job table ([`JobSender`]).
 pub(crate) fn spawn_confirmer(shared: Arc<Shared>) {
-    std::thread::spawn(move || {
-        let mut seen = 0;
-        while let Some(pos) = shared.jobs.confirm_unwaited(seen) {
-            seen = pos;
-        }
-    });
+    std::thread::Builder::new()
+        .name("mc-confirmer".to_string())
+        .spawn(move || {
+            let mut seen = 0;
+            while let Some(pos) = shared.jobs.confirm_unwaited(seen) {
+                seen = pos;
+            }
+        })
+        .expect("spawn journal confirmer");
 }
 
 fn run_job(shared: &Arc<Shared>, service: &str, job_id: &str) {
@@ -381,8 +306,8 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
         assert_eq!(e.health().busy_workers, 3);
-        // Shrink under the running jobs: pills queue behind the in-flight
-        // work, nothing is aborted.
+        // Shrink under the running jobs: surplus handlers leave after the
+        // in-flight work, nothing is aborted.
         assert_eq!(e.resize_pool(1), 1);
         gate.store(true, Ordering::Relaxed);
         for rep in &reps {

@@ -206,7 +206,7 @@ impl Everest {
             &uri::job(service, &job_id),
             JobState::Waiting,
         );
-        self.queue.0.push((service.to_string(), job_id));
+        self.queue.push((service.to_string(), job_id));
         rep
     }
 

@@ -259,11 +259,6 @@ impl ResourceBroker {
         ResourceBroker { ces: Arc::new(ces) }
     }
 
-    /// The registered computing elements.
-    pub fn computing_elements(&self) -> &[ComputingElement] {
-        &self.ces
-    }
-
     /// Submits a job: validates the proxy, matches CEs by VO and capacity,
     /// ranks by free cores and submits to the best site.
     ///

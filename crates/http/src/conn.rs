@@ -4,7 +4,8 @@
 //! The previous edge allocated a fresh `BufReader` + `BufWriter` (16 KiB of
 //! zeroed heap) for every accepted connection. Under keep-alive + high
 //! connection churn that allocation sits on the hot path; here each pool
-//! worker owns one [`ConnBuffers`] for its lifetime, and [`ConnReader`] /
+//! worker owns one [`ConnBuffers`] for its lifetime (a `thread_local` of
+//! the worker thread, see `server.rs`), and [`ConnReader`] /
 //! [`ConnWriter`] borrow those buffers per connection. Read state
 //! (`pos`/`filled`) lives in the reader so pipelined bytes survive between
 //! requests of one connection and are discarded between connections, while

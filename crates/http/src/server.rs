@@ -1,37 +1,37 @@
-//! A blocking HTTP/1.1 server with a worker thread pool and an elastic
-//! streamer set.
+//! A blocking HTTP/1.1 server: an acceptor thread in front of two
+//! [`WorkPool`]s.
 //!
-//! The connection core separates three concerns the old edge conflated:
+//! ```text
+//! acceptor ──spawn──▶ worker pool (≤ workers) ──spawn──▶ streamer pool (≤ max_connections)
+//! ```
 //!
 //! * **Acceptor** — accepts sockets, sheds load past the connection cap
-//!   (`503` + `Retry-After`), and hands connections to the pool over a
-//!   bounded queue with an interruptible timed handoff (shutdown can never
-//!   deadlock behind a full queue).
-//! * **Worker pool** — a fixed set of `workers` threads running the
-//!   keep-alive request loop on reusable per-worker buffers
+//!   (`503` + `Retry-After`), and queues each connection on the worker pool,
+//!   waiting (interruptibly) while `workers × 4` are already queued, so
+//!   back-pressure is applied and shutdown can never deadlock behind it.
+//! * **Worker pool** — up to `workers` threads (`mc-http-worker-N`) running
+//!   the keep-alive request loop on per-thread reusable buffers
 //!   ([`crate::conn`]). Idle keep-alive connections are bounded by a short
 //!   *idle* timeout, in-flight reads by a longer *read* timeout, so a quiet
 //!   peer is reclaimed quickly while a slow upload still completes.
-//! * **Streamer set** — streaming responses (Server-Sent Events) detach to
-//!   an elastic [`mathcloud_telemetry::workpool::WorkPool`] (the
-//!   fire-and-forget sibling of the exact kernels' persistent pool), so a
-//!   long-lived `GET /events` subscriber returns its pool worker before the
-//!   stream starts. Eight subscribers no longer deadlock an eight-worker
-//!   container.
+//! * **Streamer pool** — streaming responses (Server-Sent Events) detach to
+//!   a second, elastic pool (`mc-http-streamer-N`), so a long-lived
+//!   `GET /events` subscriber returns its worker before the stream starts.
+//!   Eight subscribers do not deadlock an eight-worker container.
 //!
 //! Connection accounting is exposed as `mc_http_connections{state=...}`
 //! (queued / active / streaming) and `mc_http_conn_rejected_total`.
 
+use std::cell::RefCell;
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use mathcloud_telemetry::workpool::WorkPool;
-use mathcloud_telemetry::{metrics, trace};
+use mathcloud_telemetry::sync::{Condvar, Mutex};
+use mathcloud_telemetry::{metrics, trace, WorkPool};
 
 use crate::conn::{ConnBuffers, ConnReader, ConnWriter};
 use crate::message::{Response, StreamControl};
@@ -41,6 +41,10 @@ use crate::wire;
 /// Default number of request-handling worker threads, mirroring the
 /// container's "configurable pool of handler threads" (§3.1 of the paper).
 const DEFAULT_WORKERS: usize = 8;
+
+/// How long a request worker parks before retiring: past any lull between
+/// the requests of one client session.
+const WORKER_IDLE_TTL: Duration = Duration::from_secs(30);
 
 /// How the server edge is sized and bounded.
 ///
@@ -75,8 +79,8 @@ pub struct ServerConfig {
     pub max_header_bytes: usize,
     /// Body cap; larger requests get `413`.
     pub max_body_bytes: usize,
-    /// How long [`Drop`] waits for workers and streamers to finish before
-    /// detaching them.
+    /// How long [`Drop`] lets queued connections start and workers and
+    /// streamers finish before discarding and detaching them.
     pub drain_grace: Duration,
     /// Seconds advertised in the `Retry-After` header of shed responses.
     pub retry_after_secs: u64,
@@ -110,8 +114,12 @@ struct Edge {
     draining: AtomicBool,
     /// Shutdown signal handed to every streaming response body.
     stream_control: StreamControl,
-    /// The elastic streamer set for detached streaming responses.
+    /// The elastic streamer pool for detached streaming responses.
     streamers: WorkPool,
+    /// Signalled when a worker takes a connection off the queue (and by
+    /// [`Server::shutdown`]): what the acceptor waits on when the queue is
+    /// at its bound.
+    room: (Mutex<()>, Condvar),
 }
 
 impl Edge {
@@ -124,8 +132,8 @@ fn conn_gauge(state: &'static str) -> metrics::Gauge {
     metrics::global().gauge("mc_http_connections", &[("state", state)])
 }
 
-/// One tracked connection: moves from the acceptor through the pool and
-/// possibly to the streamer set; its gauges and the total count are
+/// One tracked connection: moves from the acceptor through the worker pool
+/// and possibly to the streamer pool; its gauges and the total count are
 /// released on drop wherever it ends up.
 struct Conn {
     stream: TcpStream,
@@ -160,9 +168,9 @@ impl Drop for Conn {
 
 /// A running HTTP server.
 ///
-/// Accepts connections on a background thread and handles each on a worker
-/// from a fixed pool; streaming responses detach to an elastic streamer
-/// set. [`Server::shutdown`] stops the accept loop; dropping the server
+/// Accepts connections on a background thread and handles each on the
+/// worker pool; streaming responses detach to the streamer pool.
+/// [`Server::shutdown`] stops the accept loop; dropping the server
 /// additionally drains queued connections (every queued request is still
 /// answered), winds down live streams, and joins workers under
 /// [`ServerConfig::drain_grace`].
@@ -185,8 +193,9 @@ impl Drop for Conn {
 pub struct Server {
     addr: SocketAddr,
     edge: Arc<Edge>,
-    accept_thread: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    /// The acceptor owns the worker pool and hands it back as it exits, so
+    /// the pool is dropped — drained — on the thread dropping the server.
+    accept_thread: Option<JoinHandle<WorkPool>>,
 }
 
 impl Server {
@@ -197,30 +206,6 @@ impl Server {
     /// Propagates socket errors (bind failure, exhausted ports).
     pub fn bind<A: ToSocketAddrs>(addr: A, router: Router) -> std::io::Result<Server> {
         Server::bind_with_config(addr, router, ServerConfig::default())
-    }
-
-    /// Binds and starts serving with an explicit worker-pool size.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    pub fn bind_with_workers<A: ToSocketAddrs>(
-        addr: A,
-        router: Router,
-        workers: usize,
-    ) -> std::io::Result<Server> {
-        Server::bind_with_config(
-            addr,
-            router,
-            ServerConfig {
-                workers,
-                ..ServerConfig::default()
-            },
-        )
     }
 
     /// Binds and starts serving under an explicit [`ServerConfig`].
@@ -252,6 +237,8 @@ impl Server {
             Duration::from_secs(2),
         )
         .with_drain_grace(config.drain_grace);
+        let workers = WorkPool::new("mc-http-worker", config.workers, WORKER_IDLE_TTL)
+            .with_drain_grace(config.drain_grace);
         let edge = Arc::new(Edge {
             router,
             limits,
@@ -260,36 +247,23 @@ impl Server {
             draining: AtomicBool::new(false),
             stream_control: StreamControl::new(),
             streamers,
+            room: (Mutex::new(()), Condvar::new()),
             config,
         });
-
-        // Bounded hand-off queue from the acceptor to the workers.
-        let queue_depth = edge.config.workers * 4;
-        let (tx, rx) = std::sync::mpsc::sync_channel::<Conn>(queue_depth);
-        let rx = Arc::new(mathcloud_telemetry::sync::Mutex::new(rx));
-
-        let workers = (0..edge.config.workers)
-            .map(|i| {
-                let rx = Arc::clone(&rx);
-                let edge = Arc::clone(&edge);
-                std::thread::Builder::new()
-                    .name(format!("mc-http-worker-{i}"))
-                    .spawn(move || worker_loop(&rx, &edge))
-                    .expect("spawn http worker")
-            })
-            .collect();
 
         let accept_edge = Arc::clone(&edge);
         let accept_thread = std::thread::Builder::new()
             .name("mc-http-acceptor".to_string())
-            .spawn(move || accept_loop(&listener, &tx, &accept_edge))
+            .spawn(move || {
+                accept_loop(&listener, &workers, &accept_edge);
+                workers
+            })
             .expect("spawn http acceptor");
 
         Ok(Server {
             addr,
             edge,
             accept_thread: Some(accept_thread),
-            workers,
         })
     }
 
@@ -314,7 +288,7 @@ impl Server {
     }
 
     /// Stops accepting connections and unblocks the acceptor — even when it
-    /// is parked on a full handoff queue.
+    /// is parked behind a full queue.
     ///
     /// In-flight requests finish on their workers; this only tears down the
     /// accept loop. Dropping the server performs the full graceful drain.
@@ -322,39 +296,28 @@ impl Server {
         if self.edge.stop.swap(true, Ordering::SeqCst) {
             return;
         }
-        // Kick the blocking accept() with a no-op connection; the timed
-        // handoff loop re-checks the stop flag on its own.
+        // Wake the acceptor wherever it waits: for room in the queue, or in
+        // accept(), which a no-op connection kicks.
+        self.edge.room.1.notify_all();
         let _ = TcpStream::connect(self.addr);
     }
 }
 
 impl Drop for Server {
-    /// Graceful drain: stop accepting, answer every queued connection, wind
-    /// down live streams, and join workers under the drain grace. Workers
-    /// still mid-request past the deadline are detached (they exit after
-    /// their current exchange).
+    /// Graceful drain: stop accepting, wind down live streams, then drop the
+    /// worker pool, which answers every queued connection and joins its
+    /// workers under the drain grace. Workers still mid-request past it are
+    /// detached (they exit after their current exchange).
     fn drop(&mut self) {
         self.shutdown();
         self.edge.draining.store(true, Ordering::SeqCst);
         self.edge.stream_control.stop();
-        // Joining the acceptor drops the queue sender; workers then drain
-        // the remaining queued connections (each still gets its response)
-        // and exit on the disconnect.
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
+        if let Some(acceptor) = self.accept_thread.take() {
+            // The worker pool comes back with the join and drains as it
+            // drops; the streamer pool does the same, under the same grace,
+            // when the last connection lets go of the edge.
+            drop(acceptor.join());
         }
-        let deadline = Instant::now() + self.edge.config.drain_grace;
-        for handle in self.workers.drain(..) {
-            while !handle.is_finished() && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            if handle.is_finished() {
-                let _ = handle.join();
-            }
-            // else: detached — it exits after its in-flight exchange.
-        }
-        // The streamer pool joins its threads in its own Drop (bounded by
-        // the same grace) when the last Edge reference goes away.
     }
 }
 
@@ -364,7 +327,8 @@ impl std::fmt::Debug for Server {
     }
 }
 
-fn accept_loop(listener: &TcpListener, tx: &SyncSender<Conn>, edge: &Arc<Edge>) {
+fn accept_loop(listener: &TcpListener, workers: &WorkPool, edge: &Arc<Edge>) {
+    let bound = edge.config.workers * 4;
     for stream in listener.incoming() {
         if edge.stop.load(Ordering::SeqCst) {
             break;
@@ -374,24 +338,25 @@ fn accept_loop(listener: &TcpListener, tx: &SyncSender<Conn>, edge: &Arc<Edge>) 
             shed(&stream, edge);
             continue;
         }
-        let mut conn = Conn::new(stream, edge);
-        // Timed, interruptible handoff: back-pressure is still applied when
-        // all workers are busy, but shutdown always unblocks the acceptor —
-        // a full queue can no longer wedge `Server::shutdown`.
-        loop {
-            match tx.try_send(conn) {
-                Ok(()) => break,
-                Err(TrySendError::Full(returned)) => {
-                    if edge.stop.load(Ordering::SeqCst) {
-                        shed(&returned.stream, edge);
-                        break;
-                    }
-                    conn = returned;
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(TrySendError::Disconnected(_)) => return,
-            }
+        let conn = Conn::new(stream, edge);
+        // Interruptible hand-off: back-pressure is applied while the queue
+        // is at its bound, but shutdown always unblocks the acceptor — a
+        // full queue cannot wedge `Server::shutdown`. The timeout only
+        // covers a wake-up lost between the check and the wait.
+        let mut room = edge.room.0.lock();
+        while workers.queued() >= bound && !edge.stop.load(Ordering::SeqCst) {
+            edge.room.1.wait_for(&mut room, Duration::from_millis(50));
         }
+        drop(room);
+        if workers.queued() >= bound {
+            shed(&conn.stream, edge);
+            break;
+        }
+        let edge = Arc::clone(edge);
+        workers.spawn(move || {
+            edge.room.1.notify_one();
+            serve_connection(conn, &edge);
+        });
     }
 }
 
@@ -415,42 +380,33 @@ fn shed(stream: &TcpStream, edge: &Edge) {
     let _ = w.flush();
 }
 
-fn worker_loop(rx: &mathcloud_telemetry::sync::Mutex<Receiver<Conn>>, edge: &Arc<Edge>) {
-    let mut bufs = ConnBuffers::new();
-    loop {
-        let conn = {
-            let guard = rx.lock();
-            guard.recv()
-        };
-        match conn {
-            Ok(conn) => serve_connection(conn, edge, &mut bufs),
-            // Acceptor gone and queue fully drained: shut down.
-            Err(_) => return,
-        }
-    }
-}
-
 /// What one connection's request loop decided.
 enum Outcome {
     /// Close the socket (clean end, error, timeout, or `Connection: close`).
     Close,
     /// A streaming response was dispatched: hand the connection to the
-    /// streamer set.
+    /// streamer pool.
     Detach(crate::message::BodyStream),
 }
 
-fn serve_connection(mut conn: Conn, edge: &Arc<Edge>, bufs: &mut ConnBuffers) {
+thread_local! {
+    /// One worker thread's reusable buffers, kept across the connections it
+    /// serves.
+    static BUFFERS: RefCell<ConnBuffers> = RefCell::new(ConnBuffers::new());
+}
+
+fn serve_connection(mut conn: Conn, edge: &Arc<Edge>) {
     conn.transition("active");
     let _ = conn.stream.set_nodelay(true);
     let _ = conn
         .stream
         .set_write_timeout(Some(edge.config.read_timeout));
-    let outcome = {
+    let outcome = BUFFERS.with_borrow_mut(|bufs| {
         let (read_buf, write_buf) = bufs.split();
         let mut reader = ConnReader::new(&conn.stream, read_buf);
         let mut writer = ConnWriter::new(&conn.stream, write_buf);
         request_loop(&conn.stream, &mut reader, &mut writer, edge)
-    };
+    });
     match outcome {
         Outcome::Close => {}
         Outcome::Detach(body) => {
@@ -591,7 +547,7 @@ fn request_loop(
         if let Some(body) = resp.stream.take() {
             // Streaming response (Server-Sent Events): write the headers
             // without a Content-Length and detach the connection to the
-            // streamer set — this worker goes straight back to the pool.
+            // streamer pool — this worker goes straight back to its own.
             resp.headers.set("Connection", "close");
             resp.headers.set("Cache-Control", "no-store");
             if wire::write_stream_head(writer, &resp).is_err() {

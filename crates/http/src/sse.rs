@@ -7,8 +7,8 @@
 //! with comment heartbeats so dead clients are detected and worker threads
 //! reclaimed. The client side
 //! is a minimal incremental `text/event-stream` reader used by
-//! `JobHandle::wait` and the workflow engine's `HttpCaller` to subscribe
-//! instead of polling.
+//! `mathcloud-client` (`ServiceClient::call`, `JobHandle::wait`, and through
+//! them the workflow engine) to subscribe instead of polling.
 //!
 //! Wire format per event (one [`mathcloud_events::Envelope`] each):
 //!
@@ -321,30 +321,10 @@ pub enum WatchResult {
     Dropped,
 }
 
-/// Watches the `/events` stream on `base`'s authority for a terminal event
-/// of `service`/`job_id`, resuming across dropped connections via
-/// `Last-Event-ID` until `deadline`.
-///
-/// This is the push half of the subscribe-first/poll-fallback pattern shared
-/// by `JobHandle::wait` and the workflow `HttpCaller`: the caller issues its
-/// submit, calls this instead of a poll loop, and on success fetches the
-/// final representation with a single status request.
-///
-/// # Errors
-///
-/// [`SubscribeError`] when no subscription could be established at all —
-/// the caller's cue to use its poll loop.
-pub fn watch_job(
-    base: &Url,
-    service: &str,
-    job_id: &str,
-    deadline: std::time::Instant,
-) -> Result<WatchResult, SubscribeError> {
-    let stream = subscribe(base, "job.", None, CONNECT_TIMEOUT, DEFAULT_HEARTBEAT)?;
-    Ok(watch_job_on(base, stream, service, job_id, deadline))
-}
-
-/// [`watch_job`] over an already-open stream.
+/// Watches an open `/events` stream for a terminal event of
+/// `service`/`job_id`, resuming once across a dropped connection via
+/// `Last-Event-ID`, until `deadline`. On [`WatchResult::Terminal`] the caller
+/// fetches the final representation with a single status request.
 ///
 /// Subscribing *before* submitting the job and handing the stream here
 /// closes the race where a fast job publishes its terminal event between the

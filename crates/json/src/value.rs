@@ -250,14 +250,6 @@ impl Value {
         }
     }
 
-    /// Returns the array mutably if this is an `Array`.
-    pub fn as_array_mut(&mut self) -> Option<&mut Vec<Value>> {
-        match self {
-            Value::Array(a) => Some(a),
-            _ => None,
-        }
-    }
-
     /// Returns the object if this is an `Object`.
     pub fn as_object(&self) -> Option<&Object> {
         match self {

@@ -48,6 +48,7 @@ pub use autoscale::{
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry};
 pub use rng::XorShift64;
 pub use trace::{next_request_id, Event, Level, Recorder, SpanGuard, REQUEST_ID_HEADER};
+pub use workpool::WorkPool;
 
 /// Seconds elapsed since the process-wide monotonic anchor was first touched.
 ///

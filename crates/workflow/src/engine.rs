@@ -9,15 +9,15 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
-use mathcloud_core::{JobRepresentation, JobState};
-use mathcloud_http::{Client, Method, Request};
+use mathcloud_client::{ServiceClient, ServiceError};
+use mathcloud_http::Client;
 use mathcloud_json::value::Object;
 use mathcloud_json::Value;
 use mathcloud_telemetry::sync::{Mutex, RwLock};
-use mathcloud_telemetry::{metrics, trace};
+use mathcloud_telemetry::{metrics, trace, WorkPool};
 
 use crate::model::BlockKind;
 use crate::script::run_script;
@@ -115,42 +115,22 @@ pub trait ServiceCaller: Send + Sync {
     }
 }
 
-/// The production caller: POST to submit, then subscribe to the container's
-/// `GET /events` stream and wait for the job's terminal `job.*` event,
-/// falling back to the poll loop described in §2 of the paper when the
-/// server predates `/events` or the stream drops.
-#[derive(Debug, Clone)]
+/// The production caller: [`ServiceClient::call_idempotent`] — subscribe to
+/// the container's `GET /events` stream, submit under a fresh
+/// `Idempotency-Key` (so the transport may retry the `POST`: a replayed
+/// submission is answered with the original job), wait for the job's
+/// terminal `job.*` event and fetch the outputs with one status request;
+/// the poll loop of §2 of the paper when the server predates `/events` or
+/// the stream drops.
+#[derive(Debug, Clone, Default)]
 pub struct HttpCaller {
     client: Client,
-    poll_interval: Duration,
 }
 
-/// How long a push subscription waits for a terminal event before the
-/// caller reverts to polling. The fallback makes this a liveness bound, not
-/// a job deadline: jobs outlasting it are still seen to completion.
-const WATCH_WINDOW: Duration = Duration::from_secs(3600);
-
-impl Default for HttpCaller {
-    fn default() -> Self {
-        HttpCaller::new(Duration::from_millis(20))
-    }
-}
+/// The deadline the client API asks for; no job is expected to outlast it.
+const JOB_DEADLINE: Duration = Duration::from_secs(7 * 24 * 3600);
 
 impl HttpCaller {
-    /// Creates a caller with the given job-polling interval.
-    ///
-    /// The default client is the fault-tolerant transport: connects are
-    /// bounded by a connect timeout and `GET` polls are retried with backoff
-    /// on transport failure. The `POST` submission carries a fresh
-    /// `Idempotency-Key`, so it is retried too — a replayed submission is
-    /// answered with the original job instead of duplicating it.
-    pub fn new(poll_interval: Duration) -> Self {
-        HttpCaller {
-            client: Client::new(),
-            poll_interval,
-        }
-    }
-
     /// Replaces the HTTP client (builder style) — e.g. to tighten deadlines
     /// or the retry policy for a particular deployment.
     pub fn with_client(mut self, client: Client) -> Self {
@@ -164,109 +144,39 @@ impl ServiceCaller for HttpCaller {
         self.call_traced(url, inputs, None)
     }
 
+    /// The block's request id rides on the submission and on every poll, so
+    /// the downstream container records its job under the same id instead of
+    /// minting a fresh one at its server edge.
     fn call_traced(
         &self,
         url: &str,
         inputs: &Object,
         request_id: Option<&str>,
     ) -> Result<Object, String> {
-        let base: mathcloud_http::Url = url.parse().map_err(|e| format!("{e}"))?;
-        // Attach the enclosing block's request id to the submission (and to
-        // every poll), so the downstream container records its job under the
-        // same id instead of minting a fresh one at its server edge.
-        let attach = |req: Request| match request_id {
-            Some(rid) => req.with_header(trace::REQUEST_ID_HEADER, rid),
-            None => req,
-        };
-        // Subscribe *before* submitting: a fast job's terminal event can be
-        // published between the submit response and a later subscription,
-        // and a live-only stream would never replay it. An error here (old
-        // server, transport) simply leaves the poll loop to do all the work.
-        let push = mathcloud_http::sse::subscribe(
-            &base,
-            "job.",
-            None,
-            Duration::from_secs(10),
-            mathcloud_http::sse::DEFAULT_HEARTBEAT,
-        )
-        .ok();
-        // Every engine call mints a fresh Idempotency-Key for its one
-        // submission: the transport may now retry the POST on failure (the
-        // container answers a replay with the original job), so a dropped
-        // submit response no longer double-runs the downstream job.
-        let idem_key = trace::next_request_id();
-        let submit_req = attach(
-            Request::new(Method::Post, &base.target())
-                .with_json(&Value::Object(inputs.clone()))
-                .with_header(mathcloud_http::IDEMPOTENCY_KEY_HEADER, &idem_key),
-        );
-        let submit = self
-            .client
-            .send(&base, submit_req)
-            .map_err(|e| e.to_string())?;
-        if !submit.status.is_success() {
-            return Err(format!(
-                "{} from {url}: {}",
-                submit.status,
-                submit.body_string()
-            ));
-        }
-        let mut rep =
-            JobRepresentation::from_value(&submit.body_json().map_err(|e| e.to_string())?)?;
-        if let (Some(stream), false) = (push, rep.state.is_terminal()) {
-            if let Some(service) = mathcloud_http::sse::service_segment(&rep.uri) {
-                let deadline = std::time::Instant::now() + WATCH_WINDOW;
-                let watched = mathcloud_http::sse::watch_job_on(
-                    &base,
-                    stream,
-                    service,
-                    rep.id.as_str(),
-                    deadline,
-                );
-                if matches!(watched, mathcloud_http::sse::WatchResult::Terminal(_)) {
-                    // One refresh fetches the terminal representation with
-                    // its outputs; the loop below returns without polling.
-                    let poll_url = base.with_target(&rep.uri);
-                    let poll_req = attach(Request::new(Method::Get, &poll_url.target()));
-                    let resp = self
-                        .client
-                        .send(&poll_url, poll_req)
-                        .map_err(|e| e.to_string())?;
-                    if resp.status.is_success() {
-                        rep = JobRepresentation::from_value(
-                            &resp.body_json().map_err(|e| e.to_string())?,
-                        )?;
-                    }
-                }
-            }
-        }
-        loop {
-            match rep.state {
-                JobState::Done => {
-                    return Ok(rep.outputs.unwrap_or_default());
-                }
-                JobState::Failed => {
-                    return Err(rep.error.unwrap_or_else(|| "job failed".to_string()))
-                }
-                JobState::Cancelled => return Err("job was cancelled".to_string()),
-                JobState::Waiting | JobState::Running => {
-                    std::thread::sleep(self.poll_interval);
-                    let poll_url = base.with_target(&rep.uri);
-                    let poll_req = attach(Request::new(Method::Get, &poll_url.target()));
-                    let resp = self
-                        .client
-                        .send(&poll_url, poll_req)
-                        .map_err(|e| e.to_string())?;
-                    if !resp.status.is_success() {
-                        return Err(format!("{} polling {}", resp.status, poll_url.target()));
-                    }
-                    rep = JobRepresentation::from_value(
-                        &resp.body_json().map_err(|e| e.to_string())?,
-                    )?;
-                }
-            }
-        }
+        ServiceClient::connect(url)
+            .map_err(|e| e.to_string())?
+            .with_client(self.client.clone())
+            .call_idempotent(
+                &Value::Object(inputs.clone()),
+                &trace::next_request_id(),
+                request_id,
+                JOB_DEADLINE,
+            )
+            .map(|rep| rep.outputs.unwrap_or_default())
+            .map_err(|e| match e {
+                ServiceError::JobFailed(reason) => reason,
+                other => other.to_string(),
+            })
     }
+}
+
+/// The pool every run and every `Service`/`Script` block in this process
+/// runs on (threads `mc-wf-N`, retiring after two idle seconds). It has no
+/// cap: a composite service calling a composite service holds one thread per
+/// level of nesting while it waits, so any bound is a deadlock at some depth.
+fn pool() -> &'static WorkPool {
+    static POOL: OnceLock<WorkPool> = OnceLock::new();
+    POOL.get_or_init(|| WorkPool::new("mc-wf", usize::MAX, Duration::from_secs(2)))
 }
 
 /// A handle on a running workflow instance.
@@ -401,7 +311,7 @@ impl Engine {
         let run_states = Arc::clone(&states);
         let inputs = inputs.clone();
         let request_id = request_id.map(str::to_string);
-        std::thread::spawn(move || {
+        pool().spawn(move || {
             let outcome = execute(
                 &validated,
                 &caller,
@@ -444,9 +354,17 @@ fn execute(
     let (done_tx, done_rx) = mpsc::channel::<BlockDone>();
     let mut failed: Option<EngineError> = None;
 
+    // `Service` and `Script` blocks run on the pool; the rest only move a
+    // value from one map to another and are evaluated right here.
     let spawn_block = |id: &str, done_tx: &mpsc::Sender<BlockDone>| {
         states.write().insert(id.to_string(), BlockRun::Running);
         publish_block_event("workflow.block.running", &wf.name, id, request_id, None);
+        let kind = &wf.find(id).expect("validated block").kind;
+        if !matches!(kind, BlockKind::Service { .. } | BlockKind::Script { .. }) {
+            let result = run_block(validated, caller, &values, request_inputs, request_id, id);
+            let _ = done_tx.send((id.to_string(), result));
+            return;
+        }
         let id = id.to_string();
         let validated = Arc::clone(validated);
         let caller = Arc::clone(caller);
@@ -454,7 +372,7 @@ fn execute(
         let request_inputs = request_inputs.clone();
         let request_id = request_id.map(str::to_string);
         let done_tx = done_tx.clone();
-        std::thread::spawn(move || {
+        pool().spawn(move || {
             let result = run_block(
                 &validated,
                 &caller,
@@ -483,7 +401,7 @@ fn execute(
     }
 
     while inflight > 0 {
-        let (id, outcome) = done_rx.recv().expect("block threads hold a sender");
+        let (id, outcome) = done_rx.recv().expect("this thread holds a sender");
         inflight -= 1;
         match outcome {
             Ok(produced) => {
@@ -848,8 +766,8 @@ mod tests {
 
     #[test]
     fn http_caller_attaches_request_id_to_submit_and_poll() {
-        use mathcloud_core::JobId;
-        use mathcloud_http::{PathParams, Response, Router, Server};
+        use mathcloud_core::{JobId, JobRepresentation, JobState};
+        use mathcloud_http::{PathParams, Request, Response, Router, Server};
 
         // A one-job service: submission returns WAITING, the first poll
         // returns DONE. Both handlers record the request id they were given.
@@ -885,7 +803,7 @@ mod tests {
         );
         let server = Server::bind("127.0.0.1:0", router).expect("bind");
 
-        let caller = HttpCaller::new(Duration::from_millis(2));
+        let caller = HttpCaller::default();
         let inputs: Object = [("a".to_string(), json!(40)), ("b".to_string(), json!(2))]
             .into_iter()
             .collect();

@@ -51,16 +51,6 @@ impl StructureKind {
         }
     }
 
-    /// Surface area (nm²), used to size the atom sample.
-    pub fn surface_area(&self) -> f64 {
-        match *self {
-            StructureKind::Toroid { major_r, minor_r } => 4.0 * PI * PI * major_r * minor_r,
-            StructureKind::Tube { radius, length } => 2.0 * PI * radius * length,
-            StructureKind::Sphere { radius } => 4.0 * PI * radius * radius,
-            StructureKind::Flake { side } => side * side,
-        }
-    }
-
     /// Aspect ratio where defined (toroids), the quantity the paper's
     /// conclusion is phrased in.
     pub fn aspect_ratio(&self) -> Option<f64> {

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 verification: formatting, release build, full test suite.
-# The workspace is dependency-free, so everything runs offline
+# The one gate: formatting, release build, full test suite, the release-mode
+# batteries under hard timeouts, the Table 2 smoke and the jobpath smoke.
+# CI runs exactly this script (.github/workflows/ci.yml), so a check exists
+# once. The workspace is dependency-free, so everything runs offline
 # (--offline makes cargo fail fast instead of probing the network).
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -12,8 +14,8 @@ echo "==> cargo build --release"
 cargo build --release --offline
 
 # Size claims in CHANGES.md are read off this table, not counted by hand.
-echo "==> non-test lines of crates/everest/src"
-scripts/loc.sh crates/everest/src
+echo "==> non-test lines per crate"
+scripts/loc.sh | awk '/\(total, non-test\)/ { print; sum += $1 } END { printf "%7d  workspace\n", sum }'
 
 echo "==> cargo test -q"
 cargo test -q --offline
@@ -22,9 +24,9 @@ echo "==> benches compile"
 cargo build -q --offline -p mathcloud-bench --benches
 
 # The autoscaling load test drives a mock clock with wall-clock pacing; run
-# it in release mode under a hard timeout so a livelocked pool (a worker
-# missing a poison pill, a controller that never converges) fails the build
-# instead of hanging it.
+# it in release mode under a hard timeout so a livelocked pool (a backlog
+# nobody staffs, a controller that never converges) fails the build instead
+# of hanging it.
 echo "==> pool autoscaling load test (release, 300s budget)"
 timeout 300 cargo test -q --offline --release \
   -p mathcloud-integration-tests --test pool_autoscaling
@@ -116,9 +118,9 @@ timeout 300 cargo test -q --offline --release \
 # limbs. Release mode because exact arithmetic is ~20x slower unoptimized;
 # the smoke sizes finish in well under a second.
 #
-# The four `--smoke` emitters below write `BENCH_<n>.json` into their working
-# directory. They run from a scratch directory and the gates read the scratch
-# copies, so the committed full-run `BENCH_5`–`8.json` are never overwritten.
+# `repro --smoke` writes `BENCH_5.json` into its working directory: it runs
+# from a scratch directory and the gate reads the scratch copy, so the
+# committed full-run `BENCH_5.json` is never overwritten.
 repo=$PWD
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
@@ -155,128 +157,6 @@ for r in big:
 print(f"BENCH_5.json OK: speedup {last['speedup']:.2f}x at N={last['n']}, "
       f"toom-3 {big[-1]['toom3_ms']:.3f}ms vs schoolbook "
       f"{big[-1]['schoolbook_ms']:.3f}ms at {big[-1]['limbs']} limbs")
-EOF
-
-# The push-vs-poll smoke proves the events bus actually displaces polling:
-# the same jobs waited out via `GET /events` subscriptions must cost at
-# least 5x fewer job-status requests than the poll loop. Both modes read
-# the server-side request counter, so the comparison is exact.
-echo "==> push-vs-poll events smoke (release, 120s budget)"
-cargo build -q --release --offline -p mathcloud-bench --bin pushpoll
-(cd "$smoke_dir" && timeout 120 "$repo/target/release/pushpoll" --smoke)
-python3 - "$smoke_dir/BENCH_6.json" <<'EOF'
-import json, sys
-
-with open(sys.argv[1]) as f:
-    report = json.load(f)
-for mode in ("poll", "push"):
-    for key in ("status_requests", "per_job"):
-        assert key in report[mode], f"{mode} missing {key}: {report}"
-assert report["jobs"] > 0, "no jobs measured"
-if report["push"]["per_job"] > 2.0:
-    sys.exit(
-        f"push mode is polling: {report['push']['per_job']:.2f} "
-        "status requests per job (expected <= 2)"
-    )
-if report["reduction"] < 5.0:
-    sys.exit(
-        f"push only reduced status requests {report['reduction']:.1f}x "
-        f"(poll {report['poll']['per_job']:.1f}/job vs push "
-        f"{report['push']['per_job']:.1f}/job); gate is 5x"
-    )
-print(f"BENCH_6.json OK: push cut status requests {report['reduction']:.1f}x "
-      f"({report['poll']['per_job']:.1f} -> {report['push']['per_job']:.1f} "
-      "per job)")
-EOF
-
-# The server-edge smoke proves SSE subscribers no longer starve the worker
-# pool: an 8-worker server answers a closed-loop /ping load with zero
-# errors while 12 live `GET /events` subscriptions are held open, and the
-# SSE-loaded p99/throughput stay within 20% of the bare run (median of
-# repeated pairs, with a 1ms epsilon so sub-millisecond jitter cannot
-# masquerade as a regression).
-echo "==> server edge RPS/latency smoke (release, 180s budget)"
-cargo build -q --release --offline -p mathcloud-bench --bin edge
-(cd "$smoke_dir" && timeout 180 "$repo/target/release/edge" --smoke)
-python3 - "$smoke_dir/BENCH_7.json" <<'EOF'
-import json, sys
-
-with open(sys.argv[1]) as f:
-    report = json.load(f)
-scenarios = report["scenarios"]
-assert scenarios, "BENCH_7.json has no scenarios"
-for s in scenarios:
-    for key in ("connections", "sse_subscribers", "requests", "errors",
-                "rps", "p50_ms", "p99_ms"):
-        assert key in s, f"scenario missing {key}: {s}"
-    assert s["requests"] > 0, f"scenario measured nothing: {s}"
-    if s["errors"]:
-        sys.exit(
-            f"{s['errors']} failed requests at {s['connections']} conns "
-            f"with {s['sse_subscribers']} SSE subscribers"
-        )
-sse = [s for s in scenarios if s["sse_subscribers"] > 0]
-assert sse, "no SSE-loaded scenario measured"
-assert all(s["sse_events_received"] > 0 for s in sse), \
-    "held SSE streams received no events"
-# Recorded baseline: the seed smoke run's bare p99 sat well under 1ms on
-# this hardware; 25ms leaves headroom for shared CI runners while still
-# catching an edge that reintroduces serial accepts or per-request
-# allocation storms.
-if report["baseline_p99_ms"] > 25.0:
-    sys.exit(
-        f"bare p99 regressed to {report['baseline_p99_ms']:.2f}ms "
-        "(recorded baseline <1ms, gate 25ms)"
-    )
-if report["sse_p99_ratio"] > 1.2:
-    sys.exit(
-        f"SSE subscribers inflate p99 {report['sse_p99_ratio']:.2f}x "
-        f"({report['baseline_p99_ms']:.3f}ms -> "
-        f"{report['sse_p99_ms']:.3f}ms); gate is 1.2x"
-    )
-if report["sse_throughput_ratio"] < 0.8:
-    sys.exit(
-        f"SSE subscribers cut /ping throughput to "
-        f"{report['sse_throughput_ratio']:.2f}x; gate is 0.8x"
-    )
-print(f"BENCH_7.json OK: {report['sse_subscribers']} subscribers on "
-      f"{report['workers']} workers, p99 ratio "
-      f"{report['sse_p99_ratio']:.2f}, throughput ratio "
-      f"{report['sse_throughput_ratio']:.2f}")
-EOF
-
-# The memoized-sweep smoke re-runs an identical X-ray campaign against a
-# memoizing container: the warm pass must be answered from the result
-# cache (hit rate >= 0.5 — in practice 1.0) and at least 3x faster than
-# the cold pass, or the cache is not actually displacing compute.
-echo "==> memoized sweep smoke (release, 120s budget)"
-cargo build -q --release --offline -p mathcloud-bench --bin sweep
-(cd "$smoke_dir" && timeout 120 "$repo/target/release/sweep" --smoke)
-python3 - "$smoke_dir/BENCH_8.json" <<'EOF'
-import json, sys
-
-with open(sys.argv[1]) as f:
-    report = json.load(f)
-for section in ("cold", "warm"):
-    for key in ("wall_ms", "hits", "misses"):
-        assert key in report[section], f"{section} missing {key}: {report}"
-assert report["jobs_per_pass"] > 0, "no jobs measured"
-assert report["warm"]["hits"] > 0, "warm pass never hit the cache"
-if report["warm_hit_rate"] < 0.5:
-    sys.exit(
-        f"warm hit rate {report['warm_hit_rate']:.2f} "
-        f"({report['warm']['hits']} hits / {report['warm']['misses']} "
-        "misses); gate is 0.5"
-    )
-if report["speedup"] < 3.0:
-    sys.exit(
-        f"memoized re-run only {report['speedup']:.1f}x faster "
-        f"(cold {report['cold']['wall_ms']:.1f}ms vs warm "
-        f"{report['warm']['wall_ms']:.1f}ms); gate is 3x"
-    )
-print(f"BENCH_8.json OK: warm pass {report['speedup']:.1f}x faster, "
-      f"hit rate {report['warm_hit_rate']:.2f} over "
-      f"{report['jobs_per_pass']} jobs")
 EOF
 
 # The repo's benchmark (BENCHMARK.json) must keep building against the

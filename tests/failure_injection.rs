@@ -50,7 +50,7 @@ fn workflow_fails_cleanly_when_a_service_dies_mid_run() {
     let validated = validate(&wf, &HttpDescriptions::new()).unwrap();
     // Kill the container before execution: every service call now fails.
     drop(server);
-    let engine = Engine::with_caller(validated, HttpCaller::new(Duration::from_millis(5)));
+    let engine = Engine::with_caller(validated, HttpCaller::default());
     let inputs = [("a".to_string(), json!(1)), ("b".to_string(), json!(2))]
         .into_iter()
         .collect();

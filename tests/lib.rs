@@ -68,7 +68,7 @@ pub mod loadgen {
     /// process-wide registry — the server-side request volume a polling
     /// client generates. Take a reading before and after a scenario and
     /// divide the delta by completed jobs to get requests-per-job, the
-    /// poll-vs-push comparison the `pushpoll` bench gates on.
+    /// poll-vs-push comparison `events_streaming` asserts on.
     pub fn job_status_requests() -> u64 {
         mathcloud_telemetry::metrics::global()
             .counter_value(

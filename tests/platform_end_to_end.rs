@@ -39,7 +39,7 @@ fn discover_compose_execute() {
     // 3. Composition: the Schur workflow published as a composite service.
     let wms_container = Everest::with_handlers("wms", 2);
     let wms = WorkflowService::with_backends(wms_container, HttpDescriptions::new(), || {
-        Arc::new(HttpCaller::new(Duration::from_millis(10)))
+        Arc::new(HttpCaller::default())
     });
     let workflow = schur_workflow(&bases);
     let service_name = wms
@@ -154,7 +154,7 @@ fn wms_rest_upload_executes_via_composite_service() {
 
     let wms_container = Everest::with_handlers("wms", 2);
     let wms = WorkflowService::with_backends(wms_container, HttpDescriptions::new(), || {
-        Arc::new(HttpCaller::new(Duration::from_millis(10)))
+        Arc::new(HttpCaller::default())
     });
     let mut router = mathcloud_everest::rest::router(wms.container().clone(), None);
     wms.mount(&mut router);

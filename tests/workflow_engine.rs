@@ -4,7 +4,6 @@
 //! then appear inside *other* workflows, the paper's sub-workflow feature).
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use mathcloud_core::{Parameter, ServiceDescription};
 use mathcloud_everest::adapter::NativeAdapter;
@@ -82,7 +81,7 @@ fn workflow_executes_against_live_services() {
     let (_s, base) = math_server();
     let wf = squared_sum_workflow(&base);
     let validated = validate(&wf, &HttpDescriptions::new()).unwrap();
-    let engine = Engine::with_caller(validated, HttpCaller::new(Duration::from_millis(10)));
+    let engine = Engine::with_caller(validated, HttpCaller::default());
     let inputs: Object = [("a".to_string(), json!(3)), ("b".to_string(), json!(4))]
         .into_iter()
         .collect();
@@ -115,7 +114,7 @@ fn published_workflow_is_a_service_usable_in_other_workflows() {
     // Publish (a+b)^2 as a composite service on a WMS container.
     let wms_container = Everest::with_handlers("wms", 4);
     let wms = WorkflowService::with_backends(wms_container, HttpDescriptions::new(), || {
-        Arc::new(HttpCaller::new(Duration::from_millis(10)))
+        Arc::new(HttpCaller::default())
     });
     wms.publish(&squared_sum_workflow(&base)).unwrap();
     let wms_server =
@@ -141,7 +140,7 @@ fn published_workflow_is_a_service_usable_in_other_workflows() {
         .wire(("one", "value"), ("plus", "b"))
         .wire(("plus", "sum"), ("out", "value"));
     let validated = validate(&outer, &HttpDescriptions::new()).unwrap();
-    let engine = Engine::with_caller(validated, HttpCaller::new(Duration::from_millis(10)));
+    let engine = Engine::with_caller(validated, HttpCaller::default());
     let inputs: Object = [("x".to_string(), json!(2)), ("y".to_string(), json!(3))]
         .into_iter()
         .collect();
@@ -170,7 +169,7 @@ fn script_blocks_post_process_service_results() {
         .wire(("add", "sum"), ("report", "s"))
         .wire(("report", "line"), ("text", "value"));
     let validated = validate(&wf, &HttpDescriptions::new()).unwrap();
-    let engine = Engine::with_caller(validated, HttpCaller::new(Duration::from_millis(10)));
+    let engine = Engine::with_caller(validated, HttpCaller::default());
     let inputs: Object = [("a".to_string(), json!(30)), ("b".to_string(), json!(12))]
         .into_iter()
         .collect();
@@ -188,7 +187,7 @@ fn json_round_trip_preserves_executability() {
     let parsed = Workflow::from_value(&mathcloud_json::parse(&text).unwrap()).unwrap();
     assert_eq!(parsed, wf);
     let validated = validate(&parsed, &HttpDescriptions::new()).unwrap();
-    let engine = Engine::with_caller(validated, HttpCaller::new(Duration::from_millis(10)));
+    let engine = Engine::with_caller(validated, HttpCaller::default());
     let inputs: Object = [("a".to_string(), json!(1)), ("b".to_string(), json!(1))]
         .into_iter()
         .collect();
