@@ -6,7 +6,7 @@
 //! recovers the same way.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -295,7 +295,8 @@ impl Appender {
     }
 }
 
-/// Reads every well-formed JSON line from `path`, oldest first.
+/// Hands every well-formed JSON line of `path` to `each`, oldest first, in
+/// one streaming pass: one line is in memory at a time, and `each` owns it.
 ///
 /// A missing file is an empty journal. Lines that are not valid UTF-8
 /// or not valid JSON — a torn tail from a crash mid-append, or bytes
@@ -306,25 +307,23 @@ impl Appender {
 /// # Errors
 ///
 /// Propagates I/O errors opening or reading the file.
-pub fn read_values(path: &Path) -> io::Result<Vec<Value>> {
-    let mut file = match File::open(path) {
+pub fn read_values(path: &Path, mut each: impl FnMut(Value)) -> io::Result<()> {
+    let file = match File::open(path) {
         Ok(f) => f,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(()),
         Err(e) => return Err(e),
     };
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)?;
-    let mut out = Vec::new();
-    for raw in bytes.split(|&b| b == b'\n') {
-        let Ok(line) = std::str::from_utf8(raw) else {
-            continue;
-        };
-        if line.trim().is_empty() {
-            continue;
+    let mut file = BufReader::with_capacity(1 << 16, file);
+    let mut raw = Vec::new();
+    while file.read_until(b'\n', &mut raw)? > 0 {
+        // The newline, and an empty line's failure to parse, need no case.
+        if let Some(v) = std::str::from_utf8(&raw)
+            .ok()
+            .and_then(|line| mathcloud_json::parse(line).ok())
+        {
+            each(v);
         }
-        if let Ok(v) = mathcloud_json::parse(line) {
-            out.push(v);
-        }
+        raw.clear();
     }
-    Ok(out)
+    Ok(())
 }

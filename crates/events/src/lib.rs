@@ -240,10 +240,9 @@ impl Drop for Subscription {
 /// Propagates I/O errors opening or reading the file; a missing file is an
 /// empty journal.
 pub fn read_journal(path: &Path) -> io::Result<Vec<Envelope>> {
-    Ok(jsonl::read_values(path)?
-        .iter()
-        .filter_map(Envelope::from_json)
-        .collect())
+    let mut envelopes = Vec::new();
+    jsonl::read_values(path, |v| envelopes.extend(Envelope::from_json(&v)))?;
+    Ok(envelopes)
 }
 
 /// Who makes staged events durable: a journal, as seen from the bus. Each

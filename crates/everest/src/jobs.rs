@@ -425,6 +425,11 @@ impl JobTable {
             .or_insert_with(|| JobRecord::waiting(pending.request_id.clone()));
         record.state = state;
         record.rank = rank;
+        if state.is_terminal() {
+            // Nothing runs a settled job again; a handler still running it
+            // holds its own clone.
+            record.inputs = Arc::default();
+        }
         // Only a state without a result has an edge to another state.
         record.error = pending.error.clone();
         record.runtime_ms = detail.runtime_ms;
@@ -786,11 +791,11 @@ mod tests {
         // No transition above was settled, and yet: every record that is not
         // a tombstone names an event, every such event has arrived — in id
         // order — and a refusal took no id.
-        let named: Vec<u64> = mathcloud_events::jsonl::read_values(store.path())
-            .unwrap()
-            .iter()
-            .filter_map(|v| v.get("ev").and_then(Value::as_u64))
-            .collect();
+        let mut named: Vec<u64> = Vec::new();
+        mathcloud_events::jsonl::read_values(store.path(), |v| {
+            named.extend(v.get("ev").and_then(Value::as_u64));
+        })
+        .unwrap();
         assert_eq!(named.len() as u64, store.journal_stats().records - 3);
         assert_eq!(store.last_ev(), *named.last().unwrap());
         let arrived = events_of(&announced, "edges", named.len());
@@ -896,6 +901,27 @@ mod tests {
             .collect();
         assert_eq!(evicted, ["j-4"]);
         assert!(table.snapshot("svc", "j-6").is_some());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn inputs_live_while_the_job_can_run_and_go_when_it_settles() {
+        let (table, dir) = journaled_table("inputs");
+        let inputs = |job: &str| {
+            let key = ("svc".to_string(), job.to_string());
+            (*table.inner.lock().records[&key].inputs).clone()
+        };
+        let submitted = json!({"a": 1}).as_object().cloned().unwrap();
+        for (n, state) in STATES.into_iter().enumerate() {
+            let job = format!("j-{n}");
+            drive(&table, &job, state);
+            let kept = if state.is_terminal() {
+                Object::new()
+            } else {
+                submitted.clone()
+            };
+            assert_eq!(inputs(&job), kept, "{state:?}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

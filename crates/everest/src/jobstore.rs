@@ -116,7 +116,8 @@ pub struct RecoveredJob {
     pub memo_key: Option<String>,
     /// The submission's request id, if any.
     pub request_id: Option<String>,
-    /// Validated inputs (what re-execution needs).
+    /// Validated inputs (what re-execution needs); empty once the job is
+    /// terminal.
     pub inputs: Object,
     /// Outputs, when the job finished.
     pub outputs: Option<Object>,
@@ -147,6 +148,10 @@ struct StoreInner {
 }
 
 impl StoreInner {
+    /// Folds one record in, all but `d.inputs`: returns the job's entry while
+    /// it is live, for the caller to put the inputs in — by copy from a
+    /// borrowed detail, by move from a parsed line. A terminal record drops
+    /// them: nothing runs a settled job again.
     fn fold(
         &mut self,
         seq: u64,
@@ -155,7 +160,7 @@ impl StoreInner {
         state: TransitionState,
         d: &TransitionDetail<'_>,
         time_ms: u64,
-    ) {
+    ) -> Option<&mut RecoveredJob> {
         self.seq = self.seq.max(seq);
         self.ev = self.ev.max(d.ev.unwrap_or(0));
         if let Some(n) = job_number(job) {
@@ -165,6 +170,7 @@ impl StoreInner {
         match state {
             TransitionState::Deleted => {
                 self.folded.remove(&key);
+                None
             }
             TransitionState::Job(state) => {
                 let entry = self.folded.entry(key).or_insert_with(|| RecoveredJob {
@@ -194,9 +200,6 @@ impl StoreInner {
                 if let Some(r) = d.request_id {
                     entry.request_id = Some(r.to_string());
                 }
-                if let Some(i) = d.inputs {
-                    entry.inputs = i.clone();
-                }
                 if let Some(o) = d.outputs {
                     entry.outputs = Some(o.clone());
                 }
@@ -206,6 +209,11 @@ impl StoreInner {
                 if let Some(ms) = d.runtime_ms {
                     entry.runtime_ms = Some(ms);
                 }
+                if !state.is_terminal() {
+                    return Some(entry);
+                }
+                entry.inputs = Object::new();
+                None
             }
         }
     }
@@ -290,7 +298,8 @@ impl std::fmt::Debug for JobStore {
 }
 
 impl JobStore {
-    /// Opens (or creates) the journal at `path` and replays it.
+    /// Opens (or creates) the journal at `path` and replays it, one line at
+    /// a time.
     ///
     /// Torn or corrupt lines are skipped per the events-journal rule; the
     /// sequence counter and the `j-<n>` and event-id watermarks resume past
@@ -314,21 +323,26 @@ impl JobStore {
             folded: HashMap::new(),
             max_job: 0,
         };
-        for v in jsonl::read_values(path)? {
+        jsonl::read_values(path, |mut v| {
             if v.get("meta").and_then(Value::as_bool) == Some(true) {
                 let mark = |key: &str| v.get(key).and_then(Value::as_u64).unwrap_or(0);
                 inner.seq = inner.seq.max(mark("seq"));
                 inner.max_job = inner.max_job.max(mark("max_job"));
                 inner.ev = inner.ev.max(mark("ev"));
-                continue;
+                return;
             }
+            // The line owns its inputs: a live job's move into the fold.
+            let inputs = v.as_object_mut().and_then(|line| line.remove("inputs"));
             if let Some((seq, service, job, state, detail)) = parse_record(&v) {
                 let time_ms = v.get("time_ms").and_then(Value::as_u64).unwrap_or(0);
-                inner.fold(seq, service, job, state, &detail, time_ms);
+                let live = inner.fold(seq, service, job, state, &detail, time_ms);
+                if let (Some(live), Some(Value::Object(inputs))) = (live, inputs) {
+                    live.inputs = inputs;
+                }
             }
-        }
+        })?;
         let reg = metrics::global();
-        Ok(JobStore {
+        let store = JobStore {
             // Opening repairs a torn (newline-less) tail left by a crash
             // mid-append, so the first post-recovery append cannot
             // concatenate onto the fragment and corrupt an acknowledged
@@ -339,7 +353,16 @@ impl JobStore {
             appends: reg.counter("mc_job_journal_appends_total", &[]),
             compactions: reg.counter("mc_job_journal_compactions_total", &[]),
             bytes: reg.gauge("mc_job_journal_bytes", &[]),
-        })
+        };
+        store.measure();
+        Ok(store)
+    }
+
+    /// Sets `mc_job_journal_bytes` to the file's size.
+    fn measure(&self) {
+        if let Ok(meta) = std::fs::metadata(self.journal.path()) {
+            self.bytes.set(meta.len() as i64);
+        }
     }
 
     /// The journal path.
@@ -473,7 +496,10 @@ impl JobStore {
                 0
             }
         };
-        inner.fold(seq, service, job, state, &detail, time_ms);
+        let live = inner.fold(seq, service, job, state, &detail, time_ms);
+        if let (Some(live), Some(inputs)) = (live, detail.inputs) {
+            live.inputs = inputs.clone();
+        }
         inner.appended += 1;
         if inner.appended >= self.compact_every {
             self.compact_locked(&mut inner);
@@ -492,7 +518,8 @@ impl JobStore {
     /// rewrite equals this fold. [`jsonl::Appender::rewrite`] makes the swap
     /// atomic and durable with two syncs — the file and its directory —
     /// however many records survive; they are serialized straight from the
-    /// fold, by reference.
+    /// fold, by reference. Only live jobs carry inputs, so the rewrite is
+    /// their inputs plus a few hundred bytes per settled job.
     fn compact_locked(&self, inner: &mut StoreInner) {
         let mut jobs: Vec<&RecoveredJob> = inner.folded.values().collect();
         jobs.sort_by_key(|j| j.seq);
@@ -504,7 +531,7 @@ impl JobStore {
                     idem_key: j.idem_key.as_deref(),
                     memo_key: j.memo_key.as_deref(),
                     request_id: j.request_id.as_deref(),
-                    inputs: Some(&j.inputs),
+                    inputs: (!j.state.is_terminal()).then_some(&j.inputs),
                     outputs: j.outputs.as_ref(),
                     error: j.error.as_deref(),
                     runtime_ms: j.runtime_ms,
@@ -521,9 +548,7 @@ impl JobStore {
         }
         inner.appended = 0;
         self.compactions.inc();
-        if let Ok(meta) = std::fs::metadata(self.journal.path()) {
-            self.bytes.set(meta.len() as i64);
-        }
+        self.measure();
     }
 }
 
@@ -579,7 +604,7 @@ fn describe_metrics() {
         );
         reg.describe(
             "mc_job_journal_bytes",
-            "job-journal size after the last compaction",
+            "job-journal size at open and after the last compaction",
         );
         reg.describe(
             "mc_jobs_deduplicated_total",
@@ -707,9 +732,10 @@ mod tests {
         );
         assert_eq!(jobs[0].outputs, Some(outs));
         assert_eq!(jobs[0].runtime_ms, Some(7));
-        assert_eq!(jobs[0].inputs, ins);
+        assert!(jobs[0].inputs.is_empty(), "a settled job carries no inputs");
         assert_eq!(jobs[1].job, "j-2");
         assert_eq!(jobs[1].state, JobState::Waiting);
+        assert_eq!(jobs[1].inputs, ins, "a live one keeps its own");
         assert_eq!(store.max_job_number(), 2);
         assert_eq!(store.last_seq(), 4, "sequence resumes past the journal");
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
@@ -891,6 +917,34 @@ mod tests {
         let store = JobStore::open(&path, usize::MAX).unwrap();
         assert_eq!(store.recovered().len(), 301);
         assert_eq!(store.last_seq(), 301);
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn the_size_gauge_reads_the_file_from_open_on() {
+        let path = tmp_path("gauge");
+        let store = JobStore::open(&path, usize::MAX).unwrap();
+        let ins = inputs();
+        for n in 1..=7 {
+            let detail = TransitionDetail {
+                inputs: Some(&ins),
+                ..Default::default()
+            };
+            let waiting = TransitionState::Job(JobState::Waiting);
+            store.append("sum", &format!("j-{n}"), waiting, detail);
+        }
+        drop(store);
+        let len = std::fs::metadata(&path).unwrap().len() as i64;
+        // The gauge is process-wide and other tests of this binary open
+        // journals too: one of a few reopens must read this file's size.
+        let read_back = (0..50).any(|_| {
+            let _store = JobStore::open(&path, usize::MAX).unwrap();
+            metrics::global().gauge_value("mc_job_journal_bytes", &[]) == Some(len)
+        });
+        assert!(
+            read_back,
+            "mc_job_journal_bytes never read {len} after a reopen"
+        );
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 

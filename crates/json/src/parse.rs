@@ -4,6 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use crate::number::Number;
+use crate::ser::clean_prefix_len;
 use crate::value::{Object, Value};
 
 /// Maximum nesting depth accepted by the parser.
@@ -219,6 +220,12 @@ impl<'a> Parser<'a> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // The run up to the next `"`, `\` or control byte is copied whole;
+            // it ends on an ASCII byte, so on a character boundary.
+            let rest = &self.bytes[self.pos..];
+            let run = &rest[..clean_prefix_len(rest)];
+            out.push_str(std::str::from_utf8(run).map_err(|_| self.err("invalid utf-8"))?);
+            self.pos += run.len();
             match self.bump() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => return Ok(out),
@@ -263,23 +270,7 @@ impl<'a> Parser<'a> {
                     }
                     _ => return Err(self.err("invalid escape sequence")),
                 },
-                Some(b) if b < 0x20 => return Err(self.err("control character in string")),
-                Some(b) if b < 0x80 => out.push(b as char),
-                Some(b) => {
-                    // Multi-byte UTF-8: the input is a &str so the bytes are
-                    // valid; copy the full sequence.
-                    let len = utf8_len(b);
-                    let start = self.pos - 1;
-                    let end = start + len;
-                    if end > self.bytes.len() {
-                        return Err(self.err("truncated utf-8 sequence"));
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..end])
-                            .map_err(|_| self.err("invalid utf-8"))?,
-                    );
-                    self.pos = end;
-                }
+                Some(_) => return Err(self.err("control character in string")),
             }
         }
     }
@@ -352,20 +343,11 @@ impl<'a> Parser<'a> {
     }
 }
 
-fn utf8_len(first: u8) -> usize {
-    if first >= 0xF0 {
-        4
-    } else if first >= 0xE0 {
-        3
-    } else {
-        2
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::json;
+    use crate::ser::tests::ALPHABET;
 
     #[test]
     fn parses_scalars() {
@@ -458,6 +440,197 @@ mod tests {
         assert!(parse(&deep).is_err());
         let ok = "[".repeat(100) + &"]".repeat(100);
         assert!(parse(&ok).is_ok());
+    }
+
+    impl Parser<'_> {
+        /// The string reader as it was before it copied runs: one byte at a
+        /// time. Kept as the reference the run-copy reader is compared
+        /// against, as `ser` keeps its per-char escaper.
+        fn parse_string_per_byte(&mut self) -> Result<String, ParseError> {
+            self.expect(b'"')?;
+            let mut out = String::new();
+            loop {
+                match self.bump() {
+                    None => return Err(self.err("unterminated string")),
+                    Some(b'"') => return Ok(out),
+                    Some(b'\\') => match self.bump() {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'b') => out.push('\u{0008}'),
+                        Some(b'f') => out.push('\u{000C}'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'u') => {
+                            let cp = self.parse_hex4()?;
+                            if (0xD800..0xDC00).contains(&cp) {
+                                if self.peek() == Some(b'\\') {
+                                    self.pos += 1;
+                                    if self.bump() != Some(b'u') {
+                                        return Err(self.err("expected low surrogate escape"));
+                                    }
+                                    let low = self.parse_hex4()?;
+                                    if !(0xDC00..0xE000).contains(&low) {
+                                        return Err(self.err("invalid low surrogate"));
+                                    }
+                                    let c = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+                                    match char::from_u32(c) {
+                                        Some(c) => out.push(c),
+                                        None => return Err(self.err("invalid surrogate pair")),
+                                    }
+                                } else {
+                                    return Err(self.err("unpaired high surrogate"));
+                                }
+                            } else if (0xDC00..0xE000).contains(&cp) {
+                                return Err(self.err("unpaired low surrogate"));
+                            } else {
+                                match char::from_u32(cp) {
+                                    Some(c) => out.push(c),
+                                    None => return Err(self.err("invalid unicode escape")),
+                                }
+                            }
+                        }
+                        _ => return Err(self.err("invalid escape sequence")),
+                    },
+                    Some(b) if b < 0x20 => return Err(self.err("control character in string")),
+                    Some(b) if b < 0x80 => out.push(b as char),
+                    Some(b) => {
+                        let len = match b {
+                            0xF0.. => 4,
+                            0xE0.. => 3,
+                            _ => 2,
+                        };
+                        let start = self.pos - 1;
+                        let end = start + len;
+                        if end > self.bytes.len() {
+                            return Err(self.err("truncated utf-8 sequence"));
+                        }
+                        out.push_str(
+                            std::str::from_utf8(&self.bytes[start..end])
+                                .map_err(|_| self.err("invalid utf-8"))?,
+                        );
+                        self.pos = end;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Reads the string starting at byte `at` of `doc` with both readers and
+    /// asserts the same value or the same error, and the same end position.
+    /// Returns that position.
+    fn same_as_reference(doc: &str, at: usize) -> usize {
+        let (mut new, mut old) = (Parser::new(doc), Parser::new(doc));
+        (new.pos, old.pos) = (at, at);
+        let got = new.parse_string();
+        let expected = old.parse_string_per_byte();
+        assert_eq!(got, expected, "{doc:?} at {at}");
+        assert_eq!(new.pos, old.pos, "{doc:?} at {at}");
+        if let Ok(s) = &got {
+            assert_eq!(parse(&doc[at..new.pos]).unwrap(), Value::from(s.as_str()));
+        }
+        new.pos
+    }
+
+    #[test]
+    fn run_copy_reader_matches_the_per_byte_reference() {
+        let mut x = 0x7061_7273_655f_7374u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut contents: Vec<String> = (0..0x80u8).map(|b| (b as char).to_string()).collect();
+        contents.push(String::new());
+        // Each character at every offset of a clean run, so every alignment
+        // of hit and tail against the eight-byte scan occurs.
+        for c in ALPHABET {
+            for at in 0..=24 {
+                contents.push(format!("{}{c}{}", "x".repeat(at), "y".repeat(24 - at)));
+            }
+        }
+        for _ in 0..2_000 {
+            let len = (next() % 40) as usize;
+            let clean = next() % 2 == 0;
+            contents.push(
+                (0..len)
+                    .map(|_| match next() {
+                        r if clean && r % 8 != 0 => 'x',
+                        r => ALPHABET[(r >> 8) as usize % ALPHABET.len()],
+                    })
+                    .collect(),
+            );
+        }
+        // Escaped, every one is valid; raw, a quote ends it early, a control
+        // byte or a stray backslash is an error. Behind two lines, so error
+        // lines and columns are not all 1.
+        for s in &contents {
+            let mut escaped = String::from("\n \n  ");
+            crate::ser::write_escaped(&mut escaped, s).unwrap();
+            assert_eq!(same_as_reference(&escaped, 5), escaped.len(), "{s:?}");
+            same_as_reference(&format!("\n \n  \"{s}\""), 5);
+        }
+    }
+
+    #[test]
+    fn run_copy_reader_fails_where_and_as_the_reference_does() {
+        for bad in [
+            "\u{1}",
+            "a\u{1f}b",
+            "tab\there",
+            "line\nbreak",
+            "\\x",
+            "\\",
+            "\\u",
+            "\\u12",
+            "\\u12\"",
+            "\\uzzzz",
+            "\\ud834",
+            "\\ud834\\u0041",
+            "\\ud834\\n",
+            "\\ud834x",
+            "\\udd1e",
+            "\\ud834\\udd1e",
+            "unterminated",
+            "é€𝄞",
+        ] {
+            for at in [0, 1, 7, 8, 9, 23] {
+                let doc = format!("[\n  \"{}{bad}", "x".repeat(at));
+                same_as_reference(&doc, 4);
+                same_as_reference(&format!("{doc}\""), 4);
+            }
+        }
+        let e = parse("{\"k\": \"ok\",\n \"v\": \"bad\\q\"}").unwrap_err();
+        let at = (e.message(), e.line, e.column, e.offset);
+        assert_eq!(
+            at,
+            ("invalid escape sequence", 2, 13, 24),
+            "just past the `q`"
+        );
+    }
+
+    #[test]
+    fn run_copy_reader_reads_a_64k_journal_record_as_the_reference_does() {
+        let fixture = include_str!("../../everest/tests/fixtures/record_lines_64k.jsonl");
+        let waiting = fixture.lines().next().unwrap();
+        // Every string of the line, keys and values, the 64 KiB one included.
+        let (mut at, mut strings) = (0, 0);
+        while at < waiting.len() {
+            if waiting.as_bytes()[at] == b'"' {
+                at = same_as_reference(waiting, at);
+                strings += 1;
+            } else {
+                at += 1;
+            }
+        }
+        assert!(strings > 10, "{strings}");
+        let data = parse(waiting).unwrap()["inputs"]["data"]
+            .as_str()
+            .unwrap()
+            .len();
+        assert!(data > 64 * 1024, "{data}");
     }
 
     #[test]

@@ -126,11 +126,12 @@ fn write_pretty<W: Write>(out: &mut W, value: &Value, indent: usize) -> fmt::Res
 }
 
 /// Length of the prefix of `bytes` that JSON copies unescaped: everything up
-/// to the first `"`, `\\` or control character below 0x20. Eight bytes at a
+/// to the first `"`, `\\` or control character below 0x20 — what the writer
+/// copies out and the parser copies in. Eight bytes at a
 /// time while a word holds none of them (`(x - 0x01…) & !x & 0x80…` flags the
 /// zero bytes of `x`, the same with `0x20…` the bytes below 0x20; a borrow can
 /// only start at a byte that really is one, so "none flagged" is exact).
-fn clean_prefix_len(bytes: &[u8]) -> usize {
+pub(crate) fn clean_prefix_len(bytes: &[u8]) -> usize {
     const ONES: u64 = u64::from_ne_bytes([1; 8]);
     let mut len = 0;
     for word in bytes.chunks_exact(8) {
@@ -178,9 +179,41 @@ pub fn write_escaped<W: Write>(out: &mut W, s: &str) -> fmt::Result {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{json, parse};
+
+    /// Every escaped byte, its neighbours in value (`!#[]`, 0x7f, and the
+    /// UTF-8 bytes that differ from `"` and `\` in the top bit only: ¢ is
+    /// C2 A2, U+071C is DC 9C), and 1- to 4-byte characters.
+    pub(crate) const ALPHABET: [char; 26] = [
+        'a',
+        'Z',
+        '0',
+        ' ',
+        '"',
+        '\\',
+        '/',
+        '\n',
+        '\r',
+        '\t',
+        '\u{8}',
+        '\u{c}',
+        '\u{0}',
+        '\u{1f}',
+        '\u{7f}',
+        'é',
+        '\u{2028}',
+        '€',
+        '𝄞',
+        '\u{10ffff}',
+        '!',
+        '#',
+        '[',
+        ']',
+        '¢',
+        '\u{71c}',
+    ];
 
     #[test]
     fn compact_has_no_whitespace() {
@@ -228,37 +261,6 @@ mod tests {
 
     #[test]
     fn run_copy_escaper_matches_the_per_char_reference() {
-        // Every escaped byte, its neighbours in value (`!#[]`, 0x7f, and the
-        // UTF-8 bytes that differ from `"` and `\` in the top bit only: ¢ is
-        // C2 A2, U+071C is DC 9C), and 1- to 4-byte characters.
-        const ALPHABET: [char; 26] = [
-            'a',
-            'Z',
-            '0',
-            ' ',
-            '"',
-            '\\',
-            '/',
-            '\n',
-            '\r',
-            '\t',
-            '\u{8}',
-            '\u{c}',
-            '\u{0}',
-            '\u{1f}',
-            '\u{7f}',
-            'é',
-            '\u{2028}',
-            '€',
-            '𝄞',
-            '\u{10ffff}',
-            '!',
-            '#',
-            '[',
-            ']',
-            '¢',
-            '\u{71c}',
-        ];
         let mut x = 0x7365_725f_6573_6361u64;
         let mut next = move || {
             x ^= x << 13;

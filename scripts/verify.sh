@@ -71,6 +71,9 @@ timeout 120 cargo test -q --offline --release \
   -p mathcloud-integration-tests --test group_commit
 timeout 120 cargo test -q --offline --release \
   -p mathcloud-integration-tests --test one_log
+# A settled job's inputs leave the journal at compaction; a live job's survive it and a crash.
+timeout 120 cargo test -q --offline --release \
+  -p mathcloud-integration-tests --test settled_inputs
 
 # The memo-key canonicalization battery drives 1200 xorshift-generated
 # inputs through every equivalent rewrite (key order, number spellings,
@@ -101,6 +104,9 @@ timeout 120 cargo test -q --offline --release \
   -p mathcloud-security --lib -- sha256:: --nocapture
 timeout 120 cargo test -q --offline --release \
   -p mathcloud-json --lib -- ser::
+# The run-copy string reader against the per-byte one: same values, same errors.
+timeout 120 cargo test -q --offline --release \
+  -p mathcloud-json --lib -- parse::
 timeout 120 cargo test -q --offline --release \
   -p mathcloud-everest --lib -- jobstore::tests::payload_records memo::
 

@@ -342,5 +342,38 @@ fn journals_from_before_group_commit_open_replay_and_accept_appends() {
     assert!(evs[0] >= 12 + 3, "{evs:?}");
     assert!(evs.windows(2).all(|w| w[0] < w[1]), "{evs:?}");
     assert_eq!(reopened.last_ev(), evs[3]);
+
+    // The old writer's settled lines carried their inputs; compaction
+    // rewrites them without, a live job's WAITING line keeps its own, and
+    // the fold is the same before and after.
+    let ins = json!({"a": 9, "b": 9}).as_object().unwrap().clone();
+    let waiting = TransitionDetail {
+        inputs: Some(&ins),
+        ..Default::default()
+    };
+    reopened.append(
+        "add",
+        "j-6",
+        TransitionState::Job(JobState::Waiting),
+        waiting,
+    );
+    let fold = reopened.recovered();
+    reopened.compact();
+    let rewritten = std::fs::read_to_string(&jobs).unwrap();
+    let rewritten: Vec<Value> = rewritten
+        .lines()
+        .map(|line| mathcloud_json::parse(line).unwrap())
+        .collect();
+    assert_eq!(rewritten.len(), 1 + 5, "the meta line and one per job");
+    let inputs_of = |job: &str| {
+        let record = rewritten.iter().find(|v| v["job"].as_str() == Some(job));
+        record.expect("a record per job").get("inputs").cloned()
+    };
+    for job in ["j-1", "j-2", "j-4", "j-5"] {
+        assert_eq!(inputs_of(job), None, "{job} is settled");
+    }
+    assert_eq!(inputs_of("j-6"), Some(Value::Object(ins)));
+    drop(reopened);
+    assert_eq!(JobStore::open(&jobs, usize::MAX).unwrap().recovered(), fold);
     std::fs::remove_dir_all(&dir).ok();
 }
