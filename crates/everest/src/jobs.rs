@@ -12,12 +12,13 @@
 //! same barrier through [`Snapshot`].
 //!
 //! One rule for every `job.*` event: it is released only once the record that
-//! names its id is on disk. The `RUNNING` record is the one no holder waits
-//! for. When the adapter is quick, the job's terminal record — or another
-//! job's — is synced microseconds later and covers it; when it is not, the
-//! container's confirmer thread ([`JobTable::confirm_unwaited`]) syncs it after
-//! [`CONFIRM_GRACE`], so a long job holds back its `job.running`, and what
-//! other sources staged behind it, for no longer than that.
+//! names its id is on disk. `RUNNING` records, and [`Pending::defer`]red
+//! `WAITING` ones, have no holder waiting. When the adapter is quick, the
+//! job's terminal record — or another job's — is synced microseconds later
+//! and covers them; when it is not, the container's confirmer thread
+//! ([`JobTable::confirm_unwaited`]) syncs them after [`CONFIRM_GRACE`], so a
+//! long job holds back its events, and what other sources staged behind
+//! them, for no longer than that.
 //!
 //! Staging is the one place a lock is taken while another is held: table →
 //! bus, for O(1) work and no I/O, so event ids, journal order and in-memory
@@ -43,11 +44,11 @@ use crate::retention;
 /// `(service, job id)`.
 pub(crate) type JobKey = (String, String);
 
-/// How long a record nobody waits for — `RUNNING`, recovery's `meta` line —
-/// may wait for somebody else's sync before the confirmer thread syncs it.
-/// Long next to an instant job, whose terminal record follows within
-/// microseconds even when its handler loses the CPU in between; short next to
-/// a job worth watching.
+/// How long a record nobody waits for — `RUNNING`, a deferred `WAITING`,
+/// recovery's `meta` line — may wait for somebody else's sync before the
+/// confirmer thread syncs it. Long next to an instant job, whose terminal
+/// record follows within microseconds even when its handler loses the CPU in
+/// between; short next to a job worth watching.
 const CONFIRM_GRACE: Duration = Duration::from_millis(25);
 
 /// Every legal edge of the job state machine, `None` being "no record".
@@ -184,10 +185,10 @@ pub(crate) struct Pending<'t> {
     table: &'t JobTable,
     key: JobKey,
     to: TransitionState,
-    /// Journal position to wait for.
+    /// Journal position to wait for; 0 for a record nobody waits for.
     pos: u64,
     /// The id of the staged event that wait confirms; 0 when it confirms
-    /// none: a tombstone, or a `RUNNING` record, which is not waited for.
+    /// none: a tombstone, or a record nobody waits for.
     ev: u64,
     pub(crate) request_id: Option<String>,
     error: Option<String>,
@@ -235,6 +236,21 @@ impl Pending<'_> {
             shared.jobs.job_done.notify_all();
             retention::enforce(shared);
         }
+    }
+
+    /// Leaves the record, as a `RUNNING` one, to whoever syncs next or the
+    /// confirmer, so [`Pending::settle`] does not wait: for a `WAITING` record
+    /// whose submitter waits for a later one. Returns the position to sync to
+    /// before showing it.
+    pub(crate) fn defer(&mut self) -> u64 {
+        let pos = self.pos;
+        if pos > 0 {
+            let mut inner = self.table.inner.lock();
+            inner.unwaited = inner.unwaited.max((pos, self.ev));
+            self.table.unconfirmed.notify_one();
+            (self.pos, self.ev) = (0, 0);
+        }
+        pos
     }
 }
 
@@ -445,10 +461,12 @@ impl JobTable {
                 // Written, never waited on: recovery treats WAITING and RUNNING
                 // alike, and these bytes ride on the terminal record's sync —
                 // whoever waits for that, or the confirmer, releases the event.
+                // A read still waits for WAITING: the barrier stays there.
                 if pos > 0 {
-                    (pending.pos, pending.ev) = (record.journal_pos, 0);
+                    (pending.pos, pending.ev) = (0, 0);
                     inner.unwaited = (pos, ev.unwrap_or(0));
                     self.unconfirmed.notify_one();
+                    return Some(pending);
                 }
             }
             JobState::Done => {
@@ -578,7 +596,7 @@ impl JobTable {
     /// The durability barrier: returns once the journal record at `pos` is
     /// on disk. Called with no lock held, so concurrent callers share one
     /// `fsync`; an atomic compare when `pos` is already durable.
-    fn sync_to(&self, pos: u64) {
+    pub(crate) fn sync_to(&self, pos: u64) {
         if let Some(store) = self.store.get() {
             store.sync_to(pos);
         }
@@ -647,17 +665,23 @@ mod tests {
         JobState::Cancelled,
     ];
 
-    /// A table journaling to a scratch file.
-    fn journaled_table(tag: &str) -> (JobTable, std::path::PathBuf) {
+    /// `table` armed with a journal in a scratch directory, returned.
+    fn arm(table: &JobTable, tag: &str) -> (Arc<JobStore>, std::path::PathBuf) {
         let dir = std::env::temp_dir().join(format!(
             "mc-jobs-{tag}-{}-{}",
             std::process::id(),
             mathcloud_telemetry::next_request_id()
         ));
         std::fs::create_dir_all(&dir).unwrap();
+        let store = Arc::new(JobStore::open(&dir.join("jobs.jsonl"), usize::MAX).unwrap());
+        table.recover(Arc::clone(&store), Vec::new()).unwrap();
+        (store, dir)
+    }
+
+    /// A table journaling to a scratch file.
+    fn journaled_table(tag: &str) -> (JobTable, std::path::PathBuf) {
         let table = JobTable::new(tag);
-        let store = JobStore::open(&dir.join("jobs.jsonl"), usize::MAX).unwrap();
-        table.recover(Arc::new(store), Vec::new()).unwrap();
+        let (_, dir) = arm(&table, tag);
         (table, dir)
     }
 
@@ -933,13 +957,65 @@ mod tests {
         assert_eq!(submitted.pos, 1);
         let running = step(&table, "j-1", TransitionState::Job(JobState::Running)).unwrap();
         assert_eq!(store.journal_stats().records, 2, "RUNNING is journaled");
-        assert_eq!(running.pos, 1, "but the barrier stays at WAITING");
+        assert_eq!(running.pos, 0, "RUNNING waits for nothing");
         assert_eq!(running.request_id.as_deref(), Some("rid"));
         assert!(running.run.is_some(), "the worker gets its inputs");
-        assert_eq!(table.snapshot("svc", "j-1").unwrap().pos, 1);
+        assert_eq!(
+            table.snapshot("svc", "j-1").unwrap().pos,
+            1,
+            "but a read waits for WAITING"
+        );
         let done = step(&table, "j-1", TransitionState::Job(JobState::Done)).unwrap();
         assert_eq!(done.pos, 3, "the terminal sync covers both");
         assert_eq!(table.snapshot("svc", "j-1").unwrap().pos, 3);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_deferred_record_is_neither_synced_nor_released_until_someone_syncs_past_it() {
+        // A container's table, armed by hand: no confirmer thread runs.
+        let e = crate::Everest::new("deferred");
+        let shared = &e.shared;
+        let (table, label) = (&shared.jobs, shared.label.as_str());
+        let (store, dir) = arm(table, "deferred");
+        let bus = mathcloud_events::global();
+        let sub = bus.subscribe(mathcloud_events::KindFilter::parse("job."), 1 << 10);
+        let waiting = TransitionState::Job(JobState::Waiting);
+        let quiet = |sub: &mathcloud_events::Subscription| {
+            std::iter::from_fn(|| sub.try_recv())
+                .all(|ev| ev.payload.get("container").and_then(Value::as_str) != Some(label))
+        };
+
+        // Deferred: written, not synced, not announced — and still readable
+        // only through a barrier at its own record.
+        let syncs = store.journal_stats().syncs;
+        assert_eq!(step(table, "j-1", waiting).unwrap().defer(), 1);
+        assert_eq!(step(table, "j-2", waiting).unwrap().defer(), 2);
+        assert_eq!(store.journal_stats().records, 2);
+        assert_eq!(store.journal_stats().syncs, syncs, "defer does not sync");
+        assert_eq!(store.journal_stats().durable, 0);
+        assert_eq!(table.snapshot("svc", "j-2").unwrap().pos, 2);
+        assert!(quiet(&sub), "nor does it release");
+
+        // The next sync anyone takes releases both, in id order.
+        drop(step(table, "j-3", waiting).unwrap());
+        let arrived = events_of(&sub, label, 3);
+        let jobs: Vec<&str> = arrived.iter().map(|(_, _, job)| job.as_str()).collect();
+        assert_eq!(jobs, ["j-1", "j-2", "j-3"]);
+        assert!(arrived.windows(2).all(|w| w[0].0 < w[1].0));
+
+        // With nobody syncing, the confirmer's round does it.
+        assert_eq!(step(table, "j-4", waiting).unwrap().defer(), 4);
+        assert_eq!(step(table, "j-5", waiting).unwrap().defer(), 5);
+        assert!(quiet(&sub));
+        assert_eq!(table.confirm_unwaited(0), Some(5));
+        assert_eq!(store.journal_stats().durable, 5);
+        let arrived = events_of(&sub, label, 2);
+        assert_eq!(
+            (arrived[0].2.as_str(), arrived[1].2.as_str()),
+            ("j-4", "j-5")
+        );
+        assert!(arrived[0].0 < arrived[1].0);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -91,10 +91,10 @@ pub fn router(everest: Everest, auth: Option<AuthConfig>) -> Router {
         // into the job record so adapter spans correlate with this call.
         let request_id = req.headers.get(trace::REQUEST_ID_HEADER);
         let idem_key = req.headers.get(mathcloud_http::IDEMPOTENCY_KEY_HEADER);
-        match e.submit_full(name, &body, Some(&caller), request_id, idem_key) {
+        let wait = Some(SYNC_WAIT);
+        match e.submit_and_wait(name, &body, Some(&caller), request_id, idem_key, wait) {
             Ok(outcome) => {
                 let rep = outcome.rep;
-                let rep = e.wait(name, rep.id.as_str(), SYNC_WAIT).unwrap_or(rep);
                 let location = rep.uri.clone();
                 // Neither a deduplicated retry nor a memo hit created a
                 // resource: 200 with the existing job, marked so clients

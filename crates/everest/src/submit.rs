@@ -72,6 +72,26 @@ impl Everest {
         request_id: Option<&str>,
         idem_key: Option<&str>,
     ) -> Result<SubmitOutcome, SubmitRejection> {
+        self.submit_and_wait(service, body, caller, request_id, idem_key, None)
+    }
+
+    /// [`Everest::submit_full`], then up to `wait` for the job to settle (§2's
+    /// synchronous mode); `None` answers at once, as `submit_full` does. A job
+    /// created to be waited for is queued before its `WAITING` record is
+    /// durable; the answer leaves only once a sync covers it.
+    ///
+    /// # Errors
+    ///
+    /// See [`Everest::submit_full`].
+    pub fn submit_and_wait(
+        &self,
+        service: &str,
+        body: &Value,
+        caller: Option<&Caller>,
+        request_id: Option<&str>,
+        idem_key: Option<&str>,
+        wait: Option<Duration>,
+    ) -> Result<SubmitOutcome, SubmitRejection> {
         let anonymous = Caller::anonymous();
         let entry = self.admit(service, caller.unwrap_or(&anonymous))?;
         let inputs = entry
@@ -85,6 +105,17 @@ impl Everest {
             })?;
 
         let jobs = &self.shared.jobs;
+        // A live job waited for answers with its result, or on timeout once
+        // its record at `barrier` (see `create_job`) is durable.
+        let answer = |rep: JobRepresentation, barrier| match wait {
+            Some(wait) if !rep.state.is_terminal() => jobs
+                .wait(service, rep.id.as_str(), wait)
+                .unwrap_or_else(|| {
+                    jobs.sync_to(barrier);
+                    rep
+                }),
+            _ => rep,
+        };
         // A mapped job whose record was deleted or evicted frees the key.
         let claim = idem_key.map(|key| {
             let key = (service.to_string(), key.to_string());
@@ -103,7 +134,7 @@ impl Everest {
                     &[("service", service), ("job", job), ("key", key)],
                 );
                 return Ok(SubmitOutcome {
-                    rep,
+                    rep: answer(rep, 0),
                     deduplicated: true,
                     memo_hit: false,
                 });
@@ -114,12 +145,13 @@ impl Everest {
         // The memo layer may answer with an existing job instead of
         // creating one; the key then maps to that job, so retries of this
         // keyed POST keep deduplicating onto the memoized result.
-        let (rep, memo_hit) = self.create_or_memoize(&entry, inputs, request_id, idem_key);
+        let (rep, memo_hit, barrier) =
+            self.create_or_memoize(&entry, inputs, request_id, idem_key, wait.is_some());
         if let Some(reservation) = reservation {
             reservation.fill(rep.id.as_str());
         }
         Ok(SubmitOutcome {
-            rep,
+            rep: answer(rep, barrier),
             deduplicated: false,
             memo_hit,
         })
@@ -129,17 +161,19 @@ impl Everest {
     /// memo key of `(service, inputs)` maps to a usable job: a `DONE` one
     /// answers as it is, a live one coalesces, anything else is stale and
     /// frees the key (see [`Everest::set_result_memoization`]). Returns the
-    /// representation and whether it was a memo hit.
+    /// representation, whether it was a memo hit, and its barrier.
     fn create_or_memoize(
         &self,
         entry: &ServiceEntry,
         inputs: Object,
         request_id: Option<&str>,
         idem_key: Option<&str>,
-    ) -> (JobRepresentation, bool) {
+        answered: bool,
+    ) -> (JobRepresentation, bool, u64) {
         if !self.memoization_enabled() {
-            let rep = self.create_job(entry, inputs, request_id, idem_key, None);
-            return (rep, false);
+            let (rep, barrier) =
+                self.create_job(entry, inputs, request_id, idem_key, None, answered);
+            return (rep, false, barrier);
         }
         let service = entry.description.name();
         let files = &self.shared.files;
@@ -164,19 +198,21 @@ impl Everest {
                         ("coalesced", if coalesced { "true" } else { "false" }),
                     ],
                 );
-                return (rep, true);
+                return (rep, true, 0);
             }
             Claim::Won(reservation) => reservation,
         };
         entry.cache_misses.inc();
-        let rep = self.create_job(entry, inputs, request_id, idem_key, Some(&key));
+        let (rep, barrier) =
+            self.create_job(entry, inputs, request_id, idem_key, Some(&key), answered);
         reservation.fill(rep.id.as_str());
-        (rep, false)
+        (rep, false, barrier)
     }
 
     /// Creates and enqueues a job whose inputs already validated. Settling
     /// the `WAITING` edge before the job is queued or returned means no
-    /// acknowledged job can be missing from the journal.
+    /// acknowledged job can be missing from the journal; one `answered` with
+    /// its result defers the edge, and returns the position to sync to first.
     fn create_job(
         &self,
         entry: &ServiceEntry,
@@ -184,7 +220,8 @@ impl Everest {
         request_id: Option<&str>,
         idem_key: Option<&str>,
         memo_key: Option<&str>,
-    ) -> JobRepresentation {
+        answered: bool,
+    ) -> (JobRepresentation, u64) {
         let service = entry.description.name();
         let job_id = format!("j-{}", self.shared.next_job.fetch_add(1, Ordering::Relaxed));
         let detail = TransitionDetail {
@@ -193,11 +230,13 @@ impl Everest {
             request_id,
             ..Default::default()
         };
-        self.shared
+        let mut pending = self
+            .shared
             .jobs
             .transition(service, &job_id, WAITING, detail, Some(inputs))
-            .expect("a fresh job id has no record")
-            .settle(&self.shared);
+            .expect("a fresh job id has no record");
+        let barrier = if answered { pending.defer() } else { 0 };
+        pending.settle(&self.shared);
         entry.submitted.inc();
         // Built here, not read back: once queued the job can run, finish and
         // even be evicted under a tight retention cap before we look again.
@@ -207,11 +246,11 @@ impl Everest {
             JobState::Waiting,
         );
         self.queue.push((service.to_string(), job_id));
-        rep
+        (rep, barrier)
     }
 
-    /// Submit-and-wait: the synchronous mode of §2. If the job finishes
-    /// within `sync_wait` the returned representation is already terminal.
+    /// [`Everest::submit_and_wait`] with no request id or key, answering
+    /// with the representation alone.
     ///
     /// # Errors
     ///
@@ -223,10 +262,8 @@ impl Everest {
         caller: Option<&Caller>,
         sync_wait: Duration,
     ) -> Result<JobRepresentation, SubmitRejection> {
-        let rep = self.submit(service, body, caller)?;
-        Ok(self
-            .wait(service, rep.id.as_str(), sync_wait)
-            .unwrap_or(rep))
+        self.submit_and_wait(service, body, caller, None, None, Some(sync_wait))
+            .map(|outcome| outcome.rep)
     }
 
     /// Switches result memoization on or off (default: off).

@@ -64,6 +64,7 @@ timeout 120 cargo test -q --offline --release \
 # ahead of their record, ids resume past a compaction, a pre-ring resume is
 # answered from the job journal. A follower that is never woken, or a leader
 # flag left set, hangs a handler for good: hard timeout.
+# `one_log` and `failure_injection` also guard one sync per answered job.
 echo "==> journal group-commit battery (release, 120s budget)"
 timeout 120 cargo test -q --offline --release \
   -p mathcloud-events --test group_commit

@@ -566,16 +566,20 @@ fn memoized_results_survive_a_kill_and_restart() {
 /// outside, so there is a window in which a DONE record is in the file but
 /// not on disk. Two things must hold across it. Live: whoever is *shown* a
 /// state — the `POST` reply, a polling reader, a `job.*` subscriber — is
-/// shown it only after the covering sync. Crash: a journal cut back to what
-/// was durable before the handler's batch (the RUNNING record rides on the
-/// DONE sync, so the cut falls right after WAITING) re-runs the job, exactly
-/// as a cut after RUNNING does.
+/// shown it only after the covering sync. Crash: a submission answered with
+/// its result waits for nothing before DONE — its WAITING and RUNNING records
+/// ride on the DONE sync — so a journal cut back to what was durable before
+/// that sync can fall anywhere in the job's three records. A cut after
+/// WAITING or after RUNNING re-runs the job; a cut before WAITING loses a
+/// job nobody was told about, and nothing else.
 #[test]
 fn nothing_is_shown_before_its_sync_and_a_lost_done_record_reruns_the_job() {
     use mathcloud_core::JobState;
     use mathcloud_events::KindFilter;
 
     const JOBS: u64 = 150;
+    // JOBS watched by a reader and a subscriber, then JOBS more alone.
+    const LAST: u64 = 2 * JOBS;
     let dir = journal_dir("write-sync-gap");
     let journal = dir.join("jobs.jsonl");
     let execs = Arc::new(AtomicU64::new(0));
@@ -589,6 +593,20 @@ fn nothing_is_shown_before_its_sync_and_a_lost_done_record_reruns_the_job() {
     let durable = || store.journal_stats().durable;
     let label = e.metrics_label().to_string();
     let events = mathcloud_events::global().subscribe(KindFilter::parse("job."), 1 << 16);
+    // Submits j-k and checks the answer leaves only once DONE is durable.
+    let answered = |k: u64| {
+        let rep = e
+            .submit_sync(
+                "add",
+                &json!({"a": (k as i64), "b": 1}),
+                None,
+                Duration::from_secs(10),
+            )
+            .unwrap();
+        assert_eq!(number(rep.id.as_str()), k);
+        assert_eq!(rep.state, JobState::Done);
+        assert!(durable() >= 3 * k, "j-{k} acknowledged before its sync");
+    };
 
     std::thread::scope(|scope| {
         // A reader that polls each job from before it exists until DONE.
@@ -633,17 +651,7 @@ fn nothing_is_shown_before_its_sync_and_a_lost_done_record_reruns_the_job() {
             }
         });
         for k in 1..=JOBS {
-            let rep = e
-                .submit_sync(
-                    "add",
-                    &json!({"a": (k as i64), "b": 1}),
-                    None,
-                    Duration::from_secs(10),
-                )
-                .unwrap();
-            assert_eq!(number(rep.id.as_str()), k);
-            assert_eq!(rep.state, JobState::Done);
-            assert!(durable() >= 3 * k, "j-{k} acknowledged before its sync");
+            answered(k);
         }
     });
     assert_eq!(execs.load(Ordering::SeqCst), JOBS);
@@ -651,8 +659,18 @@ fn nothing_is_shown_before_its_sync_and_a_lost_done_record_reruns_the_job() {
     assert_eq!(stats.records, 3 * JOBS);
     assert!(
         stats.syncs <= 2 * JOBS,
-        "RUNNING is never waited on: at most two syncs per job, not {}",
+        "a reader can make a WAITING record wait for a sync of its own, no more: {}",
         stats.syncs
+    );
+    // Unread, an answered job waits for the one sync its DONE record takes,
+    // which covers its WAITING and RUNNING records too.
+    for k in JOBS + 1..=LAST {
+        answered(k);
+    }
+    let syncs = store.journal_stats().syncs - stats.syncs;
+    assert!(
+        syncs <= JOBS + 2,
+        "one sync per answered job, and the confirmer's: not {syncs} for {JOBS}"
     );
     drop(store);
     drop(e);
@@ -672,6 +690,7 @@ fn nothing_is_shown_before_its_sync_and_a_lost_done_record_reruns_the_job() {
     // last job's WAITING, RUNNING and DONE.
     let n = line_starts.len();
     for (what, cut) in [
+        ("before WAITING", line_starts[n - 4]),
         ("after WAITING", line_starts[n - 3]),
         ("after RUNNING", line_starts[n - 2]),
     ] {
@@ -680,15 +699,34 @@ fn nothing_is_shown_before_its_sync_and_a_lost_done_record_reruns_the_job() {
         let reruns = Arc::new(AtomicU64::new(0));
         let e2 = durable_container("gap-victim-2", &reruns, &gate);
         let report = e2.attach_job_journal(&crashed).unwrap();
+        assert_eq!(report.replayed as u64, LAST - 1, "cut {what}");
+        // Every job whose reply was sent is there, DONE.
+        for k in 1..LAST {
+            let rep = e2.representation("add", &format!("j-{k}"));
+            assert_eq!(
+                rep.map(|r| r.state),
+                Some(JobState::Done),
+                "cut {what}: j-{k}"
+            );
+        }
+        if what == "before WAITING" {
+            // The last job's reply never left: nothing of it comes back.
+            assert_eq!(report.requeued, 0, "cut {what}");
+            let server = mathcloud_everest::serve(e2.clone(), "127.0.0.1:0", None).unwrap();
+            let url = format!("{}/services/add/jobs/j-{LAST}", server.base_url());
+            let status = mathcloud_http::Client::new().get(&url).unwrap().status;
+            assert_eq!(status.as_u16(), 404, "cut {what}");
+            assert_eq!(reruns.load(Ordering::SeqCst), 0, "cut {what}");
+            continue;
+        }
         assert_eq!(report.requeued, 1, "cut {what}: the last job re-queues");
-        assert_eq!(report.replayed as u64, JOBS - 1, "cut {what}");
         let rep = e2
-            .wait("add", &format!("j-{JOBS}"), Duration::from_secs(10))
+            .wait("add", &format!("j-{LAST}"), Duration::from_secs(10))
             .expect("the re-queued job finishes");
         assert_eq!(rep.state, JobState::Done);
         assert_eq!(
             rep.outputs.unwrap().get("sum").unwrap().as_i64(),
-            Some(JOBS as i64 + 1)
+            Some(LAST as i64 + 1)
         );
         assert_eq!(
             reruns.load(Ordering::SeqCst),

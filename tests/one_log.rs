@@ -1,7 +1,8 @@
 //! One durable log on the job path: `job.*` events are staged on the bus by
 //! the transition that causes them, carry their id in the job-journal record,
 //! and are released by the one sync of that journal — the events journal is
-//! for the kinds that have no other log.
+//! for the kinds that have no other log. A job answered with its result waits
+//! for one sync: its DONE record's, which covers WAITING and RUNNING.
 //!
 //! The journal series and the bus are process-wide, so this file is a test
 //! binary of its own and its tests take turns: the counts below are exact.
@@ -16,6 +17,7 @@ use mathcloud_core::{JobState, Parameter, ServiceDescription};
 use mathcloud_events::{Bus, Envelope, KindFilter, Subscription};
 use mathcloud_everest::adapter::NativeAdapter;
 use mathcloud_everest::{Everest, JobStore};
+use mathcloud_http::Client;
 use mathcloud_json::{json, Schema, Value};
 use mathcloud_telemetry::metrics;
 
@@ -135,6 +137,146 @@ fn journal_lines(dir: &Path) -> Vec<Value> {
         .lines()
         .map(|line| mathcloud_json::parse(line).unwrap())
         .collect()
+}
+
+/// The log position of `job`'s `state` record.
+fn position(dir: &Path, job: &str, state: &str) -> u64 {
+    let field = |v: &Value, name| v.get(name).and_then(Value::as_str).map(str::to_string);
+    let at = journal_lines(dir)
+        .iter()
+        .position(|v| {
+            field(v, "job").as_deref() == Some(job) && field(v, "state").as_deref() == Some(state)
+        })
+        .unwrap_or_else(|| panic!("{job} has no {state} record"));
+    at as u64 + 1
+}
+
+#[test]
+fn a_post_answered_with_its_result_waits_for_one_sync() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    const JOBS: u64 = 40;
+    let dir = tmp_dir("answered");
+    let e = node("one-log-answered", &dir);
+    let store = e.job_store().unwrap();
+    let server = mathcloud_everest::serve(e.clone(), "127.0.0.1:0", None).unwrap();
+    let (client, url) = (Client::new(), format!("{}/services/add", server.base_url()));
+    let before = syncs("jobs");
+
+    let answered: Vec<(String, u64)> = (0..JOBS as i64)
+        .map(|n| {
+            let resp = client.post_json(&url, &json!({"a": n, "b": 1})).unwrap();
+            let durable = store.journal_stats().durable;
+            assert_eq!(resp.status.as_u16(), 201);
+            let rep = resp.body_json().unwrap();
+            assert_eq!(rep["state"].as_str(), Some("DONE"));
+            assert_eq!(rep["outputs"]["sum"].as_i64(), Some(n + 1));
+            (rep["id"].as_str().unwrap().to_string(), durable)
+        })
+        .collect();
+
+    // WAITING and RUNNING ride on the DONE record's sync: one per job, where
+    // waiting for WAITING before queueing the job made it two.
+    assert_eq!(syncs("jobs") - before, JOBS, "one sync per answered job");
+    assert_eq!(store.journal_stats().records, 3 * JOBS);
+    for (job, durable) in &answered {
+        let done = position(&dir, job, "DONE");
+        assert!(
+            *durable >= done,
+            "{job} answered at {durable}, DONE is at {done}"
+        );
+    }
+    drop(server);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn whatever_is_answered_before_the_result_is_durable_first() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let dir = tmp_dir("unanswered");
+    let e = node("one-log-unanswered", &dir);
+    e.set_result_memoization(true);
+    let store = e.job_store().unwrap();
+    let durable = || store.journal_stats().durable;
+    let label = e.metrics_label().to_string();
+    let server = mathcloud_everest::serve(e.clone(), "127.0.0.1:0", None).unwrap();
+    let hold = format!("{}/services/hold", server.base_url());
+    let sub = mathcloud_events::global().subscribe(KindFilter::parse("job.submitted"), 1 << 10);
+    let n = GATE.load(Ordering::SeqCst) + 1;
+
+    // A POST whose job outlives the synchronous window is answered WAITING,
+    // and only once that record is on disk; so is its `job.submitted`.
+    let (resp, announced) = std::thread::scope(|scope| {
+        let watcher = scope.spawn(|| loop {
+            let ev = sub.recv_timeout(WAIT).expect("job.submitted arrives");
+            if ev.payload.get("container").and_then(Value::as_str) == Some(&label) {
+                break (job_of(&ev).to_string(), durable());
+            }
+        });
+        let resp = Client::new().post_json(&hold, &json!({ "n": n })).unwrap();
+        (resp, watcher.join().expect("watcher panicked"))
+    });
+    let at = durable();
+    assert_eq!(resp.status.as_u16(), 201);
+    let rep = resp.body_json().unwrap();
+    assert_eq!(rep["state"].as_str(), Some("WAITING"));
+    let held = rep["id"].as_str().unwrap().to_string();
+    let waiting = position(&dir, &held, "WAITING");
+    assert!(
+        at >= waiting,
+        "answered WAITING at {at}, its record is at {waiting}"
+    );
+    assert_eq!(announced.0, held);
+    assert!(announced.1 >= waiting, "job.submitted at {}", announced.1);
+
+    // `submit` answers without waiting for the result: WAITING, durable.
+    let submitted = e.submit("hold", &json!({ "n": n }), None).unwrap();
+    let at = durable();
+    assert_eq!(submitted.id.as_str(), held, "a coalesced memo hit");
+    assert!(at >= waiting);
+    let fresh = e.submit("hold", &json!({ "n": (n + 1) }), None).unwrap();
+    let at = durable();
+    let waiting = position(&dir, fresh.id.as_str(), "WAITING");
+    assert!(
+        at >= waiting,
+        "submit returned at {at}, WAITING is at {waiting}"
+    );
+    GATE.store(n + 1, Ordering::SeqCst);
+    for job in [&held, fresh.id.as_str()] {
+        assert_eq!(e.wait("hold", job, WAIT).unwrap().state, JobState::Done);
+    }
+
+    // A keyed retry and a coalesced memo hit that reach a job whose WAITING
+    // record is still deferred answer once it is durable.
+    let mut deferred = 0;
+    for n in n + 2..n + 5 {
+        let (body, key) = (json!({ "n": n }), format!("key-{n}"));
+        std::thread::scope(|scope| {
+            let records = store.journal_stats().records;
+            let first = scope.spawn(|| {
+                e.submit_and_wait("hold", &body, None, None, Some(&key), Some(WAIT))
+                    .unwrap()
+            });
+            while store.journal_stats().records == records {
+                std::hint::spin_loop();
+            }
+            let waiting = records + 1;
+            deferred += usize::from(durable() < waiting);
+            let retry = e
+                .submit_full("hold", &body, None, None, Some(&key))
+                .unwrap();
+            assert!(retry.deduplicated && durable() >= waiting, "keyed retry");
+            let hit = e.submit_full("hold", &body, None, None, None).unwrap();
+            assert!(hit.memo_hit && durable() >= waiting, "coalesced memo hit");
+            assert_eq!(retry.rep.id, hit.rep.id);
+            GATE.store(n, Ordering::SeqCst);
+            let answered = first.join().expect("submitter panicked");
+            assert_eq!(answered.rep.id, hit.rep.id);
+            assert_eq!(answered.rep.state, JobState::Done);
+        });
+    }
+    assert!(deferred > 0, "no retry reached a deferred record");
+    drop(server);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
