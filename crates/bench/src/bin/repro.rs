@@ -13,7 +13,9 @@
 //! Gauss–Jordan oracle vs the 4-thread Auto kernel, plus the
 //! schoolbook/Karatsuba/Toom-3 multiplication crossover sweep) and writes
 //! `BENCH_5.json` to the current directory; `--smoke` restricts it to the CI
-//! smoke sizes.
+//! smoke sizes. It exits non-zero when the largest N inverts slower in
+//! parallel than serially, or when Toom-3 is slower than schoolbook at 256
+//! limbs or more.
 
 use std::time::{Duration, Instant};
 
@@ -168,8 +170,8 @@ fn table2(full: bool) {
 }
 
 /// Table 2 kernel baseline: serial oracle vs the 4-thread Auto kernel plus
-/// the multiplication-crossover sweep, emitted as `BENCH_5.json` for CI to
-/// validate.
+/// the multiplication-crossover sweep, emitted as `BENCH_5.json`. Exits the
+/// process with status 1 when either speed gate fails.
 fn table2_json(smoke: bool) {
     println!("== Table 2 kernel baseline: serial Gauss-Jordan vs 4-thread auto ==");
     let sizes: &[usize] = if smoke {
@@ -183,6 +185,8 @@ fn table2_json(smoke: bool) {
         "N", "serial (s)", "parallel (s)", "speedup", "max bits", "mul kernel"
     );
     let mut rows = Vec::new();
+    let mut largest = None;
+    let mut failures = Vec::new();
     for &n in sizes {
         let row = kernel_row(n, threads);
         println!(
@@ -202,6 +206,16 @@ fn table2_json(smoke: bool) {
             "max_entry_bits": (row.max_entry_bits),
             "mul_kernel": (row.mul_kernel),
         }));
+        largest = Some(row);
+    }
+    let last = largest.expect("at least one matrix size");
+    if last.parallel > last.serial {
+        failures.push(format!(
+            "parallel inversion slower than serial at N={}: {:.1}ms vs {:.1}ms",
+            last.n,
+            last.parallel.as_secs_f64() * 1e3,
+            last.serial.as_secs_f64() * 1e3
+        ));
     }
 
     // Multiplication crossover sweep: every tier on the same operands,
@@ -218,6 +232,7 @@ fn table2_json(smoke: bool) {
         "limbs", "schoolbook (s)", "karatsuba (s)", "toom-3 (s)"
     );
     let mut mul_rows = Vec::new();
+    let mut big = None;
     for &limbs in limb_sizes {
         let row = mul_kernel_row(limbs);
         println!(
@@ -233,6 +248,17 @@ fn table2_json(smoke: bool) {
             "karatsuba_ms": (row.karatsuba.as_secs_f64() * 1e3),
             "toom3_ms": (row.toom3.as_secs_f64() * 1e3),
         }));
+        if row.limbs >= 256 {
+            if row.toom3 > row.schoolbook {
+                failures.push(format!(
+                    "Toom-3 slower than schoolbook at {} limbs: {:.3}ms vs {:.3}ms",
+                    row.limbs,
+                    row.toom3.as_secs_f64() * 1e3,
+                    row.schoolbook.as_secs_f64() * 1e3
+                ));
+            }
+            big = Some(row);
+        }
     }
 
     let report = json!({
@@ -246,6 +272,22 @@ fn table2_json(smoke: bool) {
         "wrote BENCH_5.json ({} sizes, {} mul points)",
         sizes.len(),
         limb_sizes.len()
+    );
+
+    let big = big.expect("the sweep includes a >=256-limb point");
+    if !failures.is_empty() {
+        for failure in &failures {
+            eprintln!("{failure}");
+        }
+        std::process::exit(1);
+    }
+    println!(
+        "BENCH_5.json OK: speedup {:.2}x at N={}, toom-3 {:.3}ms vs schoolbook {:.3}ms at {} limbs",
+        last.speedup,
+        last.n,
+        big.toom3.as_secs_f64() * 1e3,
+        big.schoolbook.as_secs_f64() * 1e3,
+        big.limbs
     );
     println!();
 }

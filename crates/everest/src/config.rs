@@ -30,6 +30,9 @@
 //! }
 //! ```
 //!
+//! `"services"` is the only top-level key: [`load_config`] refuses any other
+//! one, and names the container call that replaces each setting.
+//!
 //! Cluster, grid and native adapters reference named resources registered in
 //! an [`AdapterRegistry`] (those resources are process-level objects and
 //! cannot come from JSON).
@@ -43,7 +46,6 @@ use std::time::Duration;
 use mathcloud_core::{Parameter, ServiceDescription};
 use mathcloud_json::{Schema, Value};
 use mathcloud_security::{AccessPolicy, Identity};
-use mathcloud_telemetry::{AutoscaleConfig, AutoscaleHandle};
 
 use crate::adapter::{ClusterAdapter, CommandAdapter, ComputeFn, GridAdapter, NativeAdapter};
 use crate::container::Everest;
@@ -135,393 +137,43 @@ impl fmt::Debug for AdapterRegistry {
     }
 }
 
-/// Handler-pool sizing from the top-level `"pool"` configuration object:
-///
-/// ```json
-/// {
-///   "pool": {
-///     "adaptive": true,
-///     "min_workers": 2, "max_workers": 8,
-///     "high_watermark": 0.9, "low_watermark": 0.5,
-///     "queue_high": 2,
-///     "sustain_ticks": 2, "idle_ticks": 3,
-///     "step_up": 2, "step_down": 1,
-///     "tick_ms": 100
-///   },
-///   "services": [ … ]
-/// }
-/// ```
-///
-/// Every field is optional; missing knobs take [`AutoscaleConfig`] defaults.
-/// With `"adaptive": false` (the default) only `min_workers` matters — the
-/// pool is resized to it once and left alone.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PoolConfig {
-    /// Whether to run a [`mathcloud_telemetry::PoolController`] over the pool.
-    pub adaptive: bool,
-    /// The controller knobs (also carries `min_workers`, the fixed size used
-    /// when `adaptive` is off).
-    pub autoscale: AutoscaleConfig,
-}
-
-impl Default for PoolConfig {
-    fn default() -> Self {
-        PoolConfig {
-            adaptive: false,
-            autoscale: AutoscaleConfig::default(),
-        }
-    }
-}
-
-impl PoolConfig {
-    /// Parses the top-level `"pool"` object; absent means defaults.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError`] naming the offending knob.
-    pub fn from_config(config: &Value) -> Result<Self, ConfigError> {
-        let Some(doc) = config.get("pool") else {
-            return Ok(PoolConfig::default());
-        };
-        if doc.as_object().is_none() {
-            return Err(err("\"pool\" must be an object"));
-        }
-        let mut auto = AutoscaleConfig::default();
-        let usize_field = |key: &str, default: usize| -> Result<usize, ConfigError> {
-            match doc.int_field(key) {
-                None if doc.get(key).is_some() => {
-                    Err(err(format!("pool.{key} must be an integer")))
-                }
-                None => Ok(default),
-                Some(v) if v < 0 => Err(err(format!("pool.{key} must be non-negative"))),
-                Some(v) => Ok(v as usize),
-            }
-        };
-        let f64_field = |key: &str, default: f64| -> Result<f64, ConfigError> {
-            match doc.get(key) {
-                None => Ok(default),
-                Some(v) => v
-                    .as_f64()
-                    .ok_or_else(|| err(format!("pool.{key} must be a number"))),
-            }
-        };
-        auto.min_workers = usize_field("min_workers", auto.min_workers)?;
-        // The *default* max follows an explicit min upward; an explicit max
-        // below min is a contradiction and fails validation below.
-        auto.max_workers = usize_field("max_workers", auto.max_workers.max(auto.min_workers))?;
-        auto.high_watermark = f64_field("high_watermark", auto.high_watermark)?;
-        auto.low_watermark = f64_field("low_watermark", auto.low_watermark)?;
-        auto.queue_high = usize_field("queue_high", auto.queue_high)?;
-        auto.sustain_ticks = usize_field("sustain_ticks", auto.sustain_ticks)?;
-        auto.idle_ticks = usize_field("idle_ticks", auto.idle_ticks)?;
-        auto.step_up = usize_field("step_up", auto.step_up)?;
-        auto.step_down = usize_field("step_down", auto.step_down)?;
-        auto.tick = Duration::from_millis(
-            usize_field("tick_ms", auto.tick.as_millis() as usize)?.max(1) as u64,
-        );
-        auto.validate().map_err(|e| err(format!("pool: {e}")))?;
-        let adaptive = match doc.get("adaptive") {
-            None => false,
-            Some(v) => v
-                .as_bool()
-                .ok_or_else(|| err("pool.adaptive must be a boolean"))?,
-        };
-        Ok(PoolConfig {
-            adaptive,
-            autoscale: auto,
-        })
-    }
-
-    /// Applies the sizing to a container: the pool is resized to
-    /// `min_workers`, and when `adaptive` is on (and the size range is not
-    /// degenerate) an autoscaling controller is spawned on a background
-    /// thread. The returned handle stops the controller on drop; call
-    /// [`AutoscaleHandle::detach`] for daemon semantics.
-    pub fn apply(&self, everest: &Everest) -> Option<AutoscaleHandle> {
-        everest.resize_pool(self.autoscale.min_workers);
-        if self.adaptive && self.autoscale.min_workers != self.autoscale.max_workers {
-            Some(everest.autoscaler(self.autoscale.clone()).spawn())
-        } else {
-            None
-        }
-    }
-}
-
-/// Durable-job-store settings from the top-level `"journal"` configuration
-/// object:
-///
-/// ```json
-/// {
-///   "journal": {
-///     "path": "/var/lib/mathcloud/jobs.jsonl",
-///     "compact_every": 1024,
-///     "retain_terminal": 10000
-///   },
-///   "services": [ … ]
-/// }
-/// ```
-///
-/// Absent means no journal: job state stays in memory only. `compact_every`
-/// defaults to [`crate::jobstore::DEFAULT_COMPACT_EVERY`]. `retain_terminal`
-/// caps the terminal job records the container keeps
-/// ([`Everest::set_terminal_retention`]); absent means unlimited.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct JournalConfig {
-    /// The journal file; `None` leaves the container in-memory.
-    pub path: Option<std::path::PathBuf>,
-    /// Appended records between compactions.
-    pub compact_every: Option<usize>,
-    /// Terminal job records to retain; `None` means unlimited.
-    pub retain_terminal: Option<usize>,
-}
-
-impl JournalConfig {
-    /// Parses the top-level `"journal"` object; absent means no journal.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError`] naming the offending knob.
-    pub fn from_config(config: &Value) -> Result<Self, ConfigError> {
-        let Some(doc) = config.get("journal") else {
-            return Ok(JournalConfig::default());
-        };
-        if doc.as_object().is_none() {
-            return Err(err("\"journal\" must be an object"));
-        }
-        let path = match doc.get("path") {
-            None => return Err(err("journal.path is required")),
-            Some(v) => v
-                .as_str()
-                .map(std::path::PathBuf::from)
-                .ok_or_else(|| err("journal.path must be a string"))?,
-        };
-        let compact_every = match doc.get("compact_every") {
-            None => None,
-            Some(v) => match v.as_u64() {
-                Some(n) if n > 0 => Some(n as usize),
-                _ => return Err(err("journal.compact_every must be a positive integer")),
-            },
-        };
-        let retain_terminal = match doc.get("retain_terminal") {
-            None => None,
-            Some(v) => match v.as_u64() {
-                Some(n) if n > 0 => Some(n as usize),
-                _ => return Err(err("journal.retain_terminal must be a positive integer")),
-            },
-        };
-        Ok(JournalConfig {
-            path: Some(path),
-            compact_every,
-            retain_terminal,
-        })
-    }
-
-    /// Arms the journal on a container (recovering its contents), when a
-    /// path is configured. Call after services are deployed so re-queued
-    /// jobs find their adapters.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError`] wrapping the I/O failure.
-    pub fn apply(
-        &self,
-        everest: &Everest,
-    ) -> Result<Option<crate::container::RecoveryReport>, ConfigError> {
-        let Some(path) = &self.path else {
-            return Ok(None);
-        };
-        let compact_every = self
-            .compact_every
-            .unwrap_or(crate::jobstore::DEFAULT_COMPACT_EVERY);
-        // Retention applies before recovery so a replayed history longer
-        // than the cap is trimmed as it is attached.
-        if let Some(cap) = self.retain_terminal {
-            everest.set_terminal_retention(cap);
-        }
-        everest
-            .attach_job_journal_with(path, compact_every)
-            .map(Some)
-            .map_err(|e| err(format!("journal {}: {e}", path.display())))
-    }
-}
-
-/// Result-memoization settings from the top-level `"memo"` configuration
-/// object:
-///
-/// ```json
-/// {
-///   "memo": { "enabled": true },
-///   "services": [ … ]
-/// }
-/// ```
-///
-/// Absent means memoization stays off ([`Everest::set_result_memoization`]
-/// is opt-in: the cache assumes pure adapters). With a `"journal"`
-/// configured too, memo keys are journaled with their jobs, so cache hits
-/// survive restarts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MemoConfig {
-    /// Whether result memoization is switched on.
-    pub enabled: bool,
-}
-
-impl MemoConfig {
-    /// Parses the top-level `"memo"` object; absent means disabled.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError`] naming the offending knob.
-    pub fn from_config(config: &Value) -> Result<Self, ConfigError> {
-        let Some(doc) = config.get("memo") else {
-            return Ok(MemoConfig::default());
-        };
-        if doc.as_object().is_none() {
-            return Err(err("\"memo\" must be an object"));
-        }
-        let enabled = match doc.get("enabled") {
-            None => return Err(err("memo.enabled is required")),
-            Some(v) => v
-                .as_bool()
-                .ok_or_else(|| err("memo.enabled must be a boolean"))?,
-        };
-        Ok(MemoConfig { enabled })
-    }
-
-    /// Applies the switch to a container.
-    pub fn apply(&self, everest: &Everest) {
-        everest.set_result_memoization(self.enabled);
-    }
-}
-
-/// Server-edge sizing from the top-level `"server"` object:
-///
-/// ```json
-/// {
-///   "server": {
-///     "workers": 8,
-///     "idle_timeout_ms": 10000,
-///     "read_timeout_ms": 30000,
-///     "max_connections": 1024,
-///     "max_header_bytes": 65536,
-///     "max_body_bytes": 1073741824
-///   },
-///   "services": [ … ]
-/// }
-/// ```
-///
-/// Every knob is optional and defaults to
-/// [`mathcloud_http::ServerConfig::default`]; an absent `"server"` object
-/// means all defaults. The result feeds [`crate::rest::serve_with_config`].
-#[derive(Debug, Clone, Default)]
-pub struct ServerEdgeConfig {
-    /// The parsed edge settings, ready for `Server::bind_with_config`.
-    pub http: mathcloud_http::ServerConfig,
-}
-
-impl ServerEdgeConfig {
-    /// Parses the top-level `"server"` object; absent means defaults.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError`] naming the offending knob.
-    pub fn from_config(config: &Value) -> Result<Self, ConfigError> {
-        let mut http = mathcloud_http::ServerConfig::default();
-        let Some(doc) = config.get("server") else {
-            return Ok(ServerEdgeConfig { http });
-        };
-        if doc.as_object().is_none() {
-            return Err(err("\"server\" must be an object"));
-        }
-        fn positive(doc: &Value, key: &str) -> Result<Option<u64>, ConfigError> {
-            match doc.get(key) {
-                None => Ok(None),
-                Some(v) => match v.as_u64() {
-                    Some(n) if n > 0 => Ok(Some(n)),
-                    _ => Err(err(format!("server.{key} must be a positive integer"))),
-                },
-            }
-        }
-        if let Some(n) = positive(doc, "workers")? {
-            http.workers = n as usize;
-        }
-        if let Some(ms) = positive(doc, "idle_timeout_ms")? {
-            http.idle_timeout = std::time::Duration::from_millis(ms);
-        }
-        if let Some(ms) = positive(doc, "read_timeout_ms")? {
-            http.read_timeout = std::time::Duration::from_millis(ms);
-        }
-        if let Some(n) = positive(doc, "max_connections")? {
-            http.max_connections = n as usize;
-        }
-        if let Some(n) = positive(doc, "max_header_bytes")? {
-            http.max_header_bytes = n as usize;
-        }
-        if let Some(n) = positive(doc, "max_body_bytes")? {
-            http.max_body_bytes = n as usize;
-        }
-        Ok(ServerEdgeConfig { http })
-    }
-}
-
-/// Everything [`load_config_full`] produced from one configuration document.
-#[derive(Debug)]
-pub struct LoadedConfig {
-    /// Deployed service names, in document order.
-    pub services: Vec<String>,
-    /// The parsed pool sizing (defaults when the document had no `"pool"`).
-    pub pool: PoolConfig,
-    /// The running autoscaler, when `pool.adaptive` asked for one.
-    pub autoscaler: Option<AutoscaleHandle>,
-    /// The parsed journal settings (empty when the document had none).
-    pub journal: JournalConfig,
-    /// The parsed memoization switch (off when the document had no
-    /// `"memo"`).
-    pub memo: MemoConfig,
-    /// What the journal recovered, when one was configured.
-    pub recovery: Option<crate::container::RecoveryReport>,
-    /// The parsed server-edge sizing (defaults when the document had no
-    /// `"server"`), for [`crate::rest::serve_with_config`].
-    pub server: ServerEdgeConfig,
-}
-
 /// Parses a configuration document and deploys every service it describes.
 ///
-/// Returns the deployed service names. Pool sizing (`"pool"`) is applied
-/// too; an adaptive controller, if configured, is left running detached —
-/// use [`load_config_full`] to own its handle.
+/// Returns the deployed service names, in document order. The document is
+/// `{"services": [...]}` and nothing else; container settings are calls on
+/// the container, made after this one and before serving traffic, in this
+/// order:
+///
+/// 1. result memoization — [`Everest::set_result_memoization`] — and
+///    terminal-record retention — [`Everest::set_terminal_retention`] — so
+///    they apply to what recovery replays;
+/// 2. the job journal — [`Everest::attach_job_journal`] or
+///    [`Everest::attach_job_journal_with`] — whose recovery re-queues
+///    interrupted jobs onto the services deployed here;
+/// 3. the handler pool — [`Everest::resize_pool`], or
+///    [`Everest::autoscaler`] and
+///    [`mathcloud_telemetry::PoolController::spawn`], whose handle the
+///    caller owns;
+/// 4. the server edge — [`crate::rest::serve_with_config`].
 ///
 /// # Errors
 ///
-/// [`ConfigError`] naming the offending entry; earlier valid entries are
-/// still deployed.
+/// [`ConfigError`] naming the offending top-level key when the document is
+/// not an object or holds anything but `"services"` (nothing deploys), or
+/// naming the offending entry; earlier valid entries are still deployed.
 pub fn load_config(
     everest: &Everest,
     config: &Value,
     registry: &AdapterRegistry,
 ) -> Result<Vec<String>, ConfigError> {
-    let loaded = load_config_full(everest, config, registry)?;
-    if let Some(handle) = loaded.autoscaler {
-        handle.detach();
+    let doc = config
+        .as_object()
+        .ok_or_else(|| err("the document must be an object with a \"services\" key"))?;
+    if let Some(key) = doc.keys().find(|k| k.as_str() != "services") {
+        return Err(err(format!(
+            "unknown top-level key {key:?}: a document holds \"services\" only"
+        )));
     }
-    Ok(loaded.services)
-}
-
-/// [`load_config`], but returning the parsed pool configuration and the
-/// autoscaler handle alongside the deployed service names.
-///
-/// # Errors
-///
-/// See [`load_config`]. Pool configuration is validated before any service
-/// deploys, so a bad `"pool"` object rejects the whole document up front.
-pub fn load_config_full(
-    everest: &Everest,
-    config: &Value,
-    registry: &AdapterRegistry,
-) -> Result<LoadedConfig, ConfigError> {
-    let pool = PoolConfig::from_config(config)?;
-    let journal = JournalConfig::from_config(config)?;
-    let memo = MemoConfig::from_config(config)?;
-    let server = ServerEdgeConfig::from_config(config)?;
     let services = config
         .get("services")
         .and_then(Value::as_array)
@@ -541,22 +193,7 @@ pub fn load_config_full(
             .map_err(|e| err(format!("service {name:?}: {}", e.0)))?;
         deployed.push(name.to_string());
     }
-    // The memo switch flips before journal recovery so a recovering
-    // container serves hits from replayed results immediately; recovery
-    // itself runs after every service deploys (re-queued jobs need their
-    // adapters) and before the pool is sized for traffic.
-    memo.apply(everest);
-    let recovery = journal.apply(everest)?;
-    let autoscaler = pool.apply(everest);
-    Ok(LoadedConfig {
-        services: deployed,
-        pool,
-        autoscaler,
-        journal,
-        memo,
-        recovery,
-        server,
-    })
+    Ok(deployed)
 }
 
 fn build_description(entry: &Value, name: &str) -> Result<ServiceDescription, ConfigError> {
@@ -844,287 +481,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_config_defaults_and_overrides() {
-        // No "pool" object: defaults, not adaptive.
-        let p = PoolConfig::from_config(&json!({"services": []})).unwrap();
-        assert!(!p.adaptive);
-        assert_eq!(p.autoscale, AutoscaleConfig::default());
-
-        let p = PoolConfig::from_config(&json!({
-            "pool": {
-                "adaptive": true,
-                "min_workers": 2,
-                "max_workers": 6,
-                "high_watermark": 0.8,
-                "low_watermark": 0.25,
-                "queue_high": 4,
-                "sustain_ticks": 3,
-                "idle_ticks": 5,
-                "step_up": 3,
-                "step_down": 2,
-                "tick_ms": 50
-            }
-        }))
-        .unwrap();
-        assert!(p.adaptive);
-        let a = &p.autoscale;
-        assert_eq!((a.min_workers, a.max_workers), (2, 6));
-        assert_eq!((a.high_watermark, a.low_watermark), (0.8, 0.25));
-        assert_eq!((a.queue_high, a.sustain_ticks, a.idle_ticks), (4, 3, 5));
-        assert_eq!((a.step_up, a.step_down), (3, 2));
-        assert_eq!(a.tick, Duration::from_millis(50));
-
-        // min above the default max drags max up with it.
-        let p = PoolConfig::from_config(&json!({"pool": {"min_workers": 12}})).unwrap();
-        assert_eq!(p.autoscale.min_workers, 12);
-        assert!(p.autoscale.max_workers >= 12);
-    }
-
-    #[test]
-    fn bad_pool_configs_are_rejected() {
-        for (config, needle) in [
-            (json!({"pool": 3}), "must be an object"),
-            (json!({"pool": {"min_workers": "two"}}), "min_workers"),
-            (json!({"pool": {"min_workers": (-1)}}), "non-negative"),
-            (json!({"pool": {"adaptive": "yes"}}), "adaptive"),
-            (json!({"pool": {"high_watermark": "hot"}}), "high_watermark"),
-            (
-                json!({"pool": {"min_workers": 4, "max_workers": 2}}),
-                "max_workers",
-            ),
-            (json!({"pool": {"min_workers": 0}}), "min_workers"),
-            (
-                json!({"pool": {"low_watermark": 0.9, "high_watermark": 0.5}}),
-                "low_watermark",
-            ),
-        ] {
-            let e = PoolConfig::from_config(&config).unwrap_err();
-            assert!(e.to_string().contains(needle), "{e} !~ {needle}");
-        }
-    }
-
-    #[test]
-    fn load_config_full_sizes_the_pool() {
-        // Fixed sizing: pool resized to min_workers, no controller.
-        let everest = Everest::with_handlers("cfg-pool", 1);
-        let config = json!({
-            "pool": {"min_workers": 3},
-            "services": [{
-                "name": "noop",
-                "description": "",
-                "adapter": {"type": "command", "program": "/bin/true", "args": []}
-            }]
-        });
-        let loaded = load_config_full(&everest, &config, &AdapterRegistry::new()).unwrap();
-        assert_eq!(loaded.services, ["noop"]);
-        assert!(!loaded.pool.adaptive);
-        assert!(loaded.autoscaler.is_none());
-        assert_eq!(everest.pool_workers(), 3);
-
-        // Adaptive sizing: the controller handle comes back live.
-        let everest = Everest::with_handlers("cfg-adaptive", 1);
-        let config = json!({
-            "pool": {"adaptive": true, "min_workers": 2, "max_workers": 4},
-            "services": []
-        });
-        let loaded = load_config_full(&everest, &config, &AdapterRegistry::new()).unwrap();
-        assert!(loaded.pool.adaptive);
-        assert_eq!(everest.pool_workers(), 2);
-        let handle = loaded
-            .autoscaler
-            .expect("adaptive pool spawns a controller");
-        handle.stop();
-
-        // Degenerate adaptive range: no controller (a no-op would just burn
-        // a thread).
-        let everest = Everest::with_handlers("cfg-degenerate", 1);
-        let config = json!({
-            "pool": {"adaptive": true, "min_workers": 2, "max_workers": 2},
-            "services": []
-        });
-        let loaded = load_config_full(&everest, &config, &AdapterRegistry::new()).unwrap();
-        assert!(loaded.autoscaler.is_none());
-        assert_eq!(everest.pool_workers(), 2);
-    }
-
-    #[test]
-    fn journal_config_parses_and_recovers() {
-        // Absent: no journal.
-        let j = JournalConfig::from_config(&json!({"services": []})).unwrap();
-        assert_eq!(j, JournalConfig::default());
-        assert!(j.apply(&Everest::new("cfg-nojournal")).unwrap().is_none());
-
-        // Bad knobs are named.
-        for (config, needle) in [
-            (json!({"journal": 7}), "must be an object"),
-            (json!({"journal": {}}), "journal.path"),
-            (json!({"journal": {"path": 3}}), "journal.path"),
-            (
-                json!({"journal": {"path": "/tmp/x", "compact_every": 0}}),
-                "compact_every",
-            ),
-            (
-                json!({"journal": {"path": "/tmp/x", "compact_every": "lots"}}),
-                "compact_every",
-            ),
-            (
-                json!({"journal": {"path": "/tmp/x", "retain_terminal": 0}}),
-                "retain_terminal",
-            ),
-            (
-                json!({"journal": {"path": "/tmp/x", "retain_terminal": "all"}}),
-                "retain_terminal",
-            ),
-        ] {
-            let e = JournalConfig::from_config(&config).unwrap_err();
-            assert!(e.to_string().contains(needle), "{e} !~ {needle}");
-        }
-
-        // Retention parses through; absent means unlimited.
-        let j = JournalConfig::from_config(
-            &json!({"journal": {"path": "/tmp/x", "retain_terminal": 500}}),
-        )
-        .unwrap();
-        assert_eq!(j.retain_terminal, Some(500));
-        let j = JournalConfig::from_config(&json!({"journal": {"path": "/tmp/x"}})).unwrap();
-        assert_eq!(j.retain_terminal, None);
-
-        // End to end: a configured journal is armed and recovers across a
-        // reload of the same document.
-        let dir = std::env::temp_dir().join(format!(
-            "mc-cfg-journal-{}-{}",
-            std::process::id(),
-            mathcloud_telemetry::next_request_id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("jobs.jsonl");
-        let config = json!({
-            "journal": {"path": (path.to_str().unwrap()), "compact_every": 64},
-            "services": [{
-                "name": "noop",
-                "description": "",
-                "adapter": {"type": "command", "program": "/bin/true", "args": []}
-            }]
-        });
-        let everest = Everest::new("cfg-journal");
-        let loaded = load_config_full(&everest, &config, &AdapterRegistry::new()).unwrap();
-        assert_eq!(
-            loaded.recovery,
-            Some(crate::container::RecoveryReport::default())
-        );
-        let rep = everest
-            .submit_sync("noop", &json!({}), None, Duration::from_secs(5))
-            .unwrap();
-        assert!(rep.state.is_terminal());
-
-        let everest2 = Everest::new("cfg-journal-2");
-        let loaded2 = load_config_full(&everest2, &config, &AdapterRegistry::new()).unwrap();
-        let recovery = loaded2.recovery.unwrap();
-        assert_eq!(recovery.replayed, 1, "the finished job came back");
-        assert!(everest2
-            .representation("noop", rep.id.as_str())
-            .unwrap()
-            .state
-            .is_terminal());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn memo_config_parses_and_applies() {
-        // Absent: memoization stays off.
-        let m = MemoConfig::from_config(&json!({"services": []})).unwrap();
-        assert_eq!(m, MemoConfig::default());
-        assert!(!m.enabled);
-
-        // Bad knobs are named.
-        for (config, needle) in [
-            (json!({"memo": true}), "must be an object"),
-            (json!({"memo": {}}), "memo.enabled is required"),
-            (
-                json!({"memo": {"enabled": 1}}),
-                "memo.enabled must be a boolean",
-            ),
-            (
-                json!({"memo": {"enabled": "yes"}}),
-                "memo.enabled must be a boolean",
-            ),
-        ] {
-            let e = MemoConfig::from_config(&config).unwrap_err();
-            assert!(e.to_string().contains(needle), "{e} !~ {needle}");
-        }
-
-        // End to end: the switch reaches the container and a repeat
-        // submission is answered from the cache (same job id, no second
-        // execution).
-        let config = json!({
-            "memo": {"enabled": true},
-            "services": [{
-                "name": "noop",
-                "description": "",
-                "adapter": {"type": "command", "program": "/bin/true", "args": []}
-            }]
-        });
-        let everest = Everest::new("cfg-memo");
-        let loaded = load_config_full(&everest, &config, &AdapterRegistry::new()).unwrap();
-        assert!(loaded.memo.enabled);
-        assert!(everest.memoization_enabled());
-        let first = everest
-            .submit_sync("noop", &json!({}), None, Duration::from_secs(5))
-            .unwrap();
-        assert!(first.state.is_terminal());
-        let repeat = everest
-            .submit_full("noop", &json!({}), None, None, None)
-            .unwrap();
-        assert!(repeat.memo_hit, "identical resubmission hits the cache");
-        assert_eq!(repeat.rep.id, first.id);
-        assert_eq!(everest.stats().submitted, 1, "no second job was created");
-    }
-
-    #[test]
-    fn server_edge_config_parses() {
-        // Absent: defaults throughout.
-        let s = ServerEdgeConfig::from_config(&json!({"services": []})).unwrap();
-        let defaults = mathcloud_http::ServerConfig::default();
-        assert_eq!(s.http.workers, defaults.workers);
-        assert_eq!(s.http.max_connections, defaults.max_connections);
-
-        let s = ServerEdgeConfig::from_config(&json!({
-            "server": {
-                "workers": 4,
-                "idle_timeout_ms": 2500,
-                "read_timeout_ms": 9000,
-                "max_connections": 64,
-                "max_header_bytes": 8192,
-                "max_body_bytes": 1048576
-            }
-        }))
-        .unwrap();
-        assert_eq!(s.http.workers, 4);
-        assert_eq!(s.http.idle_timeout, Duration::from_millis(2500));
-        assert_eq!(s.http.read_timeout, Duration::from_millis(9000));
-        assert_eq!(s.http.max_connections, 64);
-        assert_eq!(s.http.max_header_bytes, 8192);
-        assert_eq!(s.http.max_body_bytes, 1_048_576);
-
-        // Bad knobs are named.
-        for (config, needle) in [
-            (json!({"server": []}), "must be an object"),
-            (json!({"server": {"workers": 0}}), "server.workers"),
-            (
-                json!({"server": {"idle_timeout_ms": "fast"}}),
-                "server.idle_timeout_ms",
-            ),
-            (
-                json!({"server": {"max_connections": "many"}}),
-                "server.max_connections",
-            ),
-        ] {
-            let e = ServerEdgeConfig::from_config(&config).unwrap_err();
-            assert!(e.to_string().contains(needle), "{e} !~ {needle}");
-        }
-    }
-
-    #[test]
     fn bad_configs_are_rejected_with_context() {
         let everest = Everest::new("cfg");
         let reg = AdapterRegistry::new();
@@ -1147,6 +503,41 @@ mod tests {
         ] {
             let e = load_config(&everest, &config, &reg).unwrap_err();
             assert!(e.to_string().contains(needle), "{e} !~ {needle}");
+        }
+    }
+
+    #[test]
+    fn keys_other_than_services_are_refused_before_any_deploy() {
+        let everest = Everest::new("cfg");
+        let reg = AdapterRegistry::new();
+        let noop = json!([{
+            "name": "noop",
+            "description": "",
+            "adapter": {"type": "command", "program": "/bin/true", "args": []}
+        }]);
+        for (config, needle) in [
+            (
+                json!({"services": (noop.clone()), "journal": {"path": "/tmp/x"}}),
+                "\"journal\"",
+            ),
+            (
+                json!({"services": (noop.clone()), "pool": {"min_workers": 2}}),
+                "\"pool\"",
+            ),
+            (
+                json!({"services": (noop.clone()), "memo": {"enabled": true}}),
+                "\"memo\"",
+            ),
+            (
+                json!({"services": (noop.clone()), "server": {"workers": 4}}),
+                "\"server\"",
+            ),
+            (json!({"servics": (noop.clone())}), "\"servics\""),
+            (noop, "\"services\""),
+        ] {
+            let e = load_config(&everest, &config, &reg).unwrap_err();
+            assert!(e.to_string().contains(needle), "{e} !~ {needle}");
+            assert!(everest.list_services().is_empty(), "{config}");
         }
     }
 }

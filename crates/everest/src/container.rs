@@ -198,7 +198,7 @@ impl HealthReport {
 #[derive(Clone)]
 pub struct Everest {
     pub(crate) shared: Arc<Shared>,
-    pub(crate) queue: Arc<JobSender>,
+    pub(crate) pool: Arc<JobSender>,
 }
 
 impl fmt::Debug for Everest {
@@ -254,8 +254,8 @@ impl Everest {
             memo_enabled: AtomicBool::new(false),
             memo: SingleFlight::new(),
         });
-        let queue = JobSender::new(&shared, handlers);
-        Everest { shared, queue }
+        let pool = JobSender::new(&shared, handlers);
+        Everest { shared, pool }
     }
 
     /// The container name.

@@ -59,10 +59,7 @@ mod submit;
 pub mod webui;
 
 pub use adapter::{Adapter, AdapterContext};
-pub use config::{
-    load_config, load_config_full, AdapterRegistry, ConfigError, JournalConfig, LoadedConfig,
-    MemoConfig, PoolConfig,
-};
+pub use config::{load_config, AdapterRegistry, ConfigError};
 pub use container::{
     Caller, Everest, HealthReport, RecoveryReport, SubmitOutcome, SubmitRejection,
 };

@@ -128,7 +128,7 @@ impl Everest {
             }));
         }
         for r in admitted.into_iter().filter(|r| !r.state.is_terminal()) {
-            self.queue.push((r.service, r.job));
+            self.pool.push((r.service, r.job));
         }
         for (outcome, jobs) in [("replayed", report.replayed), ("requeued", report.requeued)] {
             let labels = [("container", shared.label.as_str()), ("outcome", outcome)];

@@ -265,9 +265,9 @@ pub fn serve(everest: Everest, addr: &str, auth: Option<AuthConfig>) -> std::io:
 }
 
 /// [`serve`] under an explicit server-edge configuration (worker count,
-/// idle/read timeouts, connection cap, header/body limits) — typically the
-/// parsed top-level `"server"` object of a configuration document
-/// ([`crate::config::ServerEdgeConfig`]).
+/// idle/read timeouts, connection cap, header/body limits). This is the
+/// only way to size the edge: a configuration document holds services only
+/// ([`crate::config::load_config`]).
 ///
 /// # Errors
 ///

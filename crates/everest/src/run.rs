@@ -25,7 +25,7 @@ const HANDLER_IDLE_TTL: Duration = Duration::from_secs(60);
 /// `mc_pool_*{container}` gauges that mirror it. Dropping the last one closes
 /// the job table, so its confirmer thread leaves, and then drops the pool.
 pub(crate) struct JobSender {
-    pool: WorkPool,
+    handlers: WorkPool,
     shared: Arc<Shared>,
     depth: Gauge,
     busy_workers: Gauge,
@@ -52,7 +52,7 @@ impl JobSender {
         reg.describe("mc_pool_workers", "size of the handler thread pool");
         let container = [("container", shared.label.as_str())];
         let sender = JobSender {
-            pool: WorkPool::new(
+            handlers: WorkPool::new(
                 &format!("mc-job-{}", shared.label),
                 handlers,
                 HANDLER_IDLE_TTL,
@@ -71,7 +71,7 @@ impl JobSender {
         let shared = Arc::clone(&self.shared);
         let (depth, busy) = (self.depth.clone(), self.busy_workers.clone());
         self.depth.add(1);
-        self.pool.spawn(move || {
+        self.handlers.spawn(move || {
             depth.sub(1);
             busy.add(1);
             run_job(&shared, &service, &job);
@@ -93,8 +93,8 @@ impl Everest {
     /// done — in-flight jobs are never aborted by a resize.
     pub fn resize_pool(&self, workers: usize) -> usize {
         let workers = workers.max(1);
-        self.queue.pool.resize(workers);
-        self.queue.pool_workers.set(workers as i64);
+        self.pool.handlers.resize(workers);
+        self.pool.pool_workers.set(workers as i64);
         workers
     }
 
@@ -126,7 +126,7 @@ impl Everest {
 
 impl ScalableTarget for Everest {
     fn pool_status(&self) -> PoolStatus {
-        self.queue.pool.status()
+        self.pool.handlers.status()
     }
 
     fn scale_to(&self, workers: usize) -> usize {

@@ -245,7 +245,7 @@ impl Everest {
             &uri::job(service, &job_id),
             JobState::Waiting,
         );
-        self.queue.push((service.to_string(), job_id));
+        self.pool.push((service.to_string(), job_id));
         (rep, barrier)
     }
 

@@ -7,7 +7,7 @@
 //!
 //! * [`ProxyCredential`] — time-limited, VO-scoped user proxies,
 //! * [`ComputingElement`] — a site batch system exported to one or more
-//!   virtual organizations, with a data-staging latency,
+//!   virtual organizations,
 //! * [`ResourceBroker`] — the workload management system: matchmaking over
 //!   CEs, ranking by free capacity, job submission/monitoring/cancellation.
 //!
@@ -84,26 +84,16 @@ pub struct ComputingElement {
     name: String,
     vos: Vec<String>,
     cluster: BatchSystem,
-    stage_in_delay: Duration,
 }
 
 impl ComputingElement {
-    /// Creates a CE with no staging latency.
+    /// Creates a CE.
     pub fn new(name: &str, vos: &[&str], cluster: BatchSystem) -> Self {
         ComputingElement {
             name: name.to_string(),
             vos: vos.iter().map(|v| v.to_string()).collect(),
             cluster,
-            stage_in_delay: Duration::ZERO,
         }
-    }
-
-    /// Sets the simulated input-staging latency (builder style). Real grid
-    /// sites pay a transfer cost before a job starts; the Grid adapter's
-    /// overhead measurements include it.
-    pub fn with_stage_in_delay(mut self, delay: Duration) -> Self {
-        self.stage_in_delay = delay;
-        self
     }
 
     /// The CE host name.
@@ -288,13 +278,9 @@ impl ResourceBroker {
         // the user, who may resubmit).
         let chosen = candidates[0];
         let task = spec.task;
-        let stage = self.ces[chosen].stage_in_delay;
         let wrapped = move |ctx: &JobContext| {
-            if !stage.is_zero() {
-                std::thread::sleep(stage);
-            }
             if ctx.should_stop() {
-                return Err("cancelled during staging".to_string());
+                return Err("cancelled before start".to_string());
             }
             task(ctx)
         };
@@ -460,23 +446,6 @@ mod tests {
         let stranger = ResourceBroker::new(vec![site("other", &["vo"], 1)]);
         assert!(stranger.status(id).is_none());
         assert!(stranger.wait(id, Duration::from_millis(10)).is_none());
-    }
-
-    #[test]
-    fn staging_delay_is_paid_before_the_task() {
-        let ce = site("ce", &["vo"], 1).with_stage_in_delay(Duration::from_millis(80));
-        let broker = ResourceBroker::new(vec![ce]);
-        let t0 = std::time::Instant::now();
-        let id = broker
-            .submit(&proxy("vo"), GridJobSpec::new("j", 1, |_| Ok("x".into())))
-            .unwrap();
-        let st = broker.wait(id, Duration::from_secs(5)).unwrap();
-        assert_eq!(st.state, GridJobState::Done);
-        assert!(
-            t0.elapsed() >= Duration::from_millis(80),
-            "{:?}",
-            t0.elapsed()
-        );
     }
 
     #[test]

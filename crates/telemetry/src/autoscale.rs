@@ -379,13 +379,6 @@ impl AutoscaleHandle {
         self.shutdown();
     }
 
-    /// Lets the loop run for the rest of the process lifetime (daemon
-    /// semantics — the controller keeps its target alive).
-    pub fn detach(mut self) {
-        self.stop = Arc::new(AtomicBool::new(false));
-        self.thread = None;
-    }
-
     fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
         if let Some(t) = self.thread.take() {

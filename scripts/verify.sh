@@ -122,49 +122,19 @@ timeout 300 cargo test -q --offline --release \
 # The Table 2 kernel smoke proves the parallel/fraction-free inversion path
 # still beats the serial oracle (the kernels are asserted bit-identical
 # inside the binary) and that the Toom-3 tier beats schoolbook at ≥256
-# limbs. Release mode because exact arithmetic is ~20x slower unoptimized;
-# the smoke sizes finish in well under a second.
+# limbs; `repro` exits non-zero when either does not. Release mode because
+# exact arithmetic is ~20x slower unoptimized; the smoke sizes finish in
+# well under a second.
 #
 # `repro --smoke` writes `BENCH_5.json` into its working directory: it runs
-# from a scratch directory and the gate reads the scratch copy, so the
-# committed full-run `BENCH_5.json` is never overwritten.
+# from a scratch directory, so the committed full-run `BENCH_5.json` is
+# never overwritten.
 repo=$PWD
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
 echo "==> table2 kernel smoke (release, 120s budget)"
 cargo build -q --release --offline -p mathcloud-bench --bin repro
 (cd "$smoke_dir" && timeout 120 "$repo/target/release/repro" --table2 --json --smoke)
-python3 - "$smoke_dir/BENCH_5.json" <<'EOF'
-import json, sys
-
-with open(sys.argv[1]) as f:
-    report = json.load(f)
-rows = report["rows"]
-assert rows, "BENCH_5.json has no rows"
-for row in rows:
-    for key in ("n", "serial_ms", "parallel_ms", "speedup",
-                "max_entry_bits", "mul_kernel"):
-        assert key in row, f"row missing {key}: {row}"
-last = rows[-1]
-if last["parallel_ms"] > last["serial_ms"]:
-    sys.exit(
-        f"parallel inversion slower than serial at N={last['n']}: "
-        f"{last['parallel_ms']:.1f}ms vs {last['serial_ms']:.1f}ms"
-    )
-mul_rows = report["mul_kernels"]
-assert mul_rows, "BENCH_5.json has no mul_kernels"
-big = [r for r in mul_rows if r["limbs"] >= 256]
-assert big, "mul_kernels sweep must include a >=256-limb point"
-for r in big:
-    if r["toom3_ms"] > r["schoolbook_ms"]:
-        sys.exit(
-            f"Toom-3 slower than schoolbook at {r['limbs']} limbs: "
-            f"{r['toom3_ms']:.3f}ms vs {r['schoolbook_ms']:.3f}ms"
-        )
-print(f"BENCH_5.json OK: speedup {last['speedup']:.2f}x at N={last['n']}, "
-      f"toom-3 {big[-1]['toom3_ms']:.3f}ms vs schoolbook "
-      f"{big[-1]['schoolbook_ms']:.3f}ms at {big[-1]['limbs']} limbs")
-EOF
 
 # The repo's benchmark (BENCHMARK.json) must keep building against the
 # surface it calls and keep getting right answers: its own unit tests, then
