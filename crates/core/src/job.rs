@@ -153,15 +153,21 @@ impl JobRepresentation {
 
     /// Serializes to the wire document.
     pub fn to_value(&self) -> Value {
-        let mut o = Object::new();
-        o.insert("id".into(), Value::from(self.id.as_str()));
-        o.insert("uri".into(), Value::from(self.uri.as_str()));
+        self.clone().into_value()
+    }
+
+    /// Serializes to the wire document, moving the outputs into it instead
+    /// of copying them.
+    pub fn into_value(self) -> Value {
+        let mut o = Object::with_capacity(6);
+        o.insert("id".into(), Value::String(self.id.0));
+        o.insert("uri".into(), Value::String(self.uri));
         o.insert("state".into(), Value::from(self.state.as_str()));
-        if let Some(outputs) = &self.outputs {
-            o.insert("outputs".into(), Value::Object(outputs.clone()));
+        if let Some(outputs) = self.outputs {
+            o.insert("outputs".into(), Value::Object(outputs));
         }
-        if let Some(error) = &self.error {
-            o.insert("error".into(), Value::from(error.as_str()));
+        if let Some(error) = self.error {
+            o.insert("error".into(), Value::String(error));
         }
         if let Some(ms) = self.runtime_ms {
             o.insert("runtime_ms".into(), Value::from(ms as i64));

@@ -211,11 +211,10 @@ pub fn router(everest: Everest, auth: Option<AuthConfig>) -> Router {
     // This is what push-mode clients use instead of polling job status.
     mathcloud_http::sse::mount_events(&mut r, mathcloud_events::global());
 
-    // GET /trace?request_id=…: drain the span/event trace of one request
-    // from the ring-buffer recorder as JSON. Draining (rather than copying)
-    // means each trace is handed out once — polling clients never re-report
-    // spans they already saw, and answered requests stop occupying buffer
-    // capacity.
+    // GET /trace?request_id=…: the span/event trace of one request from
+    // the ring-buffer recorder as JSON. Reading leaves the ring as it was,
+    // so a second reader sees the same events; the ring's capacity, not
+    // the readers, decides when a trace ages out.
     r.get("/trace", move |req: &Request, _p| {
         let Some(rid) = req.query("request_id") else {
             return Response::error(400, "missing request_id query parameter");
@@ -224,7 +223,7 @@ pub fn router(everest: Everest, auth: Option<AuthConfig>) -> Router {
             return Response::error(400, "invalid request_id");
         }
         let events: Vec<Value> = trace::Recorder::global()
-            .drain_for(&rid)
+            .events_for(&rid)
             .into_iter()
             .map(|ev| {
                 let mut fields = Object::new();
@@ -294,22 +293,17 @@ fn caller_from(req: &Request) -> Caller {
 /// remote clients (and other services) can fetch them.
 fn rep_to_wire(_e: &Everest, req: &Request, service: &str, mut rep: JobRepresentation) -> Value {
     if let Some(outputs) = &mut rep.outputs {
-        let host = req.headers.get("host").unwrap_or("localhost").to_string();
-        let job_id = rep.id.as_str().to_string();
-        let mut rewritten = Object::new();
-        for (k, v) in outputs.iter() {
-            let new_v = match FileRef::detect(v) {
-                Some(FileRef::Local(fid)) => Value::from(format!(
+        let host = req.headers.get("host").unwrap_or("localhost");
+        for (_, v) in outputs.iter_mut() {
+            if let Some(FileRef::Local(fid)) = FileRef::detect(v) {
+                *v = Value::from(format!(
                     "http://{host}{}",
-                    uri::file(service, &job_id, &fid)
-                )),
-                _ => v.clone(),
-            };
-            rewritten.insert(k.clone(), new_v);
+                    uri::file(service, rep.id.as_str(), &fid)
+                ));
+            }
         }
-        *outputs = rewritten;
     }
-    rep.to_value()
+    rep.into_value()
 }
 
 /// Re-export used by tests and the workflow system.

@@ -11,6 +11,12 @@
 //! requests of one connection and are discarded between connections, while
 //! the backing storage is allocated exactly once per worker.
 //!
+//! The socket's read timeout is armed once per connection, to a short
+//! slice the server picks (at most 250 ms, never zero). The reader
+//! sits out timed-out slices itself: up to the idle timeout while it waits
+//! for the first byte of a request, up to the read timeout per read once
+//! one has arrived. So a keep-alive request costs no `setsockopt`.
+//!
 //! The writer is a classic buffered writer with a write-through path:
 //! payloads at least as large as the buffer are flushed and written
 //! directly, so multi-megabyte result bodies never balloon the reusable
@@ -18,6 +24,7 @@
 
 use std::io::{self, BufRead, Read, Write};
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// Size of the reusable read buffer (header sections and small bodies).
 pub(crate) const READ_BUF: usize = 16 * 1024;
@@ -46,6 +53,14 @@ impl ConnBuffers {
     }
 }
 
+/// Whether a socket read gave up because its timeout slice ran out.
+fn timed_out(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
 /// A buffered reader over a borrowed [`TcpStream`] using worker-owned
 /// storage.
 pub(crate) struct ConnReader<'a> {
@@ -53,10 +68,16 @@ pub(crate) struct ConnReader<'a> {
     buf: &'a mut Vec<u8>,
     pos: usize,
     filled: usize,
+    /// How long one read may wait for bytes once a request has started.
+    read_timeout: Duration,
 }
 
 impl<'a> ConnReader<'a> {
-    pub(crate) fn new(stream: &'a TcpStream, buf: &'a mut Vec<u8>) -> ConnReader<'a> {
+    pub(crate) fn new(
+        stream: &'a TcpStream,
+        buf: &'a mut Vec<u8>,
+        read_timeout: Duration,
+    ) -> ConnReader<'a> {
         if buf.len() < READ_BUF {
             buf.resize(READ_BUF, 0);
         }
@@ -65,6 +86,7 @@ impl<'a> ConnReader<'a> {
             buf,
             pos: 0,
             filled: 0,
+            read_timeout,
         }
     }
 
@@ -73,6 +95,57 @@ impl<'a> ConnReader<'a> {
     pub(crate) fn buffered(&self) -> usize {
         self.filled - self.pos
     }
+
+    /// Waits up to `idle` for the first byte of the next request, one
+    /// timeout slice at a time.
+    ///
+    /// Returns `Ok(true)` when request bytes are available, `Ok(false)` on
+    /// a clean close, when `idle` has passed, or when `draining` says so.
+    /// The drain check sits *after* each read attempt, so a connection
+    /// whose request is already in the socket is still answered during
+    /// shutdown; only truly idle keep-alives are cut short.
+    pub(crate) fn await_request(
+        &mut self,
+        idle: Duration,
+        draining: impl Fn() -> bool,
+    ) -> io::Result<bool> {
+        if self.buffered() > 0 {
+            return Ok(true); // pipelined request already in the buffer
+        }
+        let started = Instant::now();
+        loop {
+            match self.stream.read(self.buf) {
+                Ok(0) => return Ok(false), // clean EOF
+                Ok(n) => {
+                    self.pos = 0;
+                    self.filled = n;
+                    return Ok(true);
+                }
+                Err(e) if timed_out(&e) => {
+                    if draining() || started.elapsed() >= idle {
+                        return Ok(false);
+                    }
+                }
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// One socket read that sits out timed-out slices until the read
+    /// timeout has passed, then reports the timeout.
+    fn read_socket(
+        stream: &TcpStream,
+        out: &mut [u8],
+        read_timeout: Duration,
+    ) -> io::Result<usize> {
+        let started = Instant::now();
+        loop {
+            match (&*stream).read(out) {
+                Err(e) if timed_out(&e) && started.elapsed() < read_timeout => {}
+                result => return result,
+            }
+        }
+    }
 }
 
 impl Read for ConnReader<'_> {
@@ -80,7 +153,7 @@ impl Read for ConnReader<'_> {
         if self.buffered() == 0 {
             // Large reads (bodies) bypass the buffer entirely.
             if out.len() >= self.buf.len() {
-                return self.stream.read(out);
+                return Self::read_socket(self.stream, out, self.read_timeout);
             }
             self.fill_buf()?;
         }
@@ -94,7 +167,7 @@ impl Read for ConnReader<'_> {
 impl BufRead for ConnReader<'_> {
     fn fill_buf(&mut self) -> io::Result<&[u8]> {
         if self.pos >= self.filled {
-            self.filled = self.stream.read(self.buf)?;
+            self.filled = Self::read_socket(self.stream, self.buf, self.read_timeout)?;
             self.pos = 0;
         }
         Ok(&self.buf[self.pos..self.filled])
@@ -172,7 +245,7 @@ mod tests {
         (&client).write_all(b"firstsecond").unwrap();
         let mut bufs = ConnBuffers::new();
         let (read_buf, _) = bufs.split();
-        let mut reader = ConnReader::new(&server, read_buf);
+        let mut reader = ConnReader::new(&server, read_buf, Duration::from_secs(5));
         let mut first = [0u8; 5];
         reader.read_exact(&mut first).unwrap();
         assert_eq!(&first, b"first");
@@ -216,7 +289,7 @@ mod tests {
         };
         let mut bufs = ConnBuffers::new();
         let (read_buf, _) = bufs.split();
-        let mut reader = ConnReader::new(&server, read_buf);
+        let mut reader = ConnReader::new(&server, read_buf, Duration::from_secs(5));
         let mut got = vec![0u8; payload.len()];
         reader.read_exact(&mut got).unwrap();
         assert_eq!(got, payload);

@@ -200,10 +200,19 @@ impl fmt::Display for StatusCode {
 /// h.set("Content-Type", "application/json");
 /// assert_eq!(h.get("content-type"), Some("application/json"));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Clone, Default)]
 pub struct Headers {
-    entries: Vec<(String, String)>,
+    /// Every name and value, back to back in insertion order.
+    text: String,
+    /// Per field: where its name starts, where its value starts (= where
+    /// the name ends) and where the value ends, in `text`.
+    entries: Vec<(usize, usize, usize)>,
 }
+
+/// Bytes and fields a header map reserves on its first append, so a
+/// typical message fills one buffer and one index without regrowing.
+const HEADER_TEXT_HINT: usize = 256;
+const HEADER_FIELDS_HINT: usize = 8;
 
 impl Headers {
     /// Creates an empty header map.
@@ -211,37 +220,65 @@ impl Headers {
         Headers::default()
     }
 
+    fn field(&self, &(start, mid, end): &(usize, usize, usize)) -> (&str, &str) {
+        (&self.text[start..mid], &self.text[mid..end])
+    }
+
     /// Returns the first value for `name` (case-insensitive).
     pub fn get(&self, name: &str) -> Option<&str> {
-        self.entries
-            .iter()
+        self.iter()
             .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+            .map(|(_, v)| v)
     }
 
     /// Returns every value for `name` (case-insensitive).
     pub fn get_all(&self, name: &str) -> Vec<&str> {
-        self.entries
-            .iter()
+        self.iter()
             .filter(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+            .map(|(_, v)| v)
             .collect()
     }
 
     /// Replaces all values of `name` with a single value.
     pub fn set(&mut self, name: &str, value: &str) {
-        self.entries.retain(|(n, _)| !n.eq_ignore_ascii_case(name));
-        self.entries.push((name.to_string(), value.to_string()));
+        self.remove(name);
+        self.append(name, value);
     }
 
     /// Appends a value without removing existing ones.
     pub fn append(&mut self, name: &str, value: &str) {
-        self.entries.push((name.to_string(), value.to_string()));
+        if self.entries.is_empty() && self.text.capacity() == 0 {
+            self.text
+                .reserve(HEADER_TEXT_HINT.max(name.len() + value.len()));
+            self.entries.reserve(HEADER_FIELDS_HINT);
+        }
+        let start = self.text.len();
+        self.text.push_str(name);
+        let mid = self.text.len();
+        self.text.push_str(value);
+        self.entries.push((start, mid, self.text.len()));
     }
 
     /// Removes all values of `name`.
     pub fn remove(&mut self, name: &str) {
-        self.entries.retain(|(n, _)| !n.eq_ignore_ascii_case(name));
+        let mut i = 0;
+        while i < self.entries.len() {
+            let (start, mid, end) = self.entries[i];
+            if !self.text[start..mid].eq_ignore_ascii_case(name) {
+                i += 1;
+                continue;
+            }
+            // Fields sit in `text` in index order: close the gap in place
+            // and shift the later fields down.
+            self.text.drain(start..end);
+            self.entries.remove(i);
+            let gap = end - start;
+            for field in &mut self.entries[i..] {
+                field.0 -= gap;
+                field.1 -= gap;
+                field.2 -= gap;
+            }
+        }
     }
 
     /// Returns `true` if `name` is present.
@@ -251,7 +288,7 @@ impl Headers {
 
     /// Iterates `(name, value)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.entries.iter().map(|(n, v)| (n.as_str(), v.as_str()))
+        self.entries.iter().map(|field| self.field(field))
     }
 
     /// Number of header fields.
@@ -262,6 +299,20 @@ impl Headers {
     /// Returns `true` when no fields are present.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+}
+
+impl PartialEq for Headers {
+    fn eq(&self, other: &Headers) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Headers {}
+
+impl fmt::Debug for Headers {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -289,8 +340,8 @@ impl Request {
         }
     }
 
-    /// The path portion of the target (before `?`), percent-decoded per
-    /// segment boundaries left intact.
+    /// The path portion of the target (before `?`), as received: not
+    /// percent-decoded (the router decodes the segments it captures).
     pub fn path(&self) -> &str {
         match self.target.split_once('?') {
             Some((path, _)) => path,
@@ -412,6 +463,10 @@ impl fmt::Debug for BodyStream {
     }
 }
 
+/// Bytes a JSON response body starts with: a job document or an error
+/// fits without regrowing the buffer.
+const JSON_BODY_HINT: usize = 512;
+
 /// An HTTP response.
 #[derive(Debug, Clone)]
 pub struct Response {
@@ -465,7 +520,10 @@ impl Response {
     /// ```
     pub fn json(status: impl Into<StatusCode>, value: &Value) -> Self {
         let mut r = Response::empty(status);
-        r.body = value.to_string().into_bytes();
+        let mut body = String::with_capacity(JSON_BODY_HINT);
+        mathcloud_json::ser::write_value(&mut body, value)
+            .expect("writing to a String cannot fail");
+        r.body = body.into_bytes();
         r.headers.set("Content-Type", "application/json");
         r
     }

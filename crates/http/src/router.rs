@@ -1,6 +1,5 @@
 //! Method + path-template request routing.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::message::{Method, Request, Response, StatusCode};
@@ -22,13 +21,18 @@ use crate::url::percent_decode;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PathParams {
-    params: HashMap<String, String>,
+    /// `(template name, percent-decoded capture)`, in template order; a
+    /// route has a handful at most, so a scan beats hashing.
+    params: Vec<(Arc<str>, String)>,
 }
 
 impl PathParams {
     /// Looks up a captured parameter by template name.
     pub fn get(&self, name: &str) -> Option<&str> {
-        self.params.get(name).map(String::as_str)
+        self.params
+            .iter()
+            .find(|(n, _)| **n == *name)
+            .map(|(_, v)| v.as_str())
     }
 
     /// Number of captured parameters.
@@ -39,6 +43,15 @@ impl PathParams {
     /// Returns `true` when nothing was captured.
     pub fn is_empty(&self) -> bool {
         self.params.is_empty()
+    }
+
+    /// Records a capture; a name repeated in the template keeps its last
+    /// capture.
+    fn insert(&mut self, name: &Arc<str>, value: String) {
+        match self.params.iter_mut().find(|(n, _)| n == name) {
+            Some(slot) => slot.1 = value,
+            None => self.params.push((Arc::clone(name), value)),
+        }
     }
 }
 
@@ -54,9 +67,9 @@ pub type Middleware = Arc<dyn Fn(&mut Request) -> Option<Response> + Send + Sync
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Segment {
     Literal(String),
-    Param(String),
+    Param(Arc<str>),
     /// `{*name}` — captures the remainder of the path, across `/`.
-    Rest(String),
+    Rest(Arc<str>),
 }
 
 struct Route {
@@ -162,16 +175,19 @@ impl Router {
                 return (resp, "middleware");
             }
         }
-        let path = req.path().to_string();
+        let req: &Request = req;
+        let path = req.path();
         let mut path_match: Option<&Route> = None;
         for route in &self.routes {
-            if let Some(params) = match_template(&route.segments, &path) {
-                if route.method == req.method {
-                    return ((route.handler)(req, &params), route.template.as_str());
-                }
-                if path_match.is_none() {
-                    path_match = Some(route);
-                }
+            if !matches_template(&route.segments, path) {
+                continue;
+            }
+            if route.method == req.method {
+                let params = capture(&route.segments, path);
+                return ((route.handler)(req, &params), route.template.as_str());
+            }
+            if path_match.is_none() {
+                path_match = Some(route);
             }
         }
         match path_match {
@@ -204,9 +220,9 @@ fn parse_template(template: &str) -> Vec<Segment> {
         .map(|seg| {
             if let Some(inner) = seg.strip_prefix('{').and_then(|s| s.strip_suffix('}')) {
                 if let Some(rest) = inner.strip_prefix('*') {
-                    Segment::Rest(rest.to_string())
+                    Segment::Rest(rest.into())
                 } else {
-                    Segment::Param(inner.to_string())
+                    Segment::Param(inner.into())
                 }
             } else {
                 Segment::Literal(seg.to_string())
@@ -215,40 +231,54 @@ fn parse_template(template: &str) -> Vec<Segment> {
         .collect()
 }
 
-fn match_template(segments: &[Segment], path: &str) -> Option<PathParams> {
-    let parts: Vec<&str> = path
-        .trim_matches('/')
-        .split('/')
-        .filter(|s| !s.is_empty())
-        .collect();
-    let mut params = PathParams::default();
-    let mut i = 0;
-    for (si, seg) in segments.iter().enumerate() {
+/// A path's non-empty `/`-separated segments.
+fn path_parts(path: &str) -> impl Iterator<Item = &str> {
+    path.split('/').filter(|s| !s.is_empty())
+}
+
+/// Whether `path` has the template's shape; allocates nothing, so every
+/// route can be tried on every request.
+fn matches_template(segments: &[Segment], path: &str) -> bool {
+    let mut parts = path_parts(path);
+    for seg in segments {
         match seg {
-            Segment::Rest(name) => {
-                let rest: Vec<String> = parts[i..].iter().map(|p| percent_decode(p)).collect();
-                params.params.insert(name.clone(), rest.join("/"));
-                return Some(params);
-            }
+            Segment::Rest(_) => return true,
             Segment::Literal(lit) => {
-                if parts.get(i) != Some(&lit.as_str()) {
-                    return None;
+                if parts.next() != Some(lit.as_str()) {
+                    return false;
                 }
-                i += 1;
             }
-            Segment::Param(name) => {
-                let part = parts.get(i)?;
-                params.params.insert(name.clone(), percent_decode(part));
-                i += 1;
+            Segment::Param(_) => {
+                if parts.next().is_none() {
+                    return false;
+                }
             }
         }
-        let _ = si;
     }
-    if i == parts.len() {
-        Some(params)
-    } else {
-        None
+    parts.next().is_none()
+}
+
+/// The percent-decoded captures of a path that [`matches_template`].
+fn capture(segments: &[Segment], path: &str) -> PathParams {
+    let mut params = PathParams::default();
+    let mut parts = path_parts(path);
+    for seg in segments {
+        match seg {
+            Segment::Rest(name) => {
+                let rest: Vec<String> = parts.map(percent_decode).collect();
+                params.insert(name, rest.join("/"));
+                break;
+            }
+            Segment::Literal(_) => {
+                parts.next();
+            }
+            Segment::Param(name) => {
+                let part = parts.next().expect("path matches the template");
+                params.insert(name, percent_decode(part));
+            }
+        }
     }
+    params
 }
 
 #[cfg(test)]

@@ -21,12 +21,17 @@
 //!
 //! Connection accounting is exposed as `mc_http_connections{state=...}`
 //! (queued / active / streaming) and `mc_http_conn_rejected_total`.
+//!
+//! A keep-alive request costs no registry lookup and no `setsockopt`: the
+//! per-request instruments are resolved once per (route, method, status)
+//! and kept by the worker thread, the connection gauges once per process,
+//! and the socket's read timeout is armed once per connection.
 
 use std::cell::RefCell;
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -34,7 +39,7 @@ use mathcloud_telemetry::sync::{Condvar, Mutex};
 use mathcloud_telemetry::{metrics, trace, WorkPool};
 
 use crate::conn::{ConnBuffers, ConnReader, ConnWriter};
-use crate::message::{Response, StreamControl};
+use crate::message::{Method, Response, StreamControl};
 use crate::router::Router;
 use crate::wire;
 
@@ -45,6 +50,10 @@ const DEFAULT_WORKERS: usize = 8;
 /// How long a request worker parks before retiring: past any lull between
 /// the requests of one client session.
 const WORKER_IDLE_TTL: Duration = Duration::from_secs(30);
+
+/// The longest single wait on a socket read: how promptly an idle
+/// keep-alive notices a drain.
+const READ_SLICE: Duration = Duration::from_millis(250);
 
 /// How the server edge is sized and bounded.
 ///
@@ -126,10 +135,36 @@ impl Edge {
     fn draining(&self) -> bool {
         self.draining.load(Ordering::SeqCst)
     }
+
+    /// The read timeout armed once on every connection: one slice of the
+    /// idle and read timeouts, and never zero, which the socket refuses.
+    fn read_slice(&self) -> Duration {
+        READ_SLICE
+            .min(self.config.idle_timeout)
+            .min(self.config.read_timeout)
+            .max(Duration::from_millis(1))
+    }
 }
 
-fn conn_gauge(state: &'static str) -> metrics::Gauge {
-    metrics::global().gauge("mc_http_connections", &[("state", state)])
+/// Where a tracked connection is: its `mc_http_connections{state}` gauge.
+#[derive(Clone, Copy)]
+enum ConnState {
+    Queued,
+    Active,
+    Streaming,
+}
+
+impl ConnState {
+    fn gauge(self) -> &'static metrics::Gauge {
+        static GAUGES: [OnceLock<metrics::Gauge>; 3] = [const { OnceLock::new() }; 3];
+        let label = match self {
+            ConnState::Queued => "queued",
+            ConnState::Active => "active",
+            ConnState::Streaming => "streaming",
+        };
+        GAUGES[self as usize]
+            .get_or_init(|| metrics::global().gauge("mc_http_connections", &[("state", label)]))
+    }
 }
 
 /// One tracked connection: moves from the acceptor through the worker pool
@@ -138,31 +173,118 @@ fn conn_gauge(state: &'static str) -> metrics::Gauge {
 struct Conn {
     stream: TcpStream,
     edge: Arc<Edge>,
-    state: &'static str,
+    state: ConnState,
 }
 
 impl Conn {
     fn new(stream: TcpStream, edge: &Arc<Edge>) -> Conn {
         edge.total.fetch_add(1, Ordering::SeqCst);
-        conn_gauge("queued").add(1);
+        ConnState::Queued.gauge().add(1);
         Conn {
             stream,
             edge: Arc::clone(edge),
-            state: "queued",
+            state: ConnState::Queued,
         }
     }
 
-    fn transition(&mut self, to: &'static str) {
-        conn_gauge(self.state).sub(1);
-        conn_gauge(to).add(1);
+    fn transition(&mut self, to: ConnState) {
+        self.state.gauge().sub(1);
+        to.gauge().add(1);
         self.state = to;
     }
 }
 
 impl Drop for Conn {
     fn drop(&mut self) {
-        conn_gauge(self.state).sub(1);
+        self.state.gauge().sub(1);
         self.edge.total.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// The instruments one (route, method, status) reports into, resolved from
+/// the registry on its first request and reused by every later one.
+struct RequestMetrics {
+    route: Box<str>,
+    method: Method,
+    status: u16,
+    seconds: metrics::Histogram,
+    request_bytes: metrics::Histogram,
+    response_bytes: metrics::Histogram,
+    requests: metrics::Counter,
+}
+
+/// How many (route, method, status) a worker keeps resolved; past it (a
+/// peer inventing methods) requests are recorded through the registry.
+const REQUEST_METRICS_CAP: usize = 64;
+
+thread_local! {
+    /// One worker thread's resolved request instruments.
+    static REQUEST_METRICS: RefCell<Vec<RequestMetrics>> = const { RefCell::new(Vec::new()) };
+}
+
+impl RequestMetrics {
+    fn resolve(route: &str, method: &Method, status: u16) -> RequestMetrics {
+        let registry = metrics::global();
+        // Body sizes quantify the data-transfer share of platform overhead
+        // (§4): powers-of-4 buckets separate control-plane chatter from bulk
+        // parameter/file traffic.
+        let body_bytes = |direction| {
+            registry.histogram_with(
+                "mc_http_body_bytes",
+                &[("route", route), ("direction", direction)],
+                metrics::BODY_SIZE_BUCKETS,
+            )
+        };
+        RequestMetrics {
+            route: route.into(),
+            method: method.clone(),
+            status,
+            seconds: registry.histogram(
+                "mc_http_request_seconds",
+                &[("route", route), ("method", method.as_str())],
+            ),
+            request_bytes: body_bytes("request"),
+            response_bytes: body_bytes("response"),
+            requests: registry.counter(
+                "mc_http_requests_total",
+                &[
+                    ("route", route),
+                    ("method", method.as_str()),
+                    ("status", &status.to_string()),
+                ],
+            ),
+        }
+    }
+
+    fn observe(&self, elapsed: Duration, request_bytes: usize, response_bytes: usize) {
+        self.seconds.observe_duration(elapsed);
+        self.request_bytes.observe(request_bytes as f64);
+        self.response_bytes.observe(response_bytes as f64);
+        self.requests.inc();
+    }
+
+    /// Records one answered request under its labels.
+    fn record(
+        route: &str,
+        method: &Method,
+        status: u16,
+        elapsed: Duration,
+        request_bytes: usize,
+        response_bytes: usize,
+    ) {
+        REQUEST_METRICS.with_borrow_mut(|cache| {
+            let found = cache
+                .iter()
+                .find(|m| m.status == status && m.method == *method && *m.route == *route);
+            if let Some(m) = found {
+                return m.observe(elapsed, request_bytes, response_bytes);
+            }
+            let m = RequestMetrics::resolve(route, method, status);
+            m.observe(elapsed, request_bytes, response_bytes);
+            if cache.len() < REQUEST_METRICS_CAP {
+                cache.push(m);
+            }
+        });
     }
 }
 
@@ -396,21 +518,29 @@ thread_local! {
 }
 
 fn serve_connection(mut conn: Conn, edge: &Arc<Edge>) {
-    conn.transition("active");
+    conn.transition(ConnState::Active);
     let _ = conn.stream.set_nodelay(true);
     let _ = conn
         .stream
         .set_write_timeout(Some(edge.config.read_timeout));
+    // Armed once: the reader sits out timed-out slices itself.
+    if conn
+        .stream
+        .set_read_timeout(Some(edge.read_slice()))
+        .is_err()
+    {
+        return;
+    }
     let outcome = BUFFERS.with_borrow_mut(|bufs| {
         let (read_buf, write_buf) = bufs.split();
-        let mut reader = ConnReader::new(&conn.stream, read_buf);
+        let mut reader = ConnReader::new(&conn.stream, read_buf, edge.config.read_timeout);
         let mut writer = ConnWriter::new(&conn.stream, write_buf);
-        request_loop(&conn.stream, &mut reader, &mut writer, edge)
+        request_loop(&mut reader, &mut writer, edge)
     });
     match outcome {
         Outcome::Close => {}
         Outcome::Detach(body) => {
-            conn.transition("streaming");
+            conn.transition(ConnState::Streaming);
             let control = edge.stream_control.clone();
             // Moving `conn` keeps its accounting alive for the stream's
             // lifetime; if the pool refused (shutdown), dropping it closes
@@ -426,61 +556,15 @@ fn serve_connection(mut conn: Conn, edge: &Arc<Edge>) {
     }
 }
 
-/// Waits for the first byte of the next request under the idle timeout,
-/// sliced so draining servers reclaim idle connections promptly.
-///
-/// Returns `Ok(true)` when request bytes are available, `Ok(false)` on a
-/// clean close / idle expiry / drain.
-fn await_next_request(
-    stream: &TcpStream,
-    reader: &mut ConnReader<'_>,
-    edge: &Edge,
-) -> std::io::Result<bool> {
-    use std::io::BufRead as _;
-    if reader.buffered() > 0 {
-        return Ok(true); // pipelined request already in the buffer
-    }
-    let idle = edge.config.idle_timeout;
-    let slice = idle.min(Duration::from_millis(250));
-    let started = Instant::now();
-    loop {
-        stream.set_read_timeout(Some(slice))?;
-        match reader.fill_buf() {
-            Ok([]) => return Ok(false), // clean EOF
-            Ok(_) => return Ok(true),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                // The drain check sits *after* the read attempt so a queued
-                // connection whose request is already in the socket is
-                // still answered during shutdown; only truly idle
-                // keep-alives are cut short.
-                if edge.draining() || started.elapsed() >= idle {
-                    return Ok(false);
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
 fn request_loop(
-    stream: &TcpStream,
     reader: &mut ConnReader<'_>,
     writer: &mut ConnWriter<'_>,
     edge: &Arc<Edge>,
 ) -> Outcome {
     loop {
-        match await_next_request(stream, reader, edge) {
+        match reader.await_request(edge.config.idle_timeout, || edge.draining()) {
             Ok(true) => {}
             Ok(false) | Err(_) => return Outcome::Close,
-        }
-        if stream
-            .set_read_timeout(Some(edge.config.read_timeout))
-            .is_err()
-        {
-            return Outcome::Close;
         }
         let mut req = match wire::read_request_limited(reader, &edge.limits) {
             Ok(Some(req)) => req,
@@ -513,34 +597,18 @@ fn request_loop(
             _ => trace::next_request_id(),
         };
         req.headers.set(trace::REQUEST_ID_HEADER, &request_id);
-        let method = req.method.as_str().to_string();
         let keep = wire::keep_alive(&req) && !edge.draining();
         let request_bytes = req.body.len();
         let started = Instant::now();
         let (mut resp, route) = edge.router.dispatch_labeled(&mut req);
-        let labels: &[(&str, &str)] = &[("route", route), ("method", &method)];
-        metrics::global()
-            .histogram("mc_http_request_seconds", labels)
-            .observe_duration(started.elapsed());
-        // Body sizes quantify the data-transfer share of platform overhead
-        // (§4): powers-of-4 buckets separate control-plane chatter from bulk
-        // parameter/file traffic.
-        for (direction, bytes) in [("request", request_bytes), ("response", resp.body.len())] {
-            metrics::global()
-                .histogram_with(
-                    "mc_http_body_bytes",
-                    &[("route", route), ("direction", direction)],
-                    metrics::BODY_SIZE_BUCKETS,
-                )
-                .observe(bytes as f64);
-        }
-        let status = resp.status.as_u16().to_string();
-        metrics::global()
-            .counter(
-                "mc_http_requests_total",
-                &[("route", route), ("method", &method), ("status", &status)],
-            )
-            .inc();
+        RequestMetrics::record(
+            route,
+            &req.method,
+            resp.status.as_u16(),
+            started.elapsed(),
+            request_bytes,
+            resp.body.len(),
+        );
         if resp.headers.get(trace::REQUEST_ID_HEADER).is_none() {
             resp.headers.set(trace::REQUEST_ID_HEADER, &request_id);
         }
@@ -675,6 +743,28 @@ mod tests {
         let mut buf = String::new();
         let _ = s.read_to_string(&mut buf);
         assert!(buf.starts_with("HTTP/1.1 400"), "{buf}");
+    }
+
+    #[test]
+    fn zero_timeouts_still_answer() {
+        for config in [
+            ServerConfig {
+                idle_timeout: Duration::ZERO,
+                ..ServerConfig::default()
+            },
+            ServerConfig {
+                read_timeout: Duration::ZERO,
+                ..ServerConfig::default()
+            },
+        ] {
+            let mut router = Router::new();
+            router.get("/ping", |_r, _p: &PathParams| Response::text(200, "pong"));
+            let server = Server::bind_with_config("127.0.0.1:0", router, config.clone()).unwrap();
+            let resp = Client::new()
+                .get(&format!("{}/ping", server.base_url()))
+                .unwrap_or_else(|e| panic!("{config:?}: {e}"));
+            assert_eq!(resp.body_string(), "pong", "{config:?}");
+        }
     }
 
     #[test]

@@ -89,29 +89,31 @@ pub fn read_request_limited<R: BufRead>(
     reader: &mut R,
     limits: &Limits,
 ) -> io::Result<Option<Request>> {
-    let request_line = match read_line_capped(reader, true, limits.max_header_bytes)? {
-        Some(line) => line,
-        None => return Ok(None),
+    let Some((method, target)) = with_line(reader, true, limits.max_header_bytes, |line| {
+        let mut parts = line.split(' ');
+        let method = parts
+            .next()
+            .filter(|m| !m.is_empty())
+            .ok_or_else(|| protocol_error("missing method"))?;
+        let target = parts
+            .next()
+            .ok_or_else(|| protocol_error("missing request target"))?;
+        let version = parts
+            .next()
+            .ok_or_else(|| protocol_error("missing http version"))?;
+        if !version.starts_with("HTTP/1.") {
+            return Err(protocol_error("unsupported http version"));
+        }
+        Ok((Method::from_token(method), target.to_string()))
+    })?
+    else {
+        return Ok(None);
     };
-    let mut parts = request_line.split(' ');
-    let method = parts
-        .next()
-        .filter(|m| !m.is_empty())
-        .ok_or_else(|| protocol_error("missing method"))?;
-    let target = parts
-        .next()
-        .ok_or_else(|| protocol_error("missing request target"))?;
-    let version = parts
-        .next()
-        .ok_or_else(|| protocol_error("missing http version"))?;
-    if !version.starts_with("HTTP/1.") {
-        return Err(protocol_error("unsupported http version"));
-    }
     let headers = read_headers(reader, limits)?;
     let body = read_body(reader, &headers, limits)?;
     Ok(Some(Request {
-        method: Method::from_token(method),
-        target: target.to_string(),
+        method,
+        target,
         headers,
         body,
     }))
@@ -123,16 +125,18 @@ pub fn read_request_limited<R: BufRead>(
 ///
 /// I/O errors and protocol violations are both reported as `io::Error`.
 pub fn read_response<R: BufRead>(reader: &mut R) -> io::Result<Response> {
-    let status_line = read_line(reader, true)?.ok_or_else(|| protocol_error("empty response"))?;
-    let mut parts = status_line.splitn(3, ' ');
-    let version = parts.next().unwrap_or("");
-    if !version.starts_with("HTTP/1.") {
-        return Err(protocol_error("unsupported http version in response"));
-    }
-    let code: u16 = parts
-        .next()
-        .and_then(|c| c.parse().ok())
-        .ok_or_else(|| protocol_error("bad status code"))?;
+    let code = with_line(reader, true, MAX_HEADER_BYTES, |line| {
+        let mut parts = line.splitn(3, ' ');
+        let version = parts.next().unwrap_or("");
+        if !version.starts_with("HTTP/1.") {
+            return Err(protocol_error("unsupported http version in response"));
+        }
+        parts
+            .next()
+            .and_then(|c| c.parse::<u16>().ok())
+            .ok_or_else(|| protocol_error("bad status code"))
+    })?
+    .ok_or_else(|| protocol_error("empty response"))?;
     let limits = Limits::default();
     let headers = read_headers(reader, &limits)?;
     let body = read_body(reader, &headers, &limits)?;
@@ -247,23 +251,61 @@ fn read_line_capped<R: BufRead>(
         .map_err(|_| protocol_error("non-utf8 header data"))
 }
 
+/// Hands `parse` the next line, without its line ending, under the same
+/// rules as [`read_line_capped`]. A line that is whole in the reader's
+/// buffer is parsed where it lies; only a line that spans a refill (or the
+/// end of the stream) is copied out first.
+fn with_line<R: BufRead, T>(
+    reader: &mut R,
+    allow_eof: bool,
+    cap: usize,
+    mut parse: impl FnMut(&str) -> io::Result<T>,
+) -> io::Result<Option<T>> {
+    match reader.fill_buf() {
+        Ok(buf) => {
+            // `read_line_capped` reads at most `cap + 1` bytes looking for
+            // the newline: look no further here.
+            let window = &buf[..buf.len().min(cap.saturating_add(1))];
+            if let Some(nl) = window.iter().position(|&b| b == b'\n') {
+                let line = window[..nl].strip_suffix(b"\r").unwrap_or(&window[..nl]);
+                let line = std::str::from_utf8(line)
+                    .map_err(|_| protocol_error("non-utf8 header data"))?;
+                let parsed = parse(line)?;
+                reader.consume(nl + 1);
+                return Ok(Some(parsed));
+            }
+        }
+        Err(e) if e.kind() != io::ErrorKind::Interrupted => return Err(e),
+        Err(_) => {}
+    }
+    match read_line_capped(reader, allow_eof, cap)? {
+        Some(line) => parse(&line).map(Some),
+        None => Ok(None),
+    }
+}
+
 fn read_headers<R: BufRead>(reader: &mut R, limits: &Limits) -> io::Result<Headers> {
     let mut headers = Headers::new();
     let mut total = 0usize;
     loop {
-        let line = read_line_capped(reader, false, limits.max_header_bytes)?
-            .expect("read_line(false) never yields None");
-        if line.is_empty() {
+        let end = with_line(reader, false, limits.max_header_bytes, |line| {
+            if line.is_empty() {
+                return Ok(true);
+            }
+            total += line.len();
+            if total > limits.max_header_bytes {
+                return Err(violation(431, "header section too large"));
+            }
+            let (name, value) = line
+                .split_once(':')
+                .ok_or_else(|| protocol_error("malformed header line"))?;
+            headers.append(name.trim(), value.trim());
+            Ok(false)
+        })?
+        .expect("with_line(false) never yields None");
+        if end {
             return Ok(headers);
         }
-        total += line.len();
-        if total > limits.max_header_bytes {
-            return Err(violation(431, "header section too large"));
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| protocol_error("malformed header line"))?;
-        headers.append(name.trim(), value.trim());
     }
 }
 
@@ -274,7 +316,7 @@ fn read_body<R: BufRead>(
 ) -> io::Result<Vec<u8>> {
     if headers
         .get("transfer-encoding")
-        .is_some_and(|te| te.to_ascii_lowercase().contains("chunked"))
+        .is_some_and(|te| contains_ignore_case(te, "chunked"))
     {
         return read_chunked_body(reader, limits);
     }
@@ -323,12 +365,19 @@ fn read_chunked_body<R: BufRead>(reader: &mut R, limits: &Limits) -> io::Result<
     }
 }
 
+/// Whether a header value contains `token`, ignoring ASCII case.
+fn contains_ignore_case(value: &str, token: &str) -> bool {
+    value
+        .as_bytes()
+        .windows(token.len())
+        .any(|w| w.eq_ignore_ascii_case(token.as_bytes()))
+}
+
 /// Decides whether the connection should stay open after this exchange.
 pub fn keep_alive(req: &Request) -> bool {
-    !matches!(
-        req.headers.get("connection").map(str::to_ascii_lowercase),
-        Some(v) if v.contains("close")
-    )
+    !req.headers
+        .get("connection")
+        .is_some_and(|v| contains_ignore_case(v, "close"))
 }
 
 #[cfg(test)]

@@ -1,8 +1,14 @@
 //! Randomized property tests for the HTTP substrate: wire round-trips, URL
 //! and query codecs, and router dispatch totality. Driven by the
 //! workspace's deterministic PRNG (offline, reproducible).
+//!
+//! Every message the wire tests parse is parsed twice: from one buffer,
+//! where each header line is whole and parsed in place, and through a
+//! reader that hands out 1–7 bytes per read, so lines span refills at
+//! every possible boundary and take the copying path. Both must agree,
+//! down to the status a rejected message would be answered with.
 
-use std::io::BufReader;
+use std::io::{self, BufReader, Read};
 
 use mathcloud_http::wire;
 use mathcloud_http::{
@@ -45,6 +51,97 @@ fn arb_target(rng: &mut XorShift64) -> String {
     format!("/{}", rng.string_from(POOL, len))
 }
 
+/// Hands out its bytes 1–7 at a time, in an order fixed by its seed.
+struct Trickle<'a> {
+    bytes: &'a [u8],
+    rng: XorShift64,
+}
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+        let n = (1 + self.rng.index(7)).min(out.len()).min(self.bytes.len());
+        out[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// `bytes` behind a trickling reader.
+fn trickle(bytes: &[u8], seed: u64) -> BufReader<Trickle<'_>> {
+    BufReader::new(Trickle {
+        bytes,
+        rng: XorShift64::new(seed),
+    })
+}
+
+/// What a parse came to, in a form two parses can be compared by.
+#[derive(Debug, PartialEq)]
+enum Parsed {
+    Message {
+        head: String,
+        headers: mathcloud_http::Headers,
+        body: Vec<u8>,
+    },
+    /// Clean end of stream before a request.
+    Nothing,
+    /// Rejected: the status `violation_status` maps it to, for protocol
+    /// errors; `None` for a plain I/O error such as a truncated body.
+    Rejected(Option<u16>),
+}
+
+fn rejected(e: &io::Error) -> Parsed {
+    Parsed::Rejected((e.kind() == io::ErrorKind::InvalidData).then(|| wire::violation_status(e)))
+}
+
+fn parse_request<R: io::BufRead>(reader: &mut R, limits: &wire::Limits) -> Parsed {
+    match wire::read_request_limited(reader, limits) {
+        Ok(Some(req)) => Parsed::Message {
+            head: format!("{} {}", req.method, req.target),
+            headers: req.headers,
+            body: req.body,
+        },
+        Ok(None) => Parsed::Nothing,
+        Err(e) => rejected(&e),
+    }
+}
+
+fn parse_response<R: io::BufRead>(reader: &mut R) -> Parsed {
+    match wire::read_response(reader) {
+        Ok(resp) => Parsed::Message {
+            head: resp.status.as_u16().to_string(),
+            headers: resp.headers,
+            body: resp.body,
+        },
+        Err(e) => rejected(&e),
+    }
+}
+
+/// Parses a request from one buffer and again in 1–7 byte reads; both
+/// must agree. Returns the one-buffer result.
+fn request_both_ways(bytes: &[u8], limits: &wire::Limits, seed: u64) -> Parsed {
+    let whole = parse_request(&mut &bytes[..], limits);
+    let split = parse_request(&mut trickle(bytes, seed), limits);
+    assert_eq!(
+        whole,
+        split,
+        "split reads parse differently: {:?}",
+        String::from_utf8_lossy(bytes)
+    );
+    whole
+}
+
+fn response_both_ways(bytes: &[u8], seed: u64) -> Parsed {
+    let whole = parse_response(&mut &bytes[..]);
+    let split = parse_response(&mut trickle(bytes, seed));
+    assert_eq!(
+        whole,
+        split,
+        "split reads parse differently: {:?}",
+        String::from_utf8_lossy(bytes)
+    );
+    whole
+}
+
 /// Requests round-trip through the wire encoding byte-for-byte.
 #[test]
 fn request_wire_round_trip() {
@@ -73,6 +170,7 @@ fn request_wire_round_trip() {
         }
         let mut bytes = Vec::new();
         wire::write_request(&mut bytes, &req, "h:1").unwrap();
+        request_both_ways(&bytes, &wire::Limits::default(), case as u64);
         let parsed = wire::read_request(&mut BufReader::new(&bytes[..]))
             .unwrap()
             .unwrap();
@@ -99,6 +197,7 @@ fn response_wire_round_trip() {
         resp.body = body.clone();
         let mut bytes = Vec::new();
         wire::write_response(&mut bytes, &resp).unwrap();
+        response_both_ways(&bytes, case as u64);
         let parsed = wire::read_response(&mut BufReader::new(&bytes[..])).unwrap();
         assert_eq!(parsed.status.as_u16(), status, "case {case}");
         assert_eq!(parsed.body, body, "case {case}");
@@ -109,9 +208,118 @@ fn response_wire_round_trip() {
 #[test]
 fn request_parser_is_panic_free() {
     let mut rng = XorShift64::new(0xFA11);
-    for _ in 0..CASES {
+    for case in 0..CASES {
         let bytes = arb_bytes(&mut rng, 256);
-        let _ = wire::read_request(&mut BufReader::new(&bytes[..]));
+        request_both_ways(&bytes, &wire::Limits::default(), case as u64);
+        response_both_ways(&bytes, case as u64);
+    }
+}
+
+/// A `POST` shaped like the `jobpath` benchmark's submissions.
+fn jobpath_post(extra_header: &str) -> Vec<u8> {
+    let body = r#"{"n": 1234567}"#;
+    format!(
+        "POST /services/double HTTP/1.1\r\nHost: 127.0.0.1:40123\r\n\
+         Content-Type: application/json\r\n{extra_header}Content-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .into_bytes()
+}
+
+const SMALL: wire::Limits = wire::Limits {
+    max_header_bytes: 256,
+    max_body_bytes: 1024,
+};
+
+/// A truncated submission is never a request: a clean end before its
+/// first byte, an error after it, and no panic at any offset.
+#[test]
+fn truncated_posts_are_never_requests() {
+    let post = jobpath_post("");
+    assert!(matches!(
+        request_both_ways(&post, &SMALL, 0),
+        Parsed::Message { .. }
+    ));
+    for cut in 0..post.len() {
+        let parsed = request_both_ways(&post[..cut], &SMALL, cut as u64);
+        assert!(
+            matches!(parsed, Parsed::Nothing | Parsed::Rejected(_)),
+            "cut at {cut}: {parsed:?}"
+        );
+        assert_eq!(parsed == Parsed::Nothing, cut == 0, "cut at {cut}");
+    }
+}
+
+/// One header line a byte over the cap is `431`, and so is a header section
+/// over it, whichever reads the lines arrive in.
+#[test]
+fn oversized_headers_are_431() {
+    let cap = SMALL.max_header_bytes;
+    let line = |len: usize| format!("X-Pad: {}\r\n", "p".repeat(len - "X-Pad: ".len()));
+    for seed in 0..16 {
+        let over = jobpath_post(&line(cap + 1));
+        assert_eq!(
+            request_both_ways(&over, &SMALL, seed),
+            Parsed::Rejected(Some(431))
+        );
+        let many = jobpath_post(&line(cap / 2).repeat(3));
+        assert_eq!(
+            request_both_ways(&many, &SMALL, seed),
+            Parsed::Rejected(Some(431))
+        );
+    }
+}
+
+/// Header lines a few bytes either side of the cap, with either line
+/// ending, are taken or refused alike from one buffer and in split reads.
+#[test]
+fn lines_around_the_cap_parse_alike() {
+    let cap = SMALL.max_header_bytes;
+    for len in cap - 2..=cap + 2 {
+        for eol in ["\r\n", "\n"] {
+            let pad = "p".repeat(len - "X-Pad: ".len());
+            let raw = format!("GET / HTTP/1.1{eol}X-Pad: {pad}{eol}{eol}").into_bytes();
+            for seed in 0..8 {
+                request_both_ways(&raw, &SMALL, seed);
+            }
+        }
+    }
+}
+
+/// A byte that is not UTF-8 in any header line is `400`.
+#[test]
+fn non_utf8_header_bytes_are_400() {
+    let post = jobpath_post("X-Note: ok\r\n");
+    let head_len = post.windows(4).position(|w| w == b"\r\n\r\n").unwrap();
+    for at in 0..head_len {
+        if post[at] == b'\r' || post[at] == b'\n' {
+            continue;
+        }
+        let mut bad = post.clone();
+        bad[at] = 0xFF;
+        assert_eq!(
+            request_both_ways(&bad, &SMALL, at as u64),
+            Parsed::Rejected(Some(400)),
+            "0xFF at {at}"
+        );
+    }
+}
+
+/// Bare-LF line endings parse as CRLF ones do.
+#[test]
+fn bare_lf_parses_as_crlf() {
+    let post = jobpath_post("X-Note: ok\r\n");
+    let head_len = post.windows(4).position(|w| w == b"\r\n\r\n").unwrap() + 4;
+    let mut lf: Vec<u8> = post[..head_len]
+        .iter()
+        .copied()
+        .filter(|&b| b != b'\r')
+        .collect();
+    lf.extend_from_slice(&post[head_len..]);
+    for seed in 0..16 {
+        let crlf = request_both_ways(&post, &SMALL, seed);
+        assert!(matches!(crlf, Parsed::Message { .. }));
+        assert_eq!(request_both_ways(&lf, &SMALL, seed), crlf);
     }
 }
 

@@ -189,26 +189,6 @@ impl Recorder {
             .collect()
     }
 
-    /// Remove and return the buffered events carrying the given request id,
-    /// oldest first. Unrelated events stay in the buffer. This backs
-    /// `GET /trace?request_id=…`: each trace is handed out once, so polling
-    /// clients don't re-download (or re-report) spans they already saw, and
-    /// drained ids stop occupying ring-buffer capacity.
-    pub fn drain_for(&self, request_id: &str) -> Vec<Event> {
-        let mut buf = self.buf.lock().unwrap_or_else(|e| e.into_inner());
-        let mut drained = Vec::new();
-        let mut kept = VecDeque::with_capacity(buf.len());
-        for ev in buf.drain(..) {
-            if ev.request_id.as_deref() == Some(request_id) {
-                drained.push(ev);
-            } else {
-                kept.push_back(ev);
-            }
-        }
-        *buf = kept;
-        drained
-    }
-
     pub fn len(&self) -> usize {
         self.buf.lock().unwrap_or_else(|e| e.into_inner()).len()
     }
@@ -354,27 +334,6 @@ mod tests {
         }
         let evs = rec.events();
         assert!(evs.windows(2).all(|w| w[0].ts <= w[1].ts));
-    }
-
-    #[test]
-    fn drain_for_removes_only_matching_events() {
-        let rec = Recorder::new(16);
-        rec.emit(Level::Info, "a1", Some("rid-a"), &[]);
-        rec.emit(Level::Info, "b1", Some("rid-b"), &[]);
-        rec.emit(Level::Info, "a2", Some("rid-a"), &[]);
-        rec.emit(Level::Info, "anon", None, &[]);
-
-        let drained = rec.drain_for("rid-a");
-        assert_eq!(
-            drained.iter().map(|e| e.name.as_str()).collect::<Vec<_>>(),
-            vec!["a1", "a2"],
-            "drained oldest-first"
-        );
-        // Second drain finds nothing: the trace was handed out exactly once.
-        assert!(rec.drain_for("rid-a").is_empty());
-        // Unrelated events survive, in order.
-        let names: Vec<String> = rec.events().into_iter().map(|e| e.name).collect();
-        assert_eq!(names, vec!["b1", "anon"]);
     }
 
     #[test]

@@ -111,6 +111,21 @@ timeout 120 cargo test -q --offline --release \
 timeout 120 cargo test -q --offline --release \
   -p mathcloud-everest --lib -- jobstore::tests::payload_records memo::
 
+# The request edge, in release because that is what ships. The wire
+# proptests parse every generated message twice — from one buffer (header
+# lines parsed in place) and in 1–7 byte reads (lines spanning refills take
+# the copying path) — and require the same result, down to the 400/413/431
+# a rejected message gets; they also truncate, overfill and corrupt a
+# benchmark-shaped POST. `alloc_budget` counts the heap allocations of a GET
+# and a memo-hit POST through the container's router and of parsing a
+# request and a response, against ceilings: a per-field header copy, a
+# path copy or a cloned job document coming back fails it.
+echo "==> request edge: split-read parse + allocation budget (release, 120s budget)"
+timeout 120 cargo test -q --offline --release \
+  -p mathcloud-http --test proptests
+timeout 120 cargo test -q --offline --release \
+  -p mathcloud-integration-tests --test alloc_budget
+
 # The differential multiplication battery cross-checks every tiered-mul
 # kernel, mul_threads, and Bareiss determinants against serial oracles on
 # ≥1000 xorshift-seeded cases. Release mode keeps the 500-limb schoolbook
