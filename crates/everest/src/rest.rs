@@ -84,7 +84,13 @@ pub fn router(everest: Everest, auth: Option<AuthConfig>) -> Router {
         let name = p.get("name").expect("route has {name}");
         let body = match req.body_json() {
             Ok(v) => v,
-            Err(err) => return Response::error(400, &format!("request body is not json: {err}")),
+            Err(err) => {
+                let message = format!(
+                    "request body is not json: {err} (byte offset {})",
+                    err.offset
+                );
+                return Response::error(400, &message);
+            }
         };
         let caller = caller_from(req);
         // The server edge stamped X-MC-Request-Id on the request; carry it

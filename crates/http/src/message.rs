@@ -395,13 +395,14 @@ impl Request {
         String::from_utf8_lossy(&self.body).into_owned()
     }
 
-    /// Parses the body as JSON.
+    /// Parses the body as JSON, in place.
     ///
     /// # Errors
     ///
-    /// Returns the JSON parse error for malformed bodies.
+    /// Returns the JSON parse error for malformed bodies; a body that is not
+    /// UTF-8 is one, at the offset of its first bad byte.
     pub fn body_json(&self) -> Result<Value, mathcloud_json::ParseError> {
-        mathcloud_json::parse(&self.body_string())
+        mathcloud_json::parse_bytes(&self.body)
     }
 }
 
@@ -568,13 +569,14 @@ impl Response {
         String::from_utf8_lossy(&self.body).into_owned()
     }
 
-    /// Parses the body as JSON.
+    /// Parses the body as JSON, in place.
     ///
     /// # Errors
     ///
-    /// Returns the JSON parse error for malformed bodies.
+    /// Returns the JSON parse error for malformed bodies; a body that is not
+    /// UTF-8 is one, at the offset of its first bad byte.
     pub fn body_json(&self) -> Result<Value, mathcloud_json::ParseError> {
-        mathcloud_json::parse(&self.body_string())
+        mathcloud_json::parse_bytes(&self.body)
     }
 }
 
@@ -637,6 +639,19 @@ mod tests {
         let resp = Response::json(201, &v);
         assert_eq!(resp.body_json().unwrap(), v);
         assert!(Response::text(200, "{not json").body_json().is_err());
+    }
+
+    #[test]
+    fn a_body_that_is_not_utf8_is_a_parse_error_not_a_replacement_char() {
+        let mut req = Request::new(Method::Post, "/services/s");
+        req.body = b"{\"s\":\"a\xFFb\"}".to_vec();
+        let e = req.body_json().unwrap_err();
+        assert_eq!((e.message(), e.offset), ("invalid utf-8", 7));
+        assert_eq!(
+            req.body_string(),
+            "{\"s\":\"a\u{FFFD}b\"}",
+            "display stays lossy"
+        );
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //!
 //! * [`Value`] — an owned JSON document model,
 //! * [`parse()`] — a recursive-descent parser with line/column error reporting,
+//!   and [`parse_bytes`], the same parser on raw bytes that checks the UTF-8
+//!   itself,
 //! * serialization via `Value::to_string` (compact) and [`Value::to_pretty_string`],
 //! * [`pointer::Pointer`] — RFC 6901 JSON Pointers,
 //! * [`schema::Schema`] — a practical JSON Schema subset used to describe and
@@ -35,7 +37,7 @@ pub mod ser;
 pub mod value;
 
 pub use number::Number;
-pub use parse::{parse, ParseError};
+pub use parse::{parse, parse_bytes, ParseError};
 pub use pointer::Pointer;
 pub use schema::{Schema, SchemaError, ValidationError};
 pub use value::Value;

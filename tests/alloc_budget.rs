@@ -1,18 +1,23 @@
 //! Allocation budget of a keep-alive request at both ends of the HTTP edge.
 //!
 //! A counting global allocator tallies heap allocations (fresh blocks and
-//! regrown ones) per thread, so tests running in parallel never count each
-//! other's work. Four operations are counted, each after two warm-up rounds
+//! regrown ones) and the bytes they ask for (a regrown block at its new
+//! size) per thread, so tests running in parallel never count each other's
+//! work. Five operations are counted, each after two warm-up rounds
 //! (instrument registration, memo priming) and as the least of five rounds:
 //!
 //! * the dispatch of a `GET` of a DONE job through `rest::router`;
 //! * the dispatch of a `POST` answered from the result memo;
-//! * `wire::read_request_limited` of that `POST`, from an in-memory buffer;
+//! * the same for a `POST` carrying a 64 KiB string, in allocations and in
+//!   bytes: a pass that copies the body shows in the bytes;
+//! * `wire::read_request_limited` of the small `POST`, from an in-memory
+//!   buffer;
 //! * `wire::read_response` of a job document, likewise.
 //!
 //! The ceilings sit between the counts of the edge that parsed headers
-//! into one `String` per field and cloned job documents, and the counts of
-//! this one: a change that brings those allocations back fails here.
+//! into one `String` per field, cloned job documents and decoded bodies
+//! into a `String` before parsing them, and the counts of this one: a
+//! change that brings those allocations back fails here.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -28,29 +33,31 @@ struct Counting;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn count_one() {
+fn count_one(size: usize) {
     // `try_with`: the allocator also runs while a thread's locals are torn
     // down.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + size as u64));
 }
 
 // SAFETY: every call is forwarded unchanged to the system allocator; the
-// counter is a `const`-initialised thread-local that never allocates.
+// counters are `const`-initialised thread-locals that never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -64,21 +71,33 @@ static GLOBAL: Counting = Counting;
 
 /// Allocations `op` makes on this thread, least of five rounds after two
 /// warm-up rounds. `setup` builds each round's input outside the count.
-fn allocations<T>(mut setup: impl FnMut() -> T, mut op: impl FnMut(T)) -> u64 {
-    let mut least = u64::MAX;
+fn allocations<T>(setup: impl FnMut() -> T, op: impl FnMut(T)) -> u64 {
+    allocations_and_bytes(setup, op).0
+}
+
+/// [`allocations`], and the bytes they ask for, each the least of its five
+/// rounds.
+fn allocations_and_bytes<T>(mut setup: impl FnMut() -> T, mut op: impl FnMut(T)) -> (u64, u64) {
+    let mut least = (u64::MAX, u64::MAX);
     for round in 0..7 {
         let input = setup();
-        let before = ALLOCATIONS.with(Cell::get);
+        let before = (ALLOCATIONS.with(Cell::get), BYTES.with(Cell::get));
         op(input);
-        let made = ALLOCATIONS.with(Cell::get) - before;
+        let made = (
+            ALLOCATIONS.with(Cell::get) - before.0,
+            BYTES.with(Cell::get) - before.1,
+        );
         if round >= 2 {
-            least = least.min(made);
+            least = (least.0.min(made.0), least.1.min(made.1));
         }
     }
     least
 }
 
 const SERVICE: &str = "double";
+/// `{data}` → `{bytes}`: a payload service whose answer is small, so what
+/// a 64 KiB `POST` costs is the request's own.
+const PAYLOAD_SERVICE: &str = "length";
 
 fn container() -> Everest {
     let e = Everest::with_handlers("alloc-budget", 1);
@@ -89,6 +108,17 @@ fn container() -> Everest {
         NativeAdapter::from_fn(|inputs, _| {
             let n = inputs.get("n").and_then(Value::as_i64).unwrap_or(0);
             Ok([("d".to_string(), json!(n * 2))].into_iter().collect())
+        }),
+    );
+    e.deploy(
+        ServiceDescription::new(PAYLOAD_SERVICE, "counts the bytes of a string")
+            .input(Parameter::new("data", Schema::string()))
+            .output(Parameter::new("bytes", Schema::integer())),
+        NativeAdapter::from_fn(|inputs, _| {
+            let data = inputs.get("data").and_then(Value::as_str).unwrap_or("");
+            Ok([("bytes".to_string(), json!(data.len()))]
+                .into_iter()
+                .collect())
         }),
     );
     e.set_result_memoization(true);
@@ -150,6 +180,41 @@ fn memo_hit_post() {
     assert_within("memo-hit POST dispatch", made, MEMO_POST_CEILING);
 }
 
+/// 64 KiB of letters as a payload service's input, the shape of the
+/// `payload_64k` benchmark's.
+fn payload_submit() -> Request {
+    let data: String = (0..64 * 1024u32)
+        .map(|i| char::from(b'a' + (i * 7 % 26) as u8))
+        .collect();
+    request(Method::Post, &format!("/services/{PAYLOAD_SERVICE}"))
+        .with_json(&json!({ "data": data }))
+}
+
+#[test]
+fn memo_hit_payload_post() {
+    let router = rest::router(container(), None);
+    let (resp, _) = router.dispatch_labeled(&mut payload_submit());
+    assert_eq!(resp.status.as_u16(), 201, "{}", resp.body_string());
+    let body_len = payload_submit().body.len() as u64;
+    let (made, bytes) = allocations_and_bytes(payload_submit, |mut req| {
+        let (resp, _) = router.dispatch_labeled(&mut req);
+        assert!(resp.status.is_success(), "{}", resp.body_string());
+        assert_eq!(
+            resp.headers.get(mathcloud_http::MEMO_HIT_HEADER),
+            Some("true")
+        );
+    });
+    assert_within("64 KiB memo-hit POST dispatch", made, PAYLOAD_POST_CEILING);
+    eprintln!(
+        "alloc_budget: 64 KiB memo-hit POST dispatch: {bytes} bytes for a {body_len}-byte body \
+         (ceiling {PAYLOAD_POST_BYTES_CEILING})"
+    );
+    assert!(
+        bytes <= PAYLOAD_POST_BYTES_CEILING,
+        "64 KiB memo-hit POST dispatch: {bytes} bytes, ceiling {PAYLOAD_POST_BYTES_CEILING}"
+    );
+}
+
 #[test]
 fn request_parse() {
     let mut bytes = Vec::new();
@@ -182,9 +247,16 @@ fn response_parse() {
 // Counts on x86-64 Linux, debug and release alike. The edge that parsed
 // each header into `String`s, matched routes on a copied path and cloned
 // job documents made: GET 54, memo-hit POST 69, request parse 17, response
-// parse 10. This one makes 24, 41, 4 and 3. Each ceiling leaves a little
-// room above the new count and stays well under the old one.
+// parse 10. The one after it made 24, 41, 4 and 3, and 43 allocations and
+// 199 165 bytes for the 64 KiB memo-hit POST, whose body it decoded into a
+// `String` before parsing. This one makes 24, 40, 4, 3, and 42 allocations
+// and 133 618 bytes for the 64 KiB POST (65 547 bytes of body): the parsed
+// 64 KiB string and the copy `ServiceDescription::validate_inputs` makes of
+// it. Each ceiling leaves a little room above the new count; the bytes
+// ceiling stays under the new count plus one copy of the body.
 const GET_CEILING: u64 = 30;
-const MEMO_POST_CEILING: u64 = 50;
+const MEMO_POST_CEILING: u64 = 45;
+const PAYLOAD_POST_CEILING: u64 = 48;
+const PAYLOAD_POST_BYTES_CEILING: u64 = 150_000;
 const REQUEST_PARSE_CEILING: u64 = 8;
 const RESPONSE_PARSE_CEILING: u64 = 6;

@@ -279,3 +279,43 @@ fn wrong_methods_get_405() {
         .unwrap();
     assert_eq!(resp.status.as_u16(), 405);
 }
+
+/// Request bodies are UTF-8 JSON. Two bodies that differ only in a byte that
+/// is not UTF-8 were once both decoded to U+FFFD: the first job ran on
+/// altered input and the second was answered from the memo with the first
+/// job. Each is now a 400 naming the offset of the bad byte.
+#[test]
+fn bodies_that_are_not_utf8_are_400_and_share_no_memo_entry() {
+    let e = Everest::with_handlers("utf8-bodies", 1);
+    e.deploy(
+        ServiceDescription::new("echo", "returns its string")
+            .input(Parameter::new("s", Schema::string()))
+            .output(Parameter::new("s", Schema::string())),
+        NativeAdapter::from_fn(|inputs, _| {
+            let s = inputs.get("s").cloned().unwrap_or(Value::Null);
+            Ok([("s".to_string(), s)].into_iter().collect())
+        }),
+    );
+    e.set_result_memoization(true);
+    let server = mathcloud_everest::serve(e, "127.0.0.1:0", None).unwrap();
+    let url = format!("{}/services/echo", server.base_url());
+    let client = Client::new();
+    for body in [&b"{\"s\":\"a\xFFb\"}"[..], &b"{\"s\":\"a\xFEb\"}"[..]] {
+        let resp = client
+            .post_bytes(&url, "application/json", body.to_vec())
+            .unwrap();
+        assert_eq!(resp.status.as_u16(), 400, "{}", resp.body_string());
+        assert_eq!(resp.headers.get(mathcloud_http::MEMO_HIT_HEADER), None);
+        let error = resp.body_json().unwrap()["error"]
+            .as_str()
+            .unwrap()
+            .to_string();
+        assert!(
+            error.contains("invalid utf-8") && error.contains("byte offset 7"),
+            "{error}"
+        );
+    }
+    // The same service still runs a well-formed body.
+    let resp = client.post_json(&url, &json!({"s": "a\u{FFFD}b"})).unwrap();
+    assert_eq!(resp.status.as_u16(), 201, "{}", resp.body_string());
+}
