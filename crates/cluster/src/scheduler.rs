@@ -8,7 +8,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mathcloud_telemetry::sync::{Condvar, Mutex};
-use mathcloud_telemetry::{PoolStatus, ScalableTarget};
 
 /// A batch job identifier (monotonically increasing, like TORQUE sequence
 /// numbers).
@@ -408,50 +407,6 @@ impl BatchSystem {
         }
     }
 
-    /// Current total cores across all nodes.
-    pub fn total_cores(&self) -> usize {
-        self.inner.state.lock().nodes.iter().map(|n| n.cores).sum()
-    }
-
-    /// Resizes the cluster's total core count toward `total` (clamped to at
-    /// least one), returning the total actually applied.
-    ///
-    /// Growth adds cores to the last node and immediately reschedules the
-    /// queue (newly provisioned capacity starts queued jobs). Shrinkage
-    /// removes *free* cores only, last node first — cores under a running
-    /// job are never revoked, so the applied total can stay above the
-    /// request until jobs drain. This is the cluster-side analogue of the
-    /// container's handler-pool resize, and what lets one
-    /// [`mathcloud_telemetry::PoolController`] drive a batch system.
-    pub fn resize_cores(&self, total: usize) -> usize {
-        let total = total.max(1);
-        let mut state = self.inner.state.lock();
-        let current: usize = state.nodes.iter().map(|n| n.cores).sum();
-        if total > current {
-            let last = state.nodes.len() - 1;
-            state.nodes[last].cores += total - current;
-            self.schedule_locked(&mut state);
-            drop(state);
-            self.inner.changed.notify_all();
-            total
-        } else if total < current {
-            let mut to_remove = current - total;
-            for node in state.nodes.iter_mut().rev() {
-                if to_remove == 0 {
-                    break;
-                }
-                let free = node.cores - node.used;
-                let cut = free.min(to_remove);
-                node.cores -= cut;
-                to_remove -= cut;
-            }
-            // to_remove > 0 means busy cores blocked part of the shrink.
-            total + to_remove
-        } else {
-            total
-        }
-    }
-
     /// FIFO + backfill pass: start the queue head if it fits; otherwise let
     /// later jobs that do fit jump ahead (classic EASY-backfill compromise
     /// between utilization and ordering).
@@ -551,24 +506,6 @@ impl BatchSystem {
             drop(state);
             system.inner.changed.notify_all();
         });
-    }
-}
-
-/// One "worker" is one core: the autoscaler's saturation watermarks read
-/// directly as core-utilization watermarks, and scaling steps provision or
-/// retire cores.
-impl ScalableTarget for BatchSystem {
-    fn pool_status(&self) -> PoolStatus {
-        let stats = self.stats();
-        PoolStatus {
-            workers: stats.total_cores,
-            busy: stats.busy_cores,
-            queue_depth: stats.queued_jobs,
-        }
-    }
-
-    fn scale_to(&self, workers: usize) -> usize {
-        self.resize_cores(workers)
     }
 }
 
@@ -770,91 +707,6 @@ mod tests {
         }));
         assert!(c.wait(id, Duration::from_millis(10)).is_none(), "too early");
         assert!(c.wait(id, Duration::from_secs(5)).is_some());
-    }
-
-    #[test]
-    fn resize_grows_cores_and_unblocks_queued_jobs() {
-        let c = BatchSystem::builder("elastic").node("n1", 1).build();
-        let gate = Arc::new(AtomicBool::new(false));
-        let g = Arc::clone(&gate);
-        let holder = c.qsub(JobSpec::new("holder", 1, move |_| {
-            while !g.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Ok(String::new())
-        }));
-        std::thread::sleep(Duration::from_millis(20));
-        // The single core is taken; this job queues.
-        let queued = c.qsub(JobSpec::new("queued", 1, |_| Ok("ran".into())));
-        assert_eq!(c.qstat(queued).unwrap().state, JobState::Queued);
-        // Growing the cluster starts it without waiting for the holder.
-        assert_eq!(c.resize_cores(2), 2);
-        assert_eq!(c.total_cores(), 2);
-        let st = c.wait(queued, Duration::from_secs(5)).unwrap();
-        assert_eq!(st.state, JobState::Completed);
-        gate.store(true, Ordering::Relaxed);
-        c.wait(holder, Duration::from_secs(5)).unwrap();
-    }
-
-    #[test]
-    fn shrink_never_revokes_busy_cores() {
-        let c = BatchSystem::builder("elastic")
-            .node("n1", 2)
-            .node("n2", 2)
-            .build();
-        let gate = Arc::new(AtomicBool::new(false));
-        let g = Arc::clone(&gate);
-        let busy = c.qsub(JobSpec::new("busy", 2, move |_| {
-            while !g.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Ok(String::new())
-        }));
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(c.stats().busy_cores, 2);
-        // Asking for 1 core can only reclaim the 2 free ones: the applied
-        // total stays at the 2 busy cores.
-        assert_eq!(c.resize_cores(1), 2);
-        assert_eq!(c.total_cores(), 2);
-        gate.store(true, Ordering::Relaxed);
-        c.wait(busy, Duration::from_secs(5)).unwrap();
-        // Drained: now the shrink can complete.
-        assert_eq!(c.resize_cores(1), 1);
-        assert_eq!(c.total_cores(), 1);
-        // And never below one core.
-        assert_eq!(c.resize_cores(0), 1);
-    }
-
-    #[test]
-    fn batch_system_reports_pool_status_for_the_autoscaler() {
-        let c = BatchSystem::builder("elastic").node("n1", 2).build();
-        let idle = c.pool_status();
-        assert_eq!((idle.workers, idle.busy, idle.queue_depth), (2, 0, 0));
-        let gate = Arc::new(AtomicBool::new(false));
-        let ids: Vec<JobId> = (0..3)
-            .map(|i| {
-                let g = Arc::clone(&gate);
-                c.qsub(JobSpec::new(&format!("j{i}"), 1, move |_| {
-                    while !g.load(Ordering::Relaxed) {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    Ok(String::new())
-                }))
-            })
-            .collect();
-        std::thread::sleep(Duration::from_millis(20));
-        let loaded = c.pool_status();
-        assert_eq!((loaded.workers, loaded.busy, loaded.queue_depth), (2, 2, 1));
-        assert_eq!(loaded.saturation(), 1.0);
-        // scale_to routes through resize_cores: the queued job starts.
-        assert_eq!(c.scale_to(3), 3);
-        gate.store(true, Ordering::Relaxed);
-        for id in ids {
-            assert_eq!(
-                c.wait(id, Duration::from_secs(5)).unwrap().state,
-                JobState::Completed
-            );
-        }
     }
 
     #[test]

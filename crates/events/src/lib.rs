@@ -44,7 +44,7 @@
 //! let bus = Bus::with_ring(64);
 //! let sub = bus.subscribe(KindFilter::parse("job."), 16);
 //! bus.publish("job.done", Some("req-1"), json!({"job": "7"}));
-//! bus.publish("pool.scale", None, json!({"to": 4})); // filtered out
+//! bus.publish("breaker.state", None, json!({"state": "open"})); // filtered out
 //! let ev = sub.recv_timeout(Duration::from_secs(1)).unwrap();
 //! assert_eq!(ev.kind, "job.done");
 //! assert_eq!(ev.request_id.as_deref(), Some("req-1"));
@@ -92,7 +92,7 @@ fn describe_metrics() {
 pub struct Envelope {
     /// Monotonically increasing sequence number, 1-based.
     pub id: u64,
-    /// Dotted event kind, e.g. `job.done`, `pool.scale`, `breaker.state`.
+    /// Dotted event kind, e.g. `job.done`, `breaker.state`.
     pub kind: String,
     /// Publish time, unix milliseconds.
     pub time_ms: u64,

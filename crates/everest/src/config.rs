@@ -150,10 +150,7 @@ impl fmt::Debug for AdapterRegistry {
 /// 2. the job journal — [`Everest::attach_job_journal`] or
 ///    [`Everest::attach_job_journal_with`] — whose recovery re-queues
 ///    interrupted jobs onto the services deployed here;
-/// 3. the handler pool — [`Everest::resize_pool`], or
-///    [`Everest::autoscaler`] and
-///    [`mathcloud_telemetry::PoolController::spawn`], whose handle the
-///    caller owns;
+/// 3. the handler pool — [`Everest::resize_pool`];
 /// 4. the server edge — [`crate::rest::serve_with_config`].
 ///
 /// # Errors

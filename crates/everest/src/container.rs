@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use mathcloud_core::{JobRepresentation, JobState, ServiceDescription};
 use mathcloud_security::{AccessPolicy, Identity};
 use mathcloud_telemetry::sync::RwLock;
-use mathcloud_telemetry::{metrics, Counter, Histogram, ScalableTarget};
+use mathcloud_telemetry::{metrics, Counter, Histogram};
 
 use crate::adapter::Adapter;
 use crate::filestore::FileStore;
@@ -179,12 +179,10 @@ pub struct HealthReport {
 impl HealthReport {
     /// Pool saturation in `[0, 1]`: busy workers over pool size.
     ///
-    /// A zero-worker pool reports 0.0 — `/health` serializes this value to
-    /// JSON, which has no representation for the infinity that
-    /// [`PoolStatus::saturation`] uses to mean "no workers, pending work".
-    /// The autoscaler reads `PoolStatus`, not this report, so the clamp never
-    /// masks a scale-up signal. (An `Everest` pool also can't actually reach
-    /// zero: [`Everest::resize_pool`] clamps to one worker.)
+    /// A zero-worker pool reports 0.0 rather than dividing by zero: `/health`
+    /// serializes this value to JSON, which has no infinity or NaN. (An
+    /// `Everest` pool also can't actually reach zero:
+    /// [`Everest::resize_pool`] clamps to one worker.)
     pub fn saturation(&self) -> f64 {
         if self.pool_workers == 0 {
             0.0
@@ -462,7 +460,6 @@ pub(crate) mod tests {
     use mathcloud_core::Parameter;
     use mathcloud_json::value::Object;
     use mathcloud_json::{json, Schema, Value};
-    use mathcloud_telemetry::PoolStatus;
 
     pub(crate) fn sum_container() -> Everest {
         let e = Everest::with_handlers("test", 2);
@@ -547,7 +544,7 @@ pub(crate) mod tests {
     #[test]
     fn health_saturation_is_finite_for_zero_worker_pools() {
         // /health serializes saturation to JSON, so the zero-worker edge
-        // clamps to 0.0 instead of the infinity PoolStatus reports.
+        // clamps to 0.0 instead of dividing by zero.
         let report = HealthReport {
             uptime_seconds: 0.0,
             waiting: 2,
@@ -562,13 +559,6 @@ pub(crate) mod tests {
         };
         assert_eq!(report.saturation(), 0.0);
         assert!(report.saturation().is_finite());
-        // The autoscaler's view of the same state is "infinitely hot".
-        let status = PoolStatus {
-            workers: 0,
-            busy: 0,
-            queue_depth: 2,
-        };
-        assert!(status.saturation().is_infinite());
         // And the normal case divides through.
         let half = HealthReport {
             pool_workers: 4,

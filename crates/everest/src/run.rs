@@ -5,10 +5,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mathcloud_core::JobState;
-use mathcloud_json::json;
-use mathcloud_telemetry::{
-    metrics, trace, AutoscaleConfig, Gauge, PoolController, PoolStatus, ScalableTarget, WorkPool,
-};
+use mathcloud_telemetry::{metrics, trace, Gauge, PoolStatus, WorkPool};
 
 use crate::adapter::AdapterContext;
 use crate::container::{run_seconds, Everest, Shared};
@@ -98,39 +95,10 @@ impl Everest {
         workers
     }
 
-    /// Builds an autoscaling controller over this container's handler pool,
-    /// labelled with [`Everest::metrics_label`]. Drive it manually with
-    /// [`PoolController::tick`] or hand it to [`PoolController::spawn`]; note
-    /// the controller holds a clone of the container, keeping its handler
-    /// pool alive for as long as the controller lives.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `config` is invalid ([`AutoscaleConfig::validate`]).
-    pub fn autoscaler(&self, config: AutoscaleConfig) -> PoolController {
-        let label = self.metrics_label().to_string();
-        PoolController::new(self.metrics_label(), Arc::new(self.clone()), config).on_scale(
-            move |ev| {
-                let payload = json!({
-                    "pool": (label.as_str()),
-                    "direction": (ev.direction.as_str()),
-                    "from": (ev.from as i64),
-                    "to": (ev.to as i64),
-                    "queue_depth": (ev.status.queue_depth as i64),
-                });
-                mathcloud_events::global().publish("pool.scale", None, payload);
-            },
-        )
-    }
-}
-
-impl ScalableTarget for Everest {
-    fn pool_status(&self) -> PoolStatus {
+    /// The handler pool's load right now: its size, the handlers inside a
+    /// job and the jobs queued behind them.
+    pub fn pool_status(&self) -> PoolStatus {
         self.pool.handlers.status()
-    }
-
-    fn scale_to(&self, workers: usize) -> usize {
-        self.resize_pool(workers)
     }
 }
 
@@ -225,7 +193,7 @@ mod tests {
     use crate::adapter::NativeAdapter;
     use mathcloud_core::{Parameter, ServiceDescription};
     use mathcloud_json::value::Object;
-    use mathcloud_json::{Schema, Value};
+    use mathcloud_json::{json, Schema, Value};
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::Duration;
 
@@ -332,9 +300,8 @@ mod tests {
         let (e, gate) = gated_container(2);
         let idle = e.pool_status();
         assert_eq!(idle.workers, 2);
-        assert_eq!(idle.busy, 0);
+        assert_eq!(idle.busy, 0, "unsaturated: no handler busy");
         assert_eq!(idle.queue_depth, 0);
-        assert_eq!(idle.saturation(), 0.0);
 
         for _ in 0..3 {
             e.submit("hold", &json!({}), None).unwrap();
@@ -346,7 +313,7 @@ mod tests {
         let loaded = e.pool_status();
         assert_eq!(loaded.busy, 2, "both workers pinned");
         assert_eq!(loaded.queue_depth, 1, "third job queued");
-        assert_eq!(loaded.saturation(), 1.0);
+        assert_eq!(loaded.busy, loaded.workers, "saturated: every handler busy");
         gate.store(true, Ordering::Relaxed);
     }
 

@@ -320,11 +320,21 @@ fn read_body<R: BufRead>(
     {
         return read_chunked_body(reader, limits);
     }
-    let len: usize = match headers.get("content-length") {
-        Some(v) => v
-            .trim()
-            .parse()
-            .map_err(|_| protocol_error("invalid content-length"))?,
+    // Every `Content-Length` must agree (RFC 9112 §6.3): framing the body by
+    // the first of two differing values would read the rest of it as the
+    // next request on the connection.
+    let mut lengths = headers
+        .iter()
+        .filter(|(name, _)| name.eq_ignore_ascii_case("content-length"))
+        .map(|(_, value)| value.trim());
+    let len: usize = match lengths.next() {
+        Some(v) => {
+            if lengths.any(|other| other != v) {
+                return Err(protocol_error("conflicting content-length values"));
+            }
+            v.parse()
+                .map_err(|_| protocol_error("invalid content-length"))?
+        }
         None => 0,
     };
     if len > limits.max_body_bytes {
@@ -418,6 +428,7 @@ mod tests {
             &b"GET / SPDY/3\r\n\r\n"[..],
             &b"GET / HTTP/1.1\r\nbadheader\r\n\r\n"[..],
             &b"GET / HTTP/1.1\r\nContent-Length: -1\r\n\r\n"[..],
+            &b"GET / HTTP/1.1\r\nContent-Length: 99999999999999999999\r\n\r\n"[..],
         ] {
             assert!(
                 read_request(&mut reader(raw)).is_err(),
@@ -586,6 +597,23 @@ mod tests {
         let raw = b"POST / HTTP/1.1\r\nContent-Length: 999999999\r\n\r\n";
         let err = read_request_limited(&mut reader(raw), &limits).unwrap_err();
         assert_eq!(status_of(&err), 413);
+    }
+
+    #[test]
+    fn differing_content_lengths_are_400_and_identical_ones_pass() {
+        // Framed by the first value, the bytes after "hello" would be read
+        // as a request that a peer framing by the second never sent: a
+        // desync, so the message is refused whole.
+        let raw = b"POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 100\r\n\r\nhelloGET / HTTP/1.1\r\n\r\n";
+        let err = read_request(&mut reader(raw)).unwrap_err();
+        assert_eq!(status_of(&err), 400);
+        assert!(
+            err.to_string().contains("conflicting content-length"),
+            "{err}"
+        );
+        let raw = b"POST / HTTP/1.1\r\nContent-Length: 5\r\ncontent-length:  5\r\n\r\nhello";
+        let req = read_request(&mut reader(raw)).unwrap().unwrap();
+        assert_eq!(req.body, b"hello");
     }
 
     #[test]

@@ -215,15 +215,28 @@ fn request_parser_is_panic_free() {
     }
 }
 
+/// The body of [`jobpath_post`].
+const JOBPATH_BODY: &str = r#"{"n": 1234567}"#;
+
 /// A `POST` shaped like the `jobpath` benchmark's submissions.
 fn jobpath_post(extra_header: &str) -> Vec<u8> {
-    let body = r#"{"n": 1234567}"#;
     format!(
         "POST /services/double HTTP/1.1\r\nHost: 127.0.0.1:40123\r\n\
-         Content-Type: application/json\r\n{extra_header}Content-Length: {}\r\n\r\n{body}",
-        body.len()
+         Content-Type: application/json\r\n{extra_header}Content-Length: {}\r\n\r\n{JOBPATH_BODY}",
+        JOBPATH_BODY.len()
     )
     .into_bytes()
+}
+
+/// [`jobpath_post`] with its header lines (`Name: value`, request line and
+/// blank line excluded) rewritten by `edit`.
+fn edited_post(edit: impl FnOnce(&mut Vec<String>)) -> Vec<u8> {
+    let post = String::from_utf8(jobpath_post("")).unwrap();
+    let (head, body) = post.split_once("\r\n\r\n").unwrap();
+    let (request_line, fields) = head.split_once("\r\n").unwrap();
+    let mut fields: Vec<String> = fields.split("\r\n").map(str::to_string).collect();
+    edit(&mut fields);
+    format!("{request_line}\r\n{}\r\n\r\n{body}", fields.join("\r\n")).into_bytes()
 }
 
 const SMALL: wire::Limits = wire::Limits {
@@ -320,6 +333,74 @@ fn bare_lf_parses_as_crlf() {
         let crlf = request_both_ways(&post, &SMALL, seed);
         assert!(matches!(crlf, Parsed::Message { .. }));
         assert_eq!(request_both_ways(&lf, &SMALL, seed), crlf);
+    }
+}
+
+/// One header line of the submission repeated anywhere in the head, its
+/// name in either case. A repeated `Host` or `Content-Type` is one more
+/// field; a repeated `Content-Length` frames the body alike when the values
+/// agree and is `400` when they differ: framed by the first value, the rest
+/// of the body would be read as the next request.
+#[test]
+fn duplicated_header_lines() {
+    let mut rng = XorShift64::new(0xD0B1E);
+    for case in 0..CASES {
+        let mut conflicting = false;
+        let post = edited_post(|fields| {
+            let line = fields[rng.index(fields.len())].clone();
+            let (name, value) = line.split_once(": ").unwrap();
+            let name = if rng.bool() {
+                name.to_ascii_lowercase()
+            } else {
+                name.to_string()
+            };
+            let mut value = value.to_string();
+            if name.eq_ignore_ascii_case("content-length") && rng.bool() {
+                let len = JOBPATH_BODY.len();
+                value = rng.pick(&[0, len - 1, len + 1, 10 * len]).to_string();
+                conflicting = true;
+            }
+            fields.insert(rng.index(fields.len() + 1), format!("{name}: {value}"));
+        });
+        let parsed = request_both_ways(&post, &SMALL, case as u64);
+        if conflicting {
+            assert_eq!(parsed, Parsed::Rejected(Some(400)), "case {case}");
+            continue;
+        }
+        let Parsed::Message { headers, body, .. } = parsed else {
+            panic!("case {case}: {parsed:?}");
+        };
+        assert_eq!(headers.len(), 4, "case {case}");
+        assert_eq!(body, JOBPATH_BODY.as_bytes(), "case {case}");
+    }
+}
+
+/// A `Content-Length` no body fits under: past the body cap (`usize::MAX`
+/// included) is `413` before a body byte is read, past `usize` is `400`.
+#[test]
+fn oversize_content_lengths() {
+    let over_cap = (SMALL.max_body_bytes + 1).to_string();
+    let max = usize::MAX.to_string();
+    for (value, status) in [
+        (over_cap.as_str(), 413),
+        (max.as_str(), 413),
+        ("99999999999999999999", 400),
+        ("18446744073709551616", 400),
+    ] {
+        let post = edited_post(|fields| {
+            for field in fields.iter_mut() {
+                if field.starts_with("Content-Length:") {
+                    *field = format!("Content-Length: {value}");
+                }
+            }
+        });
+        for seed in 0..16 {
+            assert_eq!(
+                request_both_ways(&post, &SMALL, seed),
+                Parsed::Rejected(Some(status)),
+                "Content-Length: {value}"
+            );
+        }
     }
 }
 

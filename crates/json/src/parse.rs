@@ -244,11 +244,17 @@ impl<'a> Parser<'a> {
     fn parse_string(&mut self) -> Result<String, ParseError> {
         self.expect(b'"')?;
         let mut out = String::new();
+        let mut end = self.pos + clean_prefix_len(&self.bytes[self.pos..]);
+        if self.bytes.get(end) == Some(&b'\\') {
+            // Escapes ahead: size the string once from its encoded span,
+            // which the decoded text never outgrows, instead of doubling it
+            // run by run.
+            out.reserve(self.escaped_string_end(end) - self.pos);
+        }
         loop {
             // The run up to the next `"`, `\` or control byte is copied whole
             // once it is checked as UTF-8: it starts and ends next to ASCII
             // bytes, so a character never straddles its ends.
-            let end = self.pos + clean_prefix_len(&self.bytes[self.pos..]);
             match std::str::from_utf8(&self.bytes[self.pos..end]) {
                 Ok(run) => out.push_str(run),
                 Err(e) => {
@@ -303,7 +309,19 @@ impl<'a> Parser<'a> {
                 },
                 Some(_) => return Err(self.err("control character in string")),
             }
+            end = self.pos + clean_prefix_len(&self.bytes[self.pos..]);
         }
+    }
+
+    /// Where the string whose first escape is the `\` at `at` ends: at its
+    /// closing `"`, or at the control byte or end of input that stops the
+    /// scan. Each `\` steps over the byte after it.
+    fn escaped_string_end(&self, mut at: usize) -> usize {
+        while self.bytes.get(at) == Some(&b'\\') {
+            at += 2;
+            at += clean_prefix_len(self.bytes.get(at..).unwrap_or_default());
+        }
+        at.min(self.bytes.len())
     }
 
     fn parse_hex4(&mut self) -> Result<u32, ParseError> {
@@ -679,6 +697,23 @@ mod tests {
             ("invalid escape sequence", 2, 13, 24),
             "just past the `q`"
         );
+    }
+
+    #[test]
+    fn an_escaped_string_is_sized_once_from_its_encoded_span() {
+        for (lead, escape) in [("", "\\\""), ("abc", "\\n"), ("", "\\ud834\\udd1e")] {
+            let encoded = format!("{lead}{}", format!("{escape}{}", "x".repeat(63)).repeat(64));
+            let doc = format!("\"{encoded}\"");
+            let mut parser = Parser::new(doc.as_bytes());
+            let s = parser.parse_string().unwrap();
+            assert_eq!(parser.pos, doc.len());
+            assert_eq!(
+                s.capacity(),
+                encoded.len(),
+                "one reservation, never regrown"
+            );
+            assert!(s.len() < encoded.len());
+        }
     }
 
     #[test]

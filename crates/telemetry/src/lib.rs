@@ -33,7 +33,6 @@
 //! assert!(text.contains("demo_requests_total{route=\"/jobs\"} 1"));
 //! ```
 
-pub mod autoscale;
 pub mod expose;
 pub mod metrics;
 pub mod rng;
@@ -41,14 +40,10 @@ pub mod sync;
 pub mod trace;
 pub mod workpool;
 
-pub use autoscale::{
-    AutoscaleConfig, AutoscaleHandle, PoolController, PoolStatus, ScalableTarget, ScaleDirection,
-    ScaleEvent,
-};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry};
 pub use rng::XorShift64;
 pub use trace::{next_request_id, Event, Level, Recorder, SpanGuard, REQUEST_ID_HEADER};
-pub use workpool::WorkPool;
+pub use workpool::{PoolStatus, WorkPool};
 
 /// Seconds elapsed since the process-wide monotonic anchor was first touched.
 ///

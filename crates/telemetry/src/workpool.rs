@@ -26,10 +26,20 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::autoscale::PoolStatus;
 use crate::sync::{Condvar, Mutex};
 
 type Task = Box<dyn FnOnce() + Send + 'static>;
+
+/// A point-in-time load sample of a worker pool ([`WorkPool::status`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PoolStatus {
+    /// Current pool size (desired workers; retiring workers excluded).
+    pub workers: usize,
+    /// Workers currently executing a job.
+    pub busy: usize,
+    /// Jobs queued behind the pool.
+    pub queue_depth: usize,
+}
 
 struct State {
     tasks: VecDeque<Task>,

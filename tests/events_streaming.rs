@@ -20,11 +20,28 @@ use mathcloud_everest::Everest;
 use mathcloud_http::sse::{self, SseItem};
 use mathcloud_http::transport::BreakerRegistry;
 use mathcloud_http::{BreakerConfig, Client, Url};
-use mathcloud_integration_tests::loadgen::job_status_requests;
 use mathcloud_json::{json, Schema, Value};
 
 const STREAM_TIMEOUT: Duration = Duration::from_secs(10);
 const CONNECT: Duration = Duration::from_secs(5);
+
+/// Successful `GET`s recorded so far on the job-status route by the
+/// process-wide registry — the server-side request volume a polling client
+/// generates. Take a reading before and after a scenario and divide the
+/// delta by completed jobs to get requests-per-job, the poll-vs-push
+/// comparison asserted on below.
+fn job_status_requests() -> u64 {
+    mathcloud_telemetry::metrics::global()
+        .counter_value(
+            "mc_http_requests_total",
+            &[
+                ("route", "/services/{name}/jobs/{id}"),
+                ("method", "GET"),
+                ("status", "200"),
+            ],
+        )
+        .unwrap_or(0)
+}
 
 /// A port that refuses connections: bind, record, drop.
 fn dead_port() -> u16 {
