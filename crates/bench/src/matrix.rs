@@ -538,18 +538,26 @@ mod tests {
                 .unwrap();
             assert!(rep.outputs.is_some(), "invert failed: {:?}", rep.error);
         };
-        invert(); // warm: whatever workers this needs are spawned now
-        let pool = mathcloud_exact::parallel::pool();
-        let warm = pool.spawned_total();
         for _ in 0..10 {
             invert();
         }
-        assert_eq!(
-            pool.spawned_total(),
-            warm,
-            "service inverts must not re-spawn pool workers"
-        );
-        // The gauge still reports the configured pool width.
+        // Every kernel thread ends with its call: none outlives the inverts.
+        // Other tests in this binary may be mid-call, so wait (bounded) for
+        // an instant with none.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            let left: Vec<String> = std::fs::read_dir("/proc/self/task")
+                .expect("read /proc/self/task")
+                .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+                .filter(|comm| comm.starts_with("mc-exact-"))
+                .collect();
+            if left.is_empty() {
+                break;
+            }
+            assert!(std::time::Instant::now() < deadline, "left alive: {left:?}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // The gauge still reports the configured kernel width.
         let width = mathcloud_telemetry::metrics::global()
             .gauge_value("mc_exact_threads", &[])
             .unwrap_or(0);

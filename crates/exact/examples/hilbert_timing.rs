@@ -1,6 +1,6 @@
 //! Rough timing probe for Hilbert inversion used to calibrate benches:
 //! serial rational Gauss–Jordan (the oracle) vs the auto-selected
-//! fraction-free Bareiss kernel on the worker pool, plus the blocked
+//! fraction-free Bareiss kernel in parallel, plus the blocked
 //! (Schur) inversion.
 //!
 //! ```text

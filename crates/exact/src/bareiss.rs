@@ -16,9 +16,7 @@
 //!
 //! For the Hilbert matrices of the paper's Table 2 experiment this path is
 //! several times faster than rational Gauss–Jordan even on one core; the row
-//! sweeps additionally fan out over the persistent [`crate::parallel`] worker
-//! pool, so the per-column fan-out costs a queue hand-off, not a thread
-//! spawn.
+//! sweeps additionally fan out over [`crate::parallel`] row blocks.
 
 use crate::bigint::BigInt;
 use crate::matrix::{Matrix, MatrixError};

@@ -15,10 +15,10 @@
 //! * [`bareiss`] — fraction-free (Bareiss) elimination over scaled integers
 //!   that defers all gcd normalization to one final pass; selected
 //!   automatically by [`Matrix::inverse`] for integer-scalable inputs,
-//! * [`parallel`] — a dependency-free persistent worker pool
-//!   (`MC_EXACT_THREADS` or [`set_threads`]) that row-blocks the multiply,
+//! * [`parallel`] — dependency-free scoped-thread regions
+//!   (`MC_EXACT_THREADS` or [`set_threads`]) that row-block the multiply,
 //!   the Gauss–Jordan sweep, the Bareiss sweep, and the Schur quadrant
-//!   products without re-spawning threads per call,
+//!   products; no kernel thread outlives its call,
 //! * [`hilbert`] — Hilbert matrix generators for the Table 2 experiment.
 //!
 //! # Examples
@@ -30,6 +30,8 @@
 //! let inv = h.inverse().expect("Hilbert matrices are nonsingular");
 //! assert_eq!(&h * &inv, Matrix::identity(8));
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod bareiss;
 pub mod bigint;

@@ -21,8 +21,8 @@ pub(crate) const AUTO_BLOCK_MIN_DIM: usize = 40;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InvertStrategy {
     /// Pick automatically: matrices of dimension ≥ 40 invert through a
-    /// recursive 2×2 Schur-complement split (quadrant products on the worker
-    /// pool); at the base, fraction-free Bareiss runs when the input is
+    /// recursive 2×2 Schur-complement split (quadrant products in parallel);
+    /// at the base, fraction-free Bareiss runs when the input is
     /// integer-scalable (every row's denominator-lcm below the auto bound —
     /// Hilbert matrices qualify at every paper size), rational Gauss–Jordan
     /// otherwise.
@@ -228,7 +228,7 @@ impl Matrix {
     }
 
     /// Exact inverse: [`Matrix::invert`] with the [`InvertStrategy::Auto`]
-    /// kernel selection and the pool's configured thread count
+    /// kernel selection and the configured thread count
     /// ([`crate::parallel::effective_threads`]).
     ///
     /// # Errors
@@ -273,7 +273,7 @@ impl Matrix {
     ///
     /// Large matrices split 2×2 and invert via the Schur complement — the
     /// half-size sub-inversions recurse right back here, the quadrant
-    /// products run pairwise on the worker pool, and rational entries stay
+    /// products run pairwise in parallel, and rational entries stay
     /// small (the measured win over direct elimination grows with `n`).
     /// At the base, integer-scalable inputs take the gcd-free Bareiss path
     /// (fastest below the blow-up crossover, which the block split keeps us
@@ -305,8 +305,8 @@ impl Matrix {
 
     /// Gauss–Jordan with partial pivoting (pivoting on the largest-magnitude
     /// entry keeps intermediate rationals smaller) on the augmented
-    /// `[A | I]` worksheet; the per-column row sweep fans out over the
-    /// worker pool.
+    /// `[A | I]` worksheet; the per-column row sweep fans out over row
+    /// blocks.
     fn gauss_jordan(&self, threads: usize) -> Result<Matrix, MatrixError> {
         let n = self.rows;
         let width = 2 * n;

@@ -1,33 +1,33 @@
-//! A persistent, lazily-spawned worker pool for the exact linear-algebra
-//! kernels.
+//! Row-parallel regions for the exact linear-algebra kernels: one
+//! [`std::thread::scope`] per kernel call.
 //!
 //! The exact kernels are embarrassingly row-parallel: a Gauss–Jordan
 //! elimination sweep updates every non-pivot row independently, a matrix
 //! product computes every output row independently, and the Schur workflow's
-//! quadrant products are independent given their inputs. Those loops used to
-//! run on per-call [`std::thread::scope`] regions, which charged a full
-//! thread spawn + join to *every* elimination column; a Bareiss sweep over an
-//! n×n worksheet paid it n times. This module replaces the scoped regions
-//! with one process-wide [`Pool`] whose workers are spawned on first use and
-//! then parked on a condvar between regions, so steady-state parallel regions
-//! cost two mutex hops instead of thread churn.
+//! quadrant products are independent given their inputs. [`chunked_rows`]
+//! and [`join`] open a scope, spawn one named thread (`mc-exact-N`) per
+//! block but the last, run the last block on the caller and join before
+//! returning, so no kernel thread outlives its call.
 //!
-//! Correctness properties carried over from the scoped design:
+//! Spawns are cheap next to exact arithmetic. An Auto inversion of an N×N
+//! Hilbert matrix at 4 threads opens 0 regions at N = 16, 1 at N = 32, 10 at
+//! N = 48 and 64, and 28 at N = 100 and 150, which spawn 72 threads; on a
+//! 2-vCPU x86-64 box a 4-block region costs about 92 µs, so that is under
+//! 3 ms against 3 s and 16 s of arithmetic. Per-column regions run only on
+//! the forced `gauss-jordan` and `bareiss` strategies (63 regions for
+//! Gauss–Jordan at N = 64), and there too a scope per region measured level
+//! with the persistent pool it replaced, over ten alternating pairs on that
+//! box (medians: Gauss–Jordan at N = 64 1.27 s pooled, 1.34 s scoped;
+//! Bareiss at N = 48 0.47 s and 0.46 s).
 //!
-//! * **Borrowed data.** Regions still operate on `&mut` borrows of the
-//!   caller's buffers. Tasks are lifetime-erased before queueing, which is
-//!   sound because [`Pool::run`] never returns until every queued task of the
-//!   region has finished (even when one panics).
-//! * **Panic propagation.** A panicking task is caught on the worker, the
-//!   region runs to completion, and the payload is re-raised on the calling
-//!   thread — exactly like scoped spawns.
+//! * **Thread bound.** A region spawns `min(threads, rows) − 1` threads. The
+//!   only nesting is [`join`]'s two sides, each opening a product region, so
+//!   one call has at most `2·threads − 1` live kernel threads.
+//! * **Panic propagation.** Every handle is joined explicitly and the first
+//!   panic payload is re-raised on the caller with its original message.
+//!   A failed spawn panics too; the scope joins what it started first.
 //! * **Serial fallback.** A resolved thread count of 1 (or a region smaller
-//!   than two rows) runs the body inline on the calling thread; no workers
-//!   are spawned, so single-core deployments and tests pay nothing.
-//! * **Nested regions.** A worker task may itself open a region (the Schur
-//!   split nests Bareiss sweeps inside [`join`]). Waiting callers help drain
-//!   the shared queue before blocking, so nesting cannot deadlock even on a
-//!   pool with zero workers.
+//!   than two rows) runs the body inline on the calling thread, no spawn.
 //!
 //! # Thread-count resolution
 //!
@@ -36,43 +36,31 @@
 //! 1. the programmatic override set via [`set_threads`] (wins while nonzero),
 //! 2. the `MC_EXACT_THREADS` environment variable (positive integer),
 //! 3. [`std::thread::available_parallelism`].
-//!
-//! [`set_threads`] also resizes the live pool: growth stays lazy (workers
-//! appear when a region next needs them), shrink retires and exits surplus
-//! workers as soon as the queue drains. Dropping a [`Pool`] joins every
-//! worker it ever spawned — the lifecycle regression tests assert this the
-//! same way the catalogue's `MonitorHandle` tests do.
 
-use std::collections::VecDeque;
-use std::panic::{self, AssertUnwindSafe};
+use std::panic;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::thread::{Scope, ScopedJoinHandle};
 
 /// Programmatic thread-count override; 0 means "not set".
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Minimum number of scalar entry operations a parallel region must contain
-/// before fanning out to workers is worth the queue round-trip. Exact-rational
-/// entry operations are microsecond-scale, so this is a low bar; tiny
-/// matrices stay serial.
+/// before fanning out to threads is worth the spawn. Exact-rational entry
+/// operations are microsecond-scale, so this is a low bar; tiny matrices
+/// stay serial.
 pub(crate) const MIN_PARALLEL_OPS: usize = 4096;
 
 /// Sets (or with `0`, clears) the process-wide thread-count override.
 ///
 /// Takes precedence over `MC_EXACT_THREADS`. Benchmarks use this to sweep
-/// thread counts without re-execing. If the global pool is already running it
-/// is resized to match: surplus workers retire (and are joined lazily),
-/// missing ones spawn on the next region that needs them.
+/// thread counts without re-execing; the next region reads it.
 pub fn set_threads(n: usize) {
     THREAD_OVERRIDE.store(n, Ordering::SeqCst);
-    if let Some(pool) = GLOBAL.get() {
-        pool.resize(effective_threads().saturating_sub(1));
-    }
 }
 
-/// The number of worker threads the exact kernels will use: the
-/// [`set_threads`] override, else `MC_EXACT_THREADS`, else the machine's
-/// available parallelism (at least 1).
+/// The number of threads the exact kernels will use: the [`set_threads`]
+/// override, else `MC_EXACT_THREADS`, else the machine's available
+/// parallelism (at least 1).
 pub fn effective_threads() -> usize {
     let o = THREAD_OVERRIDE.load(Ordering::SeqCst);
     if o > 0 {
@@ -90,275 +78,36 @@ pub fn effective_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// A queued unit of work. Lifetime-erased: see the safety argument in
-/// [`Pool::run`].
-type Task = Box<dyn FnOnce() + Send + 'static>;
-
-/// Everything the workers share, behind one mutex.
-struct PoolState {
-    /// FIFO of pending region tasks.
-    tasks: VecDeque<Task>,
-    /// Handles of every worker ever spawned (finished ones join instantly).
-    handles: Vec<std::thread::JoinHandle<()>>,
-    /// Workers currently in their run loop.
-    live: usize,
-    /// Retire watermark: workers above this count exit once the queue is
-    /// empty.
-    max_workers: usize,
-    /// Set once by `Drop`; workers drain the queue and exit.
-    shutdown: bool,
+/// Runs `f` on a scoped thread named `mc-exact-{n}`.
+fn spawn<'scope, T: Send + 'scope>(
+    scope: &'scope Scope<'scope, '_>,
+    n: usize,
+    f: impl FnOnce() -> T + Send + 'scope,
+) -> ScopedJoinHandle<'scope, T> {
+    std::thread::Builder::new()
+        .name(format!("mc-exact-{n}"))
+        .spawn_scoped(scope, f)
+        .expect("spawn exact-kernel thread")
 }
 
-struct PoolShared {
-    state: Mutex<PoolState>,
-    /// Signals queued work, shutdown, and shrink to parked workers.
-    work: Condvar,
-}
-
-/// Completion latch for one parallel region: counts queued tasks down and
-/// carries the first panic payload back to the region's caller.
-struct Latch {
-    state: Mutex<LatchState>,
-    done: Condvar,
-}
-
-struct LatchState {
-    remaining: usize,
-    panic: Option<Box<dyn std::any::Any + Send>>,
-}
-
-impl Latch {
-    fn new(tasks: usize) -> Arc<Latch> {
-        Arc::new(Latch {
-            state: Mutex::new(LatchState {
-                remaining: tasks,
-                panic: None,
-            }),
-            done: Condvar::new(),
-        })
-    }
-
-    fn complete_one(&self, panicked: Option<Box<dyn std::any::Any + Send>>) {
-        let mut s = self.state.lock().expect("latch poisoned");
-        if let Some(p) = panicked {
-            s.panic.get_or_insert(p);
-        }
-        s.remaining -= 1;
-        if s.remaining == 0 {
-            self.done.notify_all();
-        }
-    }
-
-    /// Blocks until every task completed, returning the first panic payload.
-    fn wait(&self) -> Option<Box<dyn std::any::Any + Send>> {
-        let mut s = self.state.lock().expect("latch poisoned");
-        while s.remaining > 0 {
-            s = self.done.wait(s).expect("latch poisoned");
-        }
-        s.panic.take()
-    }
-}
-
-/// A persistent worker pool. One process-wide instance ([`pool`]) backs
-/// [`chunked_rows`] and [`join`]; tests construct private instances to probe
-/// the lifecycle (lazy spawn, resize, join-on-drop) in isolation.
-pub struct Pool {
-    shared: Arc<PoolShared>,
-    /// Total workers ever spawned — the re-spawn regression counter.
-    spawned: AtomicUsize,
-}
-
-impl Pool {
-    /// Creates an empty pool that will grow on demand up to `max_workers`
-    /// parked workers (the calling thread of each region adds one more lane
-    /// of execution on top).
-    pub fn new(max_workers: usize) -> Pool {
-        Pool {
-            shared: Arc::new(PoolShared {
-                state: Mutex::new(PoolState {
-                    tasks: VecDeque::new(),
-                    handles: Vec::new(),
-                    live: 0,
-                    max_workers,
-                    shutdown: false,
-                }),
-                work: Condvar::new(),
-            }),
-            spawned: AtomicUsize::new(0),
-        }
-    }
-
-    /// Workers currently alive (spawned and not retired).
-    pub fn live_workers(&self) -> usize {
-        self.shared.state.lock().expect("pool poisoned").live
-    }
-
-    /// Total worker threads ever spawned by this pool. Steady-state regions
-    /// must not move this counter — that is the spawn-amortization the pool
-    /// exists for, and the lifecycle tests assert it.
-    pub fn spawned_total(&self) -> usize {
-        self.spawned.load(Ordering::SeqCst)
-    }
-
-    /// Current retire watermark.
-    pub fn max_workers(&self) -> usize {
-        self.shared.state.lock().expect("pool poisoned").max_workers
-    }
-
-    /// Sets the retire watermark. Surplus workers exit once the queue is
-    /// empty; growth stays lazy (the next region that wants more workers
-    /// spawns them).
-    pub fn resize(&self, max_workers: usize) {
-        let mut s = self.shared.state.lock().expect("pool poisoned");
-        s.max_workers = max_workers;
-        drop(s);
-        self.shared.work.notify_all();
-    }
-
-    /// Spawns workers until `wanted` are live (bounded by the watermark).
-    fn ensure_workers(&self, wanted: usize) {
-        let mut s = self.shared.state.lock().expect("pool poisoned");
-        let wanted = wanted.min(s.max_workers);
-        while s.live < wanted && !s.shutdown {
-            let shared = Arc::clone(&self.shared);
-            let id = self.spawned.fetch_add(1, Ordering::SeqCst);
-            let handle = std::thread::Builder::new()
-                .name(format!("mc-exact-worker-{id}"))
-                .spawn(move || worker_loop(&shared))
-                .expect("spawn exact-kernel worker");
-            s.handles.push(handle);
-            s.live += 1;
-        }
-    }
-
-    /// Runs a region: the last task executes inline on the calling thread,
-    /// the rest are queued for the workers. Returns after *every* task
-    /// completed; the first panic (worker or inline) is re-raised here.
-    ///
-    /// # Safety argument
-    ///
-    /// Tasks borrow the caller's stack (`'a`), yet the queue stores
-    /// `'static` boxes. The lifetime erasure is sound because this function
-    /// is a strict barrier: it drains-or-waits until the region's task count
-    /// hits zero before returning, so no queued closure can outlive the
-    /// borrows it captures. Panics don't breach the barrier — they are
-    /// caught, counted, and re-raised only after the latch closes.
-    pub fn run<'a>(&self, mut tasks: Vec<Box<dyn FnOnce() + Send + 'a>>) {
-        let Some(inline) = tasks.pop() else { return };
-        if tasks.is_empty() {
-            inline();
-            return;
-        }
-        self.ensure_workers(tasks.len());
-        let latch = Latch::new(tasks.len());
-        {
-            let mut s = self.shared.state.lock().expect("pool poisoned");
-            for task in tasks {
-                let latch = Arc::clone(&latch);
-                let wrapped: Box<dyn FnOnce() + Send + 'a> = Box::new(move || {
-                    let result = panic::catch_unwind(AssertUnwindSafe(task));
-                    latch.complete_one(result.err());
-                });
-                // SAFETY: `run` waits on the latch below before returning,
-                // so `wrapped` (and the `'a` borrows inside it) cannot be
-                // observed after they expire. See the doc comment.
-                let wrapped: Task = unsafe {
-                    std::mem::transmute::<
-                        Box<dyn FnOnce() + Send + 'a>,
-                        Box<dyn FnOnce() + Send + 'static>,
-                    >(wrapped)
-                };
-                s.tasks.push_back(wrapped);
-            }
-        }
-        self.shared.work.notify_all();
-
-        let inline_result = panic::catch_unwind(AssertUnwindSafe(inline));
-
-        // Help drain the queue before blocking: guarantees progress when the
-        // pool has fewer workers than tasks (down to zero after a shrink)
-        // and lets nested regions complete without idle waiting. Foreign
-        // tasks popped here are self-contained — each carries its own latch.
-        loop {
-            let task = {
-                let mut s = self.shared.state.lock().expect("pool poisoned");
-                s.tasks.pop_front()
-            };
-            match task {
-                Some(task) => task(),
-                None => break,
-            }
-        }
-
-        if let Some(payload) = latch.wait() {
-            panic::resume_unwind(payload);
-        }
-        if let Err(payload) = inline_result {
-            panic::resume_unwind(payload);
-        }
-    }
-}
-
-fn worker_loop(shared: &PoolShared) {
-    loop {
-        let task = {
-            let mut s = shared.state.lock().expect("pool poisoned");
-            loop {
-                if let Some(task) = s.tasks.pop_front() {
-                    break task;
-                }
-                // Retire only on an empty queue so a concurrent region's
-                // tasks are never stranded.
-                if s.shutdown || s.live > s.max_workers {
-                    s.live -= 1;
-                    return;
-                }
-                s = shared.work.wait(s).expect("pool poisoned");
-            }
-        };
-        // The task is pre-wrapped: panics are caught and routed to its
-        // region's latch, so the worker survives to serve the next region.
-        task();
-    }
-}
-
-impl Drop for Pool {
-    /// Joins every worker the pool ever spawned. Queued tasks are drained
-    /// first (no region can be active while the pool is dropped — regions
-    /// borrow the pool — so the queue is empty in practice).
-    fn drop(&mut self) {
-        let handles = {
-            let mut s = self.shared.state.lock().expect("pool poisoned");
-            s.shutdown = true;
-            std::mem::take(&mut s.handles)
-        };
-        self.shared.work.notify_all();
-        for handle in handles {
-            let _ = handle.join();
-        }
-    }
-}
-
-static GLOBAL: OnceLock<Pool> = OnceLock::new();
-
-/// The process-wide persistent pool behind [`chunked_rows`] and [`join`].
-/// Created lazily on first use, sized to [`effective_threads`]` - 1` workers
-/// (the region's calling thread is the remaining lane).
-pub fn pool() -> &'static Pool {
-    GLOBAL.get_or_init(|| Pool::new(effective_threads().saturating_sub(1)))
+/// Joins `handle`, re-raising its panic with the original payload (a bare
+/// scope would report "a scoped thread panicked" instead).
+fn joined<T>(handle: ScopedJoinHandle<'_, T>) -> T {
+    handle.join().unwrap_or_else(|p| panic::resume_unwind(p))
 }
 
 /// Splits `data` (row-major, `cols` entries per row) into up to `threads`
 /// contiguous row blocks and runs `body(first_row_index, block)` for each
-/// block — the last block inline on the calling thread, the rest on the
-/// persistent pool's workers.
+/// block — the last block inline on the calling thread, the rest on scoped
+/// threads joined before this returns.
 ///
 /// With `threads <= 1`, fewer than two rows, or an empty slice the body runs
 /// once on the calling thread — identical semantics, no spawn.
 ///
 /// # Panics
 ///
-/// Panics if `cols` is zero or `data.len()` is not a multiple of `cols`.
+/// Panics if `cols` is zero or `data.len()` is not a multiple of `cols`,
+/// and re-raises the first panic of `body`.
 pub fn chunked_rows<T, F>(data: &mut [T], cols: usize, threads: usize, body: F)
 where
     T: Send,
@@ -380,22 +129,28 @@ where
     let base = rows / workers;
     let extra = rows % workers;
     let body = &body;
-    let mut tasks: Vec<Box<dyn FnOnce() + Send + '_>> = Vec::with_capacity(workers);
-    let mut rest = data;
-    let mut row = 0usize;
-    for w in 0..workers {
-        let block_rows = base + usize::from(w < extra);
-        let (block, tail) = rest.split_at_mut(block_rows * cols);
-        rest = tail;
-        let first_row = row;
-        row += block_rows;
-        tasks.push(Box::new(move || body(first_row, block)));
-    }
-    pool().run(tasks);
+    std::thread::scope(|scope| {
+        let mut handles = Vec::with_capacity(workers - 1);
+        let mut rest = data;
+        let mut row = 0usize;
+        for w in 0..workers {
+            let block_rows = base + usize::from(w < extra);
+            let (block, tail) = rest.split_at_mut(block_rows * cols);
+            rest = tail;
+            let first_row = row;
+            row += block_rows;
+            if w + 1 < workers {
+                handles.push(spawn(scope, w, move || body(first_row, block)));
+            } else {
+                body(first_row, block);
+            }
+        }
+        handles.into_iter().for_each(joined);
+    });
 }
 
-/// Runs two independent computations, the second queued on the persistent
-/// pool when `threads > 1`, and returns both results. The serial fallback
+/// Runs two independent computations, `b` on a scoped thread and `a` inline
+/// when `threads > 1`, and returns both results. The serial fallback
 /// preserves evaluation order (`a` first).
 pub fn join<RA, RB, A, B>(threads: usize, a: A, b: B) -> (RA, RB)
 where
@@ -409,25 +164,17 @@ where
         let rb = b();
         return (ra, rb);
     }
-    let mut ra = None;
-    let mut rb = None;
-    {
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = vec![
-            Box::new(|| rb = Some(b())),
-            // Last task runs inline on the calling thread.
-            Box::new(|| ra = Some(a())),
-        ];
-        pool().run(tasks);
-    }
-    (
-        ra.expect("join task a completed"),
-        rb.expect("join task b completed"),
-    )
+    std::thread::scope(|scope| {
+        let rb = spawn(scope, 0, b);
+        let ra = a();
+        (ra, joined(rb))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::AssertUnwindSafe;
 
     #[test]
     fn chunked_rows_covers_every_row_once() {
@@ -488,71 +235,54 @@ mod tests {
         assert!(effective_threads() >= 1);
     }
 
-    #[test]
-    fn region_panics_propagate_to_caller() {
-        let pool = Pool::new(2);
-        let result = panic::catch_unwind(AssertUnwindSafe(|| {
-            let tasks: Vec<Box<dyn FnOnce() + Send>> = vec![
-                Box::new(|| panic!("worker boom")),
-                Box::new(|| {}),
-                Box::new(|| {}),
-            ];
-            pool.run(tasks);
-        }));
-        let payload = result.expect_err("panic must cross the region");
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert_eq!(msg, "worker boom");
-        // The pool survives a panicking region and serves the next one.
-        let counter = AtomicUsize::new(0);
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..3)
-            .map(|_| {
-                Box::new(|| {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.run(tasks);
-        assert_eq!(counter.load(Ordering::SeqCst), 3);
+    /// The panic message `f` unwinds with.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload =
+            panic::catch_unwind(AssertUnwindSafe(f)).expect_err("panic must cross the region");
+        payload
+            .downcast_ref::<&str>()
+            .copied()
+            .unwrap_or_default()
+            .to_string()
     }
 
     #[test]
-    fn zero_worker_pool_still_completes_regions() {
-        // Everything runs on the calling thread via the help-drain loop.
-        let pool = Pool::new(0);
-        let counter = AtomicUsize::new(0);
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = (0..5)
-            .map(|_| {
-                Box::new(|| {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.run(tasks);
-        assert_eq!(counter.load(Ordering::SeqCst), 5);
-        assert_eq!(pool.spawned_total(), 0);
+    fn region_panics_propagate_to_caller() {
+        // Row 0 is a spawned block, row 2 the inline one: either way the
+        // caller sees the body's own message.
+        for bad_row in [0usize, 2] {
+            let mut data = vec![0u8; 3];
+            let msg = panic_message(|| {
+                chunked_rows(&mut data, 1, 3, |first_row, _| {
+                    if first_row == bad_row {
+                        panic!("worker boom");
+                    }
+                })
+            });
+            assert_eq!(msg, "worker boom", "bad row {bad_row}");
+        }
+        let msg = panic_message(|| {
+            join(2, || 1, || -> u8 { panic!("worker boom") });
+        });
+        assert_eq!(msg, "worker boom");
+        // The next region runs as if nothing happened.
+        let mut data = vec![0u8; 3];
+        chunked_rows(&mut data, 1, 3, |_, block| block[0] = 1);
+        assert_eq!(data, [1, 1, 1]);
     }
 
     #[test]
     fn nested_regions_complete_on_a_tiny_pool() {
-        // A worker task opening its own region (Schur join nesting Bareiss
-        // sweeps) must not deadlock even when the pool has a single worker.
-        let pool = Pool::new(1);
+        // Each side of a join opening its own region (the Schur split's
+        // quadrant products) completes on two threads.
         let total = AtomicUsize::new(0);
-        let outer: Vec<Box<dyn FnOnce() + Send + '_>> = (0..2)
-            .map(|_| {
-                Box::new(|| {
-                    let inner: Vec<Box<dyn FnOnce() + Send + '_>> = (0..3)
-                        .map(|_| {
-                            Box::new(|| {
-                                total.fetch_add(1, Ordering::SeqCst);
-                            }) as Box<dyn FnOnce() + Send + '_>
-                        })
-                        .collect();
-                    pool.run(inner);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
-            .collect();
-        pool.run(outer);
+        let side = || {
+            let mut data = vec![0u8; 3];
+            chunked_rows(&mut data, 1, 2, |_, block| {
+                total.fetch_add(block.len(), Ordering::SeqCst);
+            });
+        };
+        join(2, side, side);
         assert_eq!(total.load(Ordering::SeqCst), 6);
     }
 }

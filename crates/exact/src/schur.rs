@@ -15,8 +15,8 @@
 //! The four products `A⁻¹B`, `CA⁻¹`, and the two corrections are independent
 //! once their inputs exist, which is what the 4-service MathCloud workflow
 //! exploits (Table 2 of the paper). In-process, the independent quadrant
-//! products run as nested regions on the persistent [`crate::parallel`]
-//! worker pool via [`parallel::join`].
+//! products run side by side via [`parallel::join`], each opening its own
+//! row-parallel region.
 
 use std::error::Error;
 use std::fmt;
@@ -138,7 +138,7 @@ fn block_inverse_impl(
     })?;
 
     // The quadrant products pair up into independent tasks exactly like the
-    // 4-service MathCloud workflow: each pair runs on the worker pool.
+    // 4-service MathCloud workflow: each pair runs side by side.
     let (a_inv_b, c_a_inv) = parallel::join(
         threads,
         || &a_inv * &parts.b, // A⁻¹·B

@@ -45,7 +45,7 @@ pub mod wire;
 
 pub use client::{Client, ClientError};
 pub use message::{
-    BodyStream, Headers, Method, Request, Response, StatusCode, StreamControl,
+    BodyStream, Headers, Method, Request, Response, StatusCode, StreamControl, Version,
     IDEMPOTENCY_KEY_HEADER, MEMO_HIT_HEADER,
 };
 pub use router::{PathParams, Router};

@@ -231,12 +231,11 @@ impl Headers {
             .map(|(_, v)| v)
     }
 
-    /// Returns every value for `name` (case-insensitive).
-    pub fn get_all(&self, name: &str) -> Vec<&str> {
+    /// Every value for `name` (case-insensitive), in order.
+    pub fn get_all<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a str> {
         self.iter()
-            .filter(|(n, _)| n.eq_ignore_ascii_case(name))
+            .filter(move |(n, _)| n.eq_ignore_ascii_case(name))
             .map(|(_, v)| v)
-            .collect()
     }
 
     /// Replaces all values of `name` with a single value.
@@ -316,6 +315,16 @@ impl fmt::Debug for Headers {
     }
 }
 
+/// The HTTP version of a message: 1.0, or 1.1 for any later 1.x.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Version {
+    /// `HTTP/1.0`: no transfer codings, connections close by default.
+    Http10,
+    /// `HTTP/1.1`.
+    #[default]
+    Http11,
+}
+
 /// An HTTP request.
 #[derive(Debug, Clone)]
 pub struct Request {
@@ -323,6 +332,8 @@ pub struct Request {
     pub method: Method,
     /// The request target as received (path plus optional `?query`).
     pub target: String,
+    /// The version of the request line.
+    pub version: Version,
     /// Header fields.
     pub headers: Headers,
     /// The request body (possibly empty).
@@ -335,6 +346,7 @@ impl Request {
         Request {
             method,
             target: target.to_string(),
+            version: Version::default(),
             headers: Headers::new(),
             body: Vec::new(),
         }
@@ -613,9 +625,9 @@ mod tests {
         h.append("Accept", "application/json");
         h.append("accept", "text/html");
         assert_eq!(h.get("ACCEPT"), Some("application/json"));
-        assert_eq!(h.get_all("Accept").len(), 2);
+        assert_eq!(h.get_all("Accept").count(), 2);
         h.set("accept", "*/*");
-        assert_eq!(h.get_all("Accept"), vec!["*/*"]);
+        assert_eq!(h.get_all("Accept").collect::<Vec<_>>(), vec!["*/*"]);
         h.remove("AcCePt");
         assert!(h.is_empty());
     }

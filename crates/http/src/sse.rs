@@ -67,11 +67,11 @@ pub fn events_response(req: &Request, bus: &'static Bus) -> Response {
             Duration::from_millis(ms.clamp(10, 600_000))
         });
 
+    // Attached before the 200 head goes out, since a client may act as soon
+    // as it has it. Replay and live attachment happen atomically under the
+    // bus lock: no event published in between can be missed or duplicated.
+    let (backlog, sub) = bus.subscribe_from(after, filter, mathcloud_events::DEFAULT_QUEUE);
     Response::streaming(200, "text/event-stream", move |w, ctl| {
-        // Replay and live attachment happen atomically under the bus lock:
-        // no event published in between can be missed or duplicated.
-        let (backlog, sub) =
-            bus.subscribe_from(after, filter.clone(), mathcloud_events::DEFAULT_QUEUE);
         for ev in &backlog {
             write_event(w, ev)?;
         }

@@ -2,7 +2,7 @@
 
 use std::io::{self, BufRead, Read, Write};
 
-use crate::message::{Headers, Method, Request, Response, StatusCode};
+use crate::message::{Headers, Method, Request, Response, StatusCode, Version};
 
 /// Upper bound on header-section size, guarding against hostile peers.
 const MAX_HEADER_BYTES: usize = 64 * 1024;
@@ -89,31 +89,29 @@ pub fn read_request_limited<R: BufRead>(
     reader: &mut R,
     limits: &Limits,
 ) -> io::Result<Option<Request>> {
-    let Some((method, target)) = with_line(reader, true, limits.max_header_bytes, |line| {
+    let cap = limits.max_header_bytes;
+    let Some((method, target, version)) = with_line(reader, true, cap, |line| {
         let mut parts = line.split(' ');
         let method = parts
             .next()
             .filter(|m| !m.is_empty())
+            .map(Method::from_token)
             .ok_or_else(|| protocol_error("missing method"))?;
         let target = parts
             .next()
             .ok_or_else(|| protocol_error("missing request target"))?;
-        let version = parts
-            .next()
-            .ok_or_else(|| protocol_error("missing http version"))?;
-        if !version.starts_with("HTTP/1.") {
-            return Err(protocol_error("unsupported http version"));
-        }
-        Ok((Method::from_token(method), target.to_string()))
+        let version = version_of(parts.next().unwrap_or(""))?;
+        Ok((method, target.to_string(), version))
     })?
     else {
         return Ok(None);
     };
     let headers = read_headers(reader, limits)?;
-    let body = read_body(reader, &headers, limits)?;
+    let body = read_body(reader, framing(&headers, version)?, limits)?;
     Ok(Some(Request {
         method,
         target,
+        version,
         headers,
         body,
     }))
@@ -125,21 +123,19 @@ pub fn read_request_limited<R: BufRead>(
 ///
 /// I/O errors and protocol violations are both reported as `io::Error`.
 pub fn read_response<R: BufRead>(reader: &mut R) -> io::Result<Response> {
-    let code = with_line(reader, true, MAX_HEADER_BYTES, |line| {
+    let (code, version) = with_line(reader, true, MAX_HEADER_BYTES, |line| {
         let mut parts = line.splitn(3, ' ');
-        let version = parts.next().unwrap_or("");
-        if !version.starts_with("HTTP/1.") {
-            return Err(protocol_error("unsupported http version in response"));
-        }
-        parts
+        let version = version_of(parts.next().unwrap_or(""))?;
+        let code = parts
             .next()
             .and_then(|c| c.parse::<u16>().ok())
-            .ok_or_else(|| protocol_error("bad status code"))
+            .ok_or_else(|| protocol_error("bad status code"))?;
+        Ok((code, version))
     })?
     .ok_or_else(|| protocol_error("empty response"))?;
     let limits = Limits::default();
     let headers = read_headers(reader, &limits)?;
-    let body = read_body(reader, &headers, &limits)?;
+    let body = read_body(reader, framing(&headers, version)?, &limits)?;
     Ok(Response {
         status: StatusCode::from(code),
         headers,
@@ -309,33 +305,73 @@ fn read_headers<R: BufRead>(reader: &mut R, limits: &Limits) -> io::Result<Heade
     }
 }
 
-fn read_body<R: BufRead>(
-    reader: &mut R,
-    headers: &Headers,
-    limits: &Limits,
-) -> io::Result<Vec<u8>> {
-    if headers
-        .get("transfer-encoding")
-        .is_some_and(|te| contains_ignore_case(te, "chunked"))
-    {
-        return read_chunked_body(reader, limits);
+/// `HTTP/1.0` or `HTTP/1.1`; a later `HTTP/1.x` reads as 1.1.
+fn version_of(token: &str) -> io::Result<Version> {
+    match token.strip_prefix("HTTP/1.").map(str::as_bytes) {
+        Some(b"0") => Ok(Version::Http10),
+        Some([minor]) if minor.is_ascii_digit() => Ok(Version::Http11),
+        _ => Err(protocol_error("unsupported http version")),
     }
-    // Every `Content-Length` must agree (RFC 9112 §6.3): framing the body by
-    // the first of two differing values would read the rest of it as the
-    // next request on the connection.
-    let mut lengths = headers
-        .iter()
-        .filter(|(name, _)| name.eq_ignore_ascii_case("content-length"))
-        .map(|(_, value)| value.trim());
-    let len: usize = match lengths.next() {
-        Some(v) => {
-            if lengths.any(|other| other != v) {
-                return Err(protocol_error("conflicting content-length values"));
-            }
-            v.parse()
-                .map_err(|_| protocol_error("invalid content-length"))?
+}
+
+/// How a message body is delimited (RFC 9112 §6).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Framing {
+    /// `Content-Length` bytes; 0 when neither framing field is present.
+    Length(usize),
+    /// The chunked transfer coding.
+    Chunked,
+}
+
+/// The framing of a parsed message, request or response (RFC 9112 §6):
+/// `chunked` must be the final transfer coding, and no other is
+/// implemented; `Transfer-Encoding` beside `Content-Length` or in HTTP/1.0
+/// is refused, since two hops could frame it apart; every `Content-Length`
+/// must be the same `1*DIGIT`. A coding before `chunked` is a `501`.
+fn framing(headers: &Headers, version: Version) -> io::Result<Framing> {
+    if headers.get("transfer-encoding").is_some() {
+        if version == Version::Http10 || headers.get("content-length").is_some() {
+            return Err(protocol_error("ambiguous transfer-encoding"));
         }
-        None => 0,
+        let (count, last) = headers
+            .get_all("transfer-encoding")
+            .flat_map(|v| v.split(','))
+            .map(str::trim)
+            .filter(|c| !c.is_empty())
+            .fold((0, ""), |(count, _), c| (count + 1, c));
+        if !last.eq_ignore_ascii_case("chunked") {
+            return Err(protocol_error("chunked is not the final transfer coding"));
+        }
+        if count > 1 {
+            return Err(violation(501, "transfer coding not implemented"));
+        }
+        return Ok(Framing::Chunked);
+    }
+    // Every `Content-Length` must agree: framing the body by the first of
+    // two differing values would read the rest as the next message.
+    let mut lengths = headers.get_all("content-length");
+    let Some(v) = lengths.next() else {
+        return Ok(Framing::Length(0));
+    };
+    if lengths.any(|other| other != v) {
+        return Err(protocol_error("conflicting content-length values"));
+    }
+    digits(v, 10)
+        .map(Framing::Length)
+        .ok_or_else(|| protocol_error("invalid content-length"))
+}
+
+/// `1*DIGIT` (radix 10) or `1*HEXDIG` (radix 16) as a `usize`: no sign, no
+/// space, `None` past `usize::MAX`.
+fn digits(s: &str, radix: u32) -> Option<usize> {
+    let grammar = !s.is_empty() && s.chars().all(|c| c.is_digit(radix));
+    usize::from_str_radix(s, radix).ok().filter(|_| grammar)
+}
+
+fn read_body<R: BufRead>(reader: &mut R, framing: Framing, limits: &Limits) -> io::Result<Vec<u8>> {
+    let len = match framing {
+        Framing::Chunked => return read_chunked_body(reader, limits),
+        Framing::Length(len) => len,
     };
     if len > limits.max_body_bytes {
         return Err(violation(413, "body exceeds size limit"));
@@ -349,11 +385,13 @@ fn read_chunked_body<R: BufRead>(reader: &mut R, limits: &Limits) -> io::Result<
     let mut body = Vec::new();
     loop {
         let size_line = read_line(reader, false)?.expect("read_line(false) never yields None");
-        let size_token = size_line.split(';').next().unwrap_or("").trim();
-        let size = usize::from_str_radix(size_token, 16)
-            .map_err(|_| protocol_error("invalid chunk size"))?;
-        if body.len() + size > limits.max_body_bytes {
-            return Err(violation(413, "chunked body exceeds size limit"));
+        // chunk-size [BWS ";" chunk-ext]
+        let size_token = size_line.split(';').next().unwrap_or("");
+        let size = digits(size_token.trim_end_matches([' ', '\t']), 16)
+            .ok_or_else(|| protocol_error("invalid chunk size"))?;
+        match body.len().checked_add(size) {
+            Some(end) if end <= limits.max_body_bytes => {}
+            _ => return Err(violation(413, "chunked body exceeds size limit")),
         }
         if size == 0 {
             // Trailer section: read until the blank line.
@@ -364,9 +402,10 @@ fn read_chunked_body<R: BufRead>(reader: &mut R, limits: &Limits) -> io::Result<
                 }
             }
         }
-        let start = body.len();
-        body.resize(start + size, 0);
-        reader.read_exact(&mut body[start..])?;
+        // Grown as the bytes arrive: a size line alone commits no memory.
+        if reader.by_ref().take(size as u64).read_to_end(&mut body)? < size {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
         let mut crlf = [0u8; 2];
         reader.read_exact(&mut crlf)?;
         if &crlf != b"\r\n" {
@@ -375,19 +414,18 @@ fn read_chunked_body<R: BufRead>(reader: &mut R, limits: &Limits) -> io::Result<
     }
 }
 
-/// Whether a header value contains `token`, ignoring ASCII case.
-fn contains_ignore_case(value: &str, token: &str) -> bool {
-    value
-        .as_bytes()
-        .windows(token.len())
-        .any(|w| w.eq_ignore_ascii_case(token.as_bytes()))
-}
-
-/// Decides whether the connection should stay open after this exchange.
+/// Whether the connection stays open after this exchange (RFC 9112 §9.3):
+/// HTTP/1.1 unless `Connection` lists `close`, HTTP/1.0 if it lists `keep-alive`.
 pub fn keep_alive(req: &Request) -> bool {
-    !req.headers
-        .get("connection")
-        .is_some_and(|v| contains_ignore_case(v, "close"))
+    let listed = |token: &str| {
+        req.headers
+            .get("connection")
+            .is_some_and(|v| v.split(',').any(|t| t.trim().eq_ignore_ascii_case(token)))
+    };
+    match req.version {
+        Version::Http10 => listed("keep-alive"),
+        Version::Http11 => !listed("close"),
+    }
 }
 
 #[cfg(test)]
@@ -625,6 +663,75 @@ mod tests {
         let raw = b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n6\r\nabcdef\r\n6\r\nghijkl\r\n0\r\n\r\n";
         let err = read_request_limited(&mut reader(raw), &limits).unwrap_err();
         assert_eq!(status_of(&err), 413);
+    }
+
+    /// A message whose head is `head` (after the start line) and body `body`,
+    /// parsed as a request and as a response; their errors' statuses.
+    fn both_directions(head: &str, body: &[u8]) -> [Result<Vec<u8>, u16>; 2] {
+        let req = [format!("POST / HTTP/1.1\r\n{head}\r\n").as_bytes(), body].concat();
+        let resp = [format!("HTTP/1.1 200 OK\r\n{head}\r\n").as_bytes(), body].concat();
+        [
+            read_request(&mut reader(&req)).map(|r| r.unwrap().body),
+            read_response(&mut reader(&resp)).map(|r| r.body),
+        ]
+        .map(|parsed| parsed.map_err(|e| status_of(&e)))
+    }
+
+    #[test]
+    fn a_chunk_size_past_usize_is_413_not_a_panic() {
+        // 1 + usize::MAX wraps: the sum must not slip past the cap.
+        let chunks = b"1\r\na\r\nffffffffffffffff\r\nb\r\n0\r\n\r\n";
+        for parsed in both_directions("Transfer-Encoding: chunked\r\n", chunks) {
+            assert_eq!(parsed, Err(413));
+        }
+    }
+
+    #[test]
+    fn signed_lengths_and_chunk_sizes_are_400() {
+        for parsed in both_directions("Content-Length: +5\r\n", b"hello") {
+            assert_eq!(parsed, Err(400));
+        }
+        let chunks = b"+5\r\nhello\r\n0\r\n\r\n";
+        for parsed in both_directions("Transfer-Encoding: chunked\r\n", chunks) {
+            assert_eq!(parsed, Err(400));
+        }
+    }
+
+    #[test]
+    fn only_a_final_chunked_coding_frames_a_body() {
+        let chunks = b"5\r\nhello\r\n0\r\n\r\n";
+        for parsed in both_directions("Transfer-Encoding: notchunked\r\n", chunks) {
+            assert_eq!(parsed, Err(400));
+        }
+        for parsed in both_directions("Transfer-Encoding: gzip, chunked\r\n", chunks) {
+            assert_eq!(parsed, Err(501));
+        }
+        for parsed in both_directions("Transfer-Encoding: Chunked\r\n", chunks) {
+            assert_eq!(parsed, Ok(b"hello".to_vec()));
+        }
+    }
+
+    #[test]
+    fn transfer_encoding_beside_content_length_or_in_http10_is_400() {
+        let head = "Transfer-Encoding: chunked\r\nContent-Length: 5\r\n";
+        for parsed in both_directions(head, b"5\r\nhello\r\n0\r\n\r\n") {
+            assert_eq!(parsed, Err(400));
+        }
+        let raw = b"POST / HTTP/1.0\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n";
+        assert_eq!(status_of(&read_request(&mut reader(raw)).unwrap_err()), 400);
+    }
+
+    #[test]
+    fn http10_closes_unless_it_asks_for_keep_alive() {
+        let parse = |raw: &str| read_request(&mut reader(raw.as_bytes())).unwrap().unwrap();
+        assert!(!keep_alive(&parse("GET / HTTP/1.0\r\n\r\n")));
+        assert!(keep_alive(&parse(
+            "GET / HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n"
+        )));
+        assert!(keep_alive(&parse("GET / HTTP/1.1\r\n\r\n")));
+        assert!(!keep_alive(&parse(
+            "GET / HTTP/1.1\r\nConnection: close\r\n\r\n"
+        )));
     }
 
     #[test]

@@ -75,7 +75,7 @@ fn trickle(bytes: &[u8], seed: u64) -> BufReader<Trickle<'_>> {
 }
 
 /// What a parse came to, in a form two parses can be compared by.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 enum Parsed {
     Message {
         head: String,
@@ -400,6 +400,277 @@ fn oversize_content_lengths() {
                 Parsed::Rejected(Some(status)),
                 "Content-Length: {value}"
             );
+        }
+    }
+}
+
+/// HTTP version, framing fields, body bytes, and the body read or the
+/// status refused with.
+type FramingCase = (
+    &'static str,
+    &'static str,
+    &'static [u8],
+    Result<&'static [u8], u16>,
+);
+
+/// RFC 9112 §6 framing cases, each read as a request and as a response
+/// (of the same version, with the same framing fields and body): the body
+/// both take, or the status both are refused with.
+#[test]
+fn rfc9112_framing_table() {
+    const CHUNKED: &str = "Transfer-Encoding: chunked\r\n";
+    let cases: &[FramingCase] = &[
+        // §6.3 (7): neither field, no body.
+        ("1.1", "", b"", Ok(b"")),
+        ("1.1", "Content-Length: 5\r\n", b"hello", Ok(b"hello")),
+        ("1.1", "Content-Length: 005\r\n", b"hello", Ok(b"hello")),
+        (
+            "1.1",
+            "Content-Length: 5\r\ncontent-length: 5\r\n",
+            b"hello",
+            Ok(b"hello"),
+        ),
+        ("1.0", "Content-Length: 5\r\n", b"hello", Ok(b"hello")),
+        // §8.6: Content-Length = 1*DIGIT; §6.3 (5): differing values.
+        ("1.1", "Content-Length: +5\r\n", b"hello", Err(400)),
+        ("1.1", "Content-Length: -5\r\n", b"hello", Err(400)),
+        ("1.1", "Content-Length: 0x5\r\n", b"hello", Err(400)),
+        ("1.1", "Content-Length: 5 5\r\n", b"hello", Err(400)),
+        ("1.1", "Content-Length: 5, 5\r\n", b"hello", Err(400)),
+        ("1.1", "Content-Length:\r\n", b"hello", Err(400)),
+        (
+            "1.1",
+            "Content-Length: 5\r\nContent-Length: 6\r\n",
+            b"hello",
+            Err(400),
+        ),
+        // §7.1: chunked bodies, extensions, BWS before `;`, trailers.
+        ("1.1", CHUNKED, b"5\r\nhello\r\n0\r\n\r\n", Ok(b"hello")),
+        (
+            "1.1",
+            "Transfer-Encoding: CHUNKED\r\n",
+            b"5\r\nhello\r\n0\r\n\r\n",
+            Ok(b"hello"),
+        ),
+        (
+            "1.1",
+            "Transfer-Encoding: , chunked\r\n",
+            b"5\r\nhello\r\n0\r\n\r\n",
+            Ok(b"hello"),
+        ),
+        (
+            "1.1",
+            CHUNKED,
+            b"5 ;a=1\r\nhello\r\n0\r\nX: y\r\n\r\n",
+            Ok(b"hello"),
+        ),
+        (
+            "1.1",
+            CHUNKED,
+            b"0005\r\nhello\r\n000\r\n\r\n",
+            Ok(b"hello"),
+        ),
+        // chunk-size = 1*HEXDIG.
+        ("1.1", CHUNKED, b"+5\r\nhello\r\n0\r\n\r\n", Err(400)),
+        ("1.1", CHUNKED, b"-5\r\nhello\r\n0\r\n\r\n", Err(400)),
+        ("1.1", CHUNKED, b" 5\r\nhello\r\n0\r\n\r\n", Err(400)),
+        ("1.1", CHUNKED, b"0x5\r\nhello\r\n0\r\n\r\n", Err(400)),
+        ("1.1", CHUNKED, b";a=1\r\nhello\r\n0\r\n\r\n", Err(400)),
+        (
+            "1.1",
+            CHUNKED,
+            b"10000000000000000\r\nhello\r\n0\r\n\r\n",
+            Err(400),
+        ),
+        (
+            "1.1",
+            CHUNKED,
+            b"1\r\nh\r\nffffffffffffffff\r\nello\r\n0\r\n\r\n",
+            Err(413),
+        ),
+        // §6.3 (4): chunked must be the final coding; §6.1: none other is
+        // implemented.
+        (
+            "1.1",
+            "Transfer-Encoding: notchunked\r\n",
+            b"5\r\nhello\r\n0\r\n\r\n",
+            Err(400),
+        ),
+        (
+            "1.1",
+            "Transfer-Encoding: chunked, gzip\r\n",
+            b"5\r\nhello\r\n0\r\n\r\n",
+            Err(400),
+        ),
+        (
+            "1.1",
+            "Transfer-Encoding:\r\n",
+            b"5\r\nhello\r\n0\r\n\r\n",
+            Err(400),
+        ),
+        (
+            "1.1",
+            "Transfer-Encoding: gzip, chunked\r\n",
+            b"5\r\nhello\r\n0\r\n\r\n",
+            Err(501),
+        ),
+        (
+            "1.1",
+            "Transfer-Encoding: gzip\r\nTransfer-Encoding: chunked\r\n",
+            b"5\r\nhello\r\n0\r\n\r\n",
+            Err(501),
+        ),
+        // §6.1: both fields, or a coding in HTTP/1.0, is faulty framing.
+        (
+            "1.1",
+            "Transfer-Encoding: chunked\r\nContent-Length: 5\r\n",
+            b"hello",
+            Err(400),
+        ),
+        (
+            "1.1",
+            "Content-Length: 5\r\nTransfer-Encoding: chunked\r\n",
+            b"hello",
+            Err(400),
+        ),
+        ("1.0", CHUNKED, b"5\r\nhello\r\n0\r\n\r\n", Err(400)),
+    ];
+    for (case, &(version, fields, body, expected)) in cases.iter().enumerate() {
+        let expected = expected
+            .map(<[u8]>::to_vec)
+            .map_err(|status| Parsed::Rejected(Some(status)));
+        let request = [
+            format!("POST / HTTP/{version}\r\n{fields}\r\n").as_bytes(),
+            body,
+        ]
+        .concat();
+        let response = [
+            format!("HTTP/{version} 200 OK\r\n{fields}\r\n").as_bytes(),
+            body,
+        ]
+        .concat();
+        for parsed in [
+            request_both_ways(&request, &SMALL, case as u64),
+            response_both_ways(&response, case as u64),
+        ] {
+            assert_eq!(
+                body_of(parsed),
+                expected,
+                "HTTP/{version} {fields:?} {:?}",
+                String::from_utf8_lossy(body)
+            );
+        }
+    }
+}
+
+/// A parsed message's body, or what else the parse came to.
+fn body_of(parsed: Parsed) -> Result<Vec<u8>, Parsed> {
+    match parsed {
+        Parsed::Message { body, .. } => Ok(body),
+        other => Err(other),
+    }
+}
+
+/// Chunk-size lines of 1–20 hex digits, with or without a sign, spaces
+/// and an extension, never panic either parser, in one buffer or in
+/// 1–7-byte reads. A request takes the size only as `1*HEXDIG`, then
+/// optional whitespace and an optional `;` extension, and only up to the
+/// body cap; past it, `413`; anything else, `400`.
+#[test]
+fn chunk_size_lines() {
+    const HEX: &[char] = &[
+        '0', '0', '0', '0', '0', '0', '1', '7', '9', 'a', 'F', 'f', 'c', 'D',
+    ];
+    const PREFIXES: &[&str] = &["", "", "", "+", "-", " ", "\t", "0x"];
+    const SUFFIXES: &[&str] = &["", "", " ", "\t", ";ext", " ;e=1", "\t; e", "x", " 1", ","];
+    let mut rng = XorShift64::new(0xC4_0E);
+    for case in 0..4 * CASES {
+        let len = 1 + rng.index(20);
+        let digits = rng.string_from(HEX, len);
+        let (prefix, suffix) = (*rng.pick(PREFIXES), *rng.pick(SUFFIXES));
+        let size = usize::from_str_radix(&digits, 16).ok();
+        let data = "d".repeat(size.unwrap_or(0).min(SMALL.max_body_bytes + 1));
+        let chunks = format!("{prefix}{digits}{suffix}\r\n{data}\r\n0\r\n\r\n");
+        let framed = "Transfer-Encoding: chunked\r\n\r\n";
+        let response = format!("HTTP/1.1 200 OK\r\n{framed}{chunks}");
+        response_both_ways(response.as_bytes(), case as u64);
+        let request = format!("POST / HTTP/1.1\r\n{framed}{chunks}");
+        let parsed = request_both_ways(request.as_bytes(), &SMALL, case as u64);
+        let rest = suffix.trim_start_matches([' ', '\t']);
+        let grammatical = prefix.is_empty() && (rest.is_empty() || rest.starts_with(';'));
+        let expected = match size {
+            Some(n) if grammatical && n <= SMALL.max_body_bytes => Ok(data.into_bytes()),
+            Some(_) if grammatical => Err(Parsed::Rejected(Some(413))),
+            _ => Err(Parsed::Rejected(Some(400))),
+        };
+        let line = &chunks[..chunks.find('\r').unwrap()];
+        assert_eq!(body_of(parsed), expected, "case {case}: {line:?}");
+    }
+}
+
+/// Every message one connection's bytes parse as, up to its clean end or
+/// its first error, after which a server closes it.
+fn connection<R: io::BufRead>(reader: &mut R) -> Vec<Parsed> {
+    let mut parsed = Vec::new();
+    loop {
+        let next = parse_request(reader, &SMALL);
+        let last = !matches!(next, Parsed::Message { .. });
+        parsed.push(next);
+        if last {
+            return parsed;
+        }
+    }
+}
+
+/// [`jobpath_post`]'s request with a chunked body.
+fn chunked_jobpath_post() -> Vec<u8> {
+    let post = String::from_utf8(jobpath_post("")).unwrap();
+    let (head, body) = post.split_once("\r\n\r\n").unwrap();
+    let head = head.replace("Content-Length: 14", "Transfer-Encoding: chunked");
+    format!("{head}\r\n\r\n{:x}\r\n{body}\r\n0\r\n\r\n", body.len()).into_bytes()
+}
+
+/// Two submissions on one keep-alive connection, one framed by length and
+/// one chunked, the second spliced into the first at every offset. At
+/// either end of the first they are the two requests. Anywhere else the
+/// connection holds at most two requests and then one error or its end,
+/// never a third. Two requests come only from a splice inside the first's
+/// method or the last bytes of its length-framed body, which merges or
+/// clips a method (any token is one); no other byte of either submission
+/// is read as a request line.
+#[test]
+fn spliced_posts_on_one_connection() {
+    let pair = [jobpath_post(""), chunked_jobpath_post()];
+    for [first, second] in [[&pair[0], &pair[1]], [&pair[1], &pair[0]]] {
+        let alone = |post: &[u8]| connection(&mut &post[..]).remove(0);
+        let (first_req, second_req) = (alone(first), alone(second));
+        assert!(matches!(first_req, Parsed::Message { .. }), "{first_req:?}");
+        for at in 0..=first.len() {
+            let stream = [&first[..at], second, &first[at..]].concat();
+            let whole = connection(&mut &stream[..]);
+            assert_eq!(
+                whole,
+                connection(&mut trickle(&stream, at as u64)),
+                "at {at}"
+            );
+            let requests = whole.len() - 1;
+            if at == 0 {
+                assert_eq!(
+                    whole,
+                    [second_req.clone(), first_req.clone(), Parsed::Nothing]
+                );
+            } else if at == first.len() {
+                assert_eq!(
+                    whole,
+                    [first_req.clone(), second_req.clone(), Parsed::Nothing]
+                );
+            } else {
+                let near_an_end = at < "POST".len() || first.len() - at < "POST".len();
+                assert!(
+                    requests < 2 || requests == 2 && near_an_end,
+                    "at {at}: {whole:?}"
+                );
+            }
         }
     }
 }

@@ -111,8 +111,12 @@ timeout 120 cargo test -q --offline --release \
 # the copying path) — and require the same result, down to the 400/413/431
 # a rejected message gets; they also truncate, overfill and corrupt a
 # benchmark-shaped POST, repeat one of its header lines (two differing
-# `Content-Length`s are a 400, not a body framed by the first) and give it
-# a `Content-Length` past the body cap or past `usize`. `alloc_budget`
+# `Content-Length`s are a 400, not a body framed by the first), give it
+# a `Content-Length` past the body cap or past `usize`, and splice a
+# second, chunked submission into it at every offset (never a third
+# request). An RFC 9112 §6 framing table runs as requests and responses,
+# and chunk-size lines with signs, spaces and extensions must never panic
+# a release build, where an unchecked sum would wrap. `alloc_budget`
 # counts the heap allocations of a GET and a memo-hit POST through the
 # container's router (and the bytes of a 64 KiB one, plain and with a `\"`
 # every 64 bytes) and of parsing a request and a response, against
@@ -128,7 +132,8 @@ timeout 120 cargo test -q --offline --release \
 # The differential multiplication battery cross-checks every tiered-mul
 # kernel, mul_threads, and Bareiss determinants against serial oracles on
 # ≥1000 xorshift-seeded cases. Release mode keeps the 500-limb schoolbook
-# oracles fast; the hard timeout turns a hung pool region into a failure.
+# oracles fast; the hard timeout turns a region that never joins into a
+# failure.
 echo "==> multiplication differential battery (release, 300s budget)"
 timeout 300 cargo test -q --offline --release \
   -p mathcloud-exact --test mul_differential
