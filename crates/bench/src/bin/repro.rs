@@ -219,8 +219,9 @@ fn table2_json(smoke: bool) {
     }
 
     // Multiplication crossover sweep: every tier on the same operands,
-    // agreement asserted inside `mul_kernel_row`. The smoke set keeps the
-    // ≥256-limb point CI gates on (Toom-3 must beat schoolbook there).
+    // agreement asserted inside `mul_kernel_row`, each tier's least of
+    // interleaved rounds. The smoke set keeps the ≥256-limb point CI gates
+    // on (Toom-3 must beat schoolbook there).
     println!("== Multiplication kernels: schoolbook vs Karatsuba vs Toom-3 ==");
     let limb_sizes: &[usize] = if smoke {
         &[64, 256]

@@ -202,17 +202,20 @@ mod tests {
         let everest = Everest::new("t");
         deploy_transport_solver(&everest, SolverLatency::default());
         let rep = everest
-            .submit_sync(
+            .submit_and_wait(
                 "lp-transport",
-                &mathcloud_json::json!({
+                mathcloud_json::json!({
                     "supplies": ["1"],
                     "demands": ["not-a-number"],
                     "costs": [["1"]],
                 }),
                 None,
-                Duration::from_secs(10),
+                None,
+                None,
+                Some(Duration::from_secs(10)),
             )
-            .unwrap();
+            .unwrap()
+            .rep;
         assert_eq!(rep.state, mathcloud_core::JobState::Failed);
     }
 }

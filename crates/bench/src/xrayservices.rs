@@ -161,13 +161,16 @@ mod tests {
         let e = Everest::new("t");
         deploy_xray_services(&e);
         let rep = e
-            .submit_sync(
+            .submit_and_wait(
                 "xray-scatter",
-                &json!({"structure": {"kind": "sphere", "radius": 0.8}, "q_points": 16}),
+                json!({"structure": {"kind": "sphere", "radius": 0.8}, "q_points": 16}),
                 None,
-                Duration::from_secs(30),
+                None,
+                None,
+                Some(Duration::from_secs(30)),
             )
-            .unwrap();
+            .unwrap()
+            .rep;
         let outputs = rep.outputs.expect("done");
         assert_eq!(outputs.get("curve").unwrap().as_array().unwrap().len(), 16);
     }
@@ -177,16 +180,19 @@ mod tests {
         let e = Everest::new("t");
         deploy_xray_services(&e);
         let rep = e
-            .submit_sync(
+            .submit_and_wait(
                 "xray-fit",
-                &json!({
+                json!({
                     "observed": [2.0, 0.0],
                     "basis": [[1.0, 0.0], [0.0, 1.0]],
                 }),
                 None,
-                Duration::from_secs(30),
+                None,
+                None,
+                Some(Duration::from_secs(30)),
             )
-            .unwrap();
+            .unwrap()
+            .rep;
         let outputs = rep.outputs.expect("done");
         let fractions = outputs.get("fractions").unwrap().as_array().unwrap();
         assert!(fractions[0].as_f64().unwrap() > 0.99);
@@ -197,13 +203,16 @@ mod tests {
         let e = Everest::new("t");
         deploy_xray_services(&e);
         let rep = e
-            .submit_sync(
+            .submit_and_wait(
                 "xray-scatter",
-                &json!({"structure": {"kind": "dodecahedron"}, "q_points": 8}),
+                json!({"structure": {"kind": "dodecahedron"}, "q_points": 8}),
                 None,
-                Duration::from_secs(30),
+                None,
+                None,
+                Some(Duration::from_secs(30)),
             )
-            .unwrap();
+            .unwrap()
+            .rep;
         assert_eq!(rep.state, mathcloud_core::JobState::Failed);
     }
 }

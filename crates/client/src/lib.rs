@@ -21,62 +21,32 @@
 
 use std::error::Error;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use mathcloud_core::{JobRepresentation, JobState, ServiceDescription};
 use mathcloud_http::sse;
-use mathcloud_http::{Client, Method, Request, Url, MEMO_HIT_HEADER};
+use mathcloud_http::{Client, Method, Request, RetryPolicy, Url, MEMO_HIT_HEADER};
 use mathcloud_json::Value;
 use mathcloud_security::cert::{Certificate, OpenIdToken};
 use mathcloud_security::middleware::CLIENT_CERT_HEADER;
-use mathcloud_telemetry::rng::{splitmix64, XorShift64};
+use mathcloud_telemetry::rng::XorShift64;
 use mathcloud_telemetry::{next_request_id, REQUEST_ID_HEADER};
 
 /// Connect timeout for event-stream subscriptions.
 const SSE_CONNECT_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// First pause of the poll fallback's backoff schedule.
-const POLL_BASE: Duration = Duration::from_millis(10);
-
-/// Backoff cap: bounds how stale a poll-mode client's view can get once a
-/// job is clearly long-running.
-const POLL_CAP: Duration = Duration::from_millis(200);
-
-/// Capped exponential backoff with xorshift jitter for the poll fallback.
-///
-/// The doubling schedule keeps short jobs cheap to detect while long jobs
-/// settle at one request per [`POLL_CAP`]; the jitter (uniform in
-/// `[pause/2, pause]`) decorrelates the synchronized poll herds that fixed
-/// intervals produce when many clients watch jobs submitted together.
-#[derive(Debug)]
-struct PollBackoff {
-    pause: Duration,
-    rng: XorShift64,
-}
-
-impl PollBackoff {
-    fn new() -> Self {
-        static COUNTER: AtomicU64 = AtomicU64::new(0);
-        let nanos = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_nanos() as u64)
-            .unwrap_or(0x9e37_79b9_7f4a_7c15);
-        let pid = u64::from(std::process::id());
-        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-        PollBackoff {
-            pause: POLL_BASE,
-            rng: XorShift64::new(splitmix64(
-                nanos ^ (pid << 32) ^ n.wrapping_mul(0xa076_1d64_78bd_642f),
-            )),
-        }
-    }
-
-    fn next_pause(&mut self) -> Duration {
-        let span = self.pause.as_micros() as u64;
-        let jittered = span / 2 + self.rng.next_u64() % (span / 2 + 1);
-        self.pause = (self.pause * 2).min(POLL_CAP);
-        Duration::from_micros(jittered)
+/// The poll fallback's backoff: 10 ms doubling to a 200 ms cap, each pause
+/// jittered into its upper half. The doubling keeps short jobs cheap to
+/// detect while long jobs settle at one request per 200 ms, which bounds how
+/// stale a poll-mode client's view can get; the jitter decorrelates the
+/// synchronized poll herds that fixed intervals produce when many clients
+/// watch jobs submitted together.
+fn poll_backoff() -> RetryPolicy {
+    RetryPolicy {
+        base_backoff: Duration::from_millis(10),
+        max_backoff: Duration::from_millis(200),
+        jitter: 0.5,
+        ..RetryPolicy::default()
     }
 }
 
@@ -543,7 +513,8 @@ impl JobHandle {
     }
 
     fn wait_polling_until(mut self, deadline: Instant) -> Result<JobRepresentation, ServiceError> {
-        let mut backoff = PollBackoff::new();
+        let (backoff, mut rng) = (poll_backoff(), XorShift64::fresh());
+        let mut polls = 0;
         loop {
             match self.rep.state {
                 JobState::Done => return Ok(self.rep),
@@ -560,7 +531,9 @@ impl JobHandle {
                     if now >= deadline {
                         return Err(ServiceError::Timeout);
                     }
-                    std::thread::sleep(backoff.next_pause().min(deadline - now));
+                    polls += 1;
+                    let pause = backoff.backoff(polls, &mut rng);
+                    std::thread::sleep(pause.min(deadline - now));
                     self.refresh()?;
                 }
             }

@@ -103,9 +103,9 @@ impl Error for DescriptionError {}
 ///     .output(Parameter::new("result", Schema::string()))
 ///     .tag("linear-algebra");
 ///
-/// let inputs = desc.validate_inputs(&json!({"matrix": "1 0; 0 1"})).unwrap();
+/// let inputs = desc.accept_inputs(json!({"matrix": "1 0; 0 1"})).unwrap();
 /// assert_eq!(inputs.get("matrix").and_then(|v| v.as_str()), Some("1 0; 0 1"));
-/// assert!(desc.validate_inputs(&json!({})).is_err());
+/// assert!(desc.accept_inputs(json!({})).is_err());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceDescription {
@@ -181,8 +181,20 @@ impl ServiceDescription {
         self.outputs.iter().find(|p| p.name() == name)
     }
 
+    /// [`ServiceDescription::accept_inputs`] of a copy of `body`: kept for
+    /// `bench/jobpath`, which times validation apart from submission, until
+    /// the next change to that benchmark.
+    ///
+    /// # Errors
+    ///
+    /// See [`ServiceDescription::accept_inputs`].
+    pub fn validate_inputs(&self, body: &Value) -> Result<Object, DescriptionError> {
+        self.accept_inputs(body.clone())
+    }
+
     /// Validates a request body against the declared inputs, returning the
-    /// effective input object with defaults filled in.
+    /// effective input object, in declared order with defaults filled in.
+    /// Each accepted value is moved out of `body`, not copied.
     ///
     /// Unknown parameters are rejected: the unified API is closed-world so
     /// typos fail fast instead of being silently ignored.
@@ -190,24 +202,24 @@ impl ServiceDescription {
     /// # Errors
     ///
     /// [`DescriptionError::InvalidInputs`] listing every violation.
-    pub fn validate_inputs(&self, body: &Value) -> Result<Object, DescriptionError> {
-        let obj = body.as_object().ok_or_else(|| {
-            DescriptionError::InvalidInputs(vec![format!(
+    pub fn accept_inputs(&self, body: Value) -> Result<Object, DescriptionError> {
+        let Value::Object(mut obj) = body else {
+            return Err(DescriptionError::InvalidInputs(vec![format!(
                 "request body must be a json object, got {}",
                 body.type_name()
-            )])
-        })?;
+            )]));
+        };
         let mut errors = Vec::new();
-        let mut effective = Object::new();
+        let mut effective = Object::with_capacity(self.inputs.len());
         for param in &self.inputs {
-            match obj.get(param.name()) {
+            match obj.remove(param.name()) {
                 Some(value) => {
-                    if let Err(errs) = param.schema().validate(value) {
+                    if let Err(errs) = param.schema().validate(&value) {
                         for e in errs {
                             errors.push(format!("{}{}", param.name(), format_path_reason(&e)));
                         }
                     } else {
-                        effective.insert(param.name().to_string(), value.clone());
+                        effective.insert(param.name().to_string(), value);
                     }
                 }
                 None if param.is_optional() => {
@@ -218,10 +230,9 @@ impl ServiceDescription {
                 None => errors.push(format!("{}: missing required input", param.name())),
             }
         }
+        // What is left was declared by no parameter.
         for (key, _) in obj.iter() {
-            if self.input_named(key).is_none() {
-                errors.push(format!("{key}: unknown input parameter"));
-            }
+            errors.push(format!("{key}: unknown input parameter"));
         }
         if errors.is_empty() {
             Ok(effective)
@@ -339,7 +350,7 @@ mod tests {
     #[test]
     fn validate_accepts_good_inputs_and_fills_defaults() {
         let d = inverse_service();
-        let eff = d.validate_inputs(&json!({"matrix": "1 0; 0 1"})).unwrap();
+        let eff = d.accept_inputs(json!({"matrix": "1 0; 0 1"})).unwrap();
         assert_eq!(eff.get("matrix").unwrap().as_str(), Some("1 0; 0 1"));
         assert_eq!(
             eff.get("check").unwrap().as_bool(),
@@ -352,7 +363,7 @@ mod tests {
     fn validate_collects_all_errors() {
         let d = inverse_service();
         let err = d
-            .validate_inputs(&json!({"check": "yes", "bogus": 1}))
+            .accept_inputs(json!({"check": "yes", "bogus": 1}))
             .unwrap_err();
         let DescriptionError::InvalidInputs(errs) = err else {
             panic!("wrong variant")
@@ -361,10 +372,27 @@ mod tests {
     }
 
     #[test]
+    fn accepted_inputs_are_moved_not_copied() {
+        let d = inverse_service();
+        let body = json!({"check": true, "matrix": "1 0; 0 1"});
+        let matrix = body["matrix"].as_str().unwrap().as_ptr();
+        let by_reference = d.validate_inputs(&body).unwrap();
+        let eff = d.accept_inputs(body).unwrap();
+        assert_eq!(
+            eff.get("matrix").unwrap().as_str().unwrap().as_ptr(),
+            matrix
+        );
+        // Declared order, whatever the body's, as the by-reference form gives.
+        let keys: Vec<_> = eff.keys().map(String::as_str).collect();
+        assert_eq!(keys, ["matrix", "check"]);
+        assert_eq!(by_reference, eff);
+    }
+
+    #[test]
     fn validate_rejects_non_objects() {
         let d = inverse_service();
-        assert!(d.validate_inputs(&json!([1, 2])).is_err());
-        assert!(d.validate_inputs(&json!("text")).is_err());
+        assert!(d.accept_inputs(json!([1, 2])).is_err());
+        assert!(d.accept_inputs(json!("text")).is_err());
     }
 
     #[test]

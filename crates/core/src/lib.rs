@@ -17,7 +17,7 @@
 //! * [`JobState`] and [`JobRepresentation`] — the asynchronous job lifecycle,
 //! * [`FileRef`] — `mc-file:` references for large data parameters,
 //! * [`uri`] — the hierarchical resource URI layout,
-//! * input validation ([`ServiceDescription::validate_inputs`]) shared by the
+//! * input validation ([`ServiceDescription::accept_inputs`]) shared by the
 //!   container and clients.
 //!
 //! Everything serializes to/from `mathcloud_json::Value`, the platform's only

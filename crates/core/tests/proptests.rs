@@ -121,7 +121,7 @@ fn validation_is_total() {
                 body.insert(name.to_string(), Value::from(1));
             }
         }
-        match desc.validate_inputs(&Value::Object(body)) {
+        match desc.accept_inputs(Value::Object(body)) {
             Ok(effective) => {
                 assert!(present[0], "a is required");
                 assert!(effective.get("a").is_some());

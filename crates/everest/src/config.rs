@@ -413,13 +413,16 @@ mod tests {
         let deployed = load_config(&everest, &config, &AdapterRegistry::new()).unwrap();
         assert_eq!(deployed, ["word-count"]);
         let rep = everest
-            .submit_sync(
+            .submit_and_wait(
                 "word-count",
-                &json!({"text": "one two three"}),
+                json!({"text": "one two three"}),
                 None,
-                Duration::from_secs(5),
+                None,
+                None,
+                Some(Duration::from_secs(5)),
             )
-            .unwrap();
+            .unwrap()
+            .rep;
         let outputs = rep.outputs.expect("job done");
         assert_eq!(outputs.get("count").unwrap().as_str(), Some("3"));
         assert_eq!(
@@ -452,8 +455,16 @@ mod tests {
         });
         load_config(&everest, &config, &registry).unwrap();
         let rep = everest
-            .submit_sync("square", &json!({"n": 6}), None, Duration::from_secs(5))
-            .unwrap();
+            .submit_and_wait(
+                "square",
+                json!({"n": 6}),
+                None,
+                None,
+                None,
+                Some(Duration::from_secs(5)),
+            )
+            .unwrap()
+            .rep;
         assert_eq!(rep.outputs.unwrap().get("sq").unwrap().as_i64(), Some(36));
     }
 

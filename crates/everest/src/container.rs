@@ -489,7 +489,10 @@ pub(crate) mod tests {
                 Err("cancelled".into())
             }),
         );
-        let rep = e.submit("slow", &json!({}), None).unwrap();
+        let rep = e
+            .submit_and_wait("slow", json!({}), None, None, None, None)
+            .unwrap()
+            .rep;
         std::thread::sleep(Duration::from_millis(30));
         assert!(e.delete_job("slow", rep.id.as_str()), "cancel");
         let st = e
@@ -514,16 +517,26 @@ pub(crate) mod tests {
         );
         let alice = Caller::direct(Identity::openid("https://id/alice"));
         let bob = Caller::direct(Identity::openid("https://id/bob"));
-        assert!(e.submit("private", &json!({}), Some(&alice)).is_ok());
-        let err = e.submit("private", &json!({}), Some(&bob)).unwrap_err();
+        assert!(e
+            .submit_and_wait("private", json!({}), Some(&alice), None, None, None)
+            .is_ok());
+        let err = e
+            .submit_and_wait("private", json!({}), Some(&bob), None, None, None)
+            .unwrap_err();
         assert_eq!(err.status(), 403);
         // Delegation through a trusted proxy works for allowed users only.
         let via_wms = Caller::proxied(Identity::openid("https://id/alice"), "CN=wms");
-        assert!(e.submit("private", &json!({}), Some(&via_wms)).is_ok());
+        assert!(e
+            .submit_and_wait("private", json!({}), Some(&via_wms), None, None, None)
+            .is_ok());
         let bob_via_wms = Caller::proxied(Identity::openid("https://id/bob"), "CN=wms");
-        assert!(e.submit("private", &json!({}), Some(&bob_via_wms)).is_err());
+        assert!(e
+            .submit_and_wait("private", json!({}), Some(&bob_via_wms), None, None, None)
+            .is_err());
         let via_rogue = Caller::proxied(Identity::openid("https://id/alice"), "CN=rogue");
-        assert!(e.submit("private", &json!({}), Some(&via_rogue)).is_err());
+        assert!(e
+            .submit_and_wait("private", json!({}), Some(&via_rogue), None, None, None)
+            .is_err());
     }
 
     #[test]

@@ -37,9 +37,14 @@
 //!     }),
 //! );
 //!
-//! let rep = everest.submit("sum", &json!({"a": 2, "b": 3}), None).unwrap();
-//! let done = everest.wait("sum", rep.id.as_str(), std::time::Duration::from_secs(5)).unwrap();
-//! assert_eq!(done.outputs.unwrap().get("total").unwrap().as_i64(), Some(5));
+//! // The one submission call: the body moves into the job; with a `wait`
+//! // the answer holds until the job settles (caller, request id and
+//! // idempotency key are all optional).
+//! let wait = Some(std::time::Duration::from_secs(5));
+//! let outcome = everest
+//!     .submit_and_wait("sum", json!({"a": 2, "b": 3}), None, None, None, wait)
+//!     .unwrap();
+//! assert_eq!(outcome.rep.outputs.unwrap().get("total").unwrap().as_i64(), Some(5));
 //! ```
 
 pub mod adapter;

@@ -385,13 +385,16 @@ mod tests {
         // And it actually runs for the owner.
         let rep = p
             .container()
-            .submit_sync(
+            .submit_and_wait(
                 "alice--echo",
-                &json!({"text": "hosted!"}),
+                json!({"text": "hosted!"}),
                 Some(&Caller::direct(alice())),
-                Duration::from_secs(10),
+                None,
+                None,
+                Some(Duration::from_secs(10)),
             )
-            .unwrap();
+            .unwrap()
+            .rep;
         assert_eq!(
             rep.outputs.unwrap().get("echo").unwrap().as_str(),
             Some("hosted!")

@@ -203,7 +203,10 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::AlreadyExists);
         assert!(!dir.join("other.jsonl").exists(), "refused before opening");
         // The first journal is still the one in use.
-        let rep = e.submit("sum", &json!({"a": 1, "b": 2}), None).unwrap();
+        let rep = e
+            .submit_and_wait("sum", json!({"a": 1, "b": 2}), None, None, None, None)
+            .unwrap()
+            .rep;
         e.wait("sum", rep.id.as_str(), Duration::from_secs(5))
             .unwrap();
         assert_eq!(e.job_store().unwrap().journal_stats().records, 3);

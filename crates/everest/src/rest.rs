@@ -98,7 +98,7 @@ pub fn router(everest: Everest, auth: Option<AuthConfig>) -> Router {
         let request_id = req.headers.get(trace::REQUEST_ID_HEADER);
         let idem_key = req.headers.get(mathcloud_http::IDEMPOTENCY_KEY_HEADER);
         let wait = Some(SYNC_WAIT);
-        match e.submit_and_wait(name, &body, Some(&caller), request_id, idem_key, wait) {
+        match e.submit_and_wait(name, body, Some(&caller), request_id, idem_key, wait) {
             Ok(outcome) => {
                 let rep = outcome.rep;
                 let location = rep.uri.clone();

@@ -69,7 +69,7 @@ mod tests {
 
     fn keyed(e: &Everest, a: i64, key: &str) -> (JobRepresentation, bool) {
         let o = e
-            .submit_full("sum", &json!({"a": a, "b": 1}), None, None, Some(key))
+            .submit_and_wait("sum", json!({"a": a, "b": 1}), None, None, Some(key), None)
             .unwrap();
         (o.rep, o.deduplicated)
     }

@@ -243,7 +243,11 @@ mod tests {
         e.resize_pool(4);
         let t0 = Instant::now();
         let reps: Vec<_> = (0..4)
-            .map(|_| e.submit("sleep", &json!({"ms": 100}), None).unwrap())
+            .map(|_| {
+                e.submit_and_wait("sleep", json!({"ms": 100}), None, None, None, None)
+                    .unwrap()
+                    .rep
+            })
             .collect();
         for rep in &reps {
             assert_eq!(
@@ -266,7 +270,11 @@ mod tests {
     fn shrink_lets_running_jobs_finish() {
         let (e, gate) = gated_container(3);
         let reps: Vec<_> = (0..3)
-            .map(|_| e.submit("hold", &json!({}), None).unwrap())
+            .map(|_| {
+                e.submit_and_wait("hold", json!({}), None, None, None, None)
+                    .unwrap()
+                    .rep
+            })
             .collect();
         // Wait until all three workers picked up their job.
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -286,7 +294,10 @@ mod tests {
         }
         assert_eq!(e.pool_workers(), 1);
         // The surviving worker still serves new jobs.
-        let rep = e.submit("hold", &json!({}), None).unwrap();
+        let rep = e
+            .submit_and_wait("hold", json!({}), None, None, None, None)
+            .unwrap()
+            .rep;
         assert_eq!(
             e.wait("hold", rep.id.as_str(), Duration::from_secs(5))
                 .unwrap()
@@ -304,7 +315,8 @@ mod tests {
         assert_eq!(idle.queue_depth, 0);
 
         for _ in 0..3 {
-            e.submit("hold", &json!({}), None).unwrap();
+            e.submit_and_wait("hold", json!({}), None, None, None, None)
+                .unwrap();
         }
         let deadline = Instant::now() + Duration::from_secs(5);
         while e.pool_status().busy < 2 && Instant::now() < deadline {
@@ -330,7 +342,11 @@ mod tests {
         );
         let t0 = Instant::now();
         let reps: Vec<_> = (0..4)
-            .map(|_| e.submit("sleep", &json!({"ms": 100}), None).unwrap())
+            .map(|_| {
+                e.submit_and_wait("sleep", json!({"ms": 100}), None, None, None, None)
+                    .unwrap()
+                    .rep
+            })
             .collect();
         for rep in &reps {
             assert_eq!(

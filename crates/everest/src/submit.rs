@@ -32,61 +32,31 @@ pub struct SubmitOutcome {
 }
 
 impl Everest {
-    /// Submits a request: authorization, validation, job creation. Returns
-    /// the initial (WAITING) job representation immediately.
+    /// Submits a request: authorization, validation (moving each accepted
+    /// input out of `body` into the job), then the job that answers it.
+    ///
+    /// `request_id` (`X-MC-Request-Id`) correlates the job's spans and
+    /// events with the request that created it. A submission keyed by
+    /// `idem_key` (`Idempotency-Key`) is created at most once per
+    /// `(service, key)`: retries — including replays of the same POST after
+    /// a network failure or a container restart, because the key is
+    /// journaled with the job — are answered with the original job.
+    ///
+    /// `wait` holds the answer up to that long for the job to settle (§2's
+    /// synchronous mode); `None` answers at once with the job as it stands.
+    /// A job created to be waited for is queued before its `WAITING` record
+    /// is durable; the answer leaves only once a sync covers it.
     ///
     /// # Errors
     ///
     /// [`SubmitRejection`] describing the failure; maps to an HTTP status
-    /// via [`SubmitRejection::status`].
-    pub fn submit(
-        &self,
-        service: &str,
-        body: &Value,
-        caller: Option<&Caller>,
-    ) -> Result<JobRepresentation, SubmitRejection> {
-        self.submit_full(service, body, caller, None, None)
-            .map(|outcome| outcome.rep)
-    }
-
-    /// [`Everest::submit`] carrying the originating request id
-    /// (`X-MC-Request-Id`, so the job's spans and events correlate with the
-    /// HTTP request that created it) and an optional `Idempotency-Key`, and
-    /// returning the full [`SubmitOutcome`].
-    ///
-    /// A keyed submission is created at most once per `(service, key)`:
-    /// retries — including replays of the same POST after a network failure
-    /// or a container restart, because the key is journaled with the job —
-    /// are answered with the original job's representation.
-    ///
-    /// # Errors
-    ///
-    /// See [`Everest::submit`]. Authorization and input validation run
-    /// before the key lookup, so a rejected request is rejected
+    /// via [`SubmitRejection::status`]. Authorization and input validation
+    /// run before the key lookup, so a rejected request is rejected
     /// consistently whether or not its key is already mapped.
-    pub fn submit_full(
-        &self,
-        service: &str,
-        body: &Value,
-        caller: Option<&Caller>,
-        request_id: Option<&str>,
-        idem_key: Option<&str>,
-    ) -> Result<SubmitOutcome, SubmitRejection> {
-        self.submit_and_wait(service, body, caller, request_id, idem_key, None)
-    }
-
-    /// [`Everest::submit_full`], then up to `wait` for the job to settle (§2's
-    /// synchronous mode); `None` answers at once, as `submit_full` does. A job
-    /// created to be waited for is queued before its `WAITING` record is
-    /// durable; the answer leaves only once a sync covers it.
-    ///
-    /// # Errors
-    ///
-    /// See [`Everest::submit_full`].
     pub fn submit_and_wait(
         &self,
         service: &str,
-        body: &Value,
+        body: Value,
         caller: Option<&Caller>,
         request_id: Option<&str>,
         idem_key: Option<&str>,
@@ -94,15 +64,12 @@ impl Everest {
     ) -> Result<SubmitOutcome, SubmitRejection> {
         let anonymous = Caller::anonymous();
         let entry = self.admit(service, caller.unwrap_or(&anonymous))?;
-        let inputs = entry
-            .description
-            .validate_inputs(body)
-            .map_err(|e| match e {
-                mathcloud_core::DescriptionError::InvalidInputs(errs) => {
-                    SubmitRejection::InvalidInputs(errs)
-                }
-                other => SubmitRejection::InvalidInputs(vec![other.to_string()]),
-            })?;
+        let inputs = entry.description.accept_inputs(body).map_err(|e| match e {
+            mathcloud_core::DescriptionError::InvalidInputs(errs) => {
+                SubmitRejection::InvalidInputs(errs)
+            }
+            other => SubmitRejection::InvalidInputs(vec![other.to_string()]),
+        })?;
 
         let jobs = &self.shared.jobs;
         // A live job waited for answers with its result, or on timeout once
@@ -155,6 +122,24 @@ impl Everest {
             deduplicated: false,
             memo_hit,
         })
+    }
+
+    /// [`Everest::submit_and_wait`] of a copy of `body`, answering at once:
+    /// kept for `bench/jobpath`, which replays bodies it holds by reference,
+    /// until the next change to that benchmark.
+    ///
+    /// # Errors
+    ///
+    /// See [`Everest::submit_and_wait`].
+    pub fn submit_full(
+        &self,
+        service: &str,
+        body: &Value,
+        caller: Option<&Caller>,
+        request_id: Option<&str>,
+        idem_key: Option<&str>,
+    ) -> Result<SubmitOutcome, SubmitRejection> {
+        self.submit_and_wait(service, body.clone(), caller, request_id, idem_key, None)
     }
 
     /// Creates a job — unless result memoization is on and the canonical
@@ -249,23 +234,6 @@ impl Everest {
         (rep, barrier)
     }
 
-    /// [`Everest::submit_and_wait`] with no request id or key, answering
-    /// with the representation alone.
-    ///
-    /// # Errors
-    ///
-    /// See [`Everest::submit`].
-    pub fn submit_sync(
-        &self,
-        service: &str,
-        body: &Value,
-        caller: Option<&Caller>,
-        sync_wait: Duration,
-    ) -> Result<JobRepresentation, SubmitRejection> {
-        self.submit_and_wait(service, body, caller, None, None, Some(sync_wait))
-            .map(|outcome| outcome.rep)
-    }
-
     /// Switches result memoization on or off (default: off).
     ///
     /// With memoization on, a submission whose canonical `(service,
@@ -300,7 +268,10 @@ mod tests {
     #[test]
     fn submit_runs_job_to_done() {
         let e = sum_container();
-        let rep = e.submit("sum", &json!({"a": 20, "b": 22}), None).unwrap();
+        let rep = e
+            .submit_and_wait("sum", json!({"a": 20, "b": 22}), None, None, None, None)
+            .unwrap()
+            .rep;
         assert_eq!(rep.state, JobState::Waiting);
         let done = e
             .wait("sum", rep.id.as_str(), Duration::from_secs(5))
@@ -318,23 +289,30 @@ mod tests {
     fn submit_sync_returns_terminal_state_for_fast_jobs() {
         let e = sum_container();
         let rep = e
-            .submit_sync(
+            .submit_and_wait(
                 "sum",
-                &json!({"a": 1, "b": 2}),
+                json!({"a": 1, "b": 2}),
                 None,
-                Duration::from_secs(5),
+                None,
+                None,
+                Some(Duration::from_secs(5)),
             )
-            .unwrap();
+            .unwrap()
+            .rep;
         assert_eq!(rep.state, JobState::Done);
     }
 
     #[test]
     fn invalid_inputs_are_rejected_with_400() {
         let e = sum_container();
-        let err = e.submit("sum", &json!({"a": "x"}), None).unwrap_err();
+        let err = e
+            .submit_and_wait("sum", json!({"a": "x"}), None, None, None, None)
+            .unwrap_err();
         assert!(matches!(err, SubmitRejection::InvalidInputs(_)));
         assert_eq!(err.status(), 400);
-        let err = e.submit("nope", &json!({}), None).unwrap_err();
+        let err = e
+            .submit_and_wait("nope", json!({}), None, None, None, None)
+            .unwrap_err();
         assert_eq!(err.status(), 404);
     }
 
@@ -345,7 +323,10 @@ mod tests {
             ServiceDescription::new("bad", "always fails"),
             NativeAdapter::from_fn(|_, _| Err("no luck".into())),
         );
-        let rep = e.submit("bad", &json!({}), None).unwrap();
+        let rep = e
+            .submit_and_wait("bad", json!({}), None, None, None, None)
+            .unwrap()
+            .rep;
         let done = e
             .wait("bad", rep.id.as_str(), Duration::from_secs(5))
             .unwrap();

@@ -293,13 +293,16 @@ fn containers_attach_torn_journals_end_to_end() {
             .expect("re-queued job finishes");
         assert_eq!(requeued.state, JobState::Done);
         let fresh = e
-            .submit_sync(
+            .submit_and_wait(
                 "sum",
-                &json!({"a": 1, "b": 1}),
+                json!({"a": 1, "b": 1}),
                 None,
-                Duration::from_secs(10),
+                None,
+                None,
+                Some(Duration::from_secs(10)),
             )
-            .unwrap();
+            .unwrap()
+            .rep;
         let n: u64 = fresh
             .id
             .as_str()
@@ -396,7 +399,7 @@ fn torn_memo_done_records_degrade_to_a_miss_never_a_wrong_answer() {
 
         // The identical submission, respelled at the wire level.
         let o = e
-            .submit_full("sum", &json!({"b": 22.0, "a": 20}), None, None, None)
+            .submit_and_wait("sum", json!({"b": 22.0, "a": 20}), None, None, None, None)
             .unwrap();
         assert!(
             o.memo_hit,

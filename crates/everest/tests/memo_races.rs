@@ -85,7 +85,9 @@ fn identical_submission_storm_executes_exactly_once() {
                 let e = &e;
                 let body = &spellings[i % spellings.len()];
                 s.spawn(move || {
-                    let o = e.submit_full("add", body, None, None, None).unwrap();
+                    let o = e
+                        .submit_and_wait("add", body.clone(), None, None, None, None)
+                        .unwrap();
                     (o.rep.id.as_str().to_string(), o.memo_hit)
                 })
             })
@@ -128,7 +130,7 @@ fn identical_submission_storm_executes_exactly_once() {
 
     // A late identical submission — the job is long Done — is a plain hit.
     let late = e
-        .submit_full("add", &json!({"b": 22, "a": 20.0}), None, None, None)
+        .submit_and_wait("add", json!({"b": 22, "a": 20.0}), None, None, None, None)
         .unwrap();
     assert!(late.memo_hit);
     assert_eq!(late.rep.state, JobState::Done);
@@ -181,7 +183,7 @@ fn memo_hits_race_eviction_without_resurrecting_jobs_or_dangling_blobs() {
         let a = s.spawn(|| {
             for round in 0..ROUNDS {
                 let o = e
-                    .submit_full("blob", &json!({"n": 7}), None, None, None)
+                    .submit_and_wait("blob", json!({"n": 7}), None, None, None, None)
                     .unwrap();
                 assert!(
                     o.rep.state == JobState::Done || !o.rep.state.is_terminal(),
@@ -209,7 +211,14 @@ fn memo_hits_race_eviction_without_resurrecting_jobs_or_dangling_blobs() {
         let b = s.spawn(|| {
             for i in 0..ROUNDS {
                 let o = e
-                    .submit_full("blob", &json!({"n": (1000 + i as i64)}), None, None, None)
+                    .submit_and_wait(
+                        "blob",
+                        json!({"n": (1000 + i as i64)}),
+                        None,
+                        None,
+                        None,
+                        None,
+                    )
                     .unwrap();
                 // As above: the churn job itself can be evicted the moment
                 // a newer job goes terminal, so `None` is fine.
@@ -225,7 +234,7 @@ fn memo_hits_race_eviction_without_resurrecting_jobs_or_dangling_blobs() {
     // Deterministically evict whatever record `{"n": 7}` maps to: one more
     // churn job goes terminal, and the cap-1 retention keeps only it.
     let churn = e
-        .submit_full("blob", &json!({"n": 9999}), None, None, None)
+        .submit_and_wait("blob", json!({"n": 9999}), None, None, None, None)
         .unwrap();
     e.wait("blob", churn.rep.id.as_str(), Duration::from_secs(10))
         .expect("churn job completes");
@@ -235,7 +244,7 @@ fn memo_hits_race_eviction_without_resurrecting_jobs_or_dangling_blobs() {
     // a resurrected job or a freed blob.
     let before = execs.load(Ordering::SeqCst);
     let o = e
-        .submit_full("blob", &json!({"n": 7}), None, None, None)
+        .submit_and_wait("blob", json!({"n": 7}), None, None, None, None)
         .unwrap();
     assert!(!o.memo_hit, "a hit resurrected an evicted job");
     let rep = e
@@ -278,8 +287,14 @@ fn deleting_one_of_two_jobs_sharing_a_blob_keeps_the_other_readable() {
     );
     // Memoization stays off: the point is two *distinct* jobs converging on
     // one content-addressed blob.
-    let first = e.submit("constant", &json!({"n": 1}), None).unwrap();
-    let second = e.submit("constant", &json!({"n": 2}), None).unwrap();
+    let first = e
+        .submit_and_wait("constant", json!({"n": 1}), None, None, None, None)
+        .unwrap()
+        .rep;
+    let second = e
+        .submit_and_wait("constant", json!({"n": 2}), None, None, None, None)
+        .unwrap()
+        .rep;
     let first = e
         .wait("constant", first.id.as_str(), Duration::from_secs(10))
         .unwrap();
@@ -338,7 +353,7 @@ fn failures_are_never_memoized() {
 
     for round in 0..3 {
         let o = e
-            .submit_full("flaky", &json!({"n": 1}), None, None, None)
+            .submit_and_wait("flaky", json!({"n": 1}), None, None, None, None)
             .unwrap();
         let rep = e
             .wait("flaky", o.rep.id.as_str(), Duration::from_secs(10))

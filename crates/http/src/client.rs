@@ -4,12 +4,11 @@ use std::error::Error;
 use std::fmt;
 use std::io::{BufReader, BufWriter};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use mathcloud_json::Value;
-use mathcloud_telemetry::rng::{splitmix64, XorShift64};
+use mathcloud_telemetry::rng::XorShift64;
 use mathcloud_telemetry::sync::Mutex;
 use mathcloud_telemetry::trace;
 
@@ -71,19 +70,6 @@ impl From<std::io::Error> for ClientError {
     }
 }
 
-fn seed_rng() -> XorShift64 {
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let nanos = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_nanos() as u64)
-        .unwrap_or(0x9e37_79b9_7f4a_7c15);
-    let pid = std::process::id() as u64;
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    XorShift64::new(splitmix64(
-        nanos ^ (pid << 32) ^ n.wrapping_mul(0xa076_1d64_78bd_642f),
-    ))
-}
-
 /// A blocking HTTP client.
 ///
 /// Each call opens a fresh connection; use [`Client::connect`] to hold a
@@ -136,7 +122,7 @@ impl Client {
             connect_timeout: Duration::from_secs(10),
             retry: RetryPolicy::default(),
             breakers: Arc::new(BreakerRegistry::new(BreakerConfig::default())),
-            rng: Arc::new(Mutex::new(seed_rng())),
+            rng: Arc::new(Mutex::new(XorShift64::fresh())),
             default_headers: Vec::new(),
         }
     }

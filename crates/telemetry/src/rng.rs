@@ -4,6 +4,8 @@
 //! Not cryptographic — MathCloud's security substrate has its own SHA-256 —
 //! but fast, seedable and good enough for test-case generation and sampling.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 /// SplitMix64 finalizer: turns any 64-bit value into a well-mixed one.
 /// Used to derive seeds and request ids from low-entropy inputs.
 pub fn splitmix64(mut x: u64) -> u64 {
@@ -28,6 +30,22 @@ impl XorShift64 {
             state = 0x2545_f491_4f6c_dd1d;
         }
         XorShift64 { state }
+    }
+
+    /// A generator seeded from the wall clock, the process id and a process
+    /// counter: a distinct stream per call and per process, for jitter that
+    /// must not move in step across clients.
+    pub fn fresh() -> Self {
+        static COUNTER: AtomicU64 = AtomicU64::new(0);
+        let nanos = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map(|d| d.as_nanos() as u64)
+            .unwrap_or(0x9e37_79b9_7f4a_7c15);
+        let pid = u64::from(std::process::id());
+        let n = COUNTER.fetch_add(1, Ordering::Relaxed);
+        XorShift64::new(splitmix64(
+            nanos ^ (pid << 32) ^ n.wrapping_mul(0xa076_1d64_78bd_642f),
+        ))
     }
 
     pub fn next_u64(&mut self) -> u64 {

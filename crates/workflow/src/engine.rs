@@ -86,33 +86,14 @@ fn publish_block_event(
 /// Invokes remote computational services for `Service` blocks.
 pub trait ServiceCaller: Send + Sync {
     /// Submits `inputs` to the service at `url` and blocks until the job is
-    /// terminal, returning its outputs.
+    /// terminal, returning its outputs. `request_id` is the workflow run's
+    /// originating request id, so one `X-MC-Request-Id` correlates the whole
+    /// fan-out: workflow submission → every block → every downstream job.
     ///
     /// # Errors
     ///
     /// A human-readable reason on submission or job failure.
-    fn call(&self, url: &str, inputs: &Object) -> Result<Object, String>;
-
-    /// [`ServiceCaller::call`] carrying the workflow run's originating
-    /// request id, so one `X-MC-Request-Id` correlates the whole fan-out:
-    /// workflow submission → every block → every downstream service job.
-    ///
-    /// The default discards the id and delegates to `call`, keeping existing
-    /// implementations valid; callers that can propagate it (like
-    /// [`HttpCaller`]) override this instead.
-    ///
-    /// # Errors
-    ///
-    /// See [`ServiceCaller::call`].
-    fn call_traced(
-        &self,
-        url: &str,
-        inputs: &Object,
-        request_id: Option<&str>,
-    ) -> Result<Object, String> {
-        let _ = request_id;
-        self.call(url, inputs)
-    }
+    fn call(&self, url: &str, inputs: Object, request_id: Option<&str>) -> Result<Object, String>;
 }
 
 /// The production caller: [`ServiceClient::call_idempotent`] — subscribe to
@@ -139,25 +120,16 @@ impl HttpCaller {
     }
 }
 
+/// The block's request id rides on the submission and on every poll, so the
+/// downstream container records its job under the same id instead of minting
+/// a fresh one at its server edge.
 impl ServiceCaller for HttpCaller {
-    fn call(&self, url: &str, inputs: &Object) -> Result<Object, String> {
-        self.call_traced(url, inputs, None)
-    }
-
-    /// The block's request id rides on the submission and on every poll, so
-    /// the downstream container records its job under the same id instead of
-    /// minting a fresh one at its server edge.
-    fn call_traced(
-        &self,
-        url: &str,
-        inputs: &Object,
-        request_id: Option<&str>,
-    ) -> Result<Object, String> {
+    fn call(&self, url: &str, inputs: Object, request_id: Option<&str>) -> Result<Object, String> {
         ServiceClient::connect(url)
             .map_err(|e| e.to_string())?
             .with_client(self.client.clone())
             .call_idempotent(
-                &Value::Object(inputs.clone()),
+                &Value::Object(inputs),
                 &trace::next_request_id(),
                 request_id,
                 JOB_DEADLINE,
@@ -533,11 +505,10 @@ fn run_block(
         BlockKind::Service { url } => {
             // Fill declared optional defaults the description provides.
             let description = validated.services.get(id).expect("validated service");
-            let body = Value::Object(port_inputs);
             let effective = description
-                .validate_inputs(&body)
+                .accept_inputs(Value::Object(port_inputs))
                 .map_err(|e| e.to_string())?;
-            let outputs = caller.call_traced(url, &effective, request_id)?;
+            let outputs = caller.call(url, effective, request_id)?;
             Ok(outputs.into_iter().map(|(name, v)| out(&name, v)).collect())
         }
     })();
@@ -560,7 +531,7 @@ mod tests {
     struct MockCaller;
 
     impl ServiceCaller for MockCaller {
-        fn call(&self, url: &str, inputs: &Object) -> Result<Object, String> {
+        fn call(&self, url: &str, inputs: Object, _: Option<&str>) -> Result<Object, String> {
             match url {
                 "mock://sum" => {
                     let a = inputs.get("a").and_then(Value::as_i64).unwrap_or(0);
@@ -716,26 +687,22 @@ mod tests {
 
     #[test]
     fn run_traced_hands_the_request_id_to_every_service_call() {
-        /// Records the request id each `call_traced` receives, then answers
-        /// like [`MockCaller`].
+        /// Records the request id each `call` receives, then answers like
+        /// [`MockCaller`].
         #[derive(Clone)]
         struct RecordingCaller {
             seen: Arc<Mutex<Vec<Option<String>>>>,
         }
 
         impl ServiceCaller for RecordingCaller {
-            fn call(&self, url: &str, inputs: &Object) -> Result<Object, String> {
-                self.call_traced(url, inputs, None)
-            }
-
-            fn call_traced(
+            fn call(
                 &self,
                 url: &str,
-                inputs: &Object,
+                inputs: Object,
                 request_id: Option<&str>,
             ) -> Result<Object, String> {
                 self.seen.lock().push(request_id.map(String::from));
-                MockCaller.call(url, inputs)
+                MockCaller.call(url, inputs, None)
             }
         }
 
@@ -808,9 +775,7 @@ mod tests {
             .into_iter()
             .collect();
         let url = format!("{}/services/sum/jobs", server.base_url());
-        let outputs = caller
-            .call_traced(&url, &inputs, Some("rid-wf-42"))
-            .unwrap();
+        let outputs = caller.call(&url, inputs, Some("rid-wf-42")).unwrap();
         assert_eq!(outputs.get("total"), Some(&json!(42)));
 
         // The server edge mints a fresh id when none arrives, so equality

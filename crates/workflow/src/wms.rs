@@ -21,8 +21,6 @@ use mathcloud_everest::adapter::NativeAdapter;
 use mathcloud_everest::Everest;
 use mathcloud_http::{PathParams, Request, Response, Router};
 use mathcloud_json::value::Object;
-#[cfg(test)]
-use mathcloud_json::Schema;
 use mathcloud_json::Value;
 use mathcloud_telemetry::sync::RwLock;
 
@@ -195,17 +193,8 @@ impl WorkflowService {
 struct SharedCaller(Arc<dyn ServiceCaller>);
 
 impl ServiceCaller for SharedCaller {
-    fn call(&self, url: &str, inputs: &Object) -> Result<Object, String> {
-        self.0.call(url, inputs)
-    }
-
-    fn call_traced(
-        &self,
-        url: &str,
-        inputs: &Object,
-        request_id: Option<&str>,
-    ) -> Result<Object, String> {
-        self.0.call_traced(url, inputs, request_id)
+    fn call(&self, url: &str, inputs: Object, request_id: Option<&str>) -> Result<Object, String> {
+        self.0.call(url, inputs, request_id)
     }
 }
 
@@ -233,13 +222,13 @@ fn composite_description(validated: &ValidatedWorkflow) -> ServiceDescription {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mathcloud_json::json;
+    use mathcloud_json::{json, Schema};
     use std::time::Duration;
 
     struct MockCaller;
 
     impl ServiceCaller for MockCaller {
-        fn call(&self, url: &str, inputs: &Object) -> Result<Object, String> {
+        fn call(&self, url: &str, inputs: Object, _: Option<&str>) -> Result<Object, String> {
             match url {
                 "mock://inc" => {
                     let x = inputs.get("x").and_then(Value::as_i64).unwrap_or(0);
@@ -288,8 +277,16 @@ mod tests {
         // Executing the composite service runs the DAG.
         let rep = wms
             .container()
-            .submit_sync("inc-twice", &json!({"n": 40}), None, Duration::from_secs(5))
-            .unwrap();
+            .submit_and_wait(
+                "inc-twice",
+                json!({"n": 40}),
+                None,
+                None,
+                None,
+                Some(Duration::from_secs(5)),
+            )
+            .unwrap()
+            .rep;
         assert_eq!(
             rep.outputs.unwrap().get("result").unwrap().as_i64(),
             Some(42)

@@ -215,7 +215,7 @@ fn linear_script_chains_execute() {
 struct NoServices;
 
 impl mathcloud_workflow::ServiceCaller for NoServices {
-    fn call(&self, url: &str, _inputs: &Object) -> Result<Object, String> {
+    fn call(&self, url: &str, _: Object, _: Option<&str>) -> Result<Object, String> {
         Err(format!(
             "no services available in this test (asked for {url})"
         ))

@@ -122,13 +122,16 @@ fn cluster_backed_services_reference_registered_resources() {
     load_config(&everest, &config, &registry).unwrap();
 
     let rep = everest
-        .submit_sync(
+        .submit_and_wait(
             "stats",
-            &json!({"values": [3, 4, 5]}),
+            json!({"values": [3, 4, 5]}),
             None,
-            Duration::from_secs(10),
+            None,
+            None,
+            Some(Duration::from_secs(10)),
         )
-        .unwrap();
+        .unwrap()
+        .rep;
     let outputs = rep.outputs.expect("done");
     assert_eq!(outputs.get("sum").unwrap().as_i64(), Some(12));
     assert_eq!(outputs.get("count").unwrap().as_i64(), Some(3));

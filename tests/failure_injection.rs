@@ -147,7 +147,10 @@ fn adapter_panics_do_not_take_down_the_container() {
     );
     // The panic is contained: the job FAILS with the panic message and the
     // handler thread survives to serve later jobs.
-    let rep = e.submit("boom", &json!({}), None).unwrap();
+    let rep = e
+        .submit_and_wait("boom", json!({}), None, None, None, None)
+        .unwrap()
+        .rep;
     let done = e
         .wait("boom", rep.id.as_str(), Duration::from_secs(5))
         .unwrap();
@@ -162,13 +165,24 @@ fn adapter_panics_do_not_take_down_the_container() {
     // Saturate the pool with more panicking jobs, then prove both handlers
     // still work.
     for _ in 0..4 {
-        let rep = e.submit("boom", &json!({}), None).unwrap();
+        let rep = e
+            .submit_and_wait("boom", json!({}), None, None, None, None)
+            .unwrap()
+            .rep;
         e.wait("boom", rep.id.as_str(), Duration::from_secs(5))
             .unwrap();
     }
     let ok = e
-        .submit_sync("fine", &json!({}), None, Duration::from_secs(5))
-        .unwrap();
+        .submit_and_wait(
+            "fine",
+            json!({}),
+            None,
+            None,
+            None,
+            Some(Duration::from_secs(5)),
+        )
+        .unwrap()
+        .rep;
     assert_eq!(ok.state, mathcloud_core::JobState::Done);
 }
 
@@ -383,13 +397,16 @@ fn compaction_keeps_the_journal_small_and_recoverable() {
     let mut peak = 0u64;
     for i in 0..JOBS {
         let rep = e
-            .submit_sync(
+            .submit_and_wait(
                 "add",
-                &json!({"a": (i as i64), "b": 1}),
+                json!({"a": (i as i64), "b": 1}),
                 None,
-                Duration::from_secs(10),
+                None,
+                None,
+                Some(Duration::from_secs(10)),
             )
-            .unwrap();
+            .unwrap()
+            .rep;
         assert!(rep.state.is_terminal(), "job {i} did not finish in time");
         peak = peak.max(std::fs::metadata(&journal).map(|m| m.len()).unwrap_or(0));
         // Delete most terminal jobs as we go; keep every 20th.
@@ -446,13 +463,16 @@ fn compaction_keeps_the_journal_small_and_recoverable() {
     let store2 = e2.job_store().unwrap();
     assert_eq!(store2.last_seq(), last_seq);
     let fresh = e2
-        .submit_sync(
+        .submit_and_wait(
             "add",
-            &json!({"a": 1, "b": 1}),
+            json!({"a": 1, "b": 1}),
             None,
-            Duration::from_secs(10),
+            None,
+            None,
+            Some(Duration::from_secs(10)),
         )
-        .unwrap();
+        .unwrap()
+        .rep;
     let fresh_n: u64 = fresh
         .id
         .as_str()
@@ -500,7 +520,7 @@ fn memoized_results_survive_a_kill_and_restart() {
     e1.attach_job_journal(&journal).unwrap();
 
     let cold = e1
-        .submit_full("add", &json!({"a": 20, "b": 22}), None, None, None)
+        .submit_and_wait("add", json!({"a": 20, "b": 22}), None, None, None, None)
         .unwrap();
     assert!(!cold.memo_hit);
     let done = e1
@@ -511,7 +531,7 @@ fn memoized_results_survive_a_kill_and_restart() {
 
     // Sanity: a reordered respelling hits in-process before the crash.
     let warm = e1
-        .submit_full("add", &json!({"b": 22.0, "a": 20}), None, None, None)
+        .submit_and_wait("add", json!({"b": 22.0, "a": 20}), None, None, None, None)
         .unwrap();
     assert!(warm.memo_hit);
     drop(e1); // the kill: nothing remains but the journal
@@ -530,7 +550,7 @@ fn memoized_results_survive_a_kill_and_restart() {
     // The identical submission — yet another spelling — is a hit on the
     // recovered record: same job, same outputs, no re-execution.
     let replayed = e2
-        .submit_full("add", &json!({"b": 22, "a": 20.0}), None, None, None)
+        .submit_and_wait("add", json!({"b": 22, "a": 20.0}), None, None, None, None)
         .unwrap();
     assert!(replayed.memo_hit, "a memoized result survives the restart");
     assert_eq!(replayed.rep.id.as_str(), done.id.as_str());
@@ -552,7 +572,7 @@ fn memoized_results_survive_a_kill_and_restart() {
 
     // A semantically different submission is still a miss that executes.
     let other = e2
-        .submit_full("add", &json!({"a": 20, "b": 23}), None, None, None)
+        .submit_and_wait("add", json!({"a": 20, "b": 23}), None, None, None, None)
         .unwrap();
     assert!(!other.memo_hit);
     e2.wait("add", other.rep.id.as_str(), Duration::from_secs(10))
@@ -596,13 +616,16 @@ fn nothing_is_shown_before_its_sync_and_a_lost_done_record_reruns_the_job() {
     // Submits j-k and checks the answer leaves only once DONE is durable.
     let answered = |k: u64| {
         let rep = e
-            .submit_sync(
+            .submit_and_wait(
                 "add",
-                &json!({"a": (k as i64), "b": 1}),
+                json!({"a": (k as i64), "b": 1}),
                 None,
-                Duration::from_secs(10),
+                None,
+                None,
+                Some(Duration::from_secs(10)),
             )
-            .unwrap();
+            .unwrap()
+            .rep;
         assert_eq!(number(rep.id.as_str()), k);
         assert_eq!(rep.state, JobState::Done);
         assert!(durable() >= 3 * k, "j-{k} acknowledged before its sync");

@@ -196,13 +196,16 @@ fn live_jobs_write_three_records_and_wait_for_at_most_two_syncs() {
                 for i in 0..EACH {
                     let n = (c * EACH + i) as i64;
                     let rep = e
-                        .submit_sync(
+                        .submit_and_wait(
                             "add",
-                            &json!({"a": n, "b": 1}),
+                            json!({"a": n, "b": 1}),
                             None,
-                            Duration::from_secs(10),
+                            None,
+                            None,
+                            Some(Duration::from_secs(10)),
                         )
-                        .unwrap();
+                        .unwrap()
+                        .rep;
                     assert_eq!(rep.state, JobState::Done);
                     assert_eq!(rep.outputs.unwrap().get("sum"), Some(&json!(n + 1)));
                 }
@@ -281,14 +284,14 @@ fn journals_from_before_group_commit_open_replay_and_accept_appends() {
 
     // The old memo entry answers; a new job appends after the old records.
     let hit = e
-        .submit_full("add", &json!({"b": 22, "a": 20}), None, None, None)
+        .submit_and_wait("add", json!({"b": 22, "a": 20}), None, None, None, None)
         .unwrap();
     assert!(hit.memo_hit);
     assert_eq!(hit.rep.id.as_str(), "j-1");
     // Both journaled keys are still what `memo_key` computes: the second
     // memoized job answers too, and the key of the first is the fixture's.
     let hit = e
-        .submit_full("add", &json!({"a": 5, "b": 5}), None, None, None)
+        .submit_and_wait("add", json!({"a": 5, "b": 5}), None, None, None, None)
         .unwrap();
     assert!(hit.memo_hit);
     assert_eq!(hit.rep.id.as_str(), "j-4");
@@ -298,13 +301,16 @@ fn journals_from_before_group_commit_open_replay_and_accept_appends() {
         "3df0fd8efb35158191babbc3027ae4806a00e89527bb5193b24c45150af77299"
     );
     let fresh = e
-        .submit_sync(
+        .submit_and_wait(
             "add",
-            &json!({"a": 7, "b": 8}),
+            json!({"a": 7, "b": 8}),
             None,
-            Duration::from_secs(10),
+            None,
+            None,
+            Some(Duration::from_secs(10)),
         )
-        .unwrap();
+        .unwrap()
+        .rep;
     assert_eq!(fresh.id.as_str(), "j-5");
     assert_eq!(fresh.state, JobState::Done);
     drop((store, e));

@@ -97,8 +97,16 @@ fn run_jobs(e: &Everest, clients: u64, each: u64) -> Vec<String> {
                         .map(|i| {
                             let n = (c * each + i) as i64;
                             let rep = e
-                                .submit_sync("add", &json!({"a": n, "b": 1}), None, WAIT)
-                                .unwrap();
+                                .submit_and_wait(
+                                    "add",
+                                    json!({"a": n, "b": 1}),
+                                    None,
+                                    None,
+                                    None,
+                                    Some(WAIT),
+                                )
+                                .unwrap()
+                                .rep;
                             assert_eq!(rep.state, JobState::Done);
                             assert_eq!(rep.outputs.unwrap().get("sum"), Some(&json!(n + 1)));
                             rep.id.as_str().to_string()
@@ -229,11 +237,17 @@ fn whatever_is_answered_before_the_result_is_durable_first() {
     assert!(announced.1 >= waiting, "job.submitted at {}", announced.1);
 
     // `submit` answers without waiting for the result: WAITING, durable.
-    let submitted = e.submit("hold", &json!({ "n": n }), None).unwrap();
+    let submitted = e
+        .submit_and_wait("hold", json!({ "n": n }), None, None, None, None)
+        .unwrap()
+        .rep;
     let at = durable();
     assert_eq!(submitted.id.as_str(), held, "a coalesced memo hit");
     assert!(at >= waiting);
-    let fresh = e.submit("hold", &json!({ "n": (n + 1) }), None).unwrap();
+    let fresh = e
+        .submit_and_wait("hold", json!({ "n": (n + 1) }), None, None, None, None)
+        .unwrap()
+        .rep;
     let at = durable();
     let waiting = position(&dir, fresh.id.as_str(), "WAITING");
     assert!(
@@ -253,7 +267,7 @@ fn whatever_is_answered_before_the_result_is_durable_first() {
         std::thread::scope(|scope| {
             let records = store.journal_stats().records;
             let first = scope.spawn(|| {
-                e.submit_and_wait("hold", &body, None, None, Some(&key), Some(WAIT))
+                e.submit_and_wait("hold", body.clone(), None, None, Some(&key), Some(WAIT))
                     .unwrap()
             });
             while store.journal_stats().records == records {
@@ -262,10 +276,12 @@ fn whatever_is_answered_before_the_result_is_durable_first() {
             let waiting = records + 1;
             deferred += usize::from(durable() < waiting);
             let retry = e
-                .submit_full("hold", &body, None, None, Some(&key))
+                .submit_and_wait("hold", body.clone(), None, None, Some(&key), None)
                 .unwrap();
             assert!(retry.deduplicated && durable() >= waiting, "keyed retry");
-            let hit = e.submit_full("hold", &body, None, None, None).unwrap();
+            let hit = e
+                .submit_and_wait("hold", body.clone(), None, None, None, None)
+                .unwrap();
             assert!(hit.memo_hit && durable() >= waiting, "coalesced memo hit");
             assert_eq!(retry.rep.id, hit.rep.id);
             GATE.store(n, Ordering::SeqCst);
@@ -535,8 +551,14 @@ fn a_long_job_is_announced_while_it_runs_and_never_under_an_id_a_crash_would_for
     let bus = mathcloud_events::global();
     let sub = bus.subscribe(KindFilter::all(), 1 << 10);
     GATE.store(0, Ordering::SeqCst);
-    let first = e.submit("hold", &json!({"n": 1}), None).unwrap();
-    let second = e.submit("hold", &json!({"n": 2}), None).unwrap();
+    let first = e
+        .submit_and_wait("hold", json!({"n": 1}), None, None, None, None)
+        .unwrap()
+        .rep;
+    let second = e
+        .submit_and_wait("hold", json!({"n": 2}), None, None, None, None)
+        .unwrap()
+        .rep;
     for n in 0..5 {
         bus.publish("pool.scale", None, json!({ "n": n }));
     }

@@ -101,7 +101,7 @@ fn a_settled_job_keeps_its_outputs_and_drops_its_inputs_a_live_one_keeps_both() 
     for k in 0..SETTLED as u64 {
         let key = format!("key-{k}");
         let outcome = e1
-            .submit_full("digest", &body(k), None, None, Some(&key))
+            .submit_and_wait("digest", body(k), None, None, Some(&key), None)
             .unwrap();
         let id = outcome.rep.id.as_str().to_string();
         let done = e1.wait("digest", &id, WAIT).expect("settles");
@@ -109,7 +109,11 @@ fn a_settled_job_keeps_its_outputs_and_drops_its_inputs_a_live_one_keeps_both() 
         settled.push((k, key, id, done.outputs.unwrap()));
     }
     let live_body = body(1_000);
-    let live = e1.submit("held", &live_body, None).unwrap().id;
+    let live = e1
+        .submit_and_wait("held", live_body.clone(), None, None, None, None)
+        .unwrap()
+        .rep
+        .id;
     let live = live.as_str().to_string();
     let deadline = Instant::now() + WAIT;
     while e1.representation("held", &live).unwrap().state != JobState::Running {
@@ -156,12 +160,12 @@ fn a_settled_job_keeps_its_outputs_and_drops_its_inputs_a_live_one_keeps_both() 
         assert_eq!(rep.state, JobState::Done, "{id}");
         assert_eq!(rep.outputs.as_ref(), Some(outputs), "{id}");
         let repeat = e2
-            .submit_full("digest", &body(*k), None, None, None)
+            .submit_and_wait("digest", body(*k), None, None, None, None)
             .unwrap();
         assert!(repeat.memo_hit, "{id}: a repeat is a memo hit");
         assert_eq!(repeat.rep.id.as_str(), id);
         let retry = e2
-            .submit_full("digest", &body(*k), None, None, Some(key))
+            .submit_and_wait("digest", body(*k), None, None, Some(key), None)
             .unwrap();
         assert!(retry.deduplicated, "{id}: a keyed retry deduplicates");
         assert_eq!(retry.rep.id.as_str(), id);
