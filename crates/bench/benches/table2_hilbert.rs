@@ -37,7 +37,7 @@ fn main() {
             .into_iter()
             .collect();
             group.bench_with_input("mathcloud_4svc", &n, &inputs, |b, inputs| {
-                b.iter(|| engine.run(inputs).expect("distributed inversion"));
+                b.iter(|| engine.run(inputs, None).expect("distributed inversion"));
             });
         }
         group.finish();
@@ -56,7 +56,7 @@ fn main() {
         .into_iter()
         .collect();
         group.bench_with_input("split_k", &k, &inputs, |b, inputs| {
-            b.iter(|| engine.run(inputs).expect("distributed inversion"));
+            b.iter(|| engine.run(inputs, None).expect("distributed inversion"));
         });
     }
     group.finish();

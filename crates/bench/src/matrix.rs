@@ -320,7 +320,9 @@ pub fn table2_row(n: usize, bases: &[String]) -> Table2Row {
     .into_iter()
     .collect();
     let t0 = std::time::Instant::now();
-    let outputs = engine.run(&inputs).expect("distributed inversion succeeds");
+    let outputs = engine
+        .run(&inputs, None)
+        .expect("distributed inversion succeeds");
     let parallel = t0.elapsed();
 
     let distributed = Matrix::from_text(

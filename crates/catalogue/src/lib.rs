@@ -29,8 +29,8 @@ use mathcloud_core::ServiceDescription;
 use mathcloud_http::{Client, PathParams, Request, Response, Router, Url};
 use mathcloud_json::value::Object;
 use mathcloud_json::{json, Value};
+use mathcloud_telemetry::metrics;
 use mathcloud_telemetry::sync::{Condvar, Mutex, RwLock};
-use mathcloud_telemetry::{metrics, trace};
 
 pub use federate::{ScrapeConfig, ScrapeTarget, TargetScrape};
 
@@ -296,7 +296,7 @@ impl Catalogue {
         // Telemetry outside the lock…
         let mut up = 0;
         let mut down = 0;
-        for (_, url, name, ok, elapsed) in &results {
+        for (_, _, name, ok, elapsed) in &results {
             reg.gauge("mc_catalogue_service_up", &[("service", name)])
                 .set(i64::from(*ok));
             reg.histogram("mc_catalogue_probe_seconds", &[("service", name)])
@@ -304,11 +304,6 @@ impl Catalogue {
             if *ok {
                 up += 1;
             } else {
-                trace::warn(
-                    "catalogue.probe_failed",
-                    None,
-                    &[("service", name), ("url", url)],
-                );
                 down += 1;
             }
         }

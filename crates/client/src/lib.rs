@@ -184,7 +184,7 @@ impl ServiceClient {
     /// Submits a request, returning a handle on the created job.
     ///
     /// A fresh `X-MC-Request-Id` is generated for the submission so the job
-    /// can be correlated with server-side spans; use
+    /// can be found by it server-side (`GET /trace`); use
     /// [`ServiceClient::submit_with_request_id`] to supply your own.
     ///
     /// # Errors
@@ -384,8 +384,8 @@ impl JobHandle {
     }
 
     /// The request id this job was submitted under (as echoed by the
-    /// server). Quote it when reporting problems: server-side spans and the
-    /// `/metrics`-adjacent trace buffer are keyed by it.
+    /// server). Quote it when reporting problems: the server's
+    /// `GET /trace?request_id=` finds the job by it.
     pub fn request_id(&self) -> &str {
         &self.request_id
     }

@@ -6,9 +6,9 @@
 //! process-wide broadcast [`Bus`] carrying typed [`Envelope`]s
 //! (monotonically increasing `id`, dotted `kind`, unix-millisecond `time`,
 //! the originating `X-MC-Request-Id`, and a JSON payload) from the layers
-//! that already know about lifecycle edges — job state transitions, pool
-//! scaling, catalogue availability flips, workflow block transitions,
-//! circuit-breaker state changes — to anything that wants to watch.
+//! that already know about lifecycle edges — job state transitions,
+//! catalogue availability flips, workflow block transitions, circuit-breaker
+//! state changes — to anything that wants to watch.
 //!
 //! Delivery is fan-out over per-subscriber **bounded queues**: a subscriber
 //! that cannot keep up loses its *oldest* queued events (counted by the
@@ -142,7 +142,7 @@ impl Envelope {
     }
 }
 
-/// A set of dotted-kind prefixes, the `?kinds=job.,pool.` filter of the SSE
+/// A set of dotted-kind prefixes, the `?kinds=job.,breaker.` filter of the SSE
 /// endpoint. An empty filter matches everything.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct KindFilter {
@@ -429,8 +429,8 @@ impl Bus {
         if let Some(old) = inner.journal.replace(journal) {
             // Whatever a publisher is still syncing belongs to the journal
             // being replaced; settle it so no later sync is taken to cover it.
-            if let Err(e) = old.sync_to(old.stats().records) {
-                self.journal_error(None, &e);
+            if old.sync_to(old.stats().records).is_err() {
+                self.journal_errors.inc();
             }
             inner.release(replaced, u64::MAX, &self.lag);
         }
@@ -486,7 +486,7 @@ impl Bus {
     /// The event is journaled (when a journal is attached), pushed onto the
     /// replay ring, and fanned out to every matching subscriber; the call
     /// returns once all of that has happened. A journal write failure is
-    /// reported as a metric and a trace event, never a panic: losing
+    /// counted (`mc_events_journal_errors_total`), never a panic: losing
     /// durability must not take down the container.
     pub fn publish(&self, kind: &str, request_id: Option<&str>, payload: Value) -> u64 {
         self.publish_batch([(kind, request_id, payload)])
@@ -513,7 +513,7 @@ impl Bus {
             if let Some(j) = &journal {
                 match j.write(ev.to_string()) {
                     Ok(pos) => written = pos,
-                    Err(e) => self.journal_error(ev.request_id.as_deref(), &e),
+                    Err(_) => self.journal_errors.inc(),
                 }
             }
         });
@@ -522,22 +522,13 @@ impl Bus {
         }
         if let Some(j) = journal.filter(|_| written > 0) {
             drop(inner);
-            if let Err(e) = j.sync_to(written) {
-                self.journal_error(None, &e);
+            if j.sync_to(written).is_err() {
+                self.journal_errors.inc();
             }
             inner = self.inner.lock();
         }
         inner.release(own, last, &self.lag);
         last
-    }
-
-    fn journal_error(&self, request_id: Option<&str>, e: &io::Error) {
-        self.journal_errors.inc();
-        mathcloud_telemetry::trace::warn(
-            "events.journal_error",
-            request_id,
-            &[("error", &e.to_string())],
-        );
     }
 
     /// Registers someone to ask for events older than the ring, for as long

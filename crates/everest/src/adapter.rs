@@ -42,13 +42,13 @@ impl AdapterContext {
 
     /// Attach the originating request id; outbound calls made through the
     /// context's HTTP client then carry `X-MC-Request-Id` downstream.
-    pub(crate) fn with_request_id(mut self, request_id: Option<&str>) -> Self {
-        if let Some(rid) = request_id {
+    pub(crate) fn with_request_id(mut self, request_id: Option<String>) -> Self {
+        if let Some(rid) = &request_id {
             self.client = self
                 .client
                 .with_default_header(mathcloud_telemetry::REQUEST_ID_HEADER, rid);
         }
-        self.request_id = request_id.map(str::to_string);
+        self.request_id = request_id;
         self
     }
 

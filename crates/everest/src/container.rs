@@ -1,8 +1,8 @@
 //! The container core: the Service Manager, and the job resource as the REST
-//! layer sees it. Submission lives in [`crate::submit`], the handler pool in
-//! [`crate::run`], journal recovery in [`crate::recover`], the retention cap
-//! in [`crate::retention`]; all of them change job state only through
-//! [`crate::jobs::JobTable`].
+//! layer sees it. Submission lives in `submit.rs`, the handler pool in
+//! `run.rs`, journal recovery in `recover.rs`, the retention cap in
+//! `retention.rs`; all of them change job state only through the job table
+//! of `jobs.rs`.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -31,11 +31,11 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use mathcloud_core::{uri, JobId, JobRepresentation, JobState};
-use mathcloud_events::Source;
+use mathcloud_events::{now_ms, Source};
 use mathcloud_json::value::Object;
 use mathcloud_json::Value;
 use mathcloud_telemetry::sync::{Condvar, Mutex};
-use mathcloud_telemetry::{metrics, trace, Counter, Histogram};
+use mathcloud_telemetry::{metrics, Counter, Histogram};
 
 use crate::container::Shared;
 use crate::jobstore::{JobStore, RecoveredJob, TransitionDetail, TransitionState};
@@ -130,6 +130,10 @@ struct JobRecord {
     /// `X-MC-Request-Id` of the submission that created the job.
     request_id: Option<String>,
     submitted_at: Instant,
+    /// Unix milliseconds of the submission and of the latest transition;
+    /// both the last journal record's time for a recovered job.
+    submitted_ms: u64,
+    changed_ms: u64,
     /// Key into [`Inner::terminal`] once the job is terminal.
     rank: Option<u64>,
     /// Journal position of the job's last record (0 without a journal, or
@@ -138,7 +142,7 @@ struct JobRecord {
 }
 
 impl JobRecord {
-    fn waiting(request_id: Option<String>) -> Self {
+    fn waiting(request_id: Option<String>, time_ms: u64) -> Self {
         JobRecord {
             state: JobState::Waiting,
             outputs: None,
@@ -148,6 +152,8 @@ impl JobRecord {
             runtime_ms: None,
             request_id,
             submitted_at: Instant::now(),
+            submitted_ms: time_ms,
+            changed_ms: time_ms,
             rank: None,
             journal_pos: 0,
         }
@@ -190,10 +196,9 @@ pub(crate) struct Pending<'t> {
     /// The id of the staged event that wait confirms; 0 when it confirms
     /// none: a tombstone, or a record nobody waits for.
     ev: u64,
-    pub(crate) request_id: Option<String>,
-    error: Option<String>,
-    /// On the `RUNNING` edge: the job's inputs and cancellation flag.
-    pub(crate) run: Option<(Arc<Object>, Arc<AtomicBool>)>,
+    /// On the `RUNNING` edge: the job's inputs, cancellation flag and
+    /// request id, what the handler running it needs.
+    pub(crate) run: Option<(Arc<Object>, Arc<AtomicBool>, Option<String>)>,
 }
 
 impl Drop for Pending<'_> {
@@ -215,23 +220,10 @@ impl Pending<'_> {
     /// retention cap. A deletion frees the job's keys and files instead.
     pub(crate) fn settle(mut self, shared: &Shared) {
         let (key, to) = (std::mem::take(&mut self.key), self.to);
-        let (request_id, error) = (self.request_id.take(), self.error.take());
         drop(self);
         let TransitionState::Job(state) = to else {
             return shared.forget(&key);
         };
-        let fields = [
-            ("service", key.0.as_str()),
-            ("job", key.1.as_str()),
-            ("error", error.as_deref().unwrap_or_default()),
-        ];
-        match state {
-            JobState::Waiting | JobState::Cancelled => {
-                trace::info(event_kind(state), request_id.as_deref(), &fields[..2]);
-            }
-            JobState::Failed => trace::error("job.failed", request_id.as_deref(), &fields),
-            JobState::Running | JobState::Done => {}
-        }
         if state.is_terminal() {
             shared.jobs.job_done.notify_all();
             retention::enforce(shared);
@@ -421,8 +413,6 @@ impl JobTable {
             to,
             pos,
             ev: ev.unwrap_or(0),
-            request_id: request_id.map(str::to_string),
-            error: detail.error.map(str::to_string),
             run: None,
         };
         if let Some(counter) = &self.transitions[edge_ix] {
@@ -435,19 +425,21 @@ impl JobTable {
             return Some(pending);
         };
         let rank = state.is_terminal().then(|| inner.rank(&key));
+        let now = now_ms();
         let record = inner
             .records
             .entry(key)
-            .or_insert_with(|| JobRecord::waiting(pending.request_id.clone()));
+            .or_insert_with(|| JobRecord::waiting(detail.request_id.map(str::to_string), now));
         record.state = state;
         record.rank = rank;
+        record.changed_ms = now;
         if state.is_terminal() {
             // Nothing runs a settled job again; a handler still running it
             // holds its own clone.
             record.inputs = Arc::default();
         }
         // Only a state without a result has an edge to another state.
-        record.error = pending.error.clone();
+        record.error = detail.error.map(str::to_string);
         record.runtime_ms = detail.runtime_ms;
         match state {
             JobState::Waiting => {
@@ -457,7 +449,9 @@ impl JobTable {
             JobState::Running => {
                 self.wait_seconds
                     .observe_duration(record.submitted_at.elapsed());
-                pending.run = Some((Arc::clone(&record.inputs), Arc::clone(&record.cancel)));
+                let (inputs, cancel) = (&record.inputs, &record.cancel);
+                let request_id = record.request_id.clone();
+                pending.run = Some((Arc::clone(inputs), Arc::clone(cancel), request_id));
                 // Written, never waited on: recovery treats WAITING and RUNNING
                 // alike, and these bytes ride on the terminal record's sync —
                 // whoever waits for that, or the confirmer, releases the event.
@@ -532,7 +526,7 @@ impl JobTable {
                 runtime_ms: r.runtime_ms,
                 rank: r.state.is_terminal().then(|| inner.rank(&key)),
                 inputs: Arc::new(std::mem::take(&mut r.inputs)),
-                ..JobRecord::waiting(r.request_id.clone())
+                ..JobRecord::waiting(r.request_id.clone(), r.time_ms)
             };
             inner.records.insert(key, record);
             true
@@ -649,6 +643,48 @@ impl JobTable {
             *by_state.entry(record.state).or_default() += 1;
         }
         (inner.stats, by_state)
+    }
+
+    /// The trace of one request: for each retained job submitted under
+    /// `request_id`, in submission order, its `job.submitted`, its `job.run`
+    /// once it has run, and the event of its current state past `WAITING`.
+    /// Timestamps are Unix seconds. One scan under the lock, like
+    /// [`JobTable::census`].
+    pub(crate) fn trace(&self, request_id: &str) -> Vec<Object> {
+        let inner = self.inner.lock();
+        let mut jobs: Vec<_> = (inner.records.iter())
+            .filter(|(_, r)| r.request_id.as_deref() == Some(request_id))
+            .collect();
+        // Ids number submissions: `j-9` goes before `j-10`.
+        jobs.sort_by(|((_, a), ra), ((_, b), rb)| {
+            (ra.submitted_ms, a.len(), a).cmp(&(rb.submitted_ms, b.len(), b))
+        });
+        let mut events = Vec::new();
+        for ((service, job), record) in jobs {
+            let mut fields = Object::new();
+            fields.insert("service".into(), Value::from(service.as_str()));
+            fields.insert("job".into(), Value::from(job.as_str()));
+            let entry = |name: &str, ms: u64, fields: &Object| {
+                let mut entry = Object::new();
+                entry.insert("name".into(), Value::from(name));
+                entry.insert("ts_seconds".into(), Value::from(ms as f64 / 1e3));
+                entry.insert("fields".into(), Value::Object(fields.clone()));
+                entry
+            };
+            events.push(entry("job.submitted", record.submitted_ms, &fields));
+            if let Some(ms) = record.runtime_ms {
+                let mut run = entry("job.run", record.changed_ms.saturating_sub(ms), &fields);
+                run.insert("duration_seconds".into(), Value::from(ms as f64 / 1e3));
+                events.push(run);
+            }
+            if record.state != JobState::Waiting {
+                if let Some(error) = &record.error {
+                    fields.insert("error".into(), Value::from(error.as_str()));
+                }
+                events.push(entry(event_kind(record.state), record.changed_ms, &fields));
+            }
+        }
+        events
     }
 }
 
@@ -950,6 +986,43 @@ mod tests {
     }
 
     #[test]
+    fn a_trace_lists_the_requests_jobs_in_submission_order() {
+        let table = JobTable::new("trace");
+        drive(&table, "j-9", JobState::Done);
+        drive(&table, "j-10", JobState::Failed);
+        drive(&table, "j-11", JobState::Waiting);
+        let other = TransitionDetail {
+            request_id: Some("other"),
+            ..Default::default()
+        };
+        drop(table.transition(
+            "svc",
+            "j-12",
+            TransitionState::Job(JobState::Waiting),
+            other,
+            None,
+        ));
+        let trace: Vec<_> = table.trace("rid").into_iter().map(Value::Object).collect();
+        let seen: Vec<_> = (trace.iter())
+            .map(|e| format!("{} {}", e["name"].as_str().unwrap(), e["fields"]["job"]))
+            .collect();
+        let want = [
+            "job.submitted \"j-9\"",
+            "job.run \"j-9\"",
+            "job.done \"j-9\"",
+            "job.submitted \"j-10\"",
+            "job.run \"j-10\"",
+            "job.failed \"j-10\"",
+            "job.submitted \"j-11\"",
+        ];
+        assert_eq!(seen, want);
+        assert_eq!(trace[5]["fields"]["error"].as_str(), Some("boom"));
+        assert_eq!(trace[4]["duration_seconds"].as_f64(), Some(0.003));
+        assert!(trace.iter().all(|e| e["ts_seconds"].as_f64() > Some(1e9)));
+        assert_eq!(table.trace("other").len(), 1);
+    }
+
+    #[test]
     fn the_running_record_is_written_but_never_waited_on() {
         let (table, dir) = journaled_table("running");
         let store = Arc::clone(table.store().unwrap());
@@ -958,8 +1031,8 @@ mod tests {
         let running = step(&table, "j-1", TransitionState::Job(JobState::Running)).unwrap();
         assert_eq!(store.journal_stats().records, 2, "RUNNING is journaled");
         assert_eq!(running.pos, 0, "RUNNING waits for nothing");
-        assert_eq!(running.request_id.as_deref(), Some("rid"));
-        assert!(running.run.is_some(), "the worker gets its inputs");
+        let (_, _, request_id) = running.run.as_ref().expect("the worker gets its inputs");
+        assert_eq!(request_id.as_deref(), Some("rid"));
         assert_eq!(
             table.snapshot("svc", "j-1").unwrap().pos,
             1,

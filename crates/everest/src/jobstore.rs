@@ -44,7 +44,7 @@ use mathcloud_events::{jsonl, now_ms};
 use mathcloud_json::value::Object;
 use mathcloud_json::{ser, Value};
 use mathcloud_telemetry::sync::Mutex;
-use mathcloud_telemetry::{metrics, trace, Counter, Gauge};
+use mathcloud_telemetry::{metrics, Counter, Gauge};
 
 /// Default number of appended records between compactions.
 pub const DEFAULT_COMPACT_EVERY: usize = 1024;
@@ -130,7 +130,7 @@ pub struct RecoveredJob {
     /// The bus id of the event the last record caused (0: it names none),
     /// and when that was.
     ev: u64,
-    time_ms: u64,
+    pub(crate) time_ms: u64,
 }
 
 struct StoreInner {
@@ -403,8 +403,8 @@ impl JobStore {
     pub(crate) fn write_watermark(&self, ev: u64) -> u64 {
         let mut inner = self.inner.lock();
         inner.ev = inner.ev.max(ev);
-        self.journal.write(meta_line(&inner)).unwrap_or_else(|e| {
-            journal_error("append", &e);
+        self.journal.write(meta_line(&inner)).unwrap_or_else(|_| {
+            journal_error();
             0
         })
     }
@@ -453,7 +453,7 @@ impl JobStore {
     /// transition must not be acknowledged, published or otherwise shown to
     /// anyone before [`JobStore::sync_to`] has returned for that position.
     ///
-    /// A journal I/O failure is reported as a metric and a trace event,
+    /// A journal I/O failure is counted (`mc_job_journal_errors_total`),
     /// never a panic or an error: losing durability must not take down the
     /// container (the same contract as the events journal).
     pub fn write(
@@ -470,8 +470,8 @@ impl JobStore {
     /// `fsync` serves all callers waiting at the same time; a position that
     /// is already durable costs an atomic load.
     pub fn sync_to(&self, pos: u64) {
-        if let Err(e) = self.journal.sync_to(pos) {
-            journal_error("sync", &e);
+        if self.journal.sync_to(pos).is_err() {
+            journal_error();
         }
     }
 
@@ -491,8 +491,8 @@ impl JobStore {
                 self.appends.inc();
                 pos
             }
-            Err(e) => {
-                journal_error("append", &e);
+            Err(_) => {
+                journal_error();
                 0
             }
         };
@@ -542,8 +542,8 @@ impl JobStore {
             }
             Ok(())
         });
-        if let Err(e) = rewritten {
-            journal_error("compact", &e);
+        if rewritten.is_err() {
+            journal_error();
             return;
         }
         inner.appended = 0;
@@ -574,15 +574,10 @@ pub struct TransitionDetail<'a> {
     pub runtime_ms: Option<u64>,
 }
 
-fn journal_error(op: &str, e: &io::Error) {
+fn journal_error() {
     metrics::global()
         .counter("mc_job_journal_errors_total", &[])
         .inc();
-    trace::warn(
-        "jobstore.journal_error",
-        None,
-        &[("op", op), ("error", &e.to_string())],
-    );
 }
 
 fn describe_metrics() {

@@ -7,7 +7,7 @@ use std::sync::{Arc, Weak};
 
 use mathcloud_core::JobState;
 use mathcloud_events::{Envelope, History};
-use mathcloud_telemetry::{metrics, trace};
+use mathcloud_telemetry::metrics;
 
 use crate::container::{Everest, Shared};
 use crate::jobs::{event_kind, job_event_payload};
@@ -136,17 +136,6 @@ impl Everest {
                 .counter("mc_jobs_recovered_total", &labels)
                 .add(jobs as u64);
         }
-        trace::info(
-            "jobstore.recovered",
-            None,
-            &[
-                ("container", &shared.name),
-                ("replayed", &report.replayed.to_string()),
-                ("requeued", &report.requeued.to_string()),
-                ("idem_keys", &report.idem_keys.to_string()),
-                ("memo_keys", &report.memo_keys.to_string()),
-            ],
-        );
         // A replayed history can itself exceed the retention cap.
         retention::enforce(shared);
         Ok(report)

@@ -4,7 +4,6 @@ use std::time::Duration;
 
 use mathcloud_core::{uri, FileRef, JobRepresentation};
 use mathcloud_http::{PathParams, Request, Response, Router, Server};
-use mathcloud_json::value::Object;
 use mathcloud_json::{json, Value};
 use mathcloud_security::AuthConfig;
 use mathcloud_telemetry::{metrics, trace};
@@ -94,7 +93,7 @@ pub fn router(everest: Everest, auth: Option<AuthConfig>) -> Router {
         };
         let caller = caller_from(req);
         // The server edge stamped X-MC-Request-Id on the request; carry it
-        // into the job record so adapter spans correlate with this call.
+        // into the job record, so `/trace` and the adapter see this call's id.
         let request_id = req.headers.get(trace::REQUEST_ID_HEADER);
         let idem_key = req.headers.get(mathcloud_http::IDEMPOTENCY_KEY_HEADER);
         let wait = Some(SYNC_WAIT);
@@ -217,10 +216,11 @@ pub fn router(everest: Everest, auth: Option<AuthConfig>) -> Router {
     // This is what push-mode clients use instead of polling job status.
     mathcloud_http::sse::mount_events(&mut r, mathcloud_events::global());
 
-    // GET /trace?request_id=…: the span/event trace of one request from
-    // the ring-buffer recorder as JSON. Reading leaves the ring as it was,
-    // so a second reader sees the same events; the ring's capacity, not
-    // the readers, decides when a trace ages out.
+    // GET /trace?request_id=…: what became of one request, read off the
+    // job table: each retained job it created, in submission order, as
+    // `job.submitted`, `job.run` (with its duration) once it has run, and
+    // its current state's event. A trace lasts as long as its job record.
+    let e = everest.clone();
     r.get("/trace", move |req: &Request, _p| {
         let Some(rid) = req.query("request_id") else {
             return Response::error(400, "missing request_id query parameter");
@@ -228,30 +228,12 @@ pub fn router(everest: Everest, auth: Option<AuthConfig>) -> Router {
         if !trace::is_valid_request_id(&rid) {
             return Response::error(400, "invalid request_id");
         }
-        let events: Vec<Value> = trace::Recorder::global()
-            .events_for(&rid)
-            .into_iter()
-            .map(|ev| {
-                let mut fields = Object::new();
-                for (k, v) in ev.fields {
-                    fields.insert(k, Value::from(v));
-                }
-                let mut doc = Object::new();
-                doc.insert("ts_seconds".into(), json!(ev.ts.as_secs_f64()));
-                doc.insert("level".into(), Value::from(ev.level.as_str()));
-                doc.insert("name".into(), Value::from(ev.name));
-                if let Some(d) = ev.duration {
-                    doc.insert("duration_seconds".into(), json!(d.as_secs_f64()));
-                }
-                doc.insert("fields".into(), Value::Object(fields));
-                Value::Object(doc)
-            })
-            .collect();
+        let events = e.shared.jobs.trace(&rid).into_iter().map(Value::Object);
         Response::json(
             200,
             &json!({
                 "request_id": (rid.as_str()),
-                "events": (Value::Array(events)),
+                "events": (Value::Array(events.collect())),
             }),
         )
     });
@@ -321,6 +303,7 @@ mod tests {
     use crate::adapter::NativeAdapter;
     use mathcloud_core::{Parameter, ServiceDescription};
     use mathcloud_http::Client;
+    use mathcloud_json::value::Object;
     use mathcloud_json::Schema;
     use mathcloud_security::{AccessPolicy, CertificateAuthority, Identity};
 

@@ -2,8 +2,6 @@
 
 use std::sync::atomic::Ordering;
 
-use mathcloud_telemetry::trace;
-
 use crate::container::{Everest, Shared};
 use crate::jobs::JobKey;
 
@@ -31,20 +29,10 @@ impl Everest {
 /// Evicts the oldest-settled terminal jobs down to the retention cap. A
 /// no-op at the default unlimited cap.
 pub(crate) fn enforce(shared: &Shared) {
-    let evicted = shared.jobs.evict_excess();
-    if evicted.is_empty() {
-        return;
-    }
-    let count = evicted.len().to_string();
     // The first sync covers every tombstone of the batch.
-    for tombstone in evicted {
+    for tombstone in shared.jobs.evict_excess() {
         tombstone.settle(shared);
     }
-    trace::info(
-        "job.retention_evicted",
-        None,
-        &[("container", &shared.name), ("evicted", &count)],
-    );
 }
 
 impl Shared {

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mathcloud_core::JobState;
-use mathcloud_telemetry::{metrics, trace, Gauge, PoolStatus, WorkPool};
+use mathcloud_telemetry::{metrics, Gauge, PoolStatus, WorkPool};
 
 use crate::adapter::AdapterContext;
 use crate::container::{run_seconds, Everest, Shared};
@@ -123,16 +123,9 @@ fn run_job(shared: &Arc<Shared>, service: &str, job_id: &str) {
     let Some(mut running) = jobs.transition(service, job_id, to, Default::default(), None) else {
         return; // deleted before starting, or cancelled while queued
     };
-    let (inputs, cancel) = running.run.take().expect("the RUNNING edge carries it");
-    let request_id = running.request_id.clone();
+    let (inputs, cancel, request_id) = running.run.take().expect("the RUNNING edge carries it");
     running.settle(shared);
-    let request_id = request_id.as_deref();
     let entry = shared.find(service);
-    let adapter_kind = entry.as_ref().map_or("none", |e| e.adapter.kind());
-    let mut span = trace::span("job.run", request_id);
-    span.field("service", service);
-    span.field("job", job_id);
-    span.field("adapter", adapter_kind);
     let started = Instant::now();
     let result = match &entry {
         Some(entry) => {
@@ -149,11 +142,6 @@ fn run_job(shared: &Arc<Shared>, service: &str, job_id: &str) {
                     .map(|s| (*s).to_string())
                     .or_else(|| panic.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "adapter panicked".to_string());
-                trace::error(
-                    "adapter.panic",
-                    request_id,
-                    &[("service", service), ("job", job_id), ("panic", &msg)],
-                );
                 Err(format!("adapter panicked: {msg}"))
             })
         }
@@ -167,8 +155,6 @@ fn run_job(shared: &Arc<Shared>, service: &str, job_id: &str) {
             |e| e.run_seconds.clone(),
         )
         .observe_duration(elapsed);
-    span.field("outcome", if result.is_ok() { "done" } else { "failed" });
-    drop(span);
 
     let (state, outputs, error) = match result {
         Ok(outputs) => (JobState::Done, Some(outputs), None),

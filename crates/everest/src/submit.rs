@@ -8,7 +8,6 @@ use std::time::Duration;
 use mathcloud_core::{uri, JobId, JobRepresentation, JobState};
 use mathcloud_json::value::Object;
 use mathcloud_json::Value;
-use mathcloud_telemetry::trace;
 
 use crate::container::{Caller, Everest, ServiceEntry, SubmitRejection};
 use crate::jobstore::{TransitionDetail, TransitionState};
@@ -35,12 +34,12 @@ impl Everest {
     /// Submits a request: authorization, validation (moving each accepted
     /// input out of `body` into the job), then the job that answers it.
     ///
-    /// `request_id` (`X-MC-Request-Id`) correlates the job's spans and
-    /// events with the request that created it. A submission keyed by
-    /// `idem_key` (`Idempotency-Key`) is created at most once per
-    /// `(service, key)`: retries — including replays of the same POST after
-    /// a network failure or a container restart, because the key is
-    /// journaled with the job — are answered with the original job.
+    /// `request_id` (`X-MC-Request-Id`) is recorded on the job and its
+    /// events, correlating them with the request that created it. A
+    /// submission keyed by `idem_key` (`Idempotency-Key`) is created at most
+    /// once per `(service, key)`: retries — including replays of the same
+    /// POST after a network failure or a container restart, because the key
+    /// is journaled with the job — are answered with the original job.
     ///
     /// `wait` holds the answer up to that long for the job to settle (§2's
     /// synchronous mode); `None` answers at once with the job as it stands.
@@ -94,12 +93,6 @@ impl Everest {
             Some(Claim::Hit(original)) => {
                 let rep = original.durable(jobs);
                 entry.deduplicated.inc();
-                let (job, key) = (rep.id.as_str(), idem_key.unwrap_or_default());
-                trace::info(
-                    "job.deduplicated",
-                    request_id,
-                    &[("service", service), ("job", job), ("key", key)],
-                );
                 return Ok(SubmitOutcome {
                     rep: answer(rep, 0),
                     deduplicated: true,
@@ -170,20 +163,8 @@ impl Everest {
         });
         let reservation = match claim {
             Claim::Hit(memoized) => {
-                let rep = memoized.durable(jobs);
                 entry.cache_hits.inc();
-                let coalesced = rep.state != JobState::Done;
-                trace::info(
-                    "job.memo_hit",
-                    request_id,
-                    &[
-                        ("service", service),
-                        ("job", rep.id.as_str()),
-                        ("key", &key),
-                        ("coalesced", if coalesced { "true" } else { "false" }),
-                    ],
-                );
-                return (rep, true, 0);
+                return (memoized.durable(jobs), true, 0);
             }
             Claim::Won(reservation) => reservation,
         };

@@ -10,7 +10,6 @@ use std::time::Duration;
 use mathcloud_json::Value;
 use mathcloud_telemetry::rng::XorShift64;
 use mathcloud_telemetry::sync::Mutex;
-use mathcloud_telemetry::trace;
 
 use crate::message::{Method, Request, Response};
 use crate::transport::{self, BreakerConfig, BreakerRegistry, RetryPolicy};
@@ -276,15 +275,6 @@ impl Client {
                         let mut rng = self.rng.lock();
                         self.retry.backoff(attempt, &mut rng)
                     };
-                    trace::info(
-                        "http.retry",
-                        None,
-                        &[
-                            ("authority", authority.as_str()),
-                            ("attempt", &attempt.to_string()),
-                            ("backoff_ms", &pause.as_millis().to_string()),
-                        ],
-                    );
                     std::thread::sleep(pause);
                     attempt += 1;
                 }

@@ -10,10 +10,10 @@
 //!   waiting (interruptibly) while `workers × 4` are already queued, so
 //!   back-pressure is applied and shutdown can never deadlock behind it.
 //! * **Worker pool** — up to `workers` threads (`mc-http-worker-N`) running
-//!   the keep-alive request loop on per-thread reusable buffers
-//!   ([`crate::conn`]). Idle keep-alive connections are bounded by a short
-//!   *idle* timeout, in-flight reads by a longer *read* timeout, so a quiet
-//!   peer is reclaimed quickly while a slow upload still completes.
+//!   the keep-alive request loop on per-thread reusable buffers (the
+//!   private `conn` module). Idle keep-alive connections are bounded by a
+//!   short *idle* timeout, in-flight reads by a longer *read* timeout, so a
+//!   quiet peer is reclaimed quickly while a slow upload still completes.
 //! * **Streamer pool** — streaming responses (Server-Sent Events) detach to
 //!   a second, elastic pool (`mc-http-streamer-N`), so a long-lived
 //!   `GET /events` subscriber returns its worker before the stream starts.
@@ -488,11 +488,6 @@ fn shed(stream: &TcpStream, edge: &Edge) {
     metrics::global()
         .counter("mc_http_conn_rejected_total", &[])
         .inc();
-    trace::info(
-        "http.conn.shed",
-        None,
-        &[("retry_after_s", &edge.config.retry_after_secs.to_string())],
-    );
     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
     let resp = Response::error(503, "server at connection capacity")
         .with_header("Retry-After", &edge.config.retry_after_secs.to_string())
@@ -545,13 +540,11 @@ fn serve_connection(mut conn: Conn, edge: &Arc<Edge>) {
             // Moving `conn` keeps its accounting alive for the stream's
             // lifetime; if the pool refused (shutdown), dropping it closes
             // the socket and releases the slot.
-            if !edge.streamers.spawn(move || {
+            let _ = edge.streamers.spawn(move || {
                 let mut w = std::io::BufWriter::new(&conn.stream);
                 let _ = body.run(&mut w, &control);
                 let _ = w.flush();
-            }) {
-                trace::info("http.stream.rejected", None, &[]);
-            }
+            });
         }
     }
 }

@@ -29,9 +29,9 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
+use mathcloud_telemetry::metrics;
 use mathcloud_telemetry::rng::XorShift64;
 use mathcloud_telemetry::sync::Mutex;
-use mathcloud_telemetry::{metrics, trace};
 
 use crate::message::Method;
 
@@ -254,11 +254,6 @@ impl CircuitBreaker {
                     drop(core);
                     self.set_gauge(BreakerState::HalfOpen);
                     self.publish_transition(BreakerState::Open, BreakerState::HalfOpen);
-                    trace::info(
-                        "http.breaker.half_open",
-                        None,
-                        &[("authority", &self.authority)],
-                    );
                     Ok(())
                 } else {
                     drop(core);
@@ -302,11 +297,6 @@ impl CircuitBreaker {
         if was != BreakerState::Closed {
             self.set_gauge(BreakerState::Closed);
             self.publish_transition(was, BreakerState::Closed);
-            trace::info(
-                "http.breaker.close",
-                None,
-                &[("authority", &self.authority)],
-            );
         }
     }
 
@@ -325,18 +315,9 @@ impl CircuitBreaker {
             let was = core.state;
             core.state = BreakerState::Open;
             core.opened_at = Some(Instant::now());
-            let failures = core.consecutive_failures;
             drop(core);
             self.set_gauge(BreakerState::Open);
             self.publish_transition(was, BreakerState::Open);
-            trace::warn(
-                "http.breaker.open",
-                None,
-                &[
-                    ("authority", &self.authority),
-                    ("consecutive_failures", &failures.to_string()),
-                ],
-            );
         }
     }
 

@@ -4,17 +4,17 @@
 //! catalogue (§3.2) already monitors service availability — but the seed
 //! reproduction had no way to observe a *running* container. This crate is the
 //! missing substrate: a process-wide [`MetricsRegistry`] with lock-cheap
-//! atomic counters, gauges and fixed-bucket histograms; structured tracing
-//! ([`Span`]/[`Event`]) with monotonic timestamps, a bounded ring-buffer
-//! [`Recorder`], and request-id propagation via the `X-MC-Request-Id` header;
-//! and Prometheus-style text exposition for `GET /metrics`.
+//! atomic counters, gauges and fixed-bucket histograms; request ids and the
+//! `X-MC-Request-Id` header that carries them ([`trace`]); and
+//! Prometheus-style text exposition for `GET /metrics`. What happened to a
+//! request is read off the job it created, not off a side buffer here.
 //!
 //! Everything here is std-only — no external crates — so the whole workspace
 //! builds with zero registry access. The [`sync`] module provides
 //! poison-recovering `Mutex`/`RwLock`/`Condvar` wrappers with a
 //! `parking_lot`-style API (guards returned directly, no `Result`), used
 //! throughout the platform in place of the former `parking_lot` dependency.
-//! The [`rng`] module hosts the small xorshift PRNG used for trace sampling,
+//! The [`rng`] module hosts the small xorshift PRNG used for retry jitter,
 //! randomized tests and benchmark data generation.
 //!
 //! # Quick tour
@@ -42,13 +42,5 @@ pub mod workpool;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry};
 pub use rng::XorShift64;
-pub use trace::{next_request_id, Event, Level, Recorder, SpanGuard, REQUEST_ID_HEADER};
+pub use trace::{next_request_id, REQUEST_ID_HEADER};
 pub use workpool::{PoolStatus, WorkPool};
-
-/// Seconds elapsed since the process-wide monotonic anchor was first touched.
-///
-/// Used for container uptime reporting; the anchor is initialized lazily on
-/// first use of any telemetry facility.
-pub fn uptime() -> std::time::Duration {
-    trace::monotonic_now()
-}

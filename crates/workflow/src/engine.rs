@@ -221,44 +221,24 @@ impl Engine {
         }
     }
 
-    /// Runs the workflow to completion.
+    /// Runs the workflow to completion. `request_id`, the originating
+    /// request's id, rides on every `workflow.block.*` event and downstream
+    /// service call.
     ///
     /// # Errors
     ///
     /// [`EngineError`] when inputs are missing or a block fails.
-    pub fn run(&self, inputs: &Object) -> Result<Object, EngineError> {
-        self.start(inputs)?.wait()
+    pub fn run(&self, inputs: &Object, request_id: Option<&str>) -> Result<Object, EngineError> {
+        self.start(inputs, request_id)?.wait()
     }
 
-    /// [`Engine::run`] tagged with the originating request id, which flows
-    /// into every block span and downstream service call.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError`] when inputs are missing or a block fails.
-    pub fn run_traced(
-        &self,
-        inputs: &Object,
-        request_id: Option<&str>,
-    ) -> Result<Object, EngineError> {
-        self.start_traced(inputs, request_id)?.wait()
-    }
-
-    /// Starts an asynchronous run.
+    /// Starts an asynchronous run of [`Engine::run`]. The run makes one copy
+    /// of `inputs`, which all its blocks share.
     ///
     /// # Errors
     ///
     /// [`EngineError::MissingInput`] when a workflow input is not supplied.
-    pub fn start(&self, inputs: &Object) -> Result<RunHandle, EngineError> {
-        self.start_traced(inputs, None)
-    }
-
-    /// [`Engine::start`] tagged with the originating request id.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::MissingInput`] when a workflow input is not supplied.
-    pub fn start_traced(
+    pub fn start(
         &self,
         inputs: &Object,
         request_id: Option<&str>,
@@ -281,7 +261,7 @@ impl Engine {
         let validated = Arc::clone(&self.validated);
         let caller = Arc::clone(&self.caller);
         let run_states = Arc::clone(&states);
-        let inputs = inputs.clone();
+        let inputs = Arc::new(inputs.clone());
         let request_id = request_id.map(str::to_string);
         pool().spawn(move || {
             let outcome = execute(
@@ -311,7 +291,7 @@ fn execute(
     validated: &Arc<ValidatedWorkflow>,
     caller: &Arc<dyn ServiceCaller>,
     states: &Arc<RwLock<HashMap<String, BlockRun>>>,
-    request_inputs: &Object,
+    request_inputs: &Arc<Object>,
     request_id: Option<&str>,
 ) -> Result<Object, EngineError> {
     let wf = &validated.workflow;
@@ -341,7 +321,7 @@ fn execute(
         let validated = Arc::clone(validated);
         let caller = Arc::clone(caller);
         let values = Arc::clone(&values);
-        let request_inputs = request_inputs.clone();
+        let request_inputs = Arc::clone(request_inputs);
         let request_id = request_id.map(str::to_string);
         let done_tx = done_tx.clone();
         pool().spawn(move || {
@@ -465,9 +445,6 @@ fn run_block(
         BlockKind::Script { .. } => "script",
         BlockKind::Service { .. } => "service",
     };
-    let mut span = trace::span("workflow.block", request_id);
-    span.field("block", id);
-    span.field("kind", kind_label);
     let started = std::time::Instant::now();
 
     let out = |port: &str, v: Value| ((id.to_string(), port.to_string()), v);
@@ -515,7 +492,6 @@ fn run_block(
     metrics::global()
         .histogram("mc_workflow_block_seconds", &[("kind", kind_label)])
         .observe_duration(started.elapsed());
-    span.field("outcome", if result.is_ok() { "done" } else { "failed" });
     result
 }
 
@@ -587,7 +563,7 @@ mod tests {
         let inputs: Object = [("a".to_string(), json!(19)), ("b".to_string(), json!(23))]
             .into_iter()
             .collect();
-        let outputs = engine(&wf).run(&inputs).unwrap();
+        let outputs = engine(&wf).run(&inputs, None).unwrap();
         assert_eq!(outputs.get("sum"), Some(&json!(42)));
     }
 
@@ -617,7 +593,7 @@ mod tests {
             .wire(("merge", "sum"), ("r", "value"));
         let inputs: Object = [("x".to_string(), json!(5))].into_iter().collect();
         let t0 = std::time::Instant::now();
-        let outputs = engine(&wf).run(&inputs).unwrap();
+        let outputs = engine(&wf).run(&inputs, None).unwrap();
         let elapsed = t0.elapsed();
         assert_eq!(outputs.get("r"), Some(&json!(20)));
         assert!(
@@ -635,7 +611,7 @@ mod tests {
             .wire(("x", "value"), ("d1", "x"))
             .wire(("d1", "y"), ("r", "value"));
         let inputs: Object = [("x".to_string(), json!(1))].into_iter().collect();
-        let handle = engine(&wf).start(&inputs).unwrap();
+        let handle = engine(&wf).start(&inputs, None).unwrap();
         // While the slow service runs, its block should be RUNNING.
         std::thread::sleep(Duration::from_millis(25));
         assert_eq!(handle.block_state("d1"), Some(BlockRun::Running));
@@ -652,7 +628,7 @@ mod tests {
             .wire(("x", "value"), ("boom", "x"))
             .wire(("boom", "y"), ("r", "value"));
         let inputs: Object = [("x".to_string(), json!(1))].into_iter().collect();
-        let err = engine(&wf).run(&inputs).unwrap_err();
+        let err = engine(&wf).run(&inputs, None).unwrap_err();
         match err {
             EngineError::BlockFailed { block, reason } => {
                 assert_eq!(block, "boom");
@@ -668,7 +644,7 @@ mod tests {
             .input("x", Schema::integer())
             .output("r", Schema::integer())
             .wire(("x", "value"), ("r", "value"));
-        let err = engine(&wf).run(&Object::new()).unwrap_err();
+        let err = engine(&wf).run(&Object::new(), None).unwrap_err();
         assert_eq!(err, EngineError::MissingInput("x".into()));
     }
 
@@ -681,12 +657,12 @@ mod tests {
         let inputs: Object = [("x".to_string(), json!("not a number"))]
             .into_iter()
             .collect();
-        let err = engine(&wf).run(&inputs).unwrap_err();
+        let err = engine(&wf).run(&inputs, None).unwrap_err();
         assert!(matches!(err, EngineError::BlockFailed { .. }));
     }
 
     #[test]
-    fn run_traced_hands_the_request_id_to_every_service_call() {
+    fn run_hands_the_request_id_to_every_service_call() {
         /// Records the request id each `call` receives, then answers like
         /// [`MockCaller`].
         #[derive(Clone)]
@@ -723,11 +699,11 @@ mod tests {
             .into_iter()
             .collect();
 
-        engine.run_traced(&inputs, Some("wf-rid-7")).unwrap();
+        engine.run(&inputs, Some("wf-rid-7")).unwrap();
         assert_eq!(caller.seen.lock().as_slice(), &[Some("wf-rid-7".into())]);
 
-        // Untraced runs still reach the caller, with no id attached.
-        engine.run(&inputs).unwrap();
+        // Runs without an id still reach the caller, with none attached.
+        engine.run(&inputs, None).unwrap();
         assert_eq!(caller.seen.lock().last(), Some(&None));
     }
 
@@ -811,7 +787,7 @@ mod tests {
             .wire(("k", "value"), ("calc", "k"))
             .wire(("calc", "y"), ("r", "value"));
         let inputs: Object = [("x".to_string(), json!(4))].into_iter().collect();
-        let outputs = engine(&wf).run(&inputs).unwrap();
+        let outputs = engine(&wf).run(&inputs, None).unwrap();
         assert_eq!(outputs.get("r"), Some(&json!(40)));
     }
 }

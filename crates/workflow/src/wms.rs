@@ -97,7 +97,7 @@ impl WorkflowService {
                 // The composite job's request id rides along into every
                 // constituent block and downstream service call.
                 engine
-                    .run_traced(inputs, ctx.request_id())
+                    .run(inputs, ctx.request_id())
                     .map_err(|e| e.to_string())
             }),
         );

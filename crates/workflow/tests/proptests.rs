@@ -205,7 +205,7 @@ fn linear_script_chains_execute() {
         let inputs: Object = [("x".to_string(), Value::from(start))]
             .into_iter()
             .collect();
-        let outputs = engine.run(&inputs).unwrap();
+        let outputs = engine.run(&inputs, None).unwrap();
         let expected: i64 = start + increments.iter().sum::<i64>();
         assert_eq!(outputs.get("r").unwrap().as_i64(), Some(expected));
     }

@@ -52,7 +52,7 @@ fn main() {
     .collect();
 
     let t0 = Instant::now();
-    let handle = engine.start(&inputs).expect("inputs present");
+    let handle = engine.start(&inputs, None).expect("inputs present");
     // Live block states: what the graphical editor renders as colors.
     loop {
         let states = handle.block_states();

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# The one gate: formatting, release build, full test suite, the release-mode
-# batteries under hard timeouts, the Table 2 smoke and the jobpath smoke.
+# The one gate: formatting, release build, full test suite, warning-free API
+# docs, the release-mode batteries under hard timeouts, the Table 2 smoke and
+# the jobpath smoke.
 # CI runs exactly this script (.github/workflows/ci.yml), so a check exists
 # once. The workspace is dependency-free, so everything runs offline
 # (--offline makes cargo fail fast instead of probing the network).
@@ -22,6 +23,11 @@ cargo test -q --offline
 
 echo "==> benches compile"
 cargo build -q --offline -p mathcloud-bench --benches
+
+# The API docs build without a warning, so a doc link to an item that was
+# deleted or made private fails the build instead of dangling.
+echo "==> cargo doc (warnings are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps --offline
 
 # The federation sweep probes dead and black-holed sockets; a reintroduced
 # connect hang (no connect timeout, serial sweep) would stall far past the

@@ -54,7 +54,7 @@ fn workflow_fails_cleanly_when_a_service_dies_mid_run() {
     let inputs = [("a".to_string(), json!(1)), ("b".to_string(), json!(2))]
         .into_iter()
         .collect();
-    let err = engine.run(&inputs).unwrap_err();
+    let err = engine.run(&inputs, None).unwrap_err();
     match err {
         EngineError::BlockFailed { block, reason } => {
             assert_eq!(block, "s1", "the first service block is attributed");

@@ -1,6 +1,7 @@
 //! End-to-end telemetry: request-id propagation from client through the
-//! container to adapters and spans, `/metrics` exposition of the job
-//! lifecycle, and `/health` consistency — all over live HTTP.
+//! container to adapters and the job record `/trace` reads, `/metrics`
+//! exposition of the job lifecycle, and `/health` consistency — all over
+//! live HTTP.
 
 use std::time::Duration;
 
@@ -10,7 +11,7 @@ use mathcloud_everest::adapter::NativeAdapter;
 use mathcloud_everest::Everest;
 use mathcloud_http::Client;
 use mathcloud_json::{json, Schema, Value};
-use mathcloud_telemetry::{trace, Recorder, REQUEST_ID_HEADER};
+use mathcloud_telemetry::{trace, REQUEST_ID_HEADER};
 
 fn telemetry_container(name: &str, service: &str) -> Everest {
     let e = Everest::with_handlers(name, 2);
@@ -26,8 +27,18 @@ fn telemetry_container(name: &str, service: &str) -> Everest {
     e
 }
 
+/// `GET /trace?request_id=` on `base`, as its `events` array.
+fn trace_of(base: &str, rid: &str) -> Vec<Value> {
+    let resp = Client::new()
+        .get(&format!("{base}/trace?request_id={rid}"))
+        .unwrap();
+    assert_eq!(resp.status.as_u16(), 200);
+    let doc = resp.body_json().unwrap();
+    doc["events"].as_array().expect("events array").to_vec()
+}
+
 /// The client's X-MC-Request-Id is echoed on the submission response and
-/// recorded on the job, and the id shows up in the container's span events.
+/// recorded on the job, and `/trace` finds the job under that id.
 #[test]
 fn request_id_round_trips_to_spans() {
     let e = telemetry_container("tel-rid", "double");
@@ -41,18 +52,21 @@ fn request_id_round_trips_to_spans() {
     let rep = job.wait(Duration::from_secs(10)).unwrap();
     assert_eq!(rep.outputs.unwrap().get("d").unwrap().as_i64(), Some(42));
 
-    // The job ran under the same id server-side: both the submission event
-    // and the completed job.run span carry it in the global recorder.
-    let events = Recorder::global().events_for(rid);
+    // The job ran under the same id server-side: `/trace` shows both its
+    // submission and its completed run, with a duration.
+    let events = trace_of(&base, rid);
     assert!(
-        events.iter().any(|ev| ev.name == "job.submitted"),
+        events
+            .iter()
+            .any(|ev| ev["name"].as_str() == Some("job.submitted")),
         "no job.submitted event for {rid}: {events:?}"
     );
     assert!(
         events
             .iter()
-            .any(|ev| ev.name == "job.run" && ev.duration.is_some()),
-        "no completed job.run span for {rid}: {events:?}"
+            .any(|ev| ev["name"].as_str() == Some("job.run")
+                && ev["duration_seconds"].as_f64().is_some()),
+        "no completed job.run for {rid}: {events:?}"
     );
 
     // A raw HTTP request without an id gets one minted at the server edge.
@@ -128,9 +142,9 @@ fn metrics_expose_job_lifecycle() {
     );
 }
 
-/// `GET /trace?request_id=…` reads the matching spans from the in-process
-/// recorder as JSON: the first fetch returns the request's events, a second
-/// fetch returns the same events, and other requests' events are there too.
+/// `GET /trace?request_id=…` reads the request's jobs off the job table as
+/// JSON: the first fetch returns the request's events, a second fetch
+/// returns the same events, and other requests' events are there too.
 #[test]
 fn trace_endpoint_reads_spans_per_request() {
     let e = telemetry_container("tel-trace", "double-t");
@@ -163,7 +177,7 @@ fn trace_endpoint_reads_spans_per_request() {
         "missing submit: {names:?}"
     );
     assert!(names.contains(&"job.run"), "missing run span: {names:?}");
-    // Completed spans carry their duration and structured fields.
+    // A completed run carries its duration and structured fields.
     let run = events
         .iter()
         .find(|ev| ev["name"].as_str() == Some("job.run"))
@@ -172,8 +186,7 @@ fn trace_endpoint_reads_spans_per_request() {
     assert!(run["ts_seconds"].as_f64().is_some());
     assert_eq!(run["fields"]["service"].as_str(), Some("double-t"));
 
-    // Reading leaves the ring as it was: a second reader sees the same
-    // events…
+    // Reading changes nothing: a second reader sees the same events…
     let first = doc["events"].clone();
     assert_eq!(
         fetch(rid)["events"],
@@ -194,6 +207,42 @@ fn trace_endpoint_reads_spans_per_request() {
         .get(&format!("{base}/trace?request_id=bad%20id"))
         .unwrap();
     assert_eq!(resp.status.as_u16(), 400);
+}
+
+/// A request's trace lasts as long as its job record: ten thousand later
+/// requests in the same process do not push it out.
+#[test]
+fn a_request_trace_survives_ten_thousand_others() {
+    let e = telemetry_container("tel-survive", "double-s");
+    let server = mathcloud_everest::serve(e.clone(), "127.0.0.1:0", None).expect("bind");
+    let base = server.base_url();
+
+    let rid = "itest-survive-0000001";
+    let svc = ServiceClient::connect(&format!("{base}/services/double-s")).unwrap();
+    let job = svc
+        .submit_with_request_id(&json!({"n": (-1)}), rid)
+        .unwrap();
+    job.wait(Duration::from_secs(10)).unwrap();
+
+    let wait = Some(Duration::from_secs(10));
+    for n in 0..10_000 {
+        let other = format!("itest-survive-other-{n}");
+        let outcome = e
+            .submit_and_wait("double-s", json!({"n": n}), None, Some(&other), None, wait)
+            .unwrap();
+        assert!(outcome.rep.outputs.is_some());
+    }
+
+    let events = trace_of(&base, rid);
+    let names: Vec<&str> = events.iter().filter_map(|ev| ev["name"].as_str()).collect();
+    assert!(names.contains(&"job.submitted"), "lost submit: {names:?}");
+    assert!(
+        events
+            .iter()
+            .any(|ev| ev["name"].as_str() == Some("job.run")
+                && ev["duration_seconds"].as_f64().is_some()),
+        "lost run: {events:?}"
+    );
 }
 
 /// `/health` reports job-state totals consistent with the traffic served.

@@ -85,7 +85,7 @@ fn workflow_executes_against_live_services() {
     let inputs: Object = [("a".to_string(), json!(3)), ("b".to_string(), json!(4))]
         .into_iter()
         .collect();
-    let outputs = engine.run(&inputs).unwrap();
+    let outputs = engine.run(&inputs, None).unwrap();
     assert_eq!(outputs.get("result"), Some(&json!(49)));
 }
 
@@ -144,7 +144,7 @@ fn published_workflow_is_a_service_usable_in_other_workflows() {
     let inputs: Object = [("x".to_string(), json!(2)), ("y".to_string(), json!(3))]
         .into_iter()
         .collect();
-    let outputs = engine.run(&inputs).unwrap();
+    let outputs = engine.run(&inputs, None).unwrap();
     assert_eq!(outputs.get("out"), Some(&json!(26)), "(2+3)^2 + 1");
 }
 
@@ -173,7 +173,7 @@ fn script_blocks_post_process_service_results() {
     let inputs: Object = [("a".to_string(), json!(30)), ("b".to_string(), json!(12))]
         .into_iter()
         .collect();
-    let outputs = engine.run(&inputs).unwrap();
+    let outputs = engine.run(&inputs, None).unwrap();
     assert_eq!(outputs.get("text").unwrap().as_str(), Some("sum=42 (big)"));
 }
 
@@ -191,5 +191,8 @@ fn json_round_trip_preserves_executability() {
     let inputs: Object = [("a".to_string(), json!(1)), ("b".to_string(), json!(1))]
         .into_iter()
         .collect();
-    assert_eq!(engine.run(&inputs).unwrap().get("result"), Some(&json!(4)));
+    assert_eq!(
+        engine.run(&inputs, None).unwrap().get("result"),
+        Some(&json!(4))
+    );
 }
