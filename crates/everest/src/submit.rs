@@ -71,14 +71,19 @@ impl Everest {
         })?;
 
         let jobs = &self.shared.jobs;
-        // A live job waited for answers with its result, or on timeout once
-        // its record at `barrier` (see `create_job`) is durable.
+        // A live job waited for answers with its result, or on timeout with
+        // its state as it stands, once its `WAITING` record is durable: a
+        // live job's snapshot syncs to that record, and `barrier` (see
+        // `create_job`) is the same position for a job whose record is gone.
         let answer = |rep: JobRepresentation, barrier| match wait {
             Some(wait) if !rep.state.is_terminal() => jobs
                 .wait(service, rep.id.as_str(), wait)
-                .unwrap_or_else(|| {
-                    jobs.sync_to(barrier);
-                    rep
+                .unwrap_or_else(|| match jobs.snapshot(service, rep.id.as_str()) {
+                    Some(now) => now.durable(jobs),
+                    None => {
+                        jobs.sync_to(barrier);
+                        rep
+                    }
                 }),
             _ => rep,
         };
@@ -281,6 +286,29 @@ mod tests {
             .unwrap()
             .rep;
         assert_eq!(rep.state, JobState::Done);
+    }
+
+    #[test]
+    fn a_job_still_running_when_the_wait_ends_is_answered_running() {
+        let e = Everest::new("t");
+        let (open, gate) = std::sync::mpsc::channel::<()>();
+        let gate = std::sync::Mutex::new(gate);
+        e.deploy(
+            ServiceDescription::new("held", "runs until the gate opens"),
+            NativeAdapter::from_fn(move |_, _| {
+                let _ = gate.lock().unwrap().recv();
+                Ok(Object::new())
+            }),
+        );
+        let wait = Some(Duration::from_millis(300));
+        let rep = e
+            .submit_and_wait("held", json!({}), None, None, None, wait)
+            .unwrap()
+            .rep;
+        assert_eq!(rep.state, JobState::Running);
+        open.send(()).unwrap();
+        let done = e.wait("held", rep.id.as_str(), Duration::from_secs(5));
+        assert_eq!(done.unwrap().state, JobState::Done);
     }
 
     #[test]

@@ -20,9 +20,10 @@
 //!   breaker, failure re-opens it.
 //!
 //! Both pieces are observable: `mc_http_retries_total` and
-//! `mc_http_breaker_rejections_total` counters, the `mc_http_breaker_state`
-//! gauge (0 = closed, 1 = open, 2 = half-open) and `http.breaker.*` trace
-//! events, all labelled by authority.
+//! `mc_http_breaker_rejections_total` counters and the
+//! `mc_http_breaker_state` gauge (0 = closed, 1 = open, 2 = half-open), all
+//! labelled by authority, and one `breaker.state` bus event per breaker
+//! transition, naming the authority and both states.
 
 use std::collections::HashMap;
 use std::fmt;

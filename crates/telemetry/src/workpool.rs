@@ -3,11 +3,10 @@
 //!
 //! Everything in the serving path that runs "this, on some thread" runs it
 //! here: the Job Manager's handlers, the HTTP edge's request workers and its
-//! streamer set, the workflow engine's runs and blocks. A submitted task
-//! wakes a parked worker or, when every parked worker is spoken for, starts
-//! one (up to the `max_workers` watermark). Workers idle past `idle_ttl`
-//! retire; workers above a lowered watermark retire after their current
-//! task, so a shrink never aborts one. [`WorkPool::status`] is the one load
+//! streamer set. A submitted task wakes a parked worker or, when every
+//! parked worker is spoken for, starts one (up to the `max_workers`
+//! watermark). Workers idle past `idle_ttl` retire; workers above a lowered
+//! watermark retire after their current task, so a shrink never aborts one. [`WorkPool::status`] is the one load
 //! sample (`busy` is counted around the task itself).
 //!
 //! Dropping the pool has one rule for every caller: stop accepting, let
@@ -17,9 +16,10 @@
 //! A pool dropped from inside one of its own tasks does not wait for that
 //! task.
 //!
-//! The exact kernels keep their own pool (`crates/exact/src/parallel.rs`):
-//! barriered regions over borrowed `&mut` data, with the caller helping to
-//! drain, in a crate with no dependencies — a different contract.
+//! Work that borrows from its caller and ends with it runs on scoped
+//! threads instead, a different contract: the exact kernels' regions
+//! (`crates/exact/src/parallel.rs`) and the workflow engine's blocks, each
+//! scope joined before the call that opened it returns.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -1,40 +1,34 @@
 //! The workflow execution engine.
 //!
-//! Executes a validated workflow, running every data-ready block
-//! concurrently (the source of the paper's Table 2 speedups) and exposing
-//! live per-block state — the information the graphical editor renders by
-//! "painting each workflow block in the color corresponding to its current
-//! state" (§3.3).
+//! [`Engine::run`] executes a validated workflow on the calling thread,
+//! running every data-ready block concurrently (the source of the paper's
+//! Table 2 speedups): each `Service` and `Script` block on a thread of its
+//! own (`mc-wf-block`) inside one [`std::thread::scope`], joined before the
+//! run returns. The state of each block — what the graphical editor paints
+//! "in the color corresponding to its current state" (§3.3) — goes out as
+//! `workflow.block.*` events on the process-wide bus (`GET /events`).
+//!
+//! The calling thread owns every port value. It counts each output port's
+//! consumers when the run starts, hands a copy to every consumer but the
+//! last and moves the value to the last, so a value is copied once, at its
+//! `Input` block.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::mpsc;
-use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{mpsc, Arc};
+use std::thread::{Builder, Scope, ScopedJoinHandle};
+use std::time::{Duration, Instant};
 
 use mathcloud_client::{ServiceClient, ServiceError};
 use mathcloud_http::Client;
 use mathcloud_json::value::Object;
 use mathcloud_json::Value;
-use mathcloud_telemetry::sync::{Mutex, RwLock};
-use mathcloud_telemetry::{metrics, trace, WorkPool};
+use mathcloud_telemetry::{metrics, trace};
 
-use crate::model::BlockKind;
+use crate::model::{Block, BlockKind};
 use crate::script::run_script;
 use crate::validate::ValidatedWorkflow;
-
-/// Live state of one block during a run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockRun {
-    /// Waiting for upstream data.
-    Waiting,
-    /// Executing.
-    Running,
-    /// Finished successfully.
-    Done,
-    /// Finished with an error.
-    Failed,
-}
 
 /// An engine failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,8 +59,7 @@ impl std::error::Error for EngineError {}
 
 /// Publishes a `workflow.block.*` transition on the process-wide event bus,
 /// mirroring what the graphical editor paints: the colour change of one
-/// block. Subscribers get pushed transitions instead of polling
-/// [`RunHandle::block_states`].
+/// block. These events are the only record of block state.
 fn publish_block_event(
     kind: &str,
     workflow: &str,
@@ -94,6 +87,14 @@ pub trait ServiceCaller: Send + Sync {
     ///
     /// A human-readable reason on submission or job failure.
     fn call(&self, url: &str, inputs: Object, request_id: Option<&str>) -> Result<Object, String>;
+}
+
+/// A shared caller calls through: the WMS hands every composite service the
+/// `Arc<dyn ServiceCaller>` its factory made.
+impl<C: ServiceCaller + ?Sized> ServiceCaller for Arc<C> {
+    fn call(&self, url: &str, inputs: Object, request_id: Option<&str>) -> Result<Object, String> {
+        (**self).call(url, inputs, request_id)
+    }
 }
 
 /// The production caller: [`ServiceClient::call_idempotent`] — subscribe to
@@ -142,58 +143,10 @@ impl ServiceCaller for HttpCaller {
     }
 }
 
-/// The pool every run and every `Service`/`Script` block in this process
-/// runs on (threads `mc-wf-N`, retiring after two idle seconds). It has no
-/// cap: a composite service calling a composite service holds one thread per
-/// level of nesting while it waits, so any bound is a deadlock at some depth.
-fn pool() -> &'static WorkPool {
-    static POOL: OnceLock<WorkPool> = OnceLock::new();
-    POOL.get_or_init(|| WorkPool::new("mc-wf", usize::MAX, Duration::from_secs(2)))
-}
-
-/// A handle on a running workflow instance.
-///
-/// The editor polls [`RunHandle::block_states`] to color blocks; callers get
-/// the result from [`RunHandle::wait`].
-pub struct RunHandle {
-    states: Arc<RwLock<HashMap<String, BlockRun>>>,
-    result: mpsc::Receiver<Result<Object, EngineError>>,
-}
-
-impl RunHandle {
-    /// Snapshot of every block's state.
-    pub fn block_states(&self) -> HashMap<String, BlockRun> {
-        self.states.read().clone()
-    }
-
-    /// State of one block.
-    pub fn block_state(&self, id: &str) -> Option<BlockRun> {
-        self.states.read().get(id).copied()
-    }
-
-    /// Blocks until the run finishes.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError`] if any block failed.
-    pub fn wait(self) -> Result<Object, EngineError> {
-        self.result.recv().unwrap_or(Err(EngineError::BlockFailed {
-            block: "<engine>".into(),
-            reason: "engine thread disappeared".into(),
-        }))
-    }
-}
-
-impl fmt::Debug for RunHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RunHandle").finish()
-    }
-}
-
 /// The workflow engine: a validated workflow plus a service caller.
 pub struct Engine {
-    validated: Arc<ValidatedWorkflow>,
-    caller: Arc<dyn ServiceCaller>,
+    validated: ValidatedWorkflow,
+    caller: Box<dyn ServiceCaller>,
 }
 
 impl fmt::Debug for Engine {
@@ -216,283 +169,276 @@ impl Engine {
         caller: C,
     ) -> Self {
         Engine {
-            validated: Arc::new(validated),
-            caller: Arc::new(caller),
+            validated,
+            caller: Box::new(caller),
         }
     }
 
-    /// Runs the workflow to completion. `request_id`, the originating
-    /// request's id, rides on every `workflow.block.*` event and downstream
-    /// service call.
+    /// Runs the workflow to completion on this thread and the block threads
+    /// it starts, none of which outlives the call. `request_id`, the
+    /// originating request's id, rides on every `workflow.block.*` event and
+    /// downstream service call.
     ///
     /// # Errors
     ///
-    /// [`EngineError`] when inputs are missing or a block fails.
+    /// [`EngineError`] when inputs are missing or a block fails — a block
+    /// that panics fails with a reason naming the panic.
     pub fn run(&self, inputs: &Object, request_id: Option<&str>) -> Result<Object, EngineError> {
-        self.start(inputs, request_id)?.wait()
-    }
-
-    /// Starts an asynchronous run of [`Engine::run`]. The run makes one copy
-    /// of `inputs`, which all its blocks share.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::MissingInput`] when a workflow input is not supplied.
-    pub fn start(
-        &self,
-        inputs: &Object,
-        request_id: Option<&str>,
-    ) -> Result<RunHandle, EngineError> {
-        // Check inputs up front.
-        for id in self.validated.workflow.input_ids() {
+        let wf = &self.validated.workflow;
+        for id in wf.input_ids() {
             if inputs.get(id).is_none() {
                 return Err(EngineError::MissingInput(id.to_string()));
             }
         }
-        let states: Arc<RwLock<HashMap<String, BlockRun>>> = Arc::new(RwLock::new(
-            self.validated
-                .workflow
-                .blocks
-                .iter()
-                .map(|b| (b.id.clone(), BlockRun::Waiting))
-                .collect(),
-        ));
-        let (result_tx, result_rx) = mpsc::channel();
-        let validated = Arc::clone(&self.validated);
-        let caller = Arc::clone(&self.caller);
-        let run_states = Arc::clone(&states);
-        let inputs = Arc::new(inputs.clone());
-        let request_id = request_id.map(str::to_string);
-        pool().spawn(move || {
-            let outcome = execute(
-                &validated,
-                &caller,
-                &run_states,
-                &inputs,
-                request_id.as_deref(),
-            );
-            let _ = result_tx.send(outcome);
-        });
-        Ok(RunHandle {
-            states,
-            result: result_rx,
-        })
+        let (done, reports) = mpsc::channel();
+        let mut run = Run {
+            engine: self,
+            inputs,
+            request_id,
+            indeg: wf.blocks.iter().map(|b| (b.id.as_str(), 0)).collect(),
+            readers: HashMap::new(),
+            ports: HashMap::new(),
+            done,
+        };
+        for e in &wf.edges {
+            *run.indeg
+                .get_mut(e.to.block.as_str())
+                .expect("validated edge") += 1;
+            *run.readers
+                .entry((e.from.block.as_str(), e.from.port.as_str()))
+                .or_default() += 1;
+        }
+        std::thread::scope(|scope| run.drive(scope, &reports))
     }
 }
 
-/// Values produced so far, keyed by `(block, port)`.
-type PortValues = HashMap<(String, String), Value>;
-/// Port values produced by one block.
-type Produced = Vec<((String, String), Value)>;
-/// One block's completion message: its id plus produced port values.
-type BlockDone = (String, Result<Produced, String>);
+/// One block's report: the block and the values it produced, by port.
+type Report<'e> = (&'e Block, Result<Object, String>);
 
-fn execute(
-    validated: &Arc<ValidatedWorkflow>,
-    caller: &Arc<dyn ServiceCaller>,
-    states: &Arc<RwLock<HashMap<String, BlockRun>>>,
-    request_inputs: &Arc<Object>,
-    request_id: Option<&str>,
-) -> Result<Object, EngineError> {
-    let wf = &validated.workflow;
-    // Port values produced so far.
-    let values: Arc<Mutex<PortValues>> = Arc::new(Mutex::new(HashMap::new()));
-    // Remaining unsatisfied incoming edges per block.
-    let mut indeg: HashMap<String, usize> = wf.blocks.iter().map(|b| (b.id.clone(), 0)).collect();
-    for e in &wf.edges {
-        *indeg.get_mut(&e.to.block).expect("validated edge") += 1;
-    }
+/// The state of one run, owned by the thread that called [`Engine::run`].
+struct Run<'e> {
+    engine: &'e Engine,
+    inputs: &'e Object,
+    request_id: Option<&'e str>,
+    /// Incoming edges not yet satisfied, per block.
+    indeg: HashMap<&'e str, usize>,
+    /// Consumers not yet handed their value, per `(block, port)`.
+    readers: HashMap<(&'e str, &'e str), usize>,
+    /// The values each finished block produced and someone still reads.
+    ports: HashMap<&'e str, Object>,
+    done: mpsc::Sender<Report<'e>>,
+}
 
-    let (done_tx, done_rx) = mpsc::channel::<BlockDone>();
-    let mut failed: Option<EngineError> = None;
-
-    // `Service` and `Script` blocks run on the pool; the rest only move a
-    // value from one map to another and are evaluated right here.
-    let spawn_block = |id: &str, done_tx: &mpsc::Sender<BlockDone>| {
-        states.write().insert(id.to_string(), BlockRun::Running);
-        publish_block_event("workflow.block.running", &wf.name, id, request_id, None);
-        let kind = &wf.find(id).expect("validated block").kind;
-        if !matches!(kind, BlockKind::Service { .. } | BlockKind::Script { .. }) {
-            let result = run_block(validated, caller, &values, request_inputs, request_id, id);
-            let _ = done_tx.send((id.to_string(), result));
-            return;
+impl<'e> Run<'e> {
+    /// Starts the source blocks, then each block whose last input arrives,
+    /// until every started block has reported. After a failure no new block
+    /// starts, so the started ones drain and the loop ends.
+    fn drive<'s>(
+        &mut self,
+        scope: &'s Scope<'s, 'e>,
+        reports: &mpsc::Receiver<Report<'e>>,
+    ) -> Result<Object, EngineError> {
+        let engine = self.engine;
+        let wf = &engine.validated.workflow;
+        let sources: Vec<&'e Block> = (wf.blocks.iter())
+            .filter(|b| self.indeg[b.id.as_str()] == 0)
+            .collect();
+        let mut threads = Vec::new();
+        let mut inflight = 0usize;
+        for block in sources {
+            threads.extend(self.start(scope, block));
+            inflight += 1;
         }
-        let id = id.to_string();
-        let validated = Arc::clone(validated);
-        let caller = Arc::clone(caller);
-        let values = Arc::clone(&values);
-        let request_inputs = Arc::clone(request_inputs);
-        let request_id = request_id.map(str::to_string);
-        let done_tx = done_tx.clone();
-        pool().spawn(move || {
-            let result = run_block(
-                &validated,
-                &caller,
-                &values,
-                &request_inputs,
-                request_id.as_deref(),
-                &id,
-            );
-            let _ = done_tx.send((id, result));
-        });
-    };
-
-    // Kick off source blocks, then keep exactly one counter: blocks spawned
-    // but not yet reported. After a failure no new blocks start, so the
-    // in-flight set drains naturally and the loop exits.
-    let mut inflight = 0usize;
-    let ready: Vec<String> = wf
-        .blocks
-        .iter()
-        .filter(|b| indeg[&b.id] == 0)
-        .map(|b| b.id.clone())
-        .collect();
-    for id in ready {
-        spawn_block(&id, &done_tx);
-        inflight += 1;
-    }
-
-    while inflight > 0 {
-        let (id, outcome) = done_rx.recv().expect("this thread holds a sender");
-        inflight -= 1;
-        match outcome {
-            Ok(produced) => {
-                states.write().insert(id.clone(), BlockRun::Done);
-                publish_block_event("workflow.block.done", &wf.name, &id, request_id, None);
-                {
-                    let mut vals = values.lock();
-                    for (port, value) in produced {
-                        vals.insert(port, value);
-                    }
-                }
-                // Unlock successors.
-                for e in &wf.edges {
-                    if e.from.block == id {
-                        let d = indeg.get_mut(&e.to.block).expect("validated edge");
-                        *d -= 1;
-                        if *d == 0 && failed.is_none() {
-                            spawn_block(&e.to.block, &done_tx);
+        let mut failed = None;
+        while inflight > 0 {
+            let (block, outcome) = reports.recv().expect("the run holds a sender");
+            inflight -= 1;
+            let id = block.id.as_str();
+            match outcome {
+                Ok(produced) => {
+                    publish_block_event("workflow.block.done", &wf.name, id, self.request_id, None);
+                    self.ports.insert(id, produced);
+                    for e in wf.edges.iter().filter(|e| e.from.block == id) {
+                        let left = self.indeg.get_mut(e.to.block.as_str()).expect("validated");
+                        *left -= 1;
+                        if *left == 0 && failed.is_none() {
+                            let next = wf.find(&e.to.block).expect("validated edge");
+                            threads.extend(self.start(scope, next));
                             inflight += 1;
                         }
                     }
                 }
-            }
-            Err(reason) => {
-                states.write().insert(id.clone(), BlockRun::Failed);
-                publish_block_event(
-                    "workflow.block.failed",
-                    &wf.name,
-                    &id,
-                    request_id,
-                    Some(&reason),
-                );
-                if failed.is_none() {
-                    failed = Some(EngineError::BlockFailed { block: id, reason });
+                Err(reason) => {
+                    publish_block_event(
+                        "workflow.block.failed",
+                        &wf.name,
+                        id,
+                        self.request_id,
+                        Some(&reason),
+                    );
+                    failed.get_or_insert(EngineError::BlockFailed {
+                        block: id.to_string(),
+                        reason,
+                    });
                 }
             }
         }
-    }
-
-    if let Some(e) = failed {
-        return Err(e);
-    }
-
-    // Collect output block values.
-    let vals = values.lock();
-    let mut outputs = Object::new();
-    for b in &wf.blocks {
-        if matches!(b.kind, BlockKind::Output { .. }) {
-            let v = vals
-                .get(&(b.id.clone(), "value".to_string()))
-                .cloned()
-                .unwrap_or(Value::Null);
-            outputs.insert(b.id.clone(), v);
+        for thread in threads {
+            let _ = thread.join(); // reported already; a panic was caught
         }
+        if let Some(e) = failed {
+            return Err(e);
+        }
+        let mut outputs = Object::new();
+        for b in &wf.blocks {
+            if matches!(b.kind, BlockKind::Output { .. }) {
+                let port = self.ports.get_mut(b.id.as_str());
+                let v = port.and_then(|p| p.remove("value")).unwrap_or(Value::Null);
+                outputs.insert(b.id.clone(), v);
+            }
+        }
+        Ok(outputs)
     }
-    Ok(outputs)
+
+    /// Starts `block`: a `Service` or `Script` block on a thread of its own,
+    /// which it returns; any other block here, at once. Either way, exactly
+    /// one report follows.
+    fn start<'s>(
+        &mut self,
+        scope: &'s Scope<'s, 'e>,
+        block: &'e Block,
+    ) -> Option<ScopedJoinHandle<'s, ()>> {
+        let (engine, inputs, request_id) = (self.engine, self.inputs, self.request_id);
+        let wf = &engine.validated.workflow;
+        publish_block_event(
+            "workflow.block.running",
+            &wf.name,
+            &block.id,
+            request_id,
+            None,
+        );
+        let port_inputs = match self.gather(block) {
+            Ok(port_inputs) => port_inputs,
+            Err(reason) => {
+                let _ = self.done.send((block, Err(reason)));
+                return None;
+            }
+        };
+        if !matches!(
+            block.kind,
+            BlockKind::Service { .. } | BlockKind::Script { .. }
+        ) {
+            let result = engine.run_block(block, port_inputs, inputs, request_id);
+            let _ = self.done.send((block, result));
+            return None;
+        }
+        let done = self.done.clone();
+        let block_thread =
+            Builder::new()
+                .name("mc-wf-block".into())
+                .spawn_scoped(scope, move || {
+                    // A panicking caller or script fails its block, not the run.
+                    let result = catch_unwind(AssertUnwindSafe(|| {
+                        engine.run_block(block, port_inputs, inputs, request_id)
+                    }))
+                    .unwrap_or_else(|panic| {
+                        let msg = panic
+                            .downcast_ref::<&str>()
+                            .map(|s| (*s).to_string())
+                            .or_else(|| panic.downcast_ref::<String>().cloned())
+                            .unwrap_or_else(|| "block panicked".to_string());
+                        Err(format!("block panicked: {msg}"))
+                    });
+                    let _ = done.send((block, result));
+                });
+        Some(block_thread.expect("spawn workflow block thread"))
+    }
+
+    /// Takes `block`'s input-port values off its incoming edges: a copy for
+    /// every consumer of a port but the last, the value itself for the last.
+    fn gather(&mut self, block: &Block) -> Result<Object, String> {
+        let mut port_inputs = Object::new();
+        let engine = self.engine;
+        let edges = &engine.validated.workflow.edges;
+        for e in edges.iter().filter(|e| e.to.block == block.id) {
+            let from = (e.from.block.as_str(), e.from.port.as_str());
+            let left = self.readers.get_mut(&from).expect("counted from the edges");
+            *left -= 1;
+            let produced = self.ports.get_mut(from.0);
+            let v = produced
+                .and_then(|p| match *left {
+                    0 => p.remove(from.1),
+                    _ => p.get(from.1).cloned(),
+                })
+                .ok_or_else(|| format!("internal: value for {} missing", e.from))?;
+            port_inputs.insert(e.to.port.clone(), v);
+        }
+        Ok(port_inputs)
+    }
 }
 
-fn run_block(
-    validated: &ValidatedWorkflow,
-    caller: &Arc<dyn ServiceCaller>,
-    values: &Arc<Mutex<PortValues>>,
-    request_inputs: &Object,
-    request_id: Option<&str>,
-    id: &str,
-) -> Result<Produced, String> {
-    let wf = &validated.workflow;
-    let block = wf.find(id).expect("validated block");
+impl Engine {
+    /// Runs one block on its gathered `port_inputs`, returning its outputs
+    /// by port. `request_inputs` are the composite job's inputs.
+    fn run_block(
+        &self,
+        block: &Block,
+        port_inputs: Object,
+        request_inputs: &Object,
+        request_id: Option<&str>,
+    ) -> Result<Object, String> {
+        let id = block.id.as_str();
+        let kind_label = match &block.kind {
+            BlockKind::Input { .. } => "input",
+            BlockKind::Constant { .. } => "constant",
+            BlockKind::Output { .. } => "output",
+            BlockKind::Script { .. } => "script",
+            BlockKind::Service { .. } => "service",
+        };
+        let started = Instant::now();
+        let value = |v: Value| -> Object { [("value".to_string(), v)].into_iter().collect() };
 
-    // Gather this block's input-port values from incoming edges.
-    let mut port_inputs = Object::new();
-    {
-        let vals = values.lock();
-        for e in &wf.edges {
-            if e.to.block == id {
-                let v = vals
-                    .get(&(e.from.block.clone(), e.from.port.clone()))
+        let result = (move || match &block.kind {
+            BlockKind::Input { schema } => {
+                let v = request_inputs
+                    .get(id)
                     .cloned()
-                    .ok_or_else(|| format!("internal: value for {} missing", e.from))?;
-                port_inputs.insert(e.to.port.clone(), v);
+                    .ok_or_else(|| format!("missing workflow input {id:?}"))?;
+                if let Err(errs) = schema.validate(&v) {
+                    return Err(format!("input {id:?}: {}", errs[0]));
+                }
+                Ok(value(v))
             }
-        }
+            BlockKind::Constant { value: v } => Ok(value(v.clone())),
+            BlockKind::Output { .. } => match port_inputs.get("value") {
+                Some(_) => Ok(port_inputs),
+                None => Err("output block received no value".to_string()),
+            },
+            BlockKind::Script { code, outputs, .. } => {
+                let mut produced = run_script(code, &port_inputs).map_err(|e| e.to_string())?;
+                outputs
+                    .iter()
+                    .map(|(name, _)| {
+                        let v = produced.remove(name);
+                        let v = v.ok_or_else(|| format!("script did not assign output {name:?}"));
+                        Ok((name.clone(), v?))
+                    })
+                    .collect()
+            }
+            BlockKind::Service { url } => {
+                // Fill declared optional defaults the description provides.
+                let description = self.validated.services.get(id).expect("validated service");
+                let effective = description
+                    .accept_inputs(Value::Object(port_inputs))
+                    .map_err(|e| e.to_string())?;
+                self.caller.call(url, effective, request_id)
+            }
+        })();
+        metrics::global()
+            .histogram("mc_workflow_block_seconds", &[("kind", kind_label)])
+            .observe_duration(started.elapsed());
+        result
     }
-
-    let kind_label = match &block.kind {
-        BlockKind::Input { .. } => "input",
-        BlockKind::Constant { .. } => "constant",
-        BlockKind::Output { .. } => "output",
-        BlockKind::Script { .. } => "script",
-        BlockKind::Service { .. } => "service",
-    };
-    let started = std::time::Instant::now();
-
-    let out = |port: &str, v: Value| ((id.to_string(), port.to_string()), v);
-    let result = (move || match &block.kind {
-        BlockKind::Input { schema } => {
-            let v = request_inputs
-                .get(id)
-                .cloned()
-                .ok_or_else(|| format!("missing workflow input {id:?}"))?;
-            if let Err(errs) = schema.validate(&v) {
-                return Err(format!("input {id:?}: {}", errs[0]));
-            }
-            Ok(vec![out("value", v)])
-        }
-        BlockKind::Constant { value } => Ok(vec![out("value", value.clone())]),
-        BlockKind::Output { .. } => {
-            let v = port_inputs
-                .get("value")
-                .cloned()
-                .ok_or_else(|| "output block received no value".to_string())?;
-            Ok(vec![out("value", v)])
-        }
-        BlockKind::Script { code, outputs, .. } => {
-            let produced = run_script(code, &port_inputs).map_err(|e| e.to_string())?;
-            let mut result = Vec::new();
-            for (name, _) in outputs {
-                let v = produced
-                    .get(name)
-                    .cloned()
-                    .ok_or_else(|| format!("script did not assign output {name:?}"))?;
-                result.push(out(name, v));
-            }
-            Ok(result)
-        }
-        BlockKind::Service { url } => {
-            // Fill declared optional defaults the description provides.
-            let description = validated.services.get(id).expect("validated service");
-            let effective = description
-                .accept_inputs(Value::Object(port_inputs))
-                .map_err(|e| e.to_string())?;
-            let outputs = caller.call(url, effective, request_id)?;
-            Ok(outputs.into_iter().map(|(name, v)| out(&name, v)).collect())
-        }
-    })();
-    metrics::global()
-        .histogram("mc_workflow_block_seconds", &[("kind", kind_label)])
-        .observe_duration(started.elapsed());
-    result
 }
 
 #[cfg(test)]
@@ -501,7 +447,9 @@ mod tests {
     use crate::model::{Block, Workflow};
     use crate::validate::validate;
     use mathcloud_core::{Parameter, ServiceDescription};
+    use mathcloud_events::KindFilter;
     use mathcloud_json::{json, Schema};
+    use mathcloud_telemetry::sync::Mutex;
 
     /// An in-process caller with controllable behaviour.
     struct MockCaller;
@@ -603,20 +551,87 @@ mod tests {
     }
 
     #[test]
-    fn block_states_are_observable() {
+    fn block_states_are_pushed_as_events() {
+        /// Doubles `x` once the test opens the gate.
+        struct Gated(Mutex<mpsc::Receiver<()>>);
+
+        impl ServiceCaller for Gated {
+            fn call(&self, _: &str, inputs: Object, _: Option<&str>) -> Result<Object, String> {
+                self.0.lock().recv().map_err(|e| e.to_string())?;
+                let x = inputs.get("x").and_then(Value::as_i64).unwrap_or(0);
+                Ok([("y".to_string(), json!(x * 2))].into_iter().collect())
+            }
+        }
+
+        const RID: &str = "block-states-pushed";
         let wf = Workflow::new("w", "")
             .input("x", Schema::integer())
             .service("d1", "mock://slow-double")
             .output("r", Schema::integer())
             .wire(("x", "value"), ("d1", "x"))
             .wire(("d1", "y"), ("r", "value"));
+        let (open, gate) = mpsc::channel();
+        let engine = Engine::with_caller(
+            validate(&wf, &descriptions()).unwrap(),
+            Gated(Mutex::new(gate)),
+        );
+        let events =
+            mathcloud_events::global().subscribe(KindFilter::parse("workflow.block."), 1 << 10);
+        // The kind of the next event of this run about block `d1`.
+        let next_for_d1 = || loop {
+            let ev = events
+                .recv_timeout(Duration::from_secs(5))
+                .expect("an event");
+            let block = ev.payload.get("block").and_then(Value::as_str);
+            if ev.request_id.as_deref() == Some(RID) && block == Some("d1") {
+                return ev.kind.clone();
+            }
+        };
         let inputs: Object = [("x".to_string(), json!(1))].into_iter().collect();
-        let handle = engine(&wf).start(&inputs, None).unwrap();
-        // While the slow service runs, its block should be RUNNING.
-        std::thread::sleep(Duration::from_millis(25));
-        assert_eq!(handle.block_state("d1"), Some(BlockRun::Running));
-        let outputs = handle.wait().unwrap();
-        assert_eq!(outputs.get("r"), Some(&json!(2)));
+        std::thread::scope(|scope| {
+            let run = scope.spawn(|| engine.run(&inputs, Some(RID)));
+            // The caller cannot return before this event is seen.
+            assert_eq!(next_for_d1(), "workflow.block.running");
+            open.send(()).unwrap();
+            assert_eq!(next_for_d1(), "workflow.block.done");
+            let outputs = run.join().unwrap().unwrap();
+            assert_eq!(outputs.get("r"), Some(&json!(2)));
+        });
+    }
+
+    #[test]
+    fn a_panicking_block_fails_the_run_naming_it() {
+        struct Panicking;
+
+        impl ServiceCaller for Panicking {
+            fn call(&self, _: &str, _: Object, _: Option<&str>) -> Result<Object, String> {
+                panic!("the caller broke")
+            }
+        }
+
+        let wf = Workflow::new("w", "")
+            .input("x", Schema::integer())
+            .service("boom", "mock://fail")
+            .output("r", Schema::any())
+            .wire(("x", "value"), ("boom", "x"))
+            .wire(("boom", "y"), ("r", "value"));
+        let engine = Engine::with_caller(validate(&wf, &descriptions()).unwrap(), Panicking);
+        let inputs: Object = [("x".to_string(), json!(1))].into_iter().collect();
+        // On a thread of its own, so a run that never ends fails the test
+        // instead of hanging it.
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || tx.send(engine.run(&inputs, None)));
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the run ends within 5 s");
+        match outcome {
+            Err(EngineError::BlockFailed { block, reason }) => {
+                assert_eq!(block, "boom");
+                assert!(reason.contains("panicked"), "{reason}");
+                assert!(reason.contains("the caller broke"), "{reason}");
+            }
+            other => panic!("unexpected outcome {other:?}"),
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! * [`mod@validate`] — structural and port-type validation, exactly the checks
 //!   the graphical editor performs while wiring blocks,
 //! * [`engine`] — a parallel runtime executing ready blocks concurrently and
-//!   exposing live per-block state (the editor's coloring feature),
+//!   publishing each block's state as a `workflow.block.*` event (the
+//!   editor's coloring feature),
 //! * [`wms`] — the workflow management service: stores workflows and
 //!   publishes each as a new composite service in an Everest container.
 //!
@@ -28,7 +29,7 @@ pub mod script;
 pub mod validate;
 pub mod wms;
 
-pub use engine::{BlockRun, Engine, EngineError, HttpCaller, RunHandle, ServiceCaller};
+pub use engine::{Engine, EngineError, HttpCaller, ServiceCaller};
 pub use model::{Block, BlockKind, Edge, PortRef, Workflow, WorkflowError};
 pub use script::{run_script, ScriptError};
 pub use validate::{

@@ -88,9 +88,7 @@ impl WorkflowService {
                 .collect::<Vec<_>>()
         })?;
         let description = composite_description(&validated);
-        let caller = (self.caller_factory)();
-        let engine = Engine::with_caller(validated, SharedCaller(caller));
-        let engine = Arc::new(engine);
+        let engine = Engine::with_caller(validated, (self.caller_factory)());
         self.everest.deploy(
             description,
             NativeAdapter::from_fn(move |inputs: &Object, ctx| {
@@ -186,15 +184,6 @@ impl WorkflowService {
                 Response::error(404, "no such workflow")
             }
         });
-    }
-}
-
-/// Adapter: `Arc<dyn ServiceCaller>` as a `ServiceCaller`.
-struct SharedCaller(Arc<dyn ServiceCaller>);
-
-impl ServiceCaller for SharedCaller {
-    fn call(&self, url: &str, inputs: Object, request_id: Option<&str>) -> Result<Object, String> {
-        self.0.call(url, inputs, request_id)
     }
 }
 

@@ -7,10 +7,11 @@
 use std::time::Instant;
 
 use mathcloud_bench::matrix::{schur_workflow, spawn_matrix_farm};
+use mathcloud_events::KindFilter;
 use mathcloud_exact::{hilbert, Matrix};
 use mathcloud_json::value::Object;
 use mathcloud_json::Value;
-use mathcloud_workflow::{validate, BlockRun, Engine, HttpDescriptions};
+use mathcloud_workflow::{validate, Engine, HttpDescriptions};
 
 fn main() {
     let n: usize = std::env::args()
@@ -51,27 +52,27 @@ fn main() {
     .into_iter()
     .collect();
 
+    // Live block states, pushed as `workflow.block.*` events: what the
+    // graphical editor renders as colors.
+    let events =
+        mathcloud_events::global().subscribe(KindFilter::parse("workflow.block."), 1 << 10);
     let t0 = Instant::now();
-    let handle = engine.start(&inputs, None).expect("inputs present");
-    // Live block states: what the graphical editor renders as colors.
-    loop {
-        let states = handle.block_states();
-        let running: Vec<&str> = states
-            .iter()
-            .filter(|(_, s)| **s == BlockRun::Running)
-            .map(|(b, _)| b.as_str())
-            .collect();
-        let done = states.values().filter(|s| **s == BlockRun::Done).count();
-        if done == states.len() || states.values().any(|s| *s == BlockRun::Failed) {
-            break;
+    let (outputs, parallel_time) = std::thread::scope(|scope| {
+        let run = scope.spawn(|| (engine.run(&inputs, None), t0.elapsed()));
+        loop {
+            match events.recv_timeout(std::time::Duration::from_millis(200)) {
+                Some(ev) => {
+                    let block = ev.payload.get("block").and_then(Value::as_str);
+                    let state = ev.kind.trim_start_matches("workflow.block.");
+                    println!("  {}: {state}", block.unwrap_or("?"));
+                }
+                None if run.is_finished() => break,
+                None => {}
+            }
         }
-        if !running.is_empty() {
-            println!("  running: {}", running.join(", "));
-        }
-        std::thread::sleep(std::time::Duration::from_millis(200));
-    }
-    let outputs = handle.wait().expect("distributed inversion succeeds");
-    let parallel_time = t0.elapsed();
+        run.join().expect("the engine does not panic")
+    });
+    let outputs = outputs.expect("distributed inversion succeeds");
 
     let distributed = Matrix::from_text(
         outputs

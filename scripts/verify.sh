@@ -36,6 +36,16 @@ echo "==> catalogue federation test (release, 120s budget)"
 timeout 120 cargo test -q --offline --release \
   -p mathcloud-integration-tests --test federation
 
+# The workflow engine waits for one report from every block it starts; a
+# block that never reports (a panic that escapes its catch, a lost sender)
+# would hang its run for good, so the hard timeout turns that into a
+# failure instead of a stalled build. Release mode, where the engine's
+# parallelism test times two blocks against one.
+echo "==> workflow engine (release, 120s budget)"
+timeout 120 cargo test -q --offline --release -p mathcloud-workflow
+timeout 120 cargo test -q --offline --release \
+  -p mathcloud-integration-tests --test workflow_engine
+
 # The crash-recovery suite kills a container mid-run (jobs queued, running
 # and done), restarts onto the same journal and asserts replay-without-
 # re-execution, re-queue of interrupted work, cross-restart idempotency

@@ -72,16 +72,20 @@ fn dropping_container_server_and_wms_leaves_no_platform_thread() {
         .call(&json!({"a": 1, "b": 20}), Duration::from_secs(30))
         .unwrap();
     assert_eq!(run.outputs.unwrap().get("result"), Some(&json!(41)));
+    // The engine joins its block threads before the composite job ends.
+    let live = platform_threads();
+    assert!(
+        !live.iter().any(|name| name.starts_with("mc-wf")),
+        "a workflow thread outlived its run: {live:?}"
+    );
 
     // Every kind of thread in the serving path has shown up under its name.
-    let live = platform_threads();
     for prefix in [
         "mc-http-accepto",
         "mc-http-worker",
         "mc-http-streame",
         "mc-job-math",
         "mc-job-wms",
-        "mc-wf-",
         "mc-confirmer",
     ] {
         assert!(
@@ -93,8 +97,7 @@ fn dropping_container_server_and_wms_leaves_no_platform_thread() {
     subscribers.stop();
     drop((wms_server, wms, math_server, math));
     // Workers are joined by their owners' drops; a streamer goes with the
-    // last connection, the confirmer with the job table, and the engine's
-    // process-wide pool retires its idle threads after two seconds.
+    // last connection, the confirmer with the job table.
     let deadline = Instant::now() + Duration::from_secs(10);
     while !platform_threads().is_empty() && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(20));

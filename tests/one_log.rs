@@ -211,8 +211,9 @@ fn whatever_is_answered_before_the_result_is_durable_first() {
     let sub = mathcloud_events::global().subscribe(KindFilter::parse("job.submitted"), 1 << 10);
     let n = GATE.load(Ordering::SeqCst) + 1;
 
-    // A POST whose job outlives the synchronous window is answered WAITING,
-    // and only once that record is on disk; so is its `job.submitted`.
+    // A POST whose job outlives the synchronous window is answered with its
+    // state then, RUNNING (a handler is free), and only once its WAITING
+    // record is on disk; so is its `job.submitted`.
     let (resp, announced) = std::thread::scope(|scope| {
         let watcher = scope.spawn(|| loop {
             let ev = sub.recv_timeout(WAIT).expect("job.submitted arrives");
@@ -226,7 +227,7 @@ fn whatever_is_answered_before_the_result_is_durable_first() {
     let at = durable();
     assert_eq!(resp.status.as_u16(), 201);
     let rep = resp.body_json().unwrap();
-    assert_eq!(rep["state"].as_str(), Some("WAITING"));
+    assert_eq!(rep["state"].as_str(), Some("RUNNING"));
     let held = rep["id"].as_str().unwrap().to_string();
     let waiting = position(&dir, &held, "WAITING");
     assert!(
