@@ -62,7 +62,7 @@ fn main() {
         bch.iter(|| router.dispatch(&req));
     });
 
-    let inputs = [(
+    let inputs: mathcloud_json::value::Object = [(
         "rows".to_string(),
         mathcloud_json::json!(["1 2", "3 4", "5 6"]),
     )]
@@ -72,7 +72,7 @@ fn main() {
         bch.iter(|| {
             run_script(
                 "let s = join(rows, \"; \"); out = s + \"!\"; n = len(rows);",
-                &inputs,
+                inputs.clone(),
             )
             .expect("script runs")
         });

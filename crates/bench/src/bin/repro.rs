@@ -1,8 +1,8 @@
 //! `repro` — regenerates every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! repro [--table1] [--table2 [--json] [--smoke]] [--overhead] [--dw]
-//!       [--xray] [--all] [--full]
+//! repro [--table1] [--table2 [--json] [--smoke]] [--dw] [--xray] [--all]
+//!       [--full]
 //! ```
 //!
 //! Without flags, `--all` is assumed. `--full` runs Table 2 at the paper's
@@ -11,17 +11,16 @@
 //!
 //! `--table2 --json` runs the in-process kernel benchmark (serial rational
 //! Gauss–Jordan oracle vs the 4-thread Auto kernel, plus the
-//! schoolbook/Karatsuba/Toom-3 multiplication crossover sweep) and writes
+//! schoolbook/Karatsuba multiplication crossover sweep) and writes
 //! `BENCH_5.json` to the current directory; `--smoke` restricts it to the CI
 //! smoke sizes. It exits non-zero when the largest N inverts slower in
-//! parallel than serially, or when Toom-3 is slower than schoolbook at 256
-//! limbs or more.
+//! parallel than serially, or when Karatsuba is slower than schoolbook at 256
+//! limbs.
 
 use std::time::{Duration, Instant};
 
 use mathcloud_bench::dw::{spawn_solver_pool, RemoteSolverPool, SolverLatency};
 use mathcloud_bench::matrix::{kernel_row, mul_kernel_row, spawn_matrix_farm, table2_row};
-use mathcloud_bench::overhead::{measure_overhead, spawn_compute_server};
 use mathcloud_bench::xrayservices::spawn_xray_server;
 use mathcloud_client::ServiceClient;
 use mathcloud_json::{json, Value};
@@ -43,9 +42,6 @@ fn main() {
         } else {
             table2(full);
         }
-    }
-    if all || has("--overhead") {
-        overhead();
     }
     if all || has("--dw") {
         dantzig_wolfe();
@@ -218,43 +214,41 @@ fn table2_json(smoke: bool) {
         ));
     }
 
-    // Multiplication crossover sweep: every tier on the same operands,
+    // Multiplication crossover sweep: both tiers on the same operands,
     // agreement asserted inside `mul_kernel_row`, each tier's least of
-    // interleaved rounds. The smoke set keeps the ≥256-limb point CI gates
-    // on (Toom-3 must beat schoolbook there).
-    println!("== Multiplication kernels: schoolbook vs Karatsuba vs Toom-3 ==");
+    // interleaved rounds. The smoke set keeps the 256-limb point CI gates
+    // on (Karatsuba must beat schoolbook there).
+    println!("== Multiplication kernels: schoolbook vs Karatsuba ==");
     let limb_sizes: &[usize] = if smoke {
         &[64, 256]
     } else {
         &[32, 64, 128, 256, 512, 1024]
     };
     println!(
-        "{:>7} {:>14} {:>14} {:>14}",
-        "limbs", "schoolbook (s)", "karatsuba (s)", "toom-3 (s)"
+        "{:>7} {:>14} {:>14}",
+        "limbs", "schoolbook (s)", "karatsuba (s)"
     );
     let mut mul_rows = Vec::new();
     let mut big = None;
     for &limbs in limb_sizes {
         let row = mul_kernel_row(limbs);
         println!(
-            "{:>7} {:>14} {:>14} {:>14}",
+            "{:>7} {:>14} {:>14}",
             row.limbs,
             mathcloud_bench::secs(row.schoolbook),
-            mathcloud_bench::secs(row.karatsuba),
-            mathcloud_bench::secs(row.toom3)
+            mathcloud_bench::secs(row.karatsuba)
         );
         mul_rows.push(json!({
             "limbs": (row.limbs),
             "schoolbook_ms": (row.schoolbook.as_secs_f64() * 1e3),
             "karatsuba_ms": (row.karatsuba.as_secs_f64() * 1e3),
-            "toom3_ms": (row.toom3.as_secs_f64() * 1e3),
         }));
-        if row.limbs >= 256 {
-            if row.toom3 > row.schoolbook {
+        if row.limbs == 256 {
+            if row.karatsuba > row.schoolbook {
                 failures.push(format!(
-                    "Toom-3 slower than schoolbook at {} limbs: {:.3}ms vs {:.3}ms",
+                    "Karatsuba slower than schoolbook at {} limbs: {:.3}ms vs {:.3}ms",
                     row.limbs,
-                    row.toom3.as_secs_f64() * 1e3,
+                    row.karatsuba.as_secs_f64() * 1e3,
                     row.schoolbook.as_secs_f64() * 1e3
                 ));
             }
@@ -275,7 +269,7 @@ fn table2_json(smoke: bool) {
         limb_sizes.len()
     );
 
-    let big = big.expect("the sweep includes a >=256-limb point");
+    let big = big.expect("the sweep includes the 256-limb point");
     if !failures.is_empty() {
         for failure in &failures {
             eprintln!("{failure}");
@@ -283,36 +277,13 @@ fn table2_json(smoke: bool) {
         std::process::exit(1);
     }
     println!(
-        "BENCH_5.json OK: speedup {:.2}x at N={}, toom-3 {:.3}ms vs schoolbook {:.3}ms at {} limbs",
+        "BENCH_5.json OK: speedup {:.2}x at N={}, karatsuba {:.3}ms vs schoolbook {:.3}ms at {} limbs",
         last.speedup,
         last.n,
-        big.toom3.as_secs_f64() * 1e3,
+        big.karatsuba.as_secs_f64() * 1e3,
         big.schoolbook.as_secs_f64() * 1e3,
         big.limbs
     );
-    println!();
-}
-
-/// The in-text claim: platform overhead ≈ 2-5% of total computing time.
-fn overhead() {
-    println!("== Platform overhead (paper: ~2-5% incl. data transfer) ==");
-    let server = spawn_compute_server();
-    let base = server.base_url();
-    println!(
-        "{:>11} {:>11} {:>11} {:>13} {:>10}",
-        "compute", "payload", "direct (s)", "platform (s)", "overhead"
-    );
-    for (ms, kb) in [(50u64, 16usize), (200, 16), (1000, 16), (1000, 1024)] {
-        let row = measure_overhead(&base, ms, kb * 1024, 16 * 1024);
-        println!(
-            "{:>9}ms {:>9}kB {:>11} {:>13} {:>9.1}%",
-            row.compute_ms,
-            row.payload_bytes / 1024,
-            mathcloud_bench::secs(row.direct),
-            mathcloud_bench::secs(row.via_platform),
-            row.overhead_pct
-        );
-    }
     println!();
 }
 

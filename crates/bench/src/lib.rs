@@ -6,8 +6,6 @@
 //! * [`matrix`] — the exact-matrix computational services (invert, multiply,
 //!   …) and the distributed Schur-complement workflow of the Table 2
 //!   experiment,
-//! * [`overhead`] — the platform-overhead measurement backing the "about
-//!   2-5% of total computing time" claim,
 //! * [`dw`] — a pool of remote transportation-solver services plus a
 //!   [`mathcloud_opt::SubproblemSolver`] that dispatches pricing problems to
 //!   them (the paper's distributed AMPL/Dantzig–Wolfe application),
@@ -21,7 +19,6 @@ pub mod dw;
 pub mod edge;
 pub mod harness;
 pub mod matrix;
-pub mod overhead;
 pub mod xrayservices;
 
 /// Formats a duration in seconds with 3 decimals for report tables.

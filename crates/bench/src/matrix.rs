@@ -401,7 +401,7 @@ pub fn kernel_row(n: usize, threads: usize) -> KernelRow {
 }
 
 /// One point of the multiplication-crossover micro-benchmark behind
-/// `repro --table2 --json`: every tier timed on the same deterministic
+/// `repro --table2 --json`: both tiers timed on the same deterministic
 /// operand pair, with bit-for-bit agreement asserted first.
 #[derive(Debug, Clone)]
 pub struct MulKernelRow {
@@ -411,17 +411,15 @@ pub struct MulKernelRow {
     pub schoolbook: Duration,
     /// Karatsuba time per multiplication.
     pub karatsuba: Duration,
-    /// Toom-3 time per multiplication.
-    pub toom3: Duration,
 }
 
-/// Times all three multiplication tiers on deterministic `limbs`-sized
+/// Times both multiplication tiers on deterministic `limbs`-sized
 /// operands: per multiplication, each kernel's least over five interleaved
 /// blocks of repeats long enough to be measurable.
 ///
 /// # Panics
 ///
-/// Panics if any tier disagrees with the schoolbook oracle.
+/// Panics if Karatsuba disagrees with the schoolbook oracle.
 pub fn mul_kernel_row(limbs: usize) -> MulKernelRow {
     use mathcloud_exact::BigInt;
     use mathcloud_telemetry::XorShift64;
@@ -441,7 +439,6 @@ pub fn mul_kernel_row(limbs: usize) -> MulKernelRow {
 
     let oracle = a.mul_kernel(&b, MulKernel::Schoolbook);
     assert_eq!(a.mul_kernel(&b, MulKernel::Karatsuba), oracle);
-    assert_eq!(a.mul_kernel(&b, MulKernel::Toom3), oracle);
 
     // Repeat until each block accumulates enough wall time for a stable
     // ratio; the smallest sizes multiply in microseconds. CI gates on the
@@ -456,23 +453,18 @@ pub fn mul_kernel_row(limbs: usize) -> MulKernelRow {
         }
         t0.elapsed() / reps as u32
     };
-    let kernels = [
-        MulKernel::Schoolbook,
-        MulKernel::Karatsuba,
-        MulKernel::Toom3,
-    ];
-    let mut least = [Duration::MAX; 3];
+    let kernels = [MulKernel::Schoolbook, MulKernel::Karatsuba];
+    let mut least = [Duration::MAX; 2];
     for _round in 0..5 {
         for (least, &kernel) in least.iter_mut().zip(&kernels) {
             *least = (*least).min(time(kernel));
         }
     }
-    let [schoolbook, karatsuba, toom3] = least;
+    let [schoolbook, karatsuba] = least;
     MulKernelRow {
         limbs,
         schoolbook,
         karatsuba,
-        toom3,
     }
 }
 
@@ -593,12 +585,11 @@ mod tests {
     }
 
     #[test]
-    fn mul_kernel_rows_time_all_tiers() {
+    fn mul_kernel_rows_time_both_tiers() {
         let row = mul_kernel_row(48);
         assert_eq!(row.limbs, 48);
         assert!(row.schoolbook > Duration::ZERO);
         assert!(row.karatsuba > Duration::ZERO);
-        assert!(row.toom3 > Duration::ZERO);
     }
 
     #[test]

@@ -269,6 +269,16 @@ impl ServiceDescription {
         let name = v
             .str_field("name")
             .ok_or_else(|| DescriptionError::Malformed("missing name".into()))?;
+        Self::from_value_named(v, name)
+    }
+
+    /// [`ServiceDescription::from_value`] under `name`, whatever name the
+    /// document carries: a hosted service is named where it is deployed.
+    ///
+    /// # Errors
+    ///
+    /// As [`ServiceDescription::from_value`], less the missing name.
+    pub fn from_value_named(v: &Value, name: &str) -> Result<Self, DescriptionError> {
         let description = v.str_field("description").unwrap_or("");
         let mut desc = ServiceDescription::new(name, description);
         if let Some(tags) = v.get("tags").and_then(Value::as_array) {

@@ -43,8 +43,8 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
-use mathcloud_core::{Parameter, ServiceDescription};
-use mathcloud_json::{Schema, Value};
+use mathcloud_core::ServiceDescription;
+use mathcloud_json::Value;
 use mathcloud_security::{AccessPolicy, Identity};
 
 use crate::adapter::{ClusterAdapter, CommandAdapter, ComputeFn, GridAdapter, NativeAdapter};
@@ -141,16 +141,16 @@ impl fmt::Debug for AdapterRegistry {
 ///
 /// Returns the deployed service names, in document order. The document is
 /// `{"services": [...]}` and nothing else; container settings are calls on
-/// the container, made after this one and before serving traffic, in this
-/// order:
+/// the container, made before serving traffic:
 ///
 /// 1. result memoization — [`Everest::set_result_memoization`] — and
-///    terminal-record retention — [`Everest::set_terminal_retention`] — so
-///    they apply to what recovery replays;
+///    terminal-record retention — [`Everest::set_terminal_retention`] —
+///    after this call, so they apply to what recovery replays;
 /// 2. the job journal — [`Everest::attach_job_journal`] or
-///    [`Everest::attach_job_journal_with`] — whose recovery re-queues
-///    interrupted jobs onto the services deployed here;
-/// 3. the handler pool — [`Everest::resize_pool`];
+///    [`Everest::attach_job_journal_with`] — after them, whose recovery
+///    re-queues interrupted jobs onto the services deployed here;
+/// 3. the handler pool — sized when the container is built, by
+///    [`Everest::with_handlers`], so before this call;
 /// 4. the server edge — [`crate::rest::serve_with_config`].
 ///
 /// # Errors
@@ -180,8 +180,8 @@ pub fn load_config(
         let name = entry
             .str_field("name")
             .ok_or_else(|| err(format!("service #{i}: missing name")))?;
-        let description = build_description(entry, name)
-            .map_err(|e| err(format!("service {name:?}: {}", e.0)))?;
+        let description = ServiceDescription::from_value(entry)
+            .map_err(|e| err(format!("service {name:?}: {e}")))?;
         let policy = build_policy(entry);
         let adapter_doc = entry
             .get("adapter")
@@ -191,42 +191,6 @@ pub fn load_config(
         deployed.push(name.to_string());
     }
     Ok(deployed)
-}
-
-fn build_description(entry: &Value, name: &str) -> Result<ServiceDescription, ConfigError> {
-    let mut desc = ServiceDescription::new(name, entry.str_field("description").unwrap_or(""));
-    if let Some(tags) = entry.get("tags").and_then(Value::as_array) {
-        for t in tags {
-            if let Some(t) = t.as_str() {
-                desc = desc.tag(t);
-            }
-        }
-    }
-    for (field, is_input) in [("inputs", true), ("outputs", false)] {
-        if let Some(params) = entry.get(field) {
-            let obj = params
-                .as_object()
-                .ok_or_else(|| err(format!("{field} must be an object")))?;
-            for (pname, schema_doc) in obj.iter() {
-                let schema = Schema::from_value(schema_doc)
-                    .map_err(|e| err(format!("parameter {pname:?}: {e}")))?;
-                let optional = schema_doc
-                    .get("optional")
-                    .and_then(Value::as_bool)
-                    .unwrap_or(false);
-                let mut p = Parameter::new(pname, schema);
-                if optional {
-                    p = p.optional();
-                }
-                desc = if is_input {
-                    desc.input(p)
-                } else {
-                    desc.output(p)
-                };
-            }
-        }
-    }
-    Ok(desc)
 }
 
 fn build_policy(entry: &Value) -> AccessPolicy {
@@ -262,7 +226,8 @@ pub fn build_policyless_service(
     entry: &Value,
     registry: &AdapterRegistry,
 ) -> Result<(ServiceDescription, Box<dyn crate::adapter::Adapter>), ConfigError> {
-    let description = build_description(entry, name)?;
+    let description =
+        ServiceDescription::from_value_named(entry, name).map_err(|e| err(e.to_string()))?;
     let adapter_doc = entry.get("adapter").ok_or_else(|| err("missing adapter"))?;
     let adapter = build_adapter(adapter_doc, registry)?;
     Ok((description, adapter))
@@ -429,6 +394,37 @@ mod tests {
             everest.description("word-count").unwrap().tags(),
             ["text", "unix"]
         );
+    }
+
+    #[test]
+    fn a_config_entry_is_served_as_the_description_it_parses_to() {
+        let entry = json!({
+            "name": "pad",
+            "description": "pads text",
+            "inputs": {
+                "text": {"type": "string", "maxLength": 64},
+                "width": {"type": "integer", "minimum": 0, "default": 8, "optional": true}
+            },
+            "outputs": {"padded": {"type": "string"}},
+            "adapter": {"type": "command", "program": "/bin/cat", "stdin": "text", "stdout": "padded"},
+            "tags": ["text", "format"]
+        });
+        let everest = Everest::new("cfg");
+        let config = json!({ "services": [(entry.clone())] });
+        load_config(&everest, &config, &AdapterRegistry::new()).unwrap();
+        let server = crate::rest::serve(everest, "127.0.0.1:0", None).unwrap();
+        let mut served = mathcloud_http::Client::new()
+            .get(&format!("{}/services/pad", server.base_url()))
+            .unwrap()
+            .body_json()
+            .unwrap();
+        let parsed = ServiceDescription::from_value(&entry).unwrap();
+        assert!(parsed.input_named("width").unwrap().is_optional());
+        assert_eq!(parsed.tags(), ["text", "format"]);
+        let uri = served.as_object_mut().unwrap().remove("uri");
+        assert_eq!(uri, Some(json!("/services/pad")));
+        assert_eq!(served, parsed.to_value());
+        assert_eq!(ServiceDescription::from_value(&served).unwrap(), parsed);
     }
 
     #[test]

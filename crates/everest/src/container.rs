@@ -182,7 +182,7 @@ impl HealthReport {
     /// A zero-worker pool reports 0.0 rather than dividing by zero: `/health`
     /// serializes this value to JSON, which has no infinity or NaN. (An
     /// `Everest` pool also can't actually reach zero:
-    /// [`Everest::resize_pool`] clamps to one worker.)
+    /// [`Everest::with_handlers`] refuses one.)
     pub fn saturation(&self) -> f64 {
         if self.pool_workers == 0 {
             0.0

@@ -1,5 +1,5 @@
 //! The Job Manager's handler pool: the [`WorkPool`] jobs wait in and run on,
-//! the task that takes one `WAITING → RUNNING → DONE | FAILED`, and resizing.
+//! and the task that takes one `WAITING → RUNNING → DONE | FAILED`.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -18,15 +18,15 @@ use crate::jobstore::{TransitionDetail, TransitionState};
 const HANDLER_IDLE_TTL: Duration = Duration::from_secs(60);
 
 /// The handle every `Everest` clone shares: the handler pool (`handlers`
-/// lazily started threads named `mc-job-<label>-N`) and the three
-/// `mc_pool_*{container}` gauges that mirror it. Dropping the last one closes
+/// lazily started threads named `mc-job-<label>-N`) and the two
+/// `mc_pool_*{container}` gauges that follow its load (`mc_pool_workers` is
+/// set once, when it is built). Dropping the last one closes
 /// the job table, so its confirmer thread leaves, and then drops the pool.
 pub(crate) struct JobSender {
     handlers: WorkPool,
     shared: Arc<Shared>,
     depth: Gauge,
     busy_workers: Gauge,
-    pool_workers: Gauge,
 }
 
 impl Drop for JobSender {
@@ -48,7 +48,9 @@ impl JobSender {
         );
         reg.describe("mc_pool_workers", "size of the handler thread pool");
         let container = [("container", shared.label.as_str())];
-        let sender = JobSender {
+        reg.gauge("mc_pool_workers", &container)
+            .set(handlers as i64);
+        Arc::new(JobSender {
             handlers: WorkPool::new(
                 &format!("mc-job-{}", shared.label),
                 handlers,
@@ -57,10 +59,7 @@ impl JobSender {
             shared: Arc::clone(shared),
             depth: reg.gauge("mc_pool_queue_depth", &container),
             busy_workers: reg.gauge("mc_pool_busy_workers", &container),
-            pool_workers: reg.gauge("mc_pool_workers", &container),
-        };
-        sender.pool_workers.set(handlers as i64);
-        Arc::new(sender)
+        })
     }
 
     /// Hands a `WAITING` job to the pool.
@@ -78,21 +77,10 @@ impl JobSender {
 }
 
 impl Everest {
-    /// The handler-pool size. Live threads never exceed it for longer than
-    /// the jobs running at the time of a shrink take to finish.
+    /// The handler-pool size, fixed when the container is built
+    /// ([`Everest::with_handlers`]): live handler threads never exceed it.
     pub fn pool_workers(&self) -> usize {
         self.pool_status().workers
-    }
-
-    /// Resizes the handler pool to `workers` (clamped to at least one),
-    /// returning the size applied. Growth starts threads for queued jobs at
-    /// once; after a shrink surplus handlers leave once their current job is
-    /// done — in-flight jobs are never aborted by a resize.
-    pub fn resize_pool(&self, workers: usize) -> usize {
-        let workers = workers.max(1);
-        self.pool.handlers.resize(workers);
-        self.pool.pool_workers.set(workers as i64);
-        workers
     }
 
     /// The handler pool's load right now: its size, the handlers inside a
@@ -199,97 +187,6 @@ mod tests {
             }),
         );
         (e, gate)
-    }
-
-    #[test]
-    fn resize_pool_grows_and_shrinks_desired_size() {
-        let e = Everest::with_handlers("t-resize", 2);
-        assert_eq!(e.pool_workers(), 2);
-        assert_eq!(e.resize_pool(5), 5);
-        assert_eq!(e.pool_workers(), 5);
-        assert_eq!(e.health().pool_workers, 5, "gauge tracks the resize");
-        assert_eq!(e.resize_pool(1), 1);
-        assert_eq!(e.pool_workers(), 1);
-        // Clamped: a pool never drops to zero workers.
-        assert_eq!(e.resize_pool(0), 1);
-        assert_eq!(e.pool_workers(), 1);
-    }
-
-    #[test]
-    fn grown_pool_actually_runs_jobs_concurrently() {
-        let e = Everest::with_handlers("t-grow", 1);
-        e.deploy(
-            ServiceDescription::new("sleep", "naps").input(Parameter::new("ms", Schema::integer())),
-            NativeAdapter::from_fn(|inputs, _| {
-                let ms = inputs.get("ms").and_then(Value::as_i64).unwrap_or(0) as u64;
-                std::thread::sleep(Duration::from_millis(ms));
-                Ok(Object::new())
-            }),
-        );
-        e.resize_pool(4);
-        let t0 = Instant::now();
-        let reps: Vec<_> = (0..4)
-            .map(|_| {
-                e.submit_and_wait("sleep", json!({"ms": 100}), None, None, None, None)
-                    .unwrap()
-                    .rep
-            })
-            .collect();
-        for rep in &reps {
-            assert_eq!(
-                e.wait("sleep", rep.id.as_str(), Duration::from_secs(5))
-                    .unwrap()
-                    .state,
-                JobState::Done
-            );
-        }
-        // 4 × 100 ms on the grown 4-worker pool: ~100 ms, not ~400 as the
-        // original single worker would take.
-        assert!(
-            t0.elapsed() < Duration::from_millis(350),
-            "{:?}",
-            t0.elapsed()
-        );
-    }
-
-    #[test]
-    fn shrink_lets_running_jobs_finish() {
-        let (e, gate) = gated_container(3);
-        let reps: Vec<_> = (0..3)
-            .map(|_| {
-                e.submit_and_wait("hold", json!({}), None, None, None, None)
-                    .unwrap()
-                    .rep
-            })
-            .collect();
-        // Wait until all three workers picked up their job.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while e.health().busy_workers < 3 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert_eq!(e.health().busy_workers, 3);
-        // Shrink under the running jobs: surplus handlers leave after the
-        // in-flight work, nothing is aborted.
-        assert_eq!(e.resize_pool(1), 1);
-        gate.store(true, Ordering::Relaxed);
-        for rep in &reps {
-            let done = e
-                .wait("hold", rep.id.as_str(), Duration::from_secs(5))
-                .expect("job survived the shrink");
-            assert_eq!(done.state, JobState::Done);
-        }
-        assert_eq!(e.pool_workers(), 1);
-        // The surviving worker still serves new jobs.
-        let rep = e
-            .submit_and_wait("hold", json!({}), None, None, None, None)
-            .unwrap()
-            .rep;
-        assert_eq!(
-            e.wait("hold", rep.id.as_str(), Duration::from_secs(5))
-                .unwrap()
-                .state,
-            JobState::Done
-        );
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! The representation is a little-endian vector of 32-bit limbs with no
 //! trailing zero limbs, plus a sign flag (`negative` is never set for zero).
 //! Multiplication is tiered: schoolbook below [`MulKernel::KARATSUBA_LIMBS`]
-//! limbs, Karatsuba in the mid range, and Toom-3 above
-//! [`MulKernel::TOOM3_LIMBS`]; division is Knuth's Algorithm D.
+//! limbs and Karatsuba from there on; division is Knuth's Algorithm D.
 
 use std::cmp::Ordering;
 use std::error::Error;
@@ -15,7 +14,7 @@ use std::str::FromStr;
 /// Which multiplication kernel runs for a given operand size. The tiered
 /// dispatcher picks by the *smaller* operand's limb count; every kernel can
 /// also be forced through [`BigInt::mul_kernel`], which is how the
-/// differential test battery checks the upper tiers bit-for-bit against the
+/// differential test battery checks Karatsuba bit-for-bit against the
 /// schoolbook oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MulKernel {
@@ -23,31 +22,19 @@ pub enum MulKernel {
     Schoolbook,
     /// 3-multiplication split (O(n^1.585)).
     Karatsuba,
-    /// 5-multiplication three-way split (O(n^1.465)).
-    Toom3,
 }
 
 impl MulKernel {
     /// Limb count at which multiplication leaves schoolbook for Karatsuba.
     pub const KARATSUBA_LIMBS: usize = 32;
 
-    /// Limb count at which multiplication leaves Karatsuba for Toom-3. The
-    /// interpolation overhead (exact divisions by 2 and 3, five pointwise
-    /// products with temporaries) keeps the two tiers within noise of each
-    /// other between ~128 and ~512 limbs; the measured sweep (EXPERIMENTS.md)
-    /// shows Toom-3 decisively ahead from 512 limbs on — the sizes large-N
-    /// Bareiss worksheets actually produce.
-    pub const TOOM3_LIMBS: usize = 512;
-
     /// The kernel the tiered dispatcher selects when the smaller operand has
     /// `min_limbs` limbs.
     pub fn for_limbs(min_limbs: usize) -> MulKernel {
         if min_limbs < Self::KARATSUBA_LIMBS {
             MulKernel::Schoolbook
-        } else if min_limbs < Self::TOOM3_LIMBS {
-            MulKernel::Karatsuba
         } else {
-            MulKernel::Toom3
+            MulKernel::Karatsuba
         }
     }
 
@@ -56,7 +43,6 @@ impl MulKernel {
         match self {
             MulKernel::Schoolbook => "schoolbook",
             MulKernel::Karatsuba => "karatsuba",
-            MulKernel::Toom3 => "toom-3",
         }
     }
 }
@@ -256,7 +242,6 @@ impl BigInt {
         match MulKernel::for_limbs(a.len().min(b.len())) {
             MulKernel::Schoolbook => Self::schoolbook(a, b),
             MulKernel::Karatsuba => Self::karatsuba(a, b),
-            MulKernel::Toom3 => Self::toom3(a, b),
         }
     }
 
@@ -312,66 +297,6 @@ impl BigInt {
         out
     }
 
-    /// Toom-3: split each operand into three `k`-limb parts, evaluate the
-    /// part polynomials at {0, 1, −1, 2, ∞}, multiply pointwise (recursing
-    /// through the tiered dispatcher), and interpolate the five product
-    /// coefficients. The interpolation divisions by 2 and 3 are exact; signed
-    /// intermediates (the −1 evaluation can go negative) ride on [`BigInt`]
-    /// itself, and every final coefficient of the product polynomial is
-    /// non-negative, so recombination is pure limb addition.
-    fn toom3(a: &[u32], b: &[u32]) -> Vec<u32> {
-        let k = a.len().max(b.len()).div_ceil(3);
-        let part = |x: &[u32], i: usize| -> BigInt {
-            let lo = (i * k).min(x.len());
-            let hi = ((i + 1) * k).min(x.len());
-            BigInt::from_limbs(x[lo..hi].to_vec(), false)
-        };
-        let (a0, a1, a2) = (part(a, 0), part(a, 1), part(a, 2));
-        let (b0, b1, b2) = (part(b, 0), part(b, 1), part(b, 2));
-
-        // Evaluate p(x) = p0 + p1·x + p2·x² at 1, −1 and 2.
-        let a02 = &a0 + &a2;
-        let (pa1, pam1) = (&a02 + &a1, &a02 - &a1);
-        let pa2 = &a0 + &shl_small(&(&a1 + &shl_small(&a2, 1)), 1);
-        let b02 = &b0 + &b2;
-        let (pb1, pbm1) = (&b02 + &b1, &b02 - &b1);
-        let pb2 = &b0 + &shl_small(&(&b1 + &shl_small(&b2, 1)), 1);
-
-        // Five pointwise products; sub-products re-enter the tiered
-        // dispatcher, so deep recursions fall through Karatsuba to
-        // schoolbook as the parts shrink.
-        let v0 = &a0 * &b0;
-        let v1 = &pa1 * &pb1;
-        let vm1 = &pam1 * &pbm1;
-        let v2 = &pa2 * &pb2;
-        let vinf = &a2 * &b2;
-
-        // Interpolate w0..w4 with w(x) = Σ wi·xⁱ matching the five samples.
-        let two = BigInt::from(2);
-        let three = BigInt::from(3);
-        let w0 = v0;
-        let w4 = vinf;
-        // (v1 + v−1)/2 = w0 + w2 + w4.
-        let even = &(&v1 + &vm1) / &two;
-        let w2 = &even - &(&w0 + &w4);
-        // s = (v1 − v−1)/2 = w1 + w3.
-        let s = &(&v1 - &vm1) / &two;
-        // t = (v2 − w0 − 4·w2 − 16·w4)/2 = w1 + 4·w3.
-        let t = &(&(&v2 - &w0) - &(&shl_small(&w2, 2) + &shl_small(&w4, 4))) / &two;
-        let w3 = &(&t - &s) / &three;
-        let w1 = &s - &w3;
-
-        let mut out = vec![0u32; a.len() + b.len() + 1];
-        for (i, w) in [&w0, &w1, &w2, &w3, &w4].into_iter().enumerate() {
-            debug_assert!(
-                !w.is_negative(),
-                "toom-3 interpolation produced a negative coefficient"
-            );
-            add_into(&mut out, &w.limbs, i * k);
-        }
-        out
-    }
-
     /// Multiplies with an explicitly chosen kernel, bypassing the tiered
     /// dispatcher at the top level (sub-products still dispatch normally).
     /// Degenerate sizes a kernel cannot split fall back to schoolbook. The
@@ -386,7 +311,6 @@ impl BigInt {
             match kernel {
                 MulKernel::Schoolbook => Self::schoolbook(a, b),
                 MulKernel::Karatsuba if a.len().max(b.len()) >= 2 => Self::karatsuba(a, b),
-                MulKernel::Toom3 if a.len().max(b.len()) >= 3 => Self::toom3(a, b),
                 _ => Self::schoolbook(a, b),
             }
         };
@@ -583,15 +507,6 @@ fn shr_bits(limbs: &[u32], shift: usize) -> Vec<u32> {
         out.pop();
     }
     out
-}
-
-/// Sign-preserving left shift by `bits` (0 <= bits < 32) — the small exact
-/// scalings Toom-3 interpolation needs.
-fn shl_small(x: &BigInt, bits: usize) -> BigInt {
-    if x.is_zero() {
-        return BigInt::zero();
-    }
-    BigInt::from_limbs(shl_bits(&x.limbs, bits), x.negative)
 }
 
 impl From<i64> for BigInt {
@@ -907,23 +822,6 @@ mod tests {
     }
 
     #[test]
-    fn toom3_matches_schoolbook_oracle() {
-        // Operands long enough to engage Toom-3 through the dispatcher
-        // (>= 512 limbs ≈ >= 16384 bits), verified against the forced
-        // schoolbook oracle bit for bit.
-        let a = BigInt::from(7).pow(6200);
-        let b = BigInt::from(11).pow(5000);
-        assert!(a.limb_len() >= MulKernel::TOOM3_LIMBS);
-        let oracle = a.mul_kernel(&b, MulKernel::Schoolbook);
-        assert_eq!(&a * &b, oracle);
-        assert_eq!(a.mul_kernel(&b, MulKernel::Toom3), oracle);
-        assert_eq!(a.mul_kernel(&b, MulKernel::Karatsuba), oracle);
-        // Signs flow through every tier.
-        assert_eq!((-&a).mul_kernel(&b, MulKernel::Toom3), -&oracle);
-        assert_eq!(a.mul_kernel(&-&b, MulKernel::Toom3), -&oracle);
-    }
-
-    #[test]
     fn forced_kernels_survive_degenerate_sizes() {
         let cases = [
             BigInt::zero(),
@@ -935,9 +833,7 @@ mod tests {
         for a in &cases {
             for b in &cases {
                 let oracle = a.mul_kernel(b, MulKernel::Schoolbook);
-                for kernel in [MulKernel::Karatsuba, MulKernel::Toom3] {
-                    assert_eq!(a.mul_kernel(b, kernel), oracle, "{a} * {b} {kernel:?}");
-                }
+                assert_eq!(a.mul_kernel(b, MulKernel::Karatsuba), oracle, "{a} * {b}");
             }
         }
     }
@@ -953,15 +849,8 @@ mod tests {
             MulKernel::for_limbs(MulKernel::KARATSUBA_LIMBS),
             MulKernel::Karatsuba
         );
-        assert_eq!(
-            MulKernel::for_limbs(MulKernel::TOOM3_LIMBS - 1),
-            MulKernel::Karatsuba
-        );
-        assert_eq!(
-            MulKernel::for_limbs(MulKernel::TOOM3_LIMBS),
-            MulKernel::Toom3
-        );
-        assert_eq!(MulKernel::Toom3.name(), "toom-3");
+        assert_eq!(MulKernel::for_limbs(usize::MAX), MulKernel::Karatsuba);
+        assert_eq!(MulKernel::Karatsuba.name(), "karatsuba");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! from-scratch Rust replacement for that substrate:
 //!
 //! * [`BigInt`] — sign-magnitude arbitrary-precision integers with tiered
-//!   schoolbook / Karatsuba / Toom-3 multiplication ([`MulKernel`]) and
+//!   schoolbook / Karatsuba multiplication ([`MulKernel`]) and
 //!   Knuth Algorithm D division,
 //! * [`Rational`] — always-normalized arbitrary-precision rationals,
 //! * [`Matrix`] — dense matrices over [`Rational`] with exact Gauss–Jordan

@@ -10,7 +10,6 @@
 //!   and [`parse_bytes`], the same parser on raw bytes that checks the UTF-8
 //!   itself,
 //! * serialization via `Value::to_string` (compact) and [`Value::to_pretty_string`],
-//! * [`pointer::Pointer`] — RFC 6901 JSON Pointers,
 //! * [`schema::Schema`] — a practical JSON Schema subset used to describe and
 //!   validate service inputs and outputs.
 //!
@@ -31,14 +30,12 @@
 
 pub mod number;
 pub mod parse;
-pub mod pointer;
 pub mod schema;
 pub mod ser;
 pub mod value;
 
 pub use number::Number;
 pub use parse::{parse, parse_bytes, ParseError};
-pub use pointer::Pointer;
 pub use schema::{Schema, SchemaError, ValidationError};
 pub use value::Value;
 

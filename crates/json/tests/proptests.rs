@@ -3,7 +3,7 @@
 //! fully offline with reproducible failures (re-run with the same seed).
 
 use mathcloud_json::value::Object;
-use mathcloud_json::{parse, parse_bytes, ParseError, Pointer, Value};
+use mathcloud_json::{parse, parse_bytes, ParseError, Value};
 use mathcloud_telemetry::XorShift64;
 
 const CASES: usize = 300;
@@ -67,51 +67,6 @@ fn parser_is_panic_free() {
     let mut rng = XorShift64::new(0xDEAD);
     for _ in 0..CASES {
         let _ = parse(&rng.unicode_string(64));
-    }
-}
-
-/// Every pointer printed from tokens parses back to the same tokens,
-/// including `/` and `~` characters that need escaping.
-#[test]
-fn pointer_round_trip() {
-    const POOL: &[char] = &['a', 'z', '/', '~', '0', '9'];
-    let mut rng = XorShift64::new(0x9017);
-    for case in 0..CASES {
-        let n = rng.index(5);
-        let tokens: Vec<String> = (0..n)
-            .map(|_| {
-                let len = rng.index(7);
-                rng.string_from(POOL, len)
-            })
-            .collect();
-        let p = Pointer::from_tokens(tokens.clone());
-        let reparsed: Pointer = p.to_string().parse().expect("printed pointer must parse");
-        assert_eq!(reparsed.tokens(), &tokens[..], "case {case}");
-    }
-}
-
-/// A pointer built from an object path always resolves.
-#[test]
-fn pointer_resolves_object_paths() {
-    const POOL: &[char] = &['a', 'b', 'c', 'd', 'x', 'y'];
-    let mut rng = XorShift64::new(0x5EED);
-    for _ in 0..CASES {
-        let n = 1 + rng.index(3);
-        let keys: Vec<String> = (0..n)
-            .map(|_| {
-                let len = 1 + rng.index(5);
-                rng.string_from(POOL, len)
-            })
-            .collect();
-        // Build nested objects along `keys` ending in a sentinel.
-        let mut v = Value::from("leaf");
-        for k in keys.iter().rev() {
-            let mut o = Object::new();
-            o.insert(k.clone(), v);
-            v = Value::Object(o);
-        }
-        let p = Pointer::from_tokens(keys);
-        assert_eq!(p.resolve(&v).unwrap(), &Value::from("leaf"));
     }
 }
 

@@ -4,10 +4,10 @@
 //! Everything in the serving path that runs "this, on some thread" runs it
 //! here: the Job Manager's handlers, the HTTP edge's request workers and its
 //! streamer set. A submitted task wakes a parked worker or, when every
-//! parked worker is spoken for, starts one (up to the `max_workers`
-//! watermark). Workers idle past `idle_ttl` retire; workers above a lowered
-//! watermark retire after their current task, so a shrink never aborts one. [`WorkPool::status`] is the one load
-//! sample (`busy` is counted around the task itself).
+//! parked worker is spoken for, starts one (up to `max_workers`, fixed when
+//! the pool is built). Workers idle past `idle_ttl` retire.
+//! [`WorkPool::status`] is the one load sample (`busy` is counted around the
+//! task itself).
 //!
 //! Dropping the pool has one rule for every caller: stop accepting, let
 //! queued tasks *start* until the drain grace has passed, discard what is
@@ -33,7 +33,8 @@ type Task = Box<dyn FnOnce() + Send + 'static>;
 /// A point-in-time load sample of a worker pool ([`WorkPool::status`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStatus {
-    /// Current pool size (desired workers; retiring workers excluded).
+    /// The pool's size: the most workers it runs at once, fixed when it is
+    /// built.
     pub workers: usize,
     /// Workers currently executing a job.
     pub busy: usize,
@@ -51,7 +52,7 @@ struct State {
     idle: usize,
     /// Workers inside a task.
     busy: usize,
-    /// Retire watermark: workers above this count exit after their task.
+    /// Most workers alive at once.
     max_workers: usize,
     /// Workers ever started; numbers the thread names.
     started: usize,
@@ -60,7 +61,7 @@ struct State {
 
 struct Shared {
     state: Mutex<State>,
-    /// Signals queued work, shutdown and shrink to parked workers.
+    /// Signals queued work and shutdown to parked workers.
     work: Condvar,
     /// Signals a worker leaving to a dropping owner.
     left: Condvar,
@@ -120,7 +121,7 @@ impl WorkPool {
     }
 
     /// Queues `task`, waking a parked worker or — when the queue is longer
-    /// than the parked workers can take — starting one, up to the watermark.
+    /// than the parked workers can take — starting one, up to `max_workers`.
     /// Returns `false` (dropping the task) once the pool is being dropped.
     pub fn spawn(&self, task: impl FnOnce() + Send + 'static) -> bool {
         let mut s = self.shared.state.lock();
@@ -150,7 +151,7 @@ impl WorkPool {
         s.live += 1;
     }
 
-    /// The pool's load right now: the watermark, workers inside a task, and
+    /// The pool's load right now: its size, workers inside a task, and
     /// tasks not yet picked up.
     pub fn status(&self) -> PoolStatus {
         let s = self.shared.state.lock();
@@ -170,25 +171,11 @@ impl WorkPool {
     pub fn queued(&self) -> usize {
         self.shared.state.lock().tasks.len()
     }
-
-    /// Sets the watermark. Raising it starts workers for the backlog at
-    /// once; lowering it retires surplus workers as they finish their task
-    /// (parked ones immediately).
-    pub fn resize(&self, max_workers: usize) {
-        let mut s = self.shared.state.lock();
-        s.max_workers = max_workers;
-        let backlog = s.tasks.len().saturating_sub(s.idle);
-        for _ in 0..backlog.min(max_workers.saturating_sub(s.live)) {
-            self.start_worker(&mut s);
-        }
-        drop(s);
-        self.shared.work.notify_all();
-    }
 }
 
 fn worker_loop(shared: &Shared) {
     let mut s = shared.state.lock();
-    while s.live <= s.max_workers && !(s.shutdown && s.tasks.is_empty()) {
+    while !(s.shutdown && s.tasks.is_empty()) {
         if let Some(task) = s.tasks.pop_front() {
             s.busy += 1;
             drop(s);
@@ -306,7 +293,7 @@ mod tests {
         for i in 0..16 {
             let tx = tx.clone();
             assert!(pool.spawn(move || tx.send(i).unwrap()));
-            assert!(pool.live_workers() <= 4, "bounded by the watermark");
+            assert!(pool.live_workers() <= 4, "bounded by the pool size");
         }
         let mut got: Vec<i32> = (0..16).map(|_| rx.recv().unwrap()).collect();
         got.sort_unstable();
@@ -367,68 +354,6 @@ mod tests {
         }
         assert_eq!(pool.status().busy, 3);
         gate.open();
-    }
-
-    #[test]
-    fn resize_up_runs_an_existing_backlog_concurrently() {
-        let pool = WorkPool::new("wp-up", 1, LONG);
-        let gate = Arc::new(Gate::default());
-        let (tx, rx) = mpsc::channel();
-        hold(&pool, 4, &gate, &tx);
-        rx.recv_timeout(WAIT).unwrap();
-        assert_eq!(
-            pool.status(),
-            PoolStatus {
-                workers: 1,
-                busy: 1,
-                queue_depth: 3
-            }
-        );
-        pool.resize(4);
-        // No further spawn: the resize itself staffs the backlog.
-        for _ in 0..3 {
-            rx.recv_timeout(WAIT).unwrap();
-        }
-        assert_eq!(
-            pool.status(),
-            PoolStatus {
-                workers: 4,
-                busy: 4,
-                queue_depth: 0
-            }
-        );
-        gate.open();
-    }
-
-    #[test]
-    fn resize_down_lets_running_tasks_finish_and_parks_no_more_than_the_new_size() {
-        let pool = WorkPool::new("wp-down", 3, LONG);
-        let gate = Arc::new(Gate::default());
-        let (tx, rx) = mpsc::channel();
-        let (done_tx, done_rx) = mpsc::channel();
-        for _ in 0..3 {
-            let (gate, tx, done_tx) = (Arc::clone(&gate), tx.clone(), done_tx.clone());
-            pool.spawn(move || {
-                tx.send(()).unwrap();
-                gate.wait();
-                done_tx.send(()).unwrap();
-            });
-        }
-        for _ in 0..3 {
-            rx.recv_timeout(WAIT).unwrap();
-        }
-        pool.resize(1);
-        assert_eq!(pool.status().busy, 3, "a shrink aborts nothing");
-        gate.open();
-        for _ in 0..3 {
-            done_rx.recv_timeout(WAIT).unwrap();
-        }
-        until("the surplus workers to leave", || pool.live_workers() == 1);
-        // The survivor still serves.
-        let (tx, rx) = mpsc::channel();
-        pool.spawn(move || tx.send(()).unwrap());
-        rx.recv_timeout(WAIT).unwrap();
-        assert_eq!(pool.live_workers(), 1);
     }
 
     #[test]

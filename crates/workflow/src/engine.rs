@@ -415,7 +415,7 @@ impl Engine {
                 None => Err("output block received no value".to_string()),
             },
             BlockKind::Script { code, outputs, .. } => {
-                let mut produced = run_script(code, &port_inputs).map_err(|e| e.to_string())?;
+                let mut produced = run_script(code, port_inputs).map_err(|e| e.to_string())?;
                 outputs
                     .iter()
                     .map(|(name, _)| {

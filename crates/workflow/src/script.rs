@@ -40,7 +40,7 @@
 //! let inputs = [("rows".to_string(), json!(["1 0", "0 1"]))].into_iter().collect();
 //! let outputs = run_script(
 //!     "let sep = \"; \";\n matrix = join(rows, sep); count = len(rows);",
-//!     &inputs,
+//!     inputs,
 //! ).unwrap();
 //! assert_eq!(outputs.get("matrix").unwrap().as_str(), Some("1 0; 0 1"));
 //! assert_eq!(outputs.get("count").unwrap().as_i64(), Some(2));
@@ -925,7 +925,26 @@ fn builtin(name: &str, args: &[Value], line: usize) -> Result<Value, ScriptError
     }
 }
 
-/// Runs an mcscript program with the given input bindings.
+fn parse_script(code: &str) -> Result<Vec<Stmt>, ScriptError> {
+    Parser {
+        tokens: lex(code)?,
+        pos: 0,
+    }
+    .parse_program()
+}
+
+/// Lexes and parses an mcscript program without running it: the check
+/// [`crate::validate`] makes of every `Script` block.
+///
+/// # Errors
+///
+/// [`ScriptError`] with the offending line on a lexical or syntax error.
+pub(crate) fn check_syntax(code: &str) -> Result<(), ScriptError> {
+    parse_script(code).map(drop)
+}
+
+/// Runs an mcscript program with the given input bindings, which become its
+/// variables without a copy.
 ///
 /// Plain assignments (`name = expr;`) become outputs; `let` bindings stay
 /// local. Inputs are visible as variables, and assignments also update the
@@ -935,12 +954,10 @@ fn builtin(name: &str, args: &[Value], line: usize) -> Result<Value, ScriptError
 ///
 /// [`ScriptError`] with the offending line on lexical, syntax or evaluation
 /// failure.
-pub fn run_script(code: &str, inputs: &Object) -> Result<Object, ScriptError> {
-    let tokens = lex(code)?;
-    let mut parser = Parser { tokens, pos: 0 };
-    let stmts = parser.parse_program()?;
+pub fn run_script(code: &str, inputs: Object) -> Result<Object, ScriptError> {
+    let stmts = parse_script(code)?;
     let mut env = Env {
-        vars: inputs.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
+        vars: inputs.into_iter().collect(),
         outputs: Object::new(),
         fuel: FUEL,
     };
@@ -970,7 +987,7 @@ mod tests {
             .iter()
             .map(|(k, v)| (k.to_string(), v.clone()))
             .collect();
-        run_script(code, &obj)
+        run_script(code, obj)
     }
 
     fn out(code: &str, inputs: &[(&str, Value)], key: &str) -> Value {

@@ -8,6 +8,7 @@ use mathcloud_core::ServiceDescription;
 use mathcloud_json::Schema;
 
 use crate::model::{BlockKind, Workflow};
+use crate::script::check_syntax;
 
 /// Supplies service descriptions for `Service` blocks.
 ///
@@ -101,6 +102,7 @@ fn issue(issues: &mut Vec<ValidationIssue>, text: impl Into<String>) {
 /// Checks performed (all collected, not first-failure):
 /// * block ids are unique and non-empty,
 /// * service descriptions resolve,
+/// * script code lexes and parses,
 /// * edges reference existing blocks and ports with the right direction,
 /// * every input port has at most one incoming edge,
 /// * required service/script inputs are wired (or defaulted),
@@ -127,16 +129,22 @@ pub fn validate(
         }
     }
 
-    // Resolve service descriptions.
+    // Resolve service descriptions; parse scripts.
     let mut services = HashMap::new();
     for b in &workflow.blocks {
-        if let BlockKind::Service { url } = &b.kind {
-            match source.describe(url) {
+        match &b.kind {
+            BlockKind::Service { url } => match source.describe(url) {
                 Ok(d) => {
                     services.insert(b.id.clone(), d);
                 }
                 Err(e) => issue(&mut issues, format!("block {:?}: {e}", b.id)),
+            },
+            BlockKind::Script { code, .. } => {
+                if let Err(e) = check_syntax(code) {
+                    issue(&mut issues, format!("block {:?}: {e}", b.id));
+                }
             }
+            _ => {}
         }
     }
 
@@ -427,6 +435,30 @@ mod tests {
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
+    }
+
+    #[test]
+    fn script_syntax_errors_name_the_block_and_the_line() {
+        let script = |id: &str, code: &str| Block {
+            id: id.into(),
+            kind: BlockKind::Script {
+                code: code.into(),
+                inputs: Vec::new(),
+                outputs: vec![("o".into(), Schema::any())],
+            },
+        };
+        let wf = Workflow::new("w", "")
+            .block(script("good", "o = 1;"))
+            .block(script("lexes", "o = 1;\n\no = @;"))
+            .block(script("parses", "o = (1;"));
+        let errs = validate(&wf, &HashMap::new()).unwrap_err();
+        assert_eq!(errs.len(), 2, "{errs:?}");
+        assert!(errs[0]
+            .0
+            .starts_with("block \"lexes\": script error at line 3"));
+        assert!(errs[1]
+            .0
+            .starts_with("block \"parses\": script error at line 1"));
     }
 
     #[test]

@@ -211,6 +211,7 @@ fn composite_description(validated: &ValidatedWorkflow) -> ServiceDescription {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::Block;
     use mathcloud_json::{json, Schema};
     use std::time::Duration;
 
@@ -294,6 +295,31 @@ mod tests {
         let errs = wms.publish(&broken).unwrap_err();
         assert!(errs.iter().any(|e| e.contains("first.x")), "{errs:?}");
         assert!(wms.container().description("broken").is_none());
+    }
+
+    #[test]
+    fn a_script_that_does_not_parse_is_refused_at_publish() {
+        let broken = Workflow::new("bad-script", "")
+            .input("n", Schema::integer())
+            .block(Block {
+                id: "twice".into(),
+                kind: BlockKind::Script {
+                    code: "let k = 2;\nm = n * ;".into(),
+                    inputs: vec![("n".into(), Schema::integer())],
+                    outputs: vec![("m".into(), Schema::integer())],
+                },
+            })
+            .output("r", Schema::integer())
+            .wire(("n", "value"), ("twice", "n"))
+            .wire(("twice", "m"), ("r", "value"));
+        let wms = wms();
+        let errs = wms.publish(&broken).unwrap_err();
+        assert!(
+            errs.iter()
+                .any(|e| e.contains("block \"twice\"") && e.contains("line 2")),
+            "{errs:?}"
+        );
+        assert!(wms.container().description("bad-script").is_none());
     }
 
     #[test]

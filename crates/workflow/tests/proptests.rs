@@ -12,7 +12,7 @@ const CASES: usize = 200;
 
 /// mcscript integer arithmetic agrees with wrapping i64 semantics.
 fn eval_int(expr: &str) -> Option<i64> {
-    let outputs = run_script(&format!("r = {expr};"), &Object::new()).ok()?;
+    let outputs = run_script(&format!("r = {expr};"), Object::new()).ok()?;
     outputs.get("r")?.as_i64()
 }
 
@@ -22,7 +22,7 @@ fn mcscript_is_panic_free() {
     let mut rng = XorShift64::new(0x9A71C);
     for _ in 0..CASES {
         let src = rng.unicode_string(80);
-        let _ = run_script(&src, &Object::new());
+        let _ = run_script(&src, Object::new());
     }
 }
 
@@ -62,7 +62,7 @@ fn mcscript_integer_arithmetic() {
 #[test]
 fn mcscript_comparisons() {
     let run_bool = |expr: &str| {
-        run_script(&format!("r = {expr};"), &Object::new())
+        run_script(&format!("r = {expr};"), Object::new())
             .ok()
             .and_then(|o| o.get("r").and_then(Value::as_bool))
     };
@@ -105,7 +105,7 @@ fn mcscript_split_join_round_trip() {
         let inputs: Object = [("text".to_string(), Value::from(joined.clone()))]
             .into_iter()
             .collect();
-        let outputs = run_script(r#"r = join(split(text, ","), ",");"#, &inputs).unwrap();
+        let outputs = run_script(r#"r = join(split(text, ","), ",");"#, inputs).unwrap();
         assert_eq!(
             outputs.get("r").unwrap().as_str(),
             Some(joined.as_str()),
@@ -124,7 +124,7 @@ fn mcscript_binds_values_not_text() {
         let inputs: Object = [("p".to_string(), Value::from(payload.clone()))]
             .into_iter()
             .collect();
-        let outputs = run_script("r = p;", &inputs).unwrap();
+        let outputs = run_script("r = p;", inputs).unwrap();
         assert_eq!(
             outputs.get("r").unwrap().as_str(),
             Some(payload.as_str()),

@@ -156,8 +156,8 @@ timeout 300 cargo test -q --offline --release \
 
 # The Table 2 kernel smoke proves the parallel/fraction-free inversion path
 # still beats the serial oracle (the kernels are asserted bit-identical
-# inside the binary) and that the Toom-3 tier beats schoolbook at ≥256
-# limbs; `repro` exits non-zero when either does not. Release mode because
+# inside the binary) and that Karatsuba beats schoolbook at 256 limbs;
+# `repro` exits non-zero when either does not. Release mode because
 # exact arithmetic is ~20x slower unoptimized; the smoke sizes finish in
 # well under a second.
 #
