@@ -270,8 +270,7 @@ impl ServiceClient {
     /// job's terminal `job.*` event cannot slip past between the submit
     /// response and a later subscription — the full lifecycle is observed by
     /// push, and the only status request is the final fetch of outputs.
-    /// Against servers without `GET /events` the wait is
-    /// [`JobHandle::wait_polling`].
+    /// Against servers without `GET /events` the wait is the §2 poll loop.
     ///
     /// # Errors
     ///
@@ -321,7 +320,7 @@ impl ServiceClient {
         let job = self.submit_inner(inputs, request_id, idem_key)?;
         match stream {
             Ok(stream) => job.wait_streamed(stream, timeout),
-            Err(_) => job.wait_polling(timeout),
+            Err(_) => job.wait_polling_until(Instant::now() + timeout),
         }
     }
 
@@ -437,7 +436,7 @@ impl JobHandle {
     /// blocks on this job's terminal `job.*` event, so waiting out a long
     /// job costs a handful of requests instead of one per poll interval.
     /// When the server predates `/events`, or the stream drops twice, the
-    /// wait falls back to [`JobHandle::wait_polling`]'s loop.
+    /// wait falls back to the §2 poll loop.
     ///
     /// # Errors
     ///
@@ -501,17 +500,8 @@ impl JobHandle {
         self.wait_polling_until(deadline)
     }
 
-    /// Classic poll-only wait (the §2 client loop) — the forced-poll mode
-    /// used against servers without `/events` and by benchmarks comparing
-    /// poll and push request volume.
-    ///
-    /// # Errors
-    ///
-    /// See [`JobHandle::wait`].
-    pub fn wait_polling(self, timeout: Duration) -> Result<JobRepresentation, ServiceError> {
-        self.wait_polling_until(Instant::now() + timeout)
-    }
-
+    /// The §2 client loop: poll the job with backoff until it is terminal or
+    /// `deadline` passes.
     fn wait_polling_until(mut self, deadline: Instant) -> Result<JobRepresentation, ServiceError> {
         let (backoff, mut rng) = (poll_backoff(), XorShift64::fresh());
         let mut polls = 0;

@@ -1,15 +1,17 @@
 //! The workflow execution engine.
 //!
-//! [`Engine::run`] executes a validated workflow on the calling thread,
-//! running every data-ready block concurrently (the source of the paper's
-//! Table 2 speedups): each `Service` and `Script` block on a thread of its
-//! own (`mc-wf-block`) inside one [`std::thread::scope`], joined before the
-//! run returns. The state of each block — what the graphical editor paints
-//! "in the color corresponding to its current state" (§3.3) — goes out as
+//! [`Engine::run`] walks the plan that [`crate::validate()`] compiled once,
+//! at publish, on the calling thread, running every data-ready block
+//! concurrently (the source of the paper's Table 2 speedups): each
+//! `Service` and `Script` block on a thread of its own (`mc-wf-block`)
+//! inside one [`std::thread::scope`], joined before the run returns. A
+//! `Script` block runs its parsed program; nothing on a run's path lexes or
+//! parses. The state of each block — what the graphical editor paints "in
+//! the color corresponding to its current state" (§3.3) — goes out as
 //! `workflow.block.*` events on the process-wide bus (`GET /events`).
 //!
-//! The calling thread owns every port value. It counts each output port's
-//! consumers when the run starts, hands a copy to every consumer but the
+//! The calling thread owns every port value. It takes each output port's
+//! consumer count from the plan, hands a copy to every consumer but the
 //! last and moves the value to the last, so a value is copied once, at its
 //! `Input` block.
 
@@ -24,10 +26,9 @@ use mathcloud_client::{ServiceClient, ServiceError};
 use mathcloud_http::Client;
 use mathcloud_json::value::Object;
 use mathcloud_json::Value;
-use mathcloud_telemetry::{metrics, trace};
+use mathcloud_telemetry::trace;
 
-use crate::model::{Block, BlockKind};
-use crate::script::run_script;
+use crate::model::BlockKind;
 use crate::validate::ValidatedWorkflow;
 
 /// An engine failure.
@@ -190,43 +191,36 @@ impl Engine {
                 return Err(EngineError::MissingInput(id.to_string()));
             }
         }
+        let plan = &self.validated.plan;
         let (done, reports) = mpsc::channel();
         let mut run = Run {
             engine: self,
             inputs,
             request_id,
-            indeg: wf.blocks.iter().map(|b| (b.id.as_str(), 0)).collect(),
-            readers: HashMap::new(),
-            ports: HashMap::new(),
+            waiting: plan.iter().map(|step| step.wiring.len()).collect(),
+            ports: plan.iter().map(|_| HashMap::new()).collect(),
             done,
         };
-        for e in &wf.edges {
-            *run.indeg
-                .get_mut(e.to.block.as_str())
-                .expect("validated edge") += 1;
-            *run.readers
-                .entry((e.from.block.as_str(), e.from.port.as_str()))
-                .or_default() += 1;
-        }
         std::thread::scope(|scope| run.drive(scope, &reports))
     }
 }
 
-/// One block's report: the block and the values it produced, by port.
-type Report<'e> = (&'e Block, Result<Object, String>);
+/// One block's report: the block's position and the values it produced, by
+/// port.
+type Report = (usize, Result<Object, String>);
 
 /// The state of one run, owned by the thread that called [`Engine::run`].
+/// Blocks are named by their position in the plan.
 struct Run<'e> {
     engine: &'e Engine,
     inputs: &'e Object,
     request_id: Option<&'e str>,
-    /// Incoming edges not yet satisfied, per block.
-    indeg: HashMap<&'e str, usize>,
-    /// Consumers not yet handed their value, per `(block, port)`.
-    readers: HashMap<(&'e str, &'e str), usize>,
-    /// The values each finished block produced and someone still reads.
-    ports: HashMap<&'e str, Object>,
-    done: mpsc::Sender<Report<'e>>,
+    /// Inputs not yet arrived, per block.
+    waiting: Vec<usize>,
+    /// The values each finished block produced that someone still reads,
+    /// by port, each with the consumers not yet handed it.
+    ports: Vec<HashMap<&'e str, (Value, usize)>>,
+    done: mpsc::Sender<Report>,
 }
 
 impl<'e> Run<'e> {
@@ -236,33 +230,30 @@ impl<'e> Run<'e> {
     fn drive<'s>(
         &mut self,
         scope: &'s Scope<'s, 'e>,
-        reports: &mpsc::Receiver<Report<'e>>,
+        reports: &mpsc::Receiver<Report>,
     ) -> Result<Object, EngineError> {
         let engine = self.engine;
-        let wf = &engine.validated.workflow;
-        let sources: Vec<&'e Block> = (wf.blocks.iter())
-            .filter(|b| self.indeg[b.id.as_str()] == 0)
-            .collect();
+        let (wf, plan) = (&engine.validated.workflow, &engine.validated.plan);
         let mut threads = Vec::new();
         let mut inflight = 0usize;
-        for block in sources {
-            threads.extend(self.start(scope, block));
+        for i in (0..plan.len()).filter(|&i| plan[i].wiring.is_empty()) {
+            threads.extend(self.start(scope, i));
             inflight += 1;
         }
         let mut failed = None;
         while inflight > 0 {
-            let (block, outcome) = reports.recv().expect("the run holds a sender");
+            let (i, outcome) = reports.recv().expect("the run holds a sender");
             inflight -= 1;
-            let id = block.id.as_str();
+            let id = wf.blocks[i].id.as_str();
             match outcome {
-                Ok(produced) => {
+                Ok(mut produced) => {
                     publish_block_event("workflow.block.done", &wf.name, id, self.request_id, None);
-                    self.ports.insert(id, produced);
-                    for e in wf.edges.iter().filter(|e| e.from.block == id) {
-                        let left = self.indeg.get_mut(e.to.block.as_str()).expect("validated");
-                        *left -= 1;
-                        if *left == 0 && failed.is_none() {
-                            let next = wf.find(&e.to.block).expect("validated edge");
+                    self.ports[i] = (plan[i].readers.iter())
+                        .filter_map(|(port, &n)| Some((port.as_str(), (produced.remove(port)?, n))))
+                        .collect();
+                    for &next in &plan[i].successors {
+                        self.waiting[next] -= 1;
+                        if self.waiting[next] == 0 && failed.is_none() {
                             threads.extend(self.start(scope, next));
                             inflight += 1;
                         }
@@ -290,46 +281,47 @@ impl<'e> Run<'e> {
             return Err(e);
         }
         let mut outputs = Object::new();
-        for b in &wf.blocks {
+        for (i, b) in wf.blocks.iter().enumerate() {
             if matches!(b.kind, BlockKind::Output { .. }) {
-                let port = self.ports.get_mut(b.id.as_str());
-                let v = port.and_then(|p| p.remove("value")).unwrap_or(Value::Null);
+                let v = self.ports[i]
+                    .remove("value")
+                    .map_or(Value::Null, |(v, _)| v);
                 outputs.insert(b.id.clone(), v);
             }
         }
         Ok(outputs)
     }
 
-    /// Starts `block`: a `Service` or `Script` block on a thread of its own,
-    /// which it returns; any other block here, at once. Either way, exactly
-    /// one report follows.
+    /// Starts block `i`: a `Service` or `Script` block on a thread of its
+    /// own, which it returns; any other block here, at once. Either way,
+    /// exactly one report follows.
     fn start<'s>(
         &mut self,
         scope: &'s Scope<'s, 'e>,
-        block: &'e Block,
+        i: usize,
     ) -> Option<ScopedJoinHandle<'s, ()>> {
         let (engine, inputs, request_id) = (self.engine, self.inputs, self.request_id);
         let wf = &engine.validated.workflow;
         publish_block_event(
             "workflow.block.running",
             &wf.name,
-            &block.id,
+            &wf.blocks[i].id,
             request_id,
             None,
         );
-        let port_inputs = match self.gather(block) {
+        let port_inputs = match self.gather(i) {
             Ok(port_inputs) => port_inputs,
             Err(reason) => {
-                let _ = self.done.send((block, Err(reason)));
+                let _ = self.done.send((i, Err(reason)));
                 return None;
             }
         };
         if !matches!(
-            block.kind,
+            wf.blocks[i].kind,
             BlockKind::Service { .. } | BlockKind::Script { .. }
         ) {
-            let result = engine.run_block(block, port_inputs, inputs, request_id);
-            let _ = self.done.send((block, result));
+            let result = engine.run_block(i, port_inputs, inputs, request_id);
+            let _ = self.done.send((i, result));
             return None;
         }
         let done = self.done.clone();
@@ -339,7 +331,7 @@ impl<'e> Run<'e> {
                 .spawn_scoped(scope, move || {
                     // A panicking caller or script fails its block, not the run.
                     let result = catch_unwind(AssertUnwindSafe(|| {
-                        engine.run_block(block, port_inputs, inputs, request_id)
+                        engine.run_block(i, port_inputs, inputs, request_id)
                     }))
                     .unwrap_or_else(|panic| {
                         let msg = panic
@@ -349,52 +341,45 @@ impl<'e> Run<'e> {
                             .unwrap_or_else(|| "block panicked".to_string());
                         Err(format!("block panicked: {msg}"))
                     });
-                    let _ = done.send((block, result));
+                    let _ = done.send((i, result));
                 });
         Some(block_thread.expect("spawn workflow block thread"))
     }
 
-    /// Takes `block`'s input-port values off its incoming edges: a copy for
+    /// Takes block `i`'s input-port values along its wiring: a copy for
     /// every consumer of a port but the last, the value itself for the last.
-    fn gather(&mut self, block: &Block) -> Result<Object, String> {
+    fn gather(&mut self, i: usize) -> Result<Object, String> {
+        let validated = &self.engine.validated;
         let mut port_inputs = Object::new();
-        let engine = self.engine;
-        let edges = &engine.validated.workflow.edges;
-        for e in edges.iter().filter(|e| e.to.block == block.id) {
-            let from = (e.from.block.as_str(), e.from.port.as_str());
-            let left = self.readers.get_mut(&from).expect("counted from the edges");
+        for (port, from, from_port) in &validated.plan[i].wiring {
+            let produced = &mut self.ports[*from];
+            let Some((v, left)) = produced.get_mut(from_port.as_str()) else {
+                let from = &validated.workflow.blocks[*from].id;
+                return Err(format!("internal: value for {from}.{from_port} missing"));
+            };
             *left -= 1;
-            let produced = self.ports.get_mut(from.0);
-            let v = produced
-                .and_then(|p| match *left {
-                    0 => p.remove(from.1),
-                    _ => p.get(from.1).cloned(),
-                })
-                .ok_or_else(|| format!("internal: value for {} missing", e.from))?;
-            port_inputs.insert(e.to.port.clone(), v);
+            let v = match *left {
+                0 => produced.remove(from_port.as_str()).expect("present").0,
+                _ => v.clone(),
+            };
+            port_inputs.insert(port.clone(), v);
         }
         Ok(port_inputs)
     }
 }
 
 impl Engine {
-    /// Runs one block on its gathered `port_inputs`, returning its outputs
+    /// Runs block `i` on its gathered `port_inputs`, returning its outputs
     /// by port. `request_inputs` are the composite job's inputs.
     fn run_block(
         &self,
-        block: &Block,
+        i: usize,
         port_inputs: Object,
         request_inputs: &Object,
         request_id: Option<&str>,
     ) -> Result<Object, String> {
+        let (block, step) = (&self.validated.workflow.blocks[i], &self.validated.plan[i]);
         let id = block.id.as_str();
-        let kind_label = match &block.kind {
-            BlockKind::Input { .. } => "input",
-            BlockKind::Constant { .. } => "constant",
-            BlockKind::Output { .. } => "output",
-            BlockKind::Script { .. } => "script",
-            BlockKind::Service { .. } => "service",
-        };
         let started = Instant::now();
         let value = |v: Value| -> Object { [("value".to_string(), v)].into_iter().collect() };
 
@@ -414,29 +399,19 @@ impl Engine {
                 Some(_) => Ok(port_inputs),
                 None => Err("output block received no value".to_string()),
             },
-            BlockKind::Script { code, outputs, .. } => {
-                let mut produced = run_script(code, port_inputs).map_err(|e| e.to_string())?;
-                outputs
-                    .iter()
-                    .map(|(name, _)| {
-                        let v = produced.remove(name);
-                        let v = v.ok_or_else(|| format!("script did not assign output {name:?}"));
-                        Ok((name.clone(), v?))
-                    })
-                    .collect()
+            BlockKind::Script { .. } => {
+                let program = step.program.as_ref().expect("compiled at validation");
+                program.run(port_inputs).map_err(|e| e.to_string())
             }
             BlockKind::Service { url } => {
                 // Fill declared optional defaults the description provides.
-                let description = self.validated.services.get(id).expect("validated service");
-                let effective = description
+                let effective = self.validated.services[id]
                     .accept_inputs(Value::Object(port_inputs))
                     .map_err(|e| e.to_string())?;
                 self.caller.call(url, effective, request_id)
             }
         })();
-        metrics::global()
-            .histogram("mc_workflow_block_seconds", &[("kind", kind_label)])
-            .observe_duration(started.elapsed());
+        step.seconds.observe_duration(started.elapsed());
         result
     }
 }

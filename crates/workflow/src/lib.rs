@@ -8,12 +8,14 @@
 //! * [`model`] — the workflow document model with its JSON format (the
 //!   editor's "download as JSON, edit, upload" feature),
 //! * [`script`] — **mcscript**, the small expression language replacing the
-//!   paper's JavaScript/Python custom actions (lexer → parser → evaluator),
-//! * [`mod@validate`] — structural and port-type validation, exactly the checks
-//!   the graphical editor performs while wiring blocks,
-//! * [`engine`] — a parallel runtime executing ready blocks concurrently and
-//!   publishing each block's state as a `workflow.block.*` event (the
-//!   editor's coloring feature),
+//!   paper's JavaScript/Python custom actions (lexer → parser → name resolution → evaluator),
+//! * [`mod@validate`] — structural, port-type and script validation, exactly
+//!   the checks the graphical editor performs while wiring blocks, made once
+//!   at publish, which also compiles the workflow into the plan a run walks
+//!   (each script parsed, each block's wiring and consumer counts),
+//! * [`engine`] — a parallel runtime that walks that plan, executing ready
+//!   blocks concurrently and publishing each block's state as a
+//!   `workflow.block.*` event (the editor's coloring feature),
 //! * [`wms`] — the workflow management service: stores workflows and
 //!   publishes each as a new composite service in an Everest container.
 //!

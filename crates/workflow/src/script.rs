@@ -5,7 +5,11 @@
 //! user data". mcscript is this reproduction's sandboxed equivalent: a small
 //! expression language with `let` bindings and output assignments,
 //! implemented as a classic lexer → recursive-descent parser → tree-walking
-//! evaluator over `mathcloud_json::Value`.
+//! evaluator over `mathcloud_json::Value`. Between parser and evaluator, a
+//! compile walk resolves every read against the inputs and earlier bindings
+//! and marks the last read of each variable, which moves its value instead
+//! of copying it. A `Script` block is compiled once, when its workflow is
+//! validated; [`run_script`] compiles and runs in one call.
 //!
 //! # Language
 //!
@@ -93,6 +97,12 @@ struct Token {
     tok: Tok,
     line: usize,
 }
+
+/// Every operator and delimiter, each two-character one before its prefix.
+const PUNCT: [&str; 25] = [
+    "==", "!=", "<=", ">=", "&&", "||", "+", "-", "*", "/", "%", "=", "<", ">", "!", "(", ")", "[",
+    "]", "{", "}", ",", ";", ":", ".",
+];
 
 fn lex(src: &str) -> Result<Vec<Token>, ScriptError> {
     let bytes = src.as_bytes();
@@ -196,52 +206,19 @@ fn lex(src: &str) -> Result<Vec<Token>, ScriptError> {
                 });
             }
             _ => {
-                // `get` (not slicing) so multi-byte characters at `i` cannot
-                // panic on a non-boundary index.
-                let two: Option<&'static str> = match src.get(i..i + 2) {
-                    Some("==") => Some("=="),
-                    Some("!=") => Some("!="),
-                    Some("<=") => Some("<="),
-                    Some(">=") => Some(">="),
-                    Some("&&") => Some("&&"),
-                    Some("||") => Some("||"),
-                    _ => None,
+                // Compared as bytes, so a multi-byte character at `i` cannot
+                // panic on a non-boundary index; two-character operators first.
+                let Some(p) = PUNCT
+                    .into_iter()
+                    .find(|p| bytes[i..].starts_with(p.as_bytes()))
+                else {
+                    return err(format!("unexpected character {c:?}"), line);
                 };
-                if let Some(p) = two {
-                    out.push(Token {
-                        tok: Tok::Punct(p),
-                        line,
-                    });
-                    i += 2;
-                } else {
-                    let one: &'static str = match c {
-                        '+' => "+",
-                        '-' => "-",
-                        '*' => "*",
-                        '/' => "/",
-                        '%' => "%",
-                        '=' => "=",
-                        '<' => "<",
-                        '>' => ">",
-                        '!' => "!",
-                        '(' => "(",
-                        ')' => ")",
-                        '[' => "[",
-                        ']' => "]",
-                        '{' => "{",
-                        '}' => "}",
-                        ',' => ",",
-                        ';' => ";",
-                        ':' => ":",
-                        '.' => ".",
-                        other => return err(format!("unexpected character {other:?}"), line),
-                    };
-                    out.push(Token {
-                        tok: Tok::Punct(one),
-                        line,
-                    });
-                    i += 1;
-                }
+                out.push(Token {
+                    tok: Tok::Punct(p),
+                    line,
+                });
+                i += p.len();
             }
         }
     }
@@ -269,7 +246,9 @@ fn utf8_char_len(first: u8) -> usize {
 #[derive(Debug, Clone)]
 enum Expr {
     Lit(Value),
-    Var(String, usize),
+    /// A read of a name; `true` when it is the last read of a variable's
+    /// binding, which moves the value out instead of copying it.
+    Var(String, usize, bool),
     Unary(&'static str, Box<Expr>, usize),
     Binary(&'static str, Box<Expr>, Box<Expr>, usize),
     Call(String, Vec<Expr>, usize),
@@ -282,8 +261,19 @@ enum Expr {
 #[derive(Debug, Clone)]
 enum Stmt {
     Let(String, Expr),
-    Assign(String, Expr, usize),
+    Assign(String, Expr),
 }
+
+/// The binary operators by precedence, loosest first, each level with
+/// whether it chains (`a + b + c`) or takes one operator at most (`a < b`).
+const LEVELS: [(&[&str], bool); 6] = [
+    (&["||"], true),
+    (&["&&"], true),
+    (&["==", "!="], false),
+    (&["<=", ">=", "<", ">"], false),
+    (&["+", "-"], true),
+    (&["*", "/", "%"], true),
+];
 
 struct Parser {
     tokens: Vec<Token>,
@@ -350,117 +340,45 @@ impl Parser {
                 self.expect_punct("=")?;
                 let e = self.parse_expr()?;
                 self.expect_punct(";")?;
-                Ok(Stmt::Assign(name, e, line))
+                Ok(Stmt::Assign(name, e))
             }
             other => err(format!("expected statement, found {other:?}"), line),
         }
     }
 
     fn parse_expr(&mut self) -> Result<Expr, ScriptError> {
-        self.parse_or()
+        self.parse_binary(0)
     }
 
-    fn parse_or(&mut self) -> Result<Expr, ScriptError> {
-        let mut lhs = self.parse_and()?;
-        while matches!(self.peek(), Tok::Punct("||")) {
+    /// One level of [`LEVELS`] over the next one down, and the unary
+    /// operators below the last.
+    fn parse_binary(&mut self, level: usize) -> Result<Expr, ScriptError> {
+        let Some(&(ops, chains)) = LEVELS.get(level) else {
+            return self.parse_unary();
+        };
+        let mut lhs = self.parse_binary(level + 1)?;
+        while let Some(&op) =
+            (ops.iter()).find(|&&op| matches!(self.peek(), Tok::Punct(p) if *p == op))
+        {
             let line = self.line();
             self.bump();
-            let rhs = self.parse_and()?;
-            lhs = Expr::Binary("||", Box::new(lhs), Box::new(rhs), line);
-        }
-        Ok(lhs)
-    }
-
-    fn parse_and(&mut self) -> Result<Expr, ScriptError> {
-        let mut lhs = self.parse_equality()?;
-        while matches!(self.peek(), Tok::Punct("&&")) {
-            let line = self.line();
-            self.bump();
-            let rhs = self.parse_equality()?;
-            lhs = Expr::Binary("&&", Box::new(lhs), Box::new(rhs), line);
-        }
-        Ok(lhs)
-    }
-
-    fn parse_equality(&mut self) -> Result<Expr, ScriptError> {
-        let lhs = self.parse_compare()?;
-        for op in ["==", "!="] {
-            if matches!(self.peek(), Tok::Punct(p) if *p == op) {
-                let line = self.line();
-                self.bump();
-                let rhs = self.parse_compare()?;
-                return Ok(Expr::Binary(
-                    if op == "==" { "==" } else { "!=" },
-                    Box::new(lhs),
-                    Box::new(rhs),
-                    line,
-                ));
-            }
-        }
-        Ok(lhs)
-    }
-
-    fn parse_compare(&mut self) -> Result<Expr, ScriptError> {
-        let lhs = self.parse_additive()?;
-        for op in ["<=", ">=", "<", ">"] {
-            if matches!(self.peek(), Tok::Punct(p) if *p == op) {
-                let line = self.line();
-                self.bump();
-                let rhs = self.parse_additive()?;
-                let op: &'static str = match op {
-                    "<=" => "<=",
-                    ">=" => ">=",
-                    "<" => "<",
-                    _ => ">",
-                };
-                return Ok(Expr::Binary(op, Box::new(lhs), Box::new(rhs), line));
-            }
-        }
-        Ok(lhs)
-    }
-
-    fn parse_additive(&mut self) -> Result<Expr, ScriptError> {
-        let mut lhs = self.parse_multiplicative()?;
-        loop {
-            let op: &'static str = match self.peek() {
-                Tok::Punct("+") => "+",
-                Tok::Punct("-") => "-",
-                _ => break,
-            };
-            let line = self.line();
-            self.bump();
-            let rhs = self.parse_multiplicative()?;
+            let rhs = self.parse_binary(level + 1)?;
             lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs), line);
-        }
-        Ok(lhs)
-    }
-
-    fn parse_multiplicative(&mut self) -> Result<Expr, ScriptError> {
-        let mut lhs = self.parse_unary()?;
-        loop {
-            let op: &'static str = match self.peek() {
-                Tok::Punct("*") => "*",
-                Tok::Punct("/") => "/",
-                Tok::Punct("%") => "%",
-                _ => break,
-            };
-            let line = self.line();
-            self.bump();
-            let rhs = self.parse_unary()?;
-            lhs = Expr::Binary(op, Box::new(lhs), Box::new(rhs), line);
+            if !chains {
+                break;
+            }
         }
         Ok(lhs)
     }
 
     fn parse_unary(&mut self) -> Result<Expr, ScriptError> {
         let line = self.line();
-        if self.eat_punct("-") {
-            Ok(Expr::Unary("-", Box::new(self.parse_unary()?), line))
-        } else if self.eat_punct("!") {
-            Ok(Expr::Unary("!", Box::new(self.parse_unary()?), line))
-        } else {
-            self.parse_postfix()
+        for op in ["-", "!"] {
+            if self.eat_punct(op) {
+                return Ok(Expr::Unary(op, Box::new(self.parse_unary()?), line));
+            }
         }
+        self.parse_postfix()
     }
 
     fn parse_postfix(&mut self) -> Result<Expr, ScriptError> {
@@ -469,7 +387,7 @@ impl Parser {
             let line = self.line();
             if self.eat_punct("(") {
                 // Calls are only valid on bare identifiers (builtins).
-                let Expr::Var(name, _) = e else {
+                let Expr::Var(name, ..) = e else {
                     return err("only builtin functions can be called", line);
                 };
                 let mut args = Vec::new();
@@ -509,7 +427,7 @@ impl Parser {
                 "true" => Ok(Expr::Lit(Value::Bool(true))),
                 "false" => Ok(Expr::Lit(Value::Bool(false))),
                 "null" => Ok(Expr::Lit(Value::Null)),
-                _ => Ok(Expr::Var(name, line)),
+                _ => Ok(Expr::Var(name, line, false)),
             },
             Tok::Punct("(") => {
                 let e = self.parse_expr()?;
@@ -557,6 +475,8 @@ impl Parser {
 
 // ------------------------------------------------------------ evaluator --
 
+/// A run's bindings. An assigned name lives only in `outputs`, so a read
+/// looks in `vars` first and copies out of `outputs`.
 struct Env {
     vars: HashMap<String, Value>,
     outputs: Object,
@@ -584,7 +504,12 @@ fn eval(e: &Expr, env: &mut Env) -> Result<Value, ScriptError> {
     env.fuel -= 1;
     match e {
         Expr::Lit(v) => Ok(v.clone()),
-        Expr::Var(name, line) => env.vars.get(name).cloned().ok_or(ScriptError {
+        Expr::Var(name, line, moves) => match *moves {
+            true => env.vars.remove(name),
+            false => env.vars.get(name).cloned(),
+        }
+        .or_else(|| env.outputs.get(name).cloned())
+        .ok_or(ScriptError {
             message: format!("unknown variable {name:?}"),
             line: *line,
         }),
@@ -933,48 +858,124 @@ fn parse_script(code: &str) -> Result<Vec<Stmt>, ScriptError> {
     .parse_program()
 }
 
-/// Lexes and parses an mcscript program without running it: the check
-/// [`crate::validate`] makes of every `Script` block.
-///
-/// # Errors
-///
-/// [`ScriptError`] with the offending line on a lexical or syntax error.
-pub(crate) fn check_syntax(code: &str) -> Result<(), ScriptError> {
-    parse_script(code).map(drop)
+/// A parsed mcscript program with every read resolved: what a `Script`
+/// block runs, compiled once when its workflow is validated.
+#[derive(Debug, Clone)]
+pub(crate) struct Program(Vec<Stmt>);
+
+impl Program {
+    /// Parses `code` and resolves each read, in evaluation order, against
+    /// `inputs` and the names bound before it. A run evaluates a subsequence
+    /// of that order (`if`, `&&` and `||` skip reads, never reorder them), so
+    /// the read marked last for a variable's binding is the last a run can
+    /// make, and it moves the value out.
+    ///
+    /// # Errors
+    ///
+    /// [`ScriptError`] with the offending line on a lexical or syntax error,
+    /// or on a read of a name that nothing bound before it.
+    pub(crate) fn compile<'i>(
+        code: &str,
+        inputs: impl IntoIterator<Item = &'i str>,
+    ) -> Result<Program, ScriptError> {
+        let mut stmts = parse_script(code)?;
+        // `true` for a variable (an input or a `let`), `false` for an output.
+        let mut bound: HashMap<String, bool> =
+            inputs.into_iter().map(|n| (n.into(), true)).collect();
+        let mut last = HashMap::new();
+        for stmt in &mut stmts {
+            let (name, expr, var) = match stmt {
+                Stmt::Let(name, expr) => (name, expr, true),
+                Stmt::Assign(name, expr) => (name, expr, false),
+            };
+            resolve(expr, &bound, &mut last)?;
+            last.remove(name.as_str());
+            bound.insert(name.clone(), var);
+        }
+        Ok(Program(stmts))
+    }
+
+    /// Whether some statement assigns `output`.
+    pub(crate) fn assigns(&self, output: &str) -> bool {
+        (self.0.iter()).any(|s| matches!(s, Stmt::Assign(name, _) if name == output))
+    }
+
+    /// Runs the program with the given input bindings, which become its
+    /// variables without a copy; see [`run_script`].
+    pub(crate) fn run(&self, inputs: Object) -> Result<Object, ScriptError> {
+        let mut env = Env {
+            vars: inputs.into_iter().collect(),
+            outputs: Object::new(),
+            fuel: FUEL,
+        };
+        for stmt in &self.0 {
+            match stmt {
+                Stmt::Let(name, expr) => {
+                    let v = eval(expr, &mut env)?;
+                    env.vars.insert(name.clone(), v);
+                }
+                Stmt::Assign(name, expr) => {
+                    let v = eval(expr, &mut env)?;
+                    env.vars.remove(name);
+                    env.outputs.insert(name.clone(), v);
+                }
+            }
+        }
+        Ok(env.outputs)
+    }
 }
 
-/// Runs an mcscript program with the given input bindings, which become its
-/// variables without a copy.
-///
-/// Plain assignments (`name = expr;`) become outputs; `let` bindings stay
-/// local. Inputs are visible as variables, and assignments also update the
-/// visible variable so later statements can build on earlier outputs.
-///
-/// # Errors
-///
-/// [`ScriptError`] with the offending line on lexical, syntax or evaluation
-/// failure.
-pub fn run_script(code: &str, inputs: Object) -> Result<Object, ScriptError> {
-    let stmts = parse_script(code)?;
-    let mut env = Env {
-        vars: inputs.into_iter().collect(),
-        outputs: Object::new(),
-        fuel: FUEL,
-    };
-    for stmt in &stmts {
-        match stmt {
-            Stmt::Let(name, expr) => {
-                let v = eval(expr, &mut env)?;
-                env.vars.insert(name.clone(), v);
+/// Resolves the reads in `e` against `bound`, marking each variable read as
+/// its binding's last and unmarking the one `last` held before it.
+fn resolve<'a>(
+    e: &'a mut Expr,
+    bound: &HashMap<String, bool>,
+    last: &mut HashMap<String, &'a mut bool>,
+) -> Result<(), ScriptError> {
+    match e {
+        Expr::Var(name, line, moves) => match bound.get(name.as_str()) {
+            None => return err(format!("unknown variable {name:?}"), *line),
+            Some(true) => {
+                *moves = true;
+                if let Some(earlier) = last.insert(name.clone(), moves) {
+                    *earlier = false;
+                }
             }
-            Stmt::Assign(name, expr, _line) => {
-                let v = eval(expr, &mut env)?;
-                env.vars.insert(name.clone(), v.clone());
-                env.outputs.insert(name.clone(), v);
+            Some(false) => {}
+        },
+        Expr::Lit(_) => {}
+        Expr::Unary(_, a, _) | Expr::Member(a, ..) => resolve(a, bound, last)?,
+        Expr::Binary(_, a, b, _) | Expr::Index(a, b, _) => {
+            resolve(a, bound, last)?;
+            resolve(b, bound, last)?;
+        }
+        Expr::Call(_, items, _) | Expr::Array(items) => {
+            for item in items {
+                resolve(item, bound, last)?;
+            }
+        }
+        Expr::ObjectLit(pairs) => {
+            for (_, item) in pairs {
+                resolve(item, bound, last)?;
             }
         }
     }
-    Ok(env.outputs)
+    Ok(())
+}
+
+/// Compiles and runs an mcscript program with the given input bindings,
+/// which become its variables without a copy.
+///
+/// Plain assignments (`name = expr;`) become outputs; `let` bindings stay
+/// local. Inputs are visible as variables, and later statements read an
+/// assigned name as the value it was last given.
+///
+/// # Errors
+///
+/// [`ScriptError`] with the offending line on lexical, syntax, name or
+/// evaluation failure.
+pub fn run_script(code: &str, inputs: Object) -> Result<Object, ScriptError> {
+    Program::compile(code, inputs.keys().map(String::as_str))?.run(inputs)
 }
 
 #[cfg(test)]

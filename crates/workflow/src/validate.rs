@@ -1,4 +1,5 @@
-//! Workflow validation: the checks the graphical editor performs.
+//! Workflow validation: the checks the graphical editor performs, made once,
+//! at publish, and the plan a run walks, compiled in the same pass.
 
 use std::collections::HashMap;
 use std::error::Error;
@@ -6,9 +7,10 @@ use std::fmt;
 
 use mathcloud_core::ServiceDescription;
 use mathcloud_json::Schema;
+use mathcloud_telemetry::metrics::{self, Histogram};
 
 use crate::model::{BlockKind, Workflow};
-use crate::script::check_syntax;
+use crate::script::Program;
 
 /// Supplies service descriptions for `Service` blocks.
 ///
@@ -81,28 +83,51 @@ impl fmt::Display for ValidationIssue {
 
 impl Error for ValidationIssue {}
 
-/// A workflow that passed validation, with resolved service descriptions and
-/// a topological execution order.
+/// A workflow that passed validation, compiled into the plan its runs walk.
 #[derive(Debug, Clone)]
 pub struct ValidatedWorkflow {
     /// The workflow document.
     pub workflow: Workflow,
     /// Resolved descriptions of `Service` blocks, keyed by block id.
     pub services: HashMap<String, ServiceDescription>,
-    /// Block ids in a valid execution order.
-    pub topo_order: Vec<String>,
+    /// One step per block, at the block's position in `workflow.blocks`.
+    pub(crate) plan: Vec<Step>,
 }
 
-fn issue(issues: &mut Vec<ValidationIssue>, text: impl Into<String>) {
-    issues.push(ValidationIssue(text.into()));
+/// How a run executes one block, fixed when its workflow is validated.
+#[derive(Clone)]
+pub(crate) struct Step {
+    /// A `Script` block's compiled program.
+    pub(crate) program: Option<Program>,
+    /// Each input port, with the position of the block feeding it and that
+    /// block's output port.
+    pub(crate) wiring: Vec<(String, usize, String)>,
+    /// The positions of the blocks this one feeds, once per edge.
+    pub(crate) successors: Vec<usize>,
+    /// How many consumers take each output port: its edges, and for an
+    /// `Output` block's value the run's result.
+    pub(crate) readers: HashMap<String, usize>,
+    /// `mc_workflow_block_seconds` for the block's kind.
+    pub(crate) seconds: Histogram,
 }
 
-/// Validates a workflow, resolving service ports through `source`.
+/// A step shows its wiring. The rest follows from the wiring or from the
+/// block's code, or is a metrics handle, which has no `Debug`.
+impl fmt::Debug for Step {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(&self.wiring).finish()
+    }
+}
+
+/// Validates a workflow, resolving service ports through `source`, and
+/// compiles it into the plan [`crate::Engine::run`] walks: each script
+/// parsed once, each block's wiring, successors and consumer counts.
 ///
 /// Checks performed (all collected, not first-failure):
 /// * block ids are unique and non-empty,
 /// * service descriptions resolve,
-/// * script code lexes and parses,
+/// * script code lexes and parses, reads no name that neither a declared
+///   input nor an earlier statement binds, and assigns every declared output,
 /// * edges reference existing blocks and ports with the right direction,
 /// * every input port has at most one incoming edge,
 /// * required service/script inputs are wired (or defaulted),
@@ -117,125 +142,138 @@ pub fn validate(
     source: &dyn DescriptionSource,
 ) -> Result<ValidatedWorkflow, Vec<ValidationIssue>> {
     let mut issues = Vec::new();
+    let blocks = &workflow.blocks;
 
-    // Unique, non-empty ids.
-    let mut seen = std::collections::HashSet::new();
-    for b in &workflow.blocks {
+    // Unique, non-empty ids, and each block's position.
+    let mut pos = HashMap::new();
+    for (i, b) in blocks.iter().enumerate() {
         if b.id.is_empty() {
-            issue(&mut issues, "block with empty id");
+            issues.push("block with empty id".into());
         }
-        if !seen.insert(b.id.clone()) {
-            issue(&mut issues, format!("duplicate block id {:?}", b.id));
+        if pos.insert(b.id.as_str(), i).is_some() {
+            issues.push(format!("duplicate block id {:?}", b.id));
         }
     }
 
-    // Resolve service descriptions; parse scripts.
+    // Resolve service descriptions; compile scripts.
     let mut services = HashMap::new();
-    for b in &workflow.blocks {
-        match &b.kind {
-            BlockKind::Service { url } => match source.describe(url) {
-                Ok(d) => {
-                    services.insert(b.id.clone(), d);
+    let mut plan = Vec::with_capacity(blocks.len());
+    for b in blocks {
+        let (mut program, mut readers) = (None, HashMap::new());
+        let kind = match &b.kind {
+            BlockKind::Service { url } => {
+                match source.describe(url) {
+                    Ok(d) => drop(services.insert(b.id.clone(), d)),
+                    Err(e) => issues.push(format!("block {:?}: {e}", b.id)),
                 }
-                Err(e) => issue(&mut issues, format!("block {:?}: {e}", b.id)),
-            },
-            BlockKind::Script { code, .. } => {
-                if let Err(e) = check_syntax(code) {
-                    issue(&mut issues, format!("block {:?}: {e}", b.id));
-                }
+                "service"
             }
-            _ => {}
-        }
+            BlockKind::Script {
+                code,
+                inputs,
+                outputs,
+            } => {
+                match Program::compile(code, inputs.iter().map(|(n, _)| n.as_str())) {
+                    Ok(p) => {
+                        for (name, _) in outputs.iter().filter(|(n, _)| !p.assigns(n)) {
+                            let text = format!("output {name:?} is never assigned");
+                            issues.push(format!("block {:?}: {text}", b.id));
+                        }
+                        program = Some(p);
+                    }
+                    Err(e) => issues.push(format!("block {:?}: {e}", b.id)),
+                }
+                "script"
+            }
+            BlockKind::Input { .. } => "input",
+            BlockKind::Constant { .. } => "constant",
+            BlockKind::Output { .. } => {
+                readers.insert("value".to_string(), 1);
+                "output"
+            }
+        };
+        plan.push(Step {
+            program,
+            wiring: Vec::new(),
+            successors: Vec::new(),
+            readers,
+            seconds: metrics::global().histogram("mc_workflow_block_seconds", &[("kind", kind)]),
+        });
     }
 
-    // Port tables.
-    let out_schema = |block_id: &str, port: &str| -> Option<Schema> {
-        let b = workflow.find(block_id)?;
-        match &b.kind {
-            BlockKind::Service { .. } => services
-                .get(block_id)?
-                .output_named(port)
-                .map(|p| p.schema().clone()),
-            _ => b
-                .declared_outputs()
-                .into_iter()
-                .find(|(n, _)| n == port)
-                .map(|(_, s)| s),
+    // A port's schema: an output port's, or with `input` an input port's.
+    let schema = |i: usize, port: &str, input: bool| -> Option<Schema> {
+        let b = &blocks[i];
+        if let BlockKind::Service { .. } = b.kind {
+            let d = services.get(&b.id)?;
+            let p = if input {
+                d.input_named(port)
+            } else {
+                d.output_named(port)
+            };
+            return p.map(|p| p.schema().clone());
         }
-    };
-    let in_schema = |block_id: &str, port: &str| -> Option<Schema> {
-        let b = workflow.find(block_id)?;
-        match &b.kind {
-            BlockKind::Service { .. } => services
-                .get(block_id)?
-                .input_named(port)
-                .map(|p| p.schema().clone()),
-            _ => b
-                .declared_inputs()
-                .into_iter()
-                .find(|(n, _)| n == port)
-                .map(|(_, s)| s),
-        }
+        let declared = if input {
+            b.declared_inputs()
+        } else {
+            b.declared_outputs()
+        };
+        declared
+            .into_iter()
+            .find(|(n, _)| n == port)
+            .map(|(_, s)| s)
     };
 
     // Edges.
-    let mut incoming: HashMap<(String, String), usize> = HashMap::new();
     for e in &workflow.edges {
-        if workflow.find(&e.from.block).is_none() {
-            issue(
-                &mut issues,
-                format!("edge from unknown block {:?}", e.from.block),
-            );
+        let Some(&from) = pos.get(e.from.block.as_str()) else {
+            issues.push(format!("edge from unknown block {:?}", e.from.block));
             continue;
-        }
-        if workflow.find(&e.to.block).is_none() {
-            issue(
-                &mut issues,
-                format!("edge to unknown block {:?}", e.to.block),
-            );
+        };
+        let Some(&to) = pos.get(e.to.block.as_str()) else {
+            issues.push(format!("edge to unknown block {:?}", e.to.block));
             continue;
-        }
-        let from_schema = out_schema(&e.from.block, &e.from.port);
+        };
+        let from_schema = schema(from, &e.from.port, false);
         if from_schema.is_none() {
-            issue(&mut issues, format!("{} is not an output port", e.from));
+            issues.push(format!("{} is not an output port", e.from));
         }
-        let to_schema = in_schema(&e.to.block, &e.to.port);
+        let to_schema = schema(to, &e.to.port, true);
         if to_schema.is_none() {
-            issue(&mut issues, format!("{} is not an input port", e.to));
+            issues.push(format!("{} is not an input port", e.to));
         }
         if let (Some(from), Some(to)) = (from_schema, to_schema) {
             // "The compatibility of data types is checked during connecting
             // the ports" — types only, not formats/semantics (§3.3).
             if !to.accepts_type_of(&from) {
-                issue(
-                    &mut issues,
-                    format!(
-                        "type mismatch on {} -> {}: {:?} does not accept {:?}",
-                        e.from,
-                        e.to,
-                        to.types.iter().map(|t| t.keyword()).collect::<Vec<_>>(),
-                        from.types.iter().map(|t| t.keyword()).collect::<Vec<_>>()
-                    ),
-                );
+                issues.push(format!(
+                    "type mismatch on {} -> {}: {:?} does not accept {:?}",
+                    e.from,
+                    e.to,
+                    to.types.iter().map(|t| t.keyword()).collect::<Vec<_>>(),
+                    from.types.iter().map(|t| t.keyword()).collect::<Vec<_>>()
+                ));
             }
         }
-        *incoming
-            .entry((e.to.block.clone(), e.to.port.clone()))
-            .or_insert(0) += 1;
+        plan[to]
+            .wiring
+            .push((e.to.port.clone(), from, e.from.port.clone()));
+        plan[from].successors.push(to);
+        *plan[from].readers.entry(e.from.port.clone()).or_default() += 1;
     }
 
-    // Single writer per input port.
-    for ((block, port), count) in &incoming {
-        if *count > 1 {
-            issue(
-                &mut issues,
-                format!("input port {block}.{port} has {count} incoming edges"),
-            );
+    // One writer per input port, and every required input wired.
+    for (b, step) in blocks.iter().zip(&plan) {
+        let writers = |port: &str| step.wiring.iter().filter(|(p, ..)| p == port).count();
+        for (k, (port, ..)) in step.wiring.iter().enumerate() {
+            let count = writers(port);
+            if count > 1 && !step.wiring[..k].iter().any(|(p, ..)| p == port) {
+                issues.push(format!(
+                    "input port {}.{port} has {count} incoming edges",
+                    b.id
+                ));
+            }
         }
-    }
-
-    // Required inputs wired.
-    for b in &workflow.blocks {
         let required: Vec<String> = match &b.kind {
             BlockKind::Service { .. } => match services.get(&b.id) {
                 Some(d) => d
@@ -250,60 +288,36 @@ pub fn validate(
             BlockKind::Output { .. } => vec!["value".to_string()],
             _ => Vec::new(),
         };
-        for port in required {
-            if !incoming.contains_key(&(b.id.clone(), port.clone())) {
-                issue(
-                    &mut issues,
-                    format!("required input {}.{port} is not connected", b.id),
-                );
-            }
+        for port in required.iter().filter(|port| writers(port) == 0) {
+            issues.push(format!("required input {}.{port} is not connected", b.id));
         }
     }
 
-    // Topological order (Kahn's algorithm).
-    let mut indeg: HashMap<&str, usize> =
-        workflow.blocks.iter().map(|b| (b.id.as_str(), 0)).collect();
-    let mut succ: HashMap<&str, Vec<&str>> = HashMap::new();
-    for e in &workflow.edges {
-        if workflow.find(&e.from.block).is_some() && workflow.find(&e.to.block).is_some() {
-            succ.entry(e.from.block.as_str())
-                .or_default()
-                .push(e.to.block.as_str());
-            *indeg.entry(e.to.block.as_str()).or_default() += 1;
-        }
-    }
-    // Deduplicate ids (duplicate-id workflows are already invalid, but the
-    // cycle check must not panic on them).
-    let mut ready: Vec<&str> = indeg
-        .iter()
-        .filter(|(_, &d)| d == 0)
-        .map(|(&id, _)| id)
-        .collect();
-    ready.sort_by_key(|id| workflow.blocks.iter().position(|b| b.id == *id));
-    let mut topo = Vec::new();
-    while let Some(id) = ready.pop() {
-        topo.push(id.to_string());
-        for &next in succ.get(id).map(Vec::as_slice).unwrap_or(&[]) {
-            let d = indeg.get_mut(next).expect("successor exists");
-            let was = *d;
-            *d = d.saturating_sub(1);
-            if was == 1 {
+    // The cycle check: Kahn's algorithm reaches every block of a DAG.
+    let mut indeg: Vec<usize> = plan.iter().map(|s| s.wiring.len()).collect();
+    let mut ready: Vec<usize> = (0..plan.len()).filter(|&i| indeg[i] == 0).collect();
+    let mut reached = 0;
+    while let Some(i) = ready.pop() {
+        reached += 1;
+        for &next in &plan[i].successors {
+            indeg[next] -= 1;
+            if indeg[next] == 0 {
                 ready.push(next);
             }
         }
     }
-    if topo.len() != indeg.len() {
-        issue(&mut issues, "workflow graph contains a cycle");
+    if reached != plan.len() {
+        issues.push("workflow graph contains a cycle".into());
     }
 
     if issues.is_empty() {
         Ok(ValidatedWorkflow {
             workflow: workflow.clone(),
             services,
-            topo_order: topo,
+            plan,
         })
     } else {
-        Err(issues)
+        Err(issues.into_iter().map(ValidationIssue).collect())
     }
 }
 
@@ -340,16 +354,26 @@ mod tests {
 
     #[test]
     fn valid_workflow_passes_and_orders_blocks() {
+        // Blocks x, y, add, result at positions 0 to 3.
         let v = validate(&valid_workflow(), &source()).unwrap();
-        let pos = |id: &str| {
-            v.topo_order
+        let wiring = |i: usize| {
+            let step = &v.plan[i];
+            let ports = step
+                .wiring
                 .iter()
-                .position(|b| b == id)
-                .unwrap_or(usize::MAX)
+                .map(|(p, from, fp)| (p.as_str(), *from, fp.as_str()));
+            ports.collect::<Vec<_>>()
         };
-        assert!(pos("x") < pos("add"));
-        assert!(pos("y") < pos("add"));
-        assert!(pos("add") < pos("result"));
+        assert_eq!(wiring(2), [("a", 0, "value"), ("b", 1, "value")]);
+        assert_eq!(wiring(3), [("value", 2, "total")]);
+        let successors: Vec<_> = v.plan.iter().map(|s| s.successors.clone()).collect();
+        assert_eq!(successors, [vec![2], vec![2], vec![3], vec![]]);
+        assert_eq!(v.plan[0].readers["value"], 1);
+        assert_eq!(v.plan[2].readers["total"], 1);
+        assert_eq!(
+            v.plan[3].readers["value"], 1,
+            "the run's result reads an output"
+        );
         assert!(v.services.contains_key("add"));
     }
 

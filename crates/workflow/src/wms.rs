@@ -297,21 +297,27 @@ mod tests {
         assert!(wms.container().description("broken").is_none());
     }
 
-    #[test]
-    fn a_script_that_does_not_parse_is_refused_at_publish() {
-        let broken = Workflow::new("bad-script", "")
+    /// `n` → a `Script` block `twice` running `code` (input `n`, output
+    /// `m`) → `r`.
+    fn script_workflow(name: &str, code: &str) -> Workflow {
+        Workflow::new(name, "")
             .input("n", Schema::integer())
             .block(Block {
                 id: "twice".into(),
                 kind: BlockKind::Script {
-                    code: "let k = 2;\nm = n * ;".into(),
+                    code: code.into(),
                     inputs: vec![("n".into(), Schema::integer())],
                     outputs: vec![("m".into(), Schema::integer())],
                 },
             })
             .output("r", Schema::integer())
             .wire(("n", "value"), ("twice", "n"))
-            .wire(("twice", "m"), ("r", "value"));
+            .wire(("twice", "m"), ("r", "value"))
+    }
+
+    #[test]
+    fn a_script_that_does_not_parse_is_refused_at_publish() {
+        let broken = script_workflow("bad-script", "let k = 2;\nm = n * ;");
         let wms = wms();
         let errs = wms.publish(&broken).unwrap_err();
         assert!(
@@ -320,6 +326,48 @@ mod tests {
             "{errs:?}"
         );
         assert!(wms.container().description("bad-script").is_none());
+    }
+
+    #[test]
+    fn a_script_that_reads_an_unbound_name_is_refused_at_publish() {
+        let wms = wms();
+        let errs = wms
+            .publish(&script_workflow("unbound", "let k = 2;\nm = n * j;"))
+            .unwrap_err();
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        let text = "block \"twice\": script error at line 2: unknown variable \"j\"";
+        assert_eq!(errs[0], text);
+        assert!(wms.container().description("unbound").is_none());
+    }
+
+    #[test]
+    fn a_script_that_leaves_an_output_unassigned_is_refused_at_publish() {
+        let wms = wms();
+        let errs = wms
+            .publish(&script_workflow("unassigned", "let m = n * 2;"))
+            .unwrap_err();
+        assert_eq!(errs, ["block \"twice\": output \"m\" is never assigned"]);
+        assert!(wms.container().description("unassigned").is_none());
+    }
+
+    #[test]
+    fn a_script_that_reads_an_output_it_assigned_is_published_and_runs() {
+        let wms = wms();
+        let code = "m = n + 1;\nlet k = m;\nm = m * k;";
+        wms.publish(&script_workflow("reassigned", code)).unwrap();
+        let rep = wms
+            .container()
+            .submit_and_wait(
+                "reassigned",
+                json!({"n": 4}),
+                None,
+                None,
+                None,
+                Some(Duration::from_secs(5)),
+            )
+            .unwrap()
+            .rep;
+        assert_eq!(rep.outputs.unwrap().get("r"), Some(&json!(25)));
     }
 
     #[test]

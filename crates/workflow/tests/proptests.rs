@@ -1,12 +1,12 @@
-//! Randomized property tests for the workflow crate: the mcscript language
-//! and the workflow JSON format. Driven by the workspace's deterministic
-//! PRNG (offline, reproducible).
+//! Randomized property tests for the workflow crate: the mcscript language,
+//! the workflow JSON format and the engine's plan. Driven by the workspace's
+//! deterministic PRNG (offline, reproducible).
 
 use mathcloud_json::value::Object;
 use mathcloud_json::{Schema, Value};
 use mathcloud_telemetry::XorShift64;
 use mathcloud_workflow::{run_script, validate, Block, BlockKind, Workflow};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 const CASES: usize = 200;
 
@@ -133,6 +133,84 @@ fn mcscript_binds_values_not_text() {
     }
 }
 
+/// A literal or a read of a name in `visible`, with its value.
+fn atom(rng: &mut XorShift64, visible: &BTreeMap<&str, i64>) -> (String, i64) {
+    if visible.is_empty() || rng.index(3) == 0 {
+        let v = rng.range_i64(-3, 3);
+        return (format!("({v})"), v);
+    }
+    let (name, v) = visible.iter().nth(rng.index(visible.len())).unwrap();
+    (name.to_string(), *v)
+}
+
+/// A sum of one to three terms over the names in `visible`, with its value.
+/// A term is an atom, or an `if`, `&&` or `||` over atoms, so some reads are
+/// skipped when the program runs.
+fn expression(rng: &mut XorShift64, visible: &BTreeMap<&str, i64>) -> (String, i64) {
+    let mut terms = Vec::new();
+    let mut sum = 0i64;
+    for _ in 0..1 + rng.index(3) {
+        let (x, xv) = atom(rng, visible);
+        let (term, v) = match rng.index(4) {
+            0 => {
+                let ((y, yv), (z, zv)) = (atom(rng, visible), atom(rng, visible));
+                let v = if xv != 0 { yv } else { zv };
+                (format!("if({x}, {y}, {z})"), v)
+            }
+            1 => {
+                let (y, yv) = atom(rng, visible);
+                (format!("({x} && {y})"), if xv != 0 { yv } else { xv })
+            }
+            2 => {
+                let (y, yv) = atom(rng, visible);
+                (format!("({x} || {y})"), if xv != 0 { xv } else { yv })
+            }
+            _ => (x, xv),
+        };
+        terms.push(term);
+        sum = sum.wrapping_add(v);
+    }
+    (terms.join(" + "), sum)
+}
+
+/// Straight-line programs over four names — `let`s, assignments, repeated
+/// reads, a `let` that shadows an output, a read after a re-assignment —
+/// give the outputs of a model that keeps each name's latest value. Guards
+/// the reads that move a value out: a move too early fails a later read.
+#[test]
+fn straight_line_programs_match_a_model() {
+    const NAMES: [&str; 4] = ["a", "b", "c", "d"];
+    let mut rng = XorShift64::new(0x57A1);
+    for case in 0..CASES {
+        let mut visible = BTreeMap::new();
+        let mut inputs = Object::new();
+        for name in NAMES {
+            if rng.bool() {
+                let v = rng.range_i64(-3, 3);
+                visible.insert(name, v);
+                inputs.insert(name.to_string(), Value::from(v));
+            }
+        }
+        let (mut code, mut outputs) = (String::new(), BTreeMap::new());
+        for _ in 0..1 + rng.index(8) {
+            let (text, v) = expression(&mut rng, &visible);
+            let name = *rng.pick(&NAMES);
+            if rng.bool() {
+                code += &format!("let {name} = {text};\n");
+            } else {
+                code += &format!("{name} = {text};\n");
+                outputs.insert(name, v);
+            }
+            visible.insert(name, v);
+        }
+        let got = run_script(&code, inputs).unwrap_or_else(|e| panic!("case {case}: {e}\n{code}"));
+        let got: BTreeMap<&str, i64> = (got.iter())
+            .map(|(k, v)| (k.as_str(), v.as_i64().unwrap()))
+            .collect();
+        assert_eq!(got, outputs, "case {case}:\n{code}");
+    }
+}
+
 /// Workflow documents round-trip through JSON for arbitrary block/edge
 /// shapes.
 #[test]
@@ -172,8 +250,23 @@ fn workflow_json_round_trip() {
     }
 }
 
-/// Randomly generated linear chains always validate and execute to the
-/// expected arithmetic result.
+/// A `Script` block `id` computing `y = a + b;`.
+fn adder(id: &str) -> Block {
+    Block {
+        id: id.into(),
+        kind: BlockKind::Script {
+            code: "y = a + b;".into(),
+            inputs: vec![
+                ("a".into(), Schema::integer()),
+                ("b".into(), Schema::integer()),
+            ],
+            outputs: vec![("y".into(), Schema::integer())],
+        },
+    }
+}
+
+/// Randomly generated linear chains, and DAGs with fan-out, fan-in and
+/// diamonds, always validate and execute to the expected arithmetic result.
 #[test]
 fn linear_script_chains_execute() {
     let mut rng = XorShift64::new(0xC8A1);
@@ -208,6 +301,52 @@ fn linear_script_chains_execute() {
         let outputs = engine.run(&inputs, None).unwrap();
         let expected: i64 = start + increments.iter().sum::<i64>();
         assert_eq!(outputs.get("r").unwrap().as_i64(), Some(expected));
+    }
+
+    // DAGs: each adder reads two earlier blocks (the same one twice at
+    // times), so a value may fan out to several consumers or to none, and
+    // the model adds the same values in generation order.
+    for case in 0..40 {
+        let (start, k) = (rng.range_i64(0, 99), rng.range_i64(0, 99));
+        let mut wf = Workflow::new("dag", "")
+            .input("x", Schema::integer())
+            .block(Block {
+                id: "k".into(),
+                kind: BlockKind::Constant {
+                    value: Value::from(k),
+                },
+            });
+        let mut ports = vec![("x".to_string(), "value"), ("k".to_string(), "value")];
+        let mut values = vec![start, k];
+        for i in 0..1 + rng.index(7) {
+            let (a, b) = (rng.index(ports.len()), rng.index(ports.len()));
+            let id = format!("s{i}");
+            wf = wf
+                .block(adder(&id))
+                .wire((&ports[a].0, ports[a].1), (&id, "a"))
+                .wire((&ports[b].0, ports[b].1), (&id, "b"));
+            values.push(values[a] + values[b]);
+            ports.push((id, "y"));
+        }
+        let (last, other) = (ports.len() - 1, rng.index(ports.len()));
+        wf = wf
+            .output("r", Schema::integer())
+            .output("q", Schema::integer())
+            .wire((&ports[last].0, ports[last].1), ("r", "value"))
+            .wire((&ports[other].0, ports[other].1), ("q", "value"));
+
+        let validated = validate(&wf, &HashMap::new()).expect("DAG validates");
+        let engine = mathcloud_workflow::Engine::with_caller(validated, NoServices);
+        let inputs: Object = [("x".to_string(), Value::from(start))]
+            .into_iter()
+            .collect();
+        let outputs = engine.run(&inputs, None).unwrap();
+        let got = ["r", "q"].map(|id| outputs.get(id).and_then(Value::as_i64));
+        assert_eq!(
+            got,
+            [Some(values[last]), Some(values[other])],
+            "case {case}"
+        );
     }
 }
 

@@ -40,7 +40,13 @@ timeout 120 cargo test -q --offline --release \
 # block that never reports (a panic that escapes its catch, a lost sender)
 # would hang its run for good, so the hard timeout turns that into a
 # failure instead of a stalled build. Release mode, where the engine's
-# parallelism test times two blocks against one.
+# parallelism test times two blocks against one. The crate's tests also
+# hold the publish-time script checks (a script that does not parse, reads
+# an unbound name or leaves a declared output unassigned is refused, naming
+# its block), the proptests of straight-line scripts and random DAGs
+# against their models, and `composite_copies`, which holds a 64 KiB value
+# to 100 000 bytes per run through a Service block and through a Script
+# block.
 echo "==> workflow engine (release, 120s budget)"
 timeout 120 cargo test -q --offline --release -p mathcloud-workflow
 timeout 120 cargo test -q --offline --release \
