@@ -135,21 +135,6 @@ impl ServiceClient {
         self
     }
 
-    /// Overrides the transport retry policy (builder style) — idempotent
-    /// requests such as description fetches and job polls are retried with
-    /// backoff; submissions never are.
-    pub fn with_retry_policy(mut self, policy: mathcloud_http::RetryPolicy) -> Self {
-        self.client = self.client.with_retry_policy(policy);
-        self
-    }
-
-    /// Bounds TCP connects to `timeout` (builder style) so unroutable hosts
-    /// fail within the budget rather than the OS default.
-    pub fn with_connect_timeout(mut self, timeout: std::time::Duration) -> Self {
-        self.client = self.client.with_connect_timeout(timeout);
-        self
-    }
-
     /// Replaces the HTTP client (builder style) — deadlines, retry policy
     /// and breakers all at once, e.g. one client shared by many bindings.
     pub fn with_client(mut self, client: Client) -> Self {

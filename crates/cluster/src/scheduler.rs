@@ -48,10 +48,16 @@ impl JobState {
 /// Cooperative execution context handed to job closures.
 #[derive(Debug, Clone)]
 pub struct JobContext {
+    id: JobId,
     stop: Arc<AtomicBool>,
 }
 
 impl JobContext {
+    /// The job's id in its batch system (TORQUE's `$PBS_JOBID`).
+    pub fn id(&self) -> JobId {
+        self.id
+    }
+
     /// Returns `true` once the job has been cancelled or exceeded its
     /// walltime; long-running loops should poll this.
     pub fn should_stop(&self) -> bool {
@@ -428,6 +434,7 @@ impl BatchSystem {
                     record.started = Some(Instant::now());
                     let task = record.task.take().expect("queued job has a task");
                     let ctx = JobContext {
+                        id,
                         stop: Arc::clone(&record.stop),
                     };
                     let walltime = record.walltime;
@@ -478,7 +485,13 @@ impl BatchSystem {
         }
         std::thread::spawn(move || {
             let started = Instant::now();
-            let result = (task)(&ctx);
+            // A job stopped between scheduling and here never starts; its
+            // outcome is already decided.
+            let result = if ctx.should_stop() {
+                Err("cancelled before start".to_string())
+            } else {
+                task(&ctx)
+            };
             let mut state = system.inner.state.lock();
             {
                 let record = state.jobs.get_mut(&id).expect("running job exists");

@@ -6,7 +6,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use mathcloud_cluster::{BatchSystem, JobContext, JobId, JobSpec, JobState};
 use mathcloud_core::FileRef;
+use mathcloud_grid::{ProxyCredential, ResourceBroker};
 use mathcloud_http::Client;
 use mathcloud_json::value::Object;
 use mathcloud_json::Value;
@@ -330,12 +332,59 @@ impl Adapter for CommandAdapter {
 }
 
 /// The task function used by cluster and grid adapters.
-pub type ComputeFn =
-    Arc<dyn Fn(&Object, &mathcloud_cluster::JobContext) -> Result<Object, String> + Send + Sync>;
+pub type ComputeFn = Arc<dyn Fn(&Object, &JobContext) -> Result<Object, String> + Send + Sync>;
+
+/// Runs `task` as one batch job: `place` submits the job and names the batch
+/// system it landed on, which is waited on with a client cancel passed on as
+/// `qdel`; the job's output is parsed back into outputs.
+fn run_batch_job<'a>(
+    task: &ComputeFn,
+    cores: usize,
+    walltime: Option<Duration>,
+    inputs: &Object,
+    ctx: &AdapterContext,
+    place: impl FnOnce(JobSpec) -> Result<(&'a BatchSystem, JobId), String>,
+) -> Result<Object, String> {
+    let task = Arc::clone(task);
+    let inputs = inputs.clone();
+    let name = format!("{}-{}", ctx.service(), ctx.job());
+    let mut spec = JobSpec::new(&name, cores, move |jctx| {
+        let outputs = task(&inputs, jctx)?;
+        Ok(Value::Object(outputs).to_string())
+    });
+    if let Some(w) = walltime {
+        spec = spec.walltime(w);
+    }
+    let (site, id) = place(spec)?;
+    loop {
+        if let Some(st) = site.wait(id, Duration::from_millis(50)) {
+            return match st.state {
+                JobState::Completed => {
+                    let text = st.output.unwrap_or_default();
+                    let v = mathcloud_json::parse(&text)
+                        .map_err(|e| format!("bad adapter output: {e}"))?;
+                    v.as_object()
+                        .cloned()
+                        .ok_or_else(|| "adapter output must be an object".to_string())
+                }
+                JobState::Cancelled => Err("cancelled".to_string()),
+                _ => Err(st.error.unwrap_or_else(|| "batch job failed".to_string())),
+            };
+        }
+        // `wait` returns `None` both on timeout and for unknown jobs; if
+        // the record vanished, looping again would spin forever.
+        if site.qstat(id).is_none() {
+            return Err(format!("batch job {id} disappeared from the queue"));
+        }
+        if ctx.is_cancelled() {
+            site.qdel(id);
+        }
+    }
+}
 
 /// Translates service requests into batch jobs on a TORQUE-like cluster.
 pub struct ClusterAdapter {
-    cluster: mathcloud_cluster::BatchSystem,
+    cluster: BatchSystem,
     cores: usize,
     walltime: Option<Duration>,
     task: ComputeFn,
@@ -343,12 +392,9 @@ pub struct ClusterAdapter {
 
 impl ClusterAdapter {
     /// Creates an adapter submitting `cores`-core jobs running `task`.
-    pub fn new<F>(cluster: mathcloud_cluster::BatchSystem, cores: usize, task: F) -> Self
+    pub fn new<F>(cluster: BatchSystem, cores: usize, task: F) -> Self
     where
-        F: Fn(&Object, &mathcloud_cluster::JobContext) -> Result<Object, String>
-            + Send
-            + Sync
-            + 'static,
+        F: Fn(&Object, &JobContext) -> Result<Object, String> + Send + Sync + 'static,
     {
         ClusterAdapter {
             cluster,
@@ -367,48 +413,13 @@ impl ClusterAdapter {
 
 impl Adapter for ClusterAdapter {
     fn execute(&self, inputs: &Object, ctx: &AdapterContext) -> Result<Object, String> {
-        let task = Arc::clone(&self.task);
-        let inputs = inputs.clone();
-        let mut spec = mathcloud_cluster::JobSpec::new(
-            &format!("{}-{}", ctx.service(), ctx.job()),
-            self.cores,
-            move |jctx| {
-                let outputs = task(&inputs, jctx)?;
-                Ok(Value::Object(outputs).to_string())
-            },
-        );
-        if let Some(w) = self.walltime {
-            spec = spec.walltime(w);
-        }
-        let id = self
-            .cluster
-            .try_qsub(spec)
-            .map_err(|e| format!("cluster rejected job: {e}"))?;
-        // Relay cancellation to the batch system while waiting.
-        loop {
-            if let Some(st) = self.cluster.wait(id, Duration::from_millis(50)) {
-                return match st.state {
-                    mathcloud_cluster::JobState::Completed => {
-                        let text = st.output.unwrap_or_default();
-                        let v = mathcloud_json::parse(&text)
-                            .map_err(|e| format!("bad adapter output: {e}"))?;
-                        v.as_object()
-                            .cloned()
-                            .ok_or_else(|| "adapter output must be an object".to_string())
-                    }
-                    mathcloud_cluster::JobState::Cancelled => Err("cancelled".to_string()),
-                    _ => Err(st.error.unwrap_or_else(|| "batch job failed".to_string())),
-                };
-            }
-            // `wait` returns `None` both on timeout and for unknown jobs; if
-            // the record vanished, looping again would spin forever.
-            if self.cluster.qstat(id).is_none() {
-                return Err(format!("batch job {id} disappeared from the queue"));
-            }
-            if ctx.is_cancelled() {
-                self.cluster.qdel(id);
-            }
-        }
+        run_batch_job(&self.task, self.cores, self.walltime, inputs, ctx, |spec| {
+            let id = self
+                .cluster
+                .try_qsub(spec)
+                .map_err(|e| format!("cluster rejected job: {e}"))?;
+            Ok((&self.cluster, id))
+        })
     }
 
     fn kind(&self) -> &'static str {
@@ -424,27 +435,20 @@ impl fmt::Debug for ClusterAdapter {
     }
 }
 
-/// Translates service requests into grid jobs via a gLite-like broker.
+/// Translates service requests into grid jobs: a gLite-like broker places
+/// each one on a site, whose batch system then runs it.
 pub struct GridAdapter {
-    broker: mathcloud_grid::ResourceBroker,
-    proxy: mathcloud_grid::ProxyCredential,
+    broker: ResourceBroker,
+    proxy: ProxyCredential,
     cores: usize,
     task: ComputeFn,
 }
 
 impl GridAdapter {
     /// Creates an adapter submitting through `broker` under `proxy`.
-    pub fn new<F>(
-        broker: mathcloud_grid::ResourceBroker,
-        proxy: mathcloud_grid::ProxyCredential,
-        cores: usize,
-        task: F,
-    ) -> Self
+    pub fn new<F>(broker: ResourceBroker, proxy: ProxyCredential, cores: usize, task: F) -> Self
     where
-        F: Fn(&Object, &mathcloud_cluster::JobContext) -> Result<Object, String>
-            + Send
-            + Sync
-            + 'static,
+        F: Fn(&Object, &JobContext) -> Result<Object, String> + Send + Sync + 'static,
     {
         GridAdapter {
             broker,
@@ -457,44 +461,13 @@ impl GridAdapter {
 
 impl Adapter for GridAdapter {
     fn execute(&self, inputs: &Object, ctx: &AdapterContext) -> Result<Object, String> {
-        let task = Arc::clone(&self.task);
-        let inputs = inputs.clone();
-        let spec = mathcloud_grid::GridJobSpec::new(
-            &format!("{}-{}", ctx.service(), ctx.job()),
-            self.cores,
-            move |jctx| {
-                let outputs = task(&inputs, jctx)?;
-                Ok(Value::Object(outputs).to_string())
-            },
-        );
-        let id = self
-            .broker
-            .submit(&self.proxy, spec)
-            .map_err(|e| format!("grid submission failed: {e}"))?;
-        loop {
-            if let Some(st) = self.broker.wait(id, Duration::from_millis(50)) {
-                return match st.state {
-                    mathcloud_grid::GridJobState::Done => {
-                        let text = st.output.unwrap_or_default();
-                        let v = mathcloud_json::parse(&text)
-                            .map_err(|e| format!("bad adapter output: {e}"))?;
-                        v.as_object()
-                            .cloned()
-                            .ok_or_else(|| "adapter output must be an object".to_string())
-                    }
-                    mathcloud_grid::GridJobState::Cancelled => Err("cancelled".to_string()),
-                    _ => Err(st.error.unwrap_or_else(|| "grid job aborted".to_string())),
-                };
-            }
-            // `wait` returns `None` both on timeout and for unknown jobs; if
-            // the record vanished, looping again would spin forever.
-            if self.broker.status(id).is_none() {
-                return Err("grid job disappeared from the broker".to_string());
-            }
-            if ctx.is_cancelled() {
-                self.broker.cancel(id);
-            }
-        }
+        run_batch_job(&self.task, self.cores, None, inputs, ctx, |spec| {
+            let (ce, id) = self
+                .broker
+                .submit(&self.proxy, spec)
+                .map_err(|e| format!("grid submission failed: {e}"))?;
+            Ok((ce.batch_system(), id))
+        })
     }
 
     fn kind(&self) -> &'static str {

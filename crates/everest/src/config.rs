@@ -33,9 +33,12 @@
 //! `"services"` is the only top-level key: [`load_config`] refuses any other
 //! one, and names the container call that replaces each setting.
 //!
-//! Cluster, grid and native adapters reference named resources registered in
-//! an [`AdapterRegistry`] (those resources are process-level objects and
-//! cannot come from JSON).
+//! The adapter types are the three §3.1 publishes from configuration alone:
+//! `"command"`, `"cluster"` and `"grid"`. Cluster and grid adapters reference
+//! named resources registered in an [`AdapterRegistry`] — a batch system or a
+//! broker with its proxy, and the task to run — because those are
+//! process-level objects and cannot come from JSON. The Java-adapter analogue,
+//! [`crate::adapter::NativeAdapter`], needs code, so it is deployed in code.
 
 use std::collections::HashMap;
 use std::error::Error;
@@ -43,11 +46,14 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
 
+use mathcloud_cluster::{BatchSystem, JobContext};
 use mathcloud_core::ServiceDescription;
+use mathcloud_grid::{ProxyCredential, ResourceBroker};
+use mathcloud_json::value::Object;
 use mathcloud_json::Value;
 use mathcloud_security::{AccessPolicy, Identity};
 
-use crate::adapter::{ClusterAdapter, CommandAdapter, ComputeFn, GridAdapter, NativeAdapter};
+use crate::adapter::{ClusterAdapter, CommandAdapter, ComputeFn, GridAdapter};
 use crate::container::Everest;
 
 /// Errors from configuration parsing.
@@ -69,16 +75,9 @@ fn err(msg: impl Into<String>) -> ConfigError {
 /// Named process-level resources that configuration entries may reference.
 #[derive(Default)]
 pub struct AdapterRegistry {
-    clusters: HashMap<String, mathcloud_cluster::BatchSystem>,
-    brokers: HashMap<
-        String,
-        (
-            mathcloud_grid::ResourceBroker,
-            mathcloud_grid::ProxyCredential,
-        ),
-    >,
+    clusters: HashMap<String, BatchSystem>,
+    brokers: HashMap<String, (ResourceBroker, ProxyCredential)>,
     tasks: HashMap<String, ComputeFn>,
-    natives: HashMap<String, Arc<NativeAdapter>>,
 }
 
 impl AdapterRegistry {
@@ -88,18 +87,13 @@ impl AdapterRegistry {
     }
 
     /// Registers a batch system under a name.
-    pub fn cluster(mut self, name: &str, cluster: mathcloud_cluster::BatchSystem) -> Self {
+    pub fn cluster(mut self, name: &str, cluster: BatchSystem) -> Self {
         self.clusters.insert(name.to_string(), cluster);
         self
     }
 
     /// Registers a grid broker (with its submitting proxy) under a name.
-    pub fn broker(
-        mut self,
-        name: &str,
-        broker: mathcloud_grid::ResourceBroker,
-        proxy: mathcloud_grid::ProxyCredential,
-    ) -> Self {
+    pub fn broker(mut self, name: &str, broker: ResourceBroker, proxy: ProxyCredential) -> Self {
         self.brokers.insert(name.to_string(), (broker, proxy));
         self
     }
@@ -107,21 +101,9 @@ impl AdapterRegistry {
     /// Registers a compute task for cluster/grid adapters.
     pub fn task<F>(mut self, name: &str, f: F) -> Self
     where
-        F: Fn(
-                &mathcloud_json::value::Object,
-                &mathcloud_cluster::JobContext,
-            ) -> Result<mathcloud_json::value::Object, String>
-            + Send
-            + Sync
-            + 'static,
+        F: Fn(&Object, &JobContext) -> Result<Object, String> + Send + Sync + 'static,
     {
         self.tasks.insert(name.to_string(), Arc::new(f));
-        self
-    }
-
-    /// Registers a native adapter (the Java-adapter path needs code).
-    pub fn native(mut self, name: &str, adapter: NativeAdapter) -> Self {
-        self.natives.insert(name.to_string(), Arc::new(adapter));
         self
     }
 }
@@ -132,7 +114,6 @@ impl fmt::Debug for AdapterRegistry {
             .field("clusters", &self.clusters.len())
             .field("brokers", &self.brokers.len())
             .field("tasks", &self.tasks.len())
-            .field("natives", &self.natives.len())
             .finish()
     }
 }
@@ -311,30 +292,6 @@ fn build_adapter(
             let adapter = GridAdapter::new(broker, proxy, cores, move |o, c| task(o, c));
             Ok(Box::new(adapter))
         }
-        "native" => {
-            let task_name = adapter_doc
-                .str_field("task")
-                .ok_or_else(|| err("native adapter missing task"))?;
-            let native = registry
-                .natives
-                .get(task_name)
-                .ok_or_else(|| err(format!("unknown native adapter {task_name:?}")))?
-                .clone();
-            struct Shared(Arc<NativeAdapter>);
-            impl crate::adapter::Adapter for Shared {
-                fn execute(
-                    &self,
-                    inputs: &mathcloud_json::value::Object,
-                    ctx: &crate::adapter::AdapterContext,
-                ) -> Result<mathcloud_json::value::Object, String> {
-                    self.0.execute(inputs, ctx)
-                }
-                fn kind(&self) -> &'static str {
-                    "native"
-                }
-            }
-            Ok(Box::new(Shared(native)))
-        }
         other => Err(err(format!("unknown adapter type {other:?}"))),
     }
 }
@@ -495,6 +452,10 @@ mod tests {
             (
                 json!({"services": [{"name": "x", "adapter": {"type": "warp"}}]}),
                 "unknown adapter type",
+            ),
+            (
+                json!({"services": [{"name": "x", "adapter": {"type": "native", "task": "t"}}]}),
+                "service \"x\": unknown adapter type \"native\"",
             ),
             (
                 json!({"services": [{"name": "x", "adapter": {"type": "cluster", "cluster": "c", "task": "t"}}]}),

@@ -8,10 +8,12 @@
 //! * a **Job Manager** converting requests into asynchronous jobs served by
 //!   a configurable pool of handler threads,
 //! * pluggable **adapters** executing the actual work:
-//!   [`adapter::NativeAdapter`] (the Java adapter analogue),
+//!   [`adapter::NativeAdapter`] (the Java adapter analogue, deployed in code),
 //!   [`adapter::CommandAdapter`] (run a program),
 //!   [`adapter::ClusterAdapter`] (submit to a TORQUE-like batch system),
-//!   [`adapter::GridAdapter`] (submit through a gLite-like broker),
+//!   [`adapter::GridAdapter`] (a gLite-like broker places the job on a site,
+//!   whose batch system runs it); the last three also deploy from a
+//!   configuration file alone ([`config`]),
 //! * a per-job **file store** for large parameters,
 //! * a **REST resource layer** exposing Table 1 of the paper plus an
 //!   auto-generated web UI,

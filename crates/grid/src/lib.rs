@@ -9,13 +9,18 @@
 //! * [`ComputingElement`] — a site batch system exported to one or more
 //!   virtual organizations,
 //! * [`ResourceBroker`] — the workload management system: matchmaking over
-//!   CEs, ranking by free capacity, job submission/monitoring/cancellation.
+//!   CEs and ranking by free capacity.
+//!
+//! A grid job is a batch job the broker placed: [`ResourceBroker::submit`]
+//! takes a cluster [`JobSpec`] and returns the CE it landed on with the
+//! site-local [`JobId`]. Monitoring and cancelling go to that site's own
+//! batch system, as they do on a cluster.
 //!
 //! # Examples
 //!
 //! ```
-//! use mathcloud_cluster::BatchSystem;
-//! use mathcloud_grid::{ComputingElement, GridJobSpec, ProxyCredential, ResourceBroker};
+//! use mathcloud_cluster::{BatchSystem, JobSpec};
+//! use mathcloud_grid::{ComputingElement, ProxyCredential, ResourceBroker};
 //! use std::time::Duration;
 //!
 //! let ce = ComputingElement::new(
@@ -25,10 +30,11 @@
 //! );
 //! let broker = ResourceBroker::new(vec![ce]);
 //! let proxy = ProxyCredential::issue("CN=alice", "mathcloud-vo", Duration::from_secs(600));
-//! let id = broker
-//!     .submit(&proxy, GridJobSpec::new("hello", 1, |_| Ok("done".into())))
+//! let (site, id) = broker
+//!     .submit(&proxy, JobSpec::new("hello", 1, |_| Ok("done".into())))
 //!     .unwrap();
-//! let st = broker.wait(id, Duration::from_secs(5)).unwrap();
+//! assert_eq!(site.name(), "ce.example.org");
+//! let st = site.batch_system().wait(id, Duration::from_secs(5)).unwrap();
 //! assert_eq!(st.output.as_deref(), Some("done"));
 //! ```
 
@@ -37,7 +43,7 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
-use mathcloud_cluster::{BatchSystem, JobContext, JobSpec, JobState as ClusterState};
+use mathcloud_cluster::{BatchSystem, JobId, JobSpec, SubmitError};
 
 /// A time-limited grid proxy credential, scoped to one virtual organization.
 ///
@@ -106,6 +112,12 @@ impl ComputingElement {
         self.vos.iter().any(|v| v == vo)
     }
 
+    /// The site's batch system, where jobs placed here are monitored and
+    /// cancelled.
+    pub fn batch_system(&self) -> &BatchSystem {
+        &self.cluster
+    }
+
     /// Free cores right now (the broker's ranking expression).
     pub fn free_cores(&self) -> usize {
         let stats = self.cluster.stats();
@@ -121,84 +133,6 @@ impl fmt::Debug for ComputingElement {
             .field("free_cores", &self.free_cores())
             .finish()
     }
-}
-
-/// The work function of a grid job.
-pub type GridTask = Box<dyn FnOnce(&JobContext) -> Result<String, String> + Send + 'static>;
-
-/// A grid job submission.
-pub struct GridJobSpec {
-    name: String,
-    cores: usize,
-    task: GridTask,
-}
-
-impl GridJobSpec {
-    /// Creates a grid job requesting `cores` cores on one site.
-    pub fn new<F>(name: &str, cores: usize, task: F) -> Self
-    where
-        F: FnOnce(&JobContext) -> Result<String, String> + Send + 'static,
-    {
-        GridJobSpec {
-            name: name.to_string(),
-            cores,
-            task: Box::new(task),
-        }
-    }
-}
-
-impl fmt::Debug for GridJobSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("GridJobSpec")
-            .field("name", &self.name)
-            .field("cores", &self.cores)
-            .finish()
-    }
-}
-
-/// A grid job handle: which CE it landed on plus the site-local id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct GridJobId {
-    ce_index: usize,
-    local: mathcloud_cluster::JobId,
-}
-
-/// Grid-level job states (the gLite job state machine, condensed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GridJobState {
-    /// Matched to a CE, waiting in the site queue.
-    Scheduled,
-    /// Executing (staging counts as running, as in gLite accounting).
-    Running,
-    /// Finished successfully.
-    Done,
-    /// Failed at the site.
-    Aborted,
-    /// Cancelled by the user.
-    Cancelled,
-}
-
-impl GridJobState {
-    /// Returns `true` for states that will never change again.
-    pub fn is_terminal(self) -> bool {
-        matches!(
-            self,
-            GridJobState::Done | GridJobState::Aborted | GridJobState::Cancelled
-        )
-    }
-}
-
-/// A point-in-time view of a grid job.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GridJobStatus {
-    /// Grid-level state.
-    pub state: GridJobState,
-    /// The CE the job was matched to.
-    pub ce: String,
-    /// Job output (when `Done`).
-    pub output: Option<String>,
-    /// Failure reason (when `Aborted`).
-    pub error: Option<String>,
 }
 
 /// Errors from broker submission.
@@ -229,7 +163,7 @@ impl fmt::Display for BrokerError {
 
 impl Error for BrokerError {}
 
-/// The workload management system: matchmaking + submission.
+/// The workload management system: matchmaking + placement.
 #[derive(Clone)]
 pub struct ResourceBroker {
     ces: Arc<Vec<ComputingElement>>,
@@ -249,8 +183,12 @@ impl ResourceBroker {
         ResourceBroker { ces: Arc::new(ces) }
     }
 
-    /// Submits a job: validates the proxy, matches CEs by VO and capacity,
-    /// ranks by free cores and submits to the best site.
+    /// Places a job: validates the proxy, matches CEs by VO and capacity,
+    /// ranks by free cores and submits to the best site's batch system.
+    ///
+    /// Returns the CE the job landed on and the job's id in that CE's
+    /// [`ComputingElement::batch_system`], where it is monitored (`wait`,
+    /// `qstat`) and cancelled (`qdel`) from then on.
     ///
     /// # Errors
     ///
@@ -258,82 +196,29 @@ impl ResourceBroker {
     pub fn submit(
         &self,
         proxy: &ProxyCredential,
-        spec: GridJobSpec,
-    ) -> Result<GridJobId, BrokerError> {
+        spec: JobSpec,
+    ) -> Result<(&ComputingElement, JobId), BrokerError> {
         if !proxy.is_valid() {
             return Err(BrokerError::ProxyExpired);
         }
-        let mut candidates: Vec<usize> = (0..self.ces.len())
-            .filter(|&i| self.ces[i].supports_vo(&proxy.vo))
-            .collect();
-        if candidates.is_empty() {
-            return Err(BrokerError::NoSiteForVo(proxy.vo.clone()));
-        }
         // Rank: most free cores first (gLite's default Rank expression uses
-        // free slots).
-        candidates.sort_by_key(|&i| std::cmp::Reverse(self.ces[i].free_cores()));
-
-        // Matchmaking picks the best-ranked site; the job is bound to it
-        // (gLite does not silently resubmit elsewhere — failures surface to
-        // the user, who may resubmit).
-        let chosen = candidates[0];
-        let task = spec.task;
-        let wrapped = move |ctx: &JobContext| {
-            if ctx.should_stop() {
-                return Err("cancelled before start".to_string());
-            }
-            task(ctx)
-        };
-        match self.ces[chosen]
-            .cluster
-            .try_qsub(JobSpec::new(&spec.name, spec.cores, wrapped))
-        {
-            Ok(local) => Ok(GridJobId {
-                ce_index: chosen,
-                local,
-            }),
-            Err(_) => Err(BrokerError::NoMatchingResources {
-                requested: spec.cores,
-            }),
-        }
-    }
-
-    /// Queries a grid job.
-    pub fn status(&self, id: GridJobId) -> Option<GridJobStatus> {
-        let ce = self.ces.get(id.ce_index)?;
-        let st = ce.cluster.qstat(id.local)?;
-        Some(GridJobStatus {
-            state: map_state(st.state),
-            ce: ce.name().to_string(),
-            output: st.output,
-            error: st.error,
-        })
-    }
-
-    /// Cancels a grid job.
-    pub fn cancel(&self, id: GridJobId) -> bool {
-        self.ces
-            .get(id.ce_index)
-            .map(|ce| ce.cluster.qdel(id.local))
-            .unwrap_or(false)
-    }
-
-    /// Blocks until the job reaches a terminal state or `timeout` elapses.
-    ///
-    /// Returns `None` both when the job is unknown (never submitted, or its
-    /// record was removed) **and** when the timeout elapses with the job
-    /// still non-terminal — callers that loop on `wait` must distinguish the
-    /// two via [`ResourceBroker::status`] or they will spin forever on a
-    /// vanished job.
-    pub fn wait(&self, id: GridJobId, timeout: Duration) -> Option<GridJobStatus> {
-        let ce = self.ces.get(id.ce_index)?;
-        let st = ce.cluster.wait(id.local, timeout)?;
-        Some(GridJobStatus {
-            state: map_state(st.state),
-            ce: ce.name().to_string(),
-            output: st.output,
-            error: st.error,
-        })
+        // free slots). Matchmaking picks the best-ranked site and binds the
+        // job to it (gLite does not silently resubmit elsewhere — failures
+        // surface to the user, who may resubmit).
+        let ce = self
+            .ces
+            .iter()
+            .filter(|ce| ce.supports_vo(&proxy.vo))
+            .min_by_key(|ce| std::cmp::Reverse(ce.free_cores()))
+            .ok_or_else(|| BrokerError::NoSiteForVo(proxy.vo.clone()))?;
+        let id = ce.cluster.try_qsub(spec).map_err(|e| {
+            let requested = match e {
+                SubmitError::NeverRunnable { requested, .. } => requested,
+                SubmitError::ZeroCores => 0,
+            };
+            BrokerError::NoMatchingResources { requested }
+        })?;
+        Ok((ce, id))
     }
 }
 
@@ -345,19 +230,10 @@ impl fmt::Debug for ResourceBroker {
     }
 }
 
-fn map_state(s: ClusterState) -> GridJobState {
-    match s {
-        ClusterState::Queued => GridJobState::Scheduled,
-        ClusterState::Running => GridJobState::Running,
-        ClusterState::Completed => GridJobState::Done,
-        ClusterState::Exited => GridJobState::Aborted,
-        ClusterState::Cancelled => GridJobState::Cancelled,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mathcloud_cluster::JobState;
 
     fn site(name: &str, vos: &[&str], cores: usize) -> ComputingElement {
         ComputingElement::new(
@@ -371,22 +247,16 @@ mod tests {
         ProxyCredential::issue("CN=alice", vo, Duration::from_secs(600))
     }
 
+    fn noop(name: &str, cores: usize) -> JobSpec {
+        JobSpec::new(name, cores, |_| Ok(String::new()))
+    }
+
     #[test]
     fn submits_to_supported_vo_only() {
         let broker = ResourceBroker::new(vec![site("ce1", &["bio-vo"], 2)]);
-        let err = broker
-            .submit(
-                &proxy("math-vo"),
-                GridJobSpec::new("j", 1, |_| Ok(String::new())),
-            )
-            .unwrap_err();
+        let err = broker.submit(&proxy("math-vo"), noop("j", 1)).unwrap_err();
         assert_eq!(err, BrokerError::NoSiteForVo("math-vo".into()));
-        assert!(broker
-            .submit(
-                &proxy("bio-vo"),
-                GridJobSpec::new("j", 1, |_| Ok(String::new()))
-            )
-            .is_ok());
+        assert!(broker.submit(&proxy("bio-vo"), noop("j", 1)).is_ok());
     }
 
     #[test]
@@ -394,9 +264,7 @@ mod tests {
         let broker = ResourceBroker::new(vec![site("ce1", &["vo"], 2)]);
         let mut p = proxy("vo");
         p.expires = 0;
-        let err = broker
-            .submit(&p, GridJobSpec::new("j", 1, |_| Ok(String::new())))
-            .unwrap_err();
+        let err = broker.submit(&p, noop("j", 1)).unwrap_err();
         assert_eq!(err, BrokerError::ProxyExpired);
     }
 
@@ -411,76 +279,40 @@ mod tests {
         std::thread::sleep(Duration::from_millis(30));
         let free = site("free-ce", &["vo"], 2);
         let broker = ResourceBroker::new(vec![busy, free]);
-        let id = broker
-            .submit(
-                &proxy("vo"),
-                GridJobSpec::new("j", 1, |_| Ok(String::new())),
-            )
-            .unwrap();
-        let st = broker.wait(id, Duration::from_secs(5)).unwrap();
-        assert_eq!(st.ce, "free-ce");
-        assert_eq!(st.state, GridJobState::Done);
-    }
-
-    /// `wait` returning `None` is ambiguous by design: timeout on a live job
-    /// versus a job the broker has no record of. Callers tell them apart
-    /// with `status` — this pins the contract the Everest adapters rely on.
-    #[test]
-    fn wait_none_is_disambiguated_by_status() {
-        let broker = ResourceBroker::new(vec![site("ce", &["vo"], 1)]);
-        let id = broker
-            .submit(
-                &proxy("vo"),
-                GridJobSpec::new("slow", 1, |_| {
-                    std::thread::sleep(Duration::from_millis(200));
-                    Ok(String::new())
-                }),
-            )
-            .unwrap();
-        // Timeout on a live job: wait is None but the record still exists.
-        assert!(broker.wait(id, Duration::from_millis(10)).is_none());
-        assert!(broker.status(id).is_some());
-        assert!(broker.wait(id, Duration::from_secs(5)).is_some());
-
-        // A broker that never saw the job: both are None.
-        let stranger = ResourceBroker::new(vec![site("other", &["vo"], 1)]);
-        assert!(stranger.status(id).is_none());
-        assert!(stranger.wait(id, Duration::from_millis(10)).is_none());
+        let (ce, id) = broker.submit(&proxy("vo"), noop("j", 1)).unwrap();
+        assert_eq!(ce.name(), "free-ce");
+        let st = ce.batch_system().wait(id, Duration::from_secs(5)).unwrap();
+        assert_eq!(st.state, JobState::Completed);
     }
 
     #[test]
-    fn failures_map_to_aborted() {
+    fn failures_surface_as_exited() {
         let broker = ResourceBroker::new(vec![site("ce", &["vo"], 1)]);
-        let id = broker
+        let (ce, id) = broker
             .submit(
                 &proxy("vo"),
-                GridJobSpec::new("j", 1, |_| Err("segfault".into())),
+                JobSpec::new("j", 1, |_| Err("segfault".into())),
             )
             .unwrap();
-        let st = broker.wait(id, Duration::from_secs(5)).unwrap();
-        assert_eq!(st.state, GridJobState::Aborted);
+        let st = ce.batch_system().wait(id, Duration::from_secs(5)).unwrap();
+        assert_eq!(st.state, JobState::Exited);
         assert_eq!(st.error.as_deref(), Some("segfault"));
     }
 
     #[test]
     fn oversized_requests_fail_matchmaking() {
         let broker = ResourceBroker::new(vec![site("ce", &["vo"], 2)]);
-        let err = broker
-            .submit(
-                &proxy("vo"),
-                GridJobSpec::new("wide", 16, |_| Ok(String::new())),
-            )
-            .unwrap_err();
+        let err = broker.submit(&proxy("vo"), noop("wide", 16)).unwrap_err();
         assert_eq!(err, BrokerError::NoMatchingResources { requested: 16 });
     }
 
     #[test]
     fn cancellation_reaches_the_site() {
         let broker = ResourceBroker::new(vec![site("ce", &["vo"], 1)]);
-        let id = broker
+        let (ce, id) = broker
             .submit(
                 &proxy("vo"),
-                GridJobSpec::new("loop", 1, |ctx| {
+                JobSpec::new("loop", 1, |ctx| {
                     while !ctx.should_stop() {
                         std::thread::sleep(Duration::from_millis(5));
                     }
@@ -489,23 +321,8 @@ mod tests {
             )
             .unwrap();
         std::thread::sleep(Duration::from_millis(30));
-        assert!(broker.cancel(id));
-        let st = broker.wait(id, Duration::from_secs(5)).unwrap();
-        assert_eq!(st.state, GridJobState::Cancelled);
-    }
-
-    #[test]
-    fn status_of_unknown_job_is_none() {
-        let broker = ResourceBroker::new(vec![site("ce", &["vo"], 1)]);
-        // A handle pointing at a CE index this broker does not have.
-        let foreign = GridJobId {
-            ce_index: 9,
-            local: {
-                let c = BatchSystem::builder("x").node("n", 1).build();
-                c.qsub(JobSpec::new("j", 1, |_| Ok(String::new())))
-            },
-        };
-        assert!(broker.status(foreign).is_none());
-        assert!(!broker.cancel(foreign));
+        assert!(ce.batch_system().qdel(id));
+        let st = ce.batch_system().wait(id, Duration::from_secs(5)).unwrap();
+        assert_eq!(st.state, JobState::Cancelled);
     }
 }

@@ -155,15 +155,19 @@ pub fn validate(
         }
     }
 
-    // Resolve service descriptions; compile scripts.
+    // Resolve service descriptions, fetching each URL once; compile scripts.
+    let mut fetched = HashMap::new();
     let mut services = HashMap::new();
     let mut plan = Vec::with_capacity(blocks.len());
     for b in blocks {
         let (mut program, mut readers) = (None, HashMap::new());
         let kind = match &b.kind {
             BlockKind::Service { url } => {
-                match source.describe(url) {
-                    Ok(d) => drop(services.insert(b.id.clone(), d)),
+                match fetched
+                    .entry(url.as_str())
+                    .or_insert_with(|| source.describe(url))
+                {
+                    Ok(d) => drop(services.insert(b.id.clone(), d.clone())),
                     Err(e) => issues.push(format!("block {:?}: {e}", b.id)),
                 }
                 "service"
@@ -375,6 +379,31 @@ mod tests {
             "the run's result reads an output"
         );
         assert!(v.services.contains_key("add"));
+    }
+
+    #[test]
+    fn each_service_url_is_fetched_once() {
+        struct Counting(std::cell::Cell<usize>);
+        impl DescriptionSource for Counting {
+            fn describe(&self, url: &str) -> Result<ServiceDescription, String> {
+                self.0.set(self.0.get() + 1);
+                source().describe(url)
+            }
+        }
+        let wf = Workflow::new("w", "")
+            .input("x", Schema::integer())
+            .service("add1", "http://h:1/services/sum")
+            .service("add2", "http://h:1/services/sum")
+            .output("r", Schema::integer())
+            .wire(("x", "value"), ("add1", "a"))
+            .wire(("x", "value"), ("add1", "b"))
+            .wire(("add1", "total"), ("add2", "a"))
+            .wire(("x", "value"), ("add2", "b"))
+            .wire(("add2", "total"), ("r", "value"));
+        let counting = Counting(Default::default());
+        let v = validate(&wf, &counting).unwrap();
+        assert_eq!(counting.0.get(), 1, "two blocks on one URL");
+        assert!(v.services.contains_key("add1") && v.services.contains_key("add2"));
     }
 
     #[test]

@@ -43,7 +43,8 @@ def listening_ports(pid):
 
 def main():
     subprocess.run(
-        ["cargo", "build", "--release", "--offline", "--quiet", "--manifest-path", MANIFEST],
+        ["cargo", "build", "--release", "--offline", "--locked", "--quiet",
+         "--manifest-path", MANIFEST],
         check=True,
     )
     smoke = subprocess.Popen([BINARY, "--smoke"], stdout=subprocess.PIPE, text=True)

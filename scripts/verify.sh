@@ -183,9 +183,12 @@ cargo build -q --release --offline -p mathcloud-bench --bin repro
 # line; a wrong answer shows there as `"correct": false` (and in the exit
 # status), a hang trips the timeout. `jobpath_smoke.py` runs the smoke and
 # watches it from outside: it fails when a node's scratch `events.jsonl` is
-# not empty or `/metrics` shows a sync of the events journal.
+# not empty or `/metrics` shows a sync of the events journal. Both builds
+# are `--locked`: `bench/jobpath/Cargo.lock` records the dependency graph of
+# every crate jobpath links, so a `[dependencies]` change in one of them
+# fails here instead of silently rewriting the benchmark's lock file.
 echo "==> jobpath benchmark: unit tests + five-workload smoke (release, 300s budget)"
-timeout 300 cargo test -q --offline --manifest-path bench/jobpath/Cargo.toml
+timeout 300 cargo test -q --offline --locked --manifest-path bench/jobpath/Cargo.toml
 jobpath_smoke=$(timeout 300 "$repo/scripts/jobpath_smoke.py")
 grep -E '^(\{|one log)' <<<"$jobpath_smoke" | cut -c1-160
 if grep -q '"correct": false' <<<"$jobpath_smoke"; then

@@ -5,11 +5,14 @@
 //! These tests deploy services from pure JSON configuration — no code — and
 //! verify they behave identically to hand-written deployments.
 
+use std::sync::mpsc;
 use std::time::Duration;
 
 use mathcloud_client::ServiceClient;
-use mathcloud_cluster::BatchSystem;
+use mathcloud_cluster::{BatchSystem, JobContext, JobState};
 use mathcloud_everest::{load_config, AdapterRegistry, Everest};
+use mathcloud_grid::{ComputingElement, ProxyCredential, ResourceBroker};
+use mathcloud_json::value::Object;
 use mathcloud_json::{json, parse, Value};
 
 #[test]
@@ -84,59 +87,116 @@ fn a_unix_tool_becomes_a_service_from_config_alone() {
     assert!(line.starts_with(&expected), "{line} !~ {expected}");
 }
 
-#[test]
-fn cluster_backed_services_reference_registered_resources() {
-    let everest = Everest::new("cfg");
+/// The summary task behind the `stats` services.
+fn stats(inputs: &Object, _: &JobContext) -> Result<Object, String> {
+    let values: Vec<i64> = inputs
+        .get("values")
+        .and_then(Value::as_array)
+        .map(|a| a.iter().filter_map(Value::as_i64).collect())
+        .unwrap_or_default();
+    if values.is_empty() {
+        return Err("no values".into());
+    }
+    let sum: i64 = values.iter().sum();
+    Ok([
+        ("sum".to_string(), json!(sum)),
+        ("count".to_string(), json!(values.len())),
+    ]
+    .into_iter()
+    .collect())
+}
+
+/// A registry holding a cluster `site-a` and a broker `egi` over one CE, a
+/// cluster or (with `grid`) a grid adapter entry running `task` on them, and
+/// the batch system that entry's jobs run on.
+fn batch_backed(task: &str, grid: bool) -> (AdapterRegistry, Value, BatchSystem) {
     let cluster = BatchSystem::builder("site").nodes("n", 2, 2).build();
+    let ce_site = BatchSystem::builder("ce-site").nodes("wn", 2, 2).build();
+    let ce = ComputingElement::new("ce.egi.eu", &["vo"], ce_site.clone());
+    let proxy = ProxyCredential::issue("CN=alice", "vo", Duration::from_secs(600));
     let registry = AdapterRegistry::new()
         .cluster("site-a", cluster.clone())
-        .task("stats", |inputs, _| {
-            let values: Vec<i64> = inputs
-                .get("values")
-                .and_then(Value::as_array)
-                .map(|a| a.iter().filter_map(Value::as_i64).collect())
-                .unwrap_or_default();
-            if values.is_empty() {
-                return Err("no values".into());
-            }
-            let sum: i64 = values.iter().sum();
-            Ok([
-                ("sum".to_string(), json!(sum)),
-                ("count".to_string(), json!(values.len())),
-            ]
-            .into_iter()
-            .collect())
-        });
-    let config = parse(
-        r#"{
+        .broker("egi", ResourceBroker::new(vec![ce]), proxy);
+    if grid {
+        let adapter = json!({"type": "grid", "broker": "egi", "task": task});
+        (registry, adapter, ce_site)
+    } else {
+        let adapter = json!({"type": "cluster", "cluster": "site-a", "cores": 1, "task": task});
+        (registry, adapter, cluster)
+    }
+}
+
+#[test]
+fn cluster_backed_services_reference_registered_resources() {
+    for grid in [false, true] {
+        let everest = Everest::new("cfg");
+        let (registry, adapter, site) = batch_backed("stats", grid);
+        let registry = registry.task("stats", stats);
+        let config = json!({
             "services": [{
                 "name": "stats",
-                "description": "summary statistics on the cluster",
+                "description": "summary statistics on a batch system",
                 "inputs":  { "values": {"type": "array", "items": {"type": "integer"}} },
                 "outputs": { "sum": {"type": "integer"}, "count": {"type": "integer"} },
-                "adapter": {"type": "cluster", "cluster": "site-a", "cores": 1, "task": "stats"}
+                "adapter": (adapter)
             }]
-        }"#,
-    )
-    .unwrap();
-    load_config(&everest, &config, &registry).unwrap();
+        });
+        load_config(&everest, &config, &registry).unwrap();
 
-    let rep = everest
-        .submit_and_wait(
-            "stats",
-            json!({"values": [3, 4, 5]}),
-            None,
-            None,
-            None,
-            Some(Duration::from_secs(10)),
-        )
-        .unwrap()
-        .rep;
-    let outputs = rep.outputs.expect("done");
-    assert_eq!(outputs.get("sum").unwrap().as_i64(), Some(12));
-    assert_eq!(outputs.get("count").unwrap().as_i64(), Some(3));
-    // The job really went through the batch system.
-    assert_eq!(cluster.stats().finished_jobs, 1);
+        let rep = everest
+            .submit_and_wait(
+                "stats",
+                json!({"values": [3, 4, 5]}),
+                None,
+                None,
+                None,
+                Some(Duration::from_secs(10)),
+            )
+            .unwrap()
+            .rep;
+        let outputs = rep.outputs.expect("done");
+        assert_eq!(outputs.get("sum").unwrap().as_i64(), Some(12));
+        assert_eq!(outputs.get("count").unwrap().as_i64(), Some(3));
+        // The job really went through the batch system.
+        assert_eq!(site.stats().finished_jobs, 1);
+    }
+}
+
+/// `DELETE` on a running job's resource reaches the batch system the job was
+/// placed on, for a cluster and for a grid entry alike.
+#[test]
+fn a_cancel_reaches_the_placed_batch_system() {
+    for grid in [false, true] {
+        let (registry, adapter, site) = batch_backed("spin", grid);
+        let (started, running) = mpsc::channel();
+        let registry = registry.task("spin", move |_, ctx| {
+            started.send(ctx.id()).unwrap();
+            while !ctx.should_stop() {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            Err("stopped".into())
+        });
+        let everest = Everest::new("cfg");
+        let config = json!({
+            "services": [{"name": "spin", "description": "runs until stopped", "adapter": (adapter)}]
+        });
+        load_config(&everest, &config, &registry).unwrap();
+        let server = mathcloud_everest::serve(everest, "127.0.0.1:0", None).unwrap();
+        let url = format!("{}/services/spin", server.base_url());
+
+        let job = ServiceClient::connect(&url)
+            .unwrap()
+            .submit(&json!({}))
+            .unwrap();
+        let id = running
+            .recv_timeout(Duration::from_secs(5))
+            .expect("RUNNING");
+        job.cancel().unwrap();
+        let st = site
+            .wait(id, Duration::from_secs(5))
+            .expect("terminal within 5 s");
+        assert_eq!(st.state, JobState::Cancelled, "grid: {grid}");
+    }
 }
 
 #[test]
